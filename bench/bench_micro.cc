@@ -72,6 +72,30 @@ BM_LoadedLatency(benchmark::State &state)
 }
 BENCHMARK(BM_LoadedLatency);
 
+/**
+ * The slow step's P-state hand-off: PowerBudgetManager::grant() of a
+ * max-frequency request on skylakeConfig()'s 28-step core table, with
+ * the budget bound at a mid-table state so every call falls through
+ * to the highestUnder() scan (the common case at 4.5 W).
+ */
+void
+BM_PStateGrant(benchmark::State &state)
+{
+    const soc::SocConfig cfg = soc::skylakeConfig();
+    const power::PStateTable table(power::skylakeCoreCurve(),
+                                   cfg.coreCdyn, cfg.coreLeakK,
+                                   cfg.temperature, cfg.pstateSteps);
+    const power::PowerBudgetManager pbm(cfg.tdp, cfg.pbmReserve);
+    const double activity = 0.8;
+    const Watt budget = table.powerAt(
+        table.states()[cfg.pstateSteps / 2].freq, activity);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            &pbm.grant(table, table.max().freq, budget, activity));
+    }
+}
+BENCHMARK(BM_PStateGrant);
+
 void
 BM_PredictorDecision(benchmark::State &state)
 {

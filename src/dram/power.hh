@@ -14,6 +14,8 @@
 #ifndef SYSSCALE_DRAM_POWER_HH
 #define SYSSCALE_DRAM_POWER_HH
 
+#include <array>
+
 #include "dram/spec.hh"
 #include "dram/timing.hh"
 #include "sim/types.hh"
@@ -43,10 +45,15 @@ struct DramPowerBreakdown
  *
  * All coefficients are per-device and referenced to the device's
  * nominal VDDQ; system totals multiply by DramSpec::totalDevices().
+ * Every traffic-independent term is computed per bin at construction;
+ * activePower() evaluates only the array, IO and termination terms.
  */
 class DramPowerModel
 {
   public:
+    /** Bins a model can hold (the MRC SRAM budget caps a SoC at 3). */
+    static constexpr std::size_t kMaxBins = 8;
+
     explicit DramPowerModel(const DramSpec &spec, Volt vddq = 1.2);
 
     /**
@@ -72,11 +79,24 @@ class DramPowerModel
         const;
 
     Volt vddq() const { return vddq_; }
-    const DramSpec &spec() const { return spec_; }
 
   private:
-    DramSpec spec_;
+    /** Traffic-independent terms of one frequency bin. */
+    struct BinTerms
+    {
+        Watt backgroundW = 0.0;
+        Watt refreshW = 0.0;
+        Watt registersW = 0.0;
+        double ioPjPerBit = 0.0;       //!< IO energy/bit at this clock.
+        BytesPerSec peakBandwidth = 0.0;
+    };
+
+    std::size_t numBins_;
     Volt vddq_;
+    double vscale_ = 0.0;      //!< (VDDQ / 1.2 V)^2.
+    Watt selfRefreshW_ = 0.0;  //!< All devices in self-refresh.
+    Watt termFullUtilW_ = 0.0; //!< All devices' ODT at 100% utilization.
+    std::array<BinTerms, kMaxBins> bins_{};
 
     // Per-device coefficients (referenced to LPDDR3 x32 @ 1.2V).
     double bgStandbyMwAtRef_;   //!< Background at the reference clock.

@@ -25,6 +25,7 @@ MemoryController::MemoryController(Simulator &sim, SimObject *parent,
                   "average loaded CPU read latency")
 {
     regs_ = mrc.optimizedSet(dram::DramSpec::kDefaultBin);
+    refreshDerived();
     if (v_sa <= 0.0)
         SYSSCALE_FATAL("MemoryController: non-positive V_SA %.3f",
                        v_sa);
@@ -38,13 +39,22 @@ MemoryController::programRegisters(const MrcRegisterSet &regs)
     SYSSCALE_ASSERT(device_.mode() == dram::DramMode::SelfRefresh,
                     "programming DRAM registers outside self-refresh");
     regs_ = regs;
+    refreshDerived();
     ddrio_.setBin(regs.appliedBin);
 }
 
-Hertz
-MemoryController::clock() const
+void
+MemoryController::refreshDerived()
 {
-    return device_.spec().bin(regs_.appliedBin).mcClock();
+    const dram::DramSpec &spec = device_.spec();
+    clockHz_ = spec.bin(regs_.appliedBin).mcClock();
+    peakBandwidth_ = spec.peakBandwidth(regs_.appliedBin);
+    capacity_ = peakBandwidth_ * regs_.interfaceEfficiency;
+    const double mc_ns = kPipelineCycles / clockHz_ * 1e9;
+    baseLatencyNs_ = kFixedPathNs + mc_ns +
+                     regs_.timings.randomAccessNs() +
+                     regs_.latencyAdderNs;
+    lineServiceNs_ = 64.0 / capacity_ * 1e9;
 }
 
 void
@@ -78,21 +88,6 @@ MemoryController::release()
     blocked_ = false;
 }
 
-BytesPerSec
-MemoryController::capacity() const
-{
-    return device_.spec().peakBandwidth(regs_.appliedBin) *
-           regs_.interfaceEfficiency;
-}
-
-double
-MemoryController::baseLatencyNs() const
-{
-    const double mc_ns = kPipelineCycles / clock() * 1e9;
-    return kFixedPathNs + mc_ns + regs_.timings.randomAccessNs() +
-           regs_.latencyAdderNs;
-}
-
 double
 MemoryController::loadedLatencyAt(double utilization) const
 {
@@ -102,10 +97,9 @@ MemoryController::loadedLatencyAt(double utilization) const
     // low utilization (prefetchers and bank parallelism hide it),
     // exploding toward the capacity ceiling. S is the service time
     // of one cache line at the trained interface rate.
-    const double service_ns = 64.0 / capacity() * 1e9;
     const double wait_ns =
-        rho * rho * rho / (1.0 - rho) * service_ns * kQueueScale;
-    return baseLatencyNs() + wait_ns;
+        rho * rho * rho / (1.0 - rho) * lineServiceNs_ * kQueueScale;
+    return baseLatencyNs_ + wait_ns;
 }
 
 MemServiceResult
@@ -116,7 +110,7 @@ MemoryController::service(const MemDemand &demand, Tick interval)
     SYSSCALE_ASSERT(device_.mode() == dram::DramMode::Active,
                     "servicing DRAM in self-refresh");
 
-    const BytesPerSec cap = capacity();
+    const BytesPerSec cap = capacity_;
     MemServiceResult res;
 
     // Isochronous traffic is guaranteed first: the display engine
@@ -142,8 +136,7 @@ MemoryController::service(const MemDemand &demand, Tick interval)
     res.achievedBestEffort = demand.ioBestEffort * grant;
 
     res.utilization =
-        std::min(1.0, res.achievedTotal() / device_.spec()
-                          .peakBandwidth(regs_.appliedBin));
+        std::min(1.0, res.achievedTotal() / peakBandwidth_);
 
     const double queue_rho =
         std::min(kMaxRho, (res.achievedIso + rest_demand) / cap);
@@ -259,6 +252,9 @@ MemoryController::loadState(SnapshotReader &r)
     regs_.terminationFactor = r.getDouble("termination_factor");
     regs_.ddrioActivityFactor = r.getDouble("ddrio_activity_factor");
     r.pop();
+    if (regs_.appliedBin >= device_.spec().numBins())
+        throw SnapshotError("mc: applied bin out of range");
+    refreshDerived();
     vsa_ = r.getDouble("v_sa");
     blocked_ = r.getBool("blocked");
     lastUtilization_ = r.getDouble("last_utilization");

@@ -109,7 +109,7 @@ class MemoryController : public SimObject
     std::size_t binIndex() const { return regs_.appliedBin; }
 
     /** Controller clock: half the DDR data rate (Sec. 3). */
-    Hertz clock() const;
+    Hertz clock() const { return clockHz_; }
 
     Volt vsa() const { return vsa_; }
     void setVsa(Volt v);
@@ -147,10 +147,10 @@ class MemoryController : public SimObject
     Watt idleSelfRefresh(Tick interval);
 
     /** Sustainable interface bandwidth at the current registers. */
-    BytesPerSec capacity() const;
+    BytesPerSec capacity() const { return capacity_; }
 
     /** Unloaded CPU-read latency at the current registers. */
-    double baseLatencyNs() const;
+    double baseLatencyNs() const { return baseLatencyNs_; }
 
     /**
      * Loaded latency at a hypothetical utilization (exposed so the
@@ -209,10 +209,26 @@ class MemoryController : public SimObject
     /** @} */
 
   private:
+    /**
+     * Re-derive the register-dependent constants below from regs_.
+     * Every writer of regs_ (constructor, programRegisters(),
+     * loadState()) must call it; the cache is never snapshotted.
+     */
+    void refreshDerived();
+
     dram::DramDevice &device_;
     Ddrio ddrio_;
     MrcRegisterSet regs_;
     Volt vsa_;
+
+    /** @name Derived from regs_ by refreshDerived(). @{ */
+    Hertz clockHz_ = 0.0;
+    BytesPerSec peakBandwidth_ = 0.0; //!< Of the applied bin.
+    BytesPerSec capacity_ = 0.0;
+    double baseLatencyNs_ = 0.0;
+    double lineServiceNs_ = 0.0; //!< One 64B line at capacity_.
+    /** @} */
+
     bool blocked_ = false;
     double lastUtilization_ = 0.0;
     Watt lastDramPower_ = 0.0;

@@ -7,15 +7,28 @@
 namespace sysscale {
 namespace power {
 
+namespace {
+
+/**
+ * Activity above 1.0 is legal for guard-banded interfaces that toggle
+ * more than the data-path reference (unoptimized MRC). Shared by
+ * dynamicPower() and the PStateTable loops that inline its formula.
+ */
+void
+checkActivity(double activity)
+{
+    SYSSCALE_ASSERT(activity >= 0.0 && activity <= 2.0 + 1e-9,
+                    "activity %f out of [0,2]", activity);
+}
+
+} // namespace
+
 Watt
 dynamicPower(double cdyn_farad, Volt v, Hertz f, double activity)
 {
     SYSSCALE_ASSERT(cdyn_farad >= 0.0 && v >= 0.0 && f >= 0.0,
                     "negative dynamic-power inputs");
-    // Activity above 1.0 is legal for guard-banded interfaces that
-    // toggle more than the data-path reference (unoptimized MRC).
-    SYSSCALE_ASSERT(activity >= 0.0 && activity <= 2.0 + 1e-9,
-                    "activity %f out of [0,2]", activity);
+    checkActivity(activity);
     return cdyn_farad * v * v * f * activity;
 }
 
@@ -56,9 +69,11 @@ PStateTable::PStateTable(const VfCurve &curve, double cdyn_farad,
             static_cast<double>(i) / static_cast<double>(steps - 1);
         const Hertz f = lo + t * (hi - lo);
         const Volt v = curve.voltageAt(f);
-        const Watt p = dynamicPower(cdyn_farad, v, f, 1.0) +
-                       leakagePower(leak_k, v, temp_c);
-        states_.push_back(PState{f, v, p});
+        // x * 1.0 == x exactly, so dyn * activity later reproduces
+        // dynamicPower(cdyn, v, f, activity) bit for bit.
+        const Watt dyn = dynamicPower(cdyn_farad, v, f, 1.0);
+        const Watt leak = leakagePower(leak_k, v, temp_c);
+        states_.push_back(PState{f, v, dyn + leak, dyn, leak});
     }
 }
 
@@ -66,6 +81,14 @@ Watt
 PStateTable::powerAt(Hertz freq, double activity) const
 {
     SYSSCALE_ASSERT(!states_.empty(), "empty PStateTable");
+    checkActivity(activity);
+    // States ascend in frequency; the default request is max().freq,
+    // which the first probe hits.
+    for (auto it = states_.rbegin();
+         it != states_.rend() && it->freq >= freq; ++it) {
+        if (it->freq == freq)
+            return it->powerAt(activity);
+    }
     const Volt v = curve_.voltageAt(freq);
     return dynamicPower(cdyn_, v, freq, activity) +
            leakagePower(leakK_, v, tempC_);
@@ -81,11 +104,10 @@ const PState &
 PStateTable::highestUnder(Watt budget, double activity) const
 {
     SYSSCALE_ASSERT(!states_.empty(), "empty PStateTable");
+    checkActivity(activity);
     const PState *best = &states_.front();
     for (const auto &s : states_) {
-        const Watt p = dynamicPower(cdyn_, s.voltage, s.freq, activity) +
-                       leakagePower(leakK_, s.voltage, tempC_);
-        if (p <= budget)
+        if (s.powerAt(activity) <= budget)
             best = &s;
     }
     return *best;

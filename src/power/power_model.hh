@@ -56,6 +56,17 @@ struct PState
     Hertz freq;
     Volt voltage;
     Watt maxPower; //!< Power at activity = 1.0 (for budgeting).
+
+    /** @name Activity-invariant terms, filled by PStateTable. @{ */
+    Watt dynPowerW = 0.0;  //!< cdyn * V^2 * f (dynamicPower at 1.0).
+    Watt leakPowerW = 0.0; //!< leakagePower at the table's temperature.
+    /** @} */
+
+    /** dynamicPower() + leakagePower() at @p activity, bit for bit. */
+    Watt powerAt(double activity) const
+    {
+        return dynPowerW * activity + leakPowerW;
+    }
 };
 
 /**
@@ -80,7 +91,11 @@ class PStateTable
     PStateTable(const VfCurve &curve, double cdyn_farad, double leak_k,
                 Celsius temp_c, std::size_t steps);
 
-    /** Power drawn at @p freq with @p activity (interpolated). */
+    /**
+     * Power drawn at @p freq with @p activity. A @p freq bitwise equal
+     * to a state's reuses that state's cached terms; any other
+     * frequency interpolates the V/F curve.
+     */
     Watt powerAt(Hertz freq, double activity) const;
 
     /**
@@ -90,7 +105,10 @@ class PStateTable
      */
     const PState &highestUnder(Watt budget) const;
 
-    /** Highest P-state fitting @p budget at a given activity. */
+    /**
+     * Highest P-state fitting @p budget at a given activity: one
+     * multiply-add per state over the terms cached at construction.
+     */
     const PState &highestUnder(Watt budget, double activity) const;
 
     const std::vector<PState> &states() const { return states_; }

@@ -265,7 +265,7 @@ Soc::replaySteps(Tick interval)
     // Serve the step event that just fired from the cached plan.
     ++steps_;
     ++replayedSteps_;
-    commitStep(interval, true);
+    commitStep(interval, true, 0, 0.0);
 
     // Idle skip-ahead: batch further grid steps while nothing can
     // observe the difference — no event pending at or before the
@@ -292,7 +292,7 @@ Soc::replaySteps(Tick interval)
         ++steps_;
         ++replayedSteps_;
         ++batch_steps;
-        commitStep(interval, true);
+        commitStep(interval, true, 0, 0.0);
     }
     eventq().schedule(&stepEvent_, t + interval);
 
@@ -462,12 +462,13 @@ Soc::step()
         plan_.ioEnginePower = display_->power() + isp_->power();
     }
 
-    commitStep(interval, false);
+    commitStep(interval, false, active_threads, avg_activity);
     eventq().schedule(&stepEvent_, now() + interval);
 }
 
 inline void
-Soc::commitStep(Tick interval, bool replay)
+Soc::commitStep(Tick interval, bool replay, std::size_t active_threads,
+                double avg_activity)
 {
     const StepPlan &p = plan_;
     const IntervalDemand &demand = demandScratch_;
@@ -509,7 +510,6 @@ Soc::commitStep(Tick interval, bool replay)
 
     // Retire compute progress.
     double stall_cycles = 0.0;
-    double instr = 0.0;
     const Tick exec_ticks = static_cast<Tick>(
         static_cast<double>(interval) * p.execFrac);
     if (exec_ticks > 0) {
@@ -526,7 +526,6 @@ Soc::commitStep(Tick interval, bool replay)
             const compute::CoreResult r = cpu_->retire(
                 scaled, lastMemLatencyNs_, cpu_grant, exec_ticks);
             stall_cycles += r.stallCycles;
-            instr += r.instructions;
         }
 
         if (gfxActive_) {
@@ -575,8 +574,10 @@ Soc::commitStep(Tick interval, bool replay)
                         interval);
         step_power = p.stepPower;
     } else {
-        step_power = integratePower(demand, mc_util, fr.utilization,
-                                    vddq_power, interval);
+        step_power = integratePower(demand, active_threads,
+                                    avg_activity, mc_util,
+                                    fr.utilization, vddq_power,
+                                    interval);
     }
 
     // Rail-power counters. Change-filtered in the sink, so a steady
@@ -625,31 +626,18 @@ Soc::commitStep(Tick interval, bool replay)
     coreFreqIntegral_ += cpu_->frequency() * secs;
     if (!(currentOp_ == opPoints_.high()))
         lowPointSeconds_ += secs;
-
-    (void)instr;
 }
 
 Watt
-Soc::integratePower(const IntervalDemand &demand, double mc_util,
-                    double fabric_util, Watt vddq_power,
+Soc::integratePower(const IntervalDemand &demand,
+                    std::size_t active_threads, double activity,
+                    double mc_util, double fabric_util, Watt vddq_power,
                     Tick interval)
 {
     const compute::CStateResidency &res = demand.residency;
     const double exec = res.activeFraction() * hdc_.dutyFactor();
     const double leak_w = res.computeLeakWeight();
     const double uncore_w = res.uncoreWeight();
-
-    std::size_t active_threads = 0;
-    double act_sum = 0.0;
-    for (const auto &w : demand.threadWork) {
-        if (w.cpiBase > 0.0) {
-            ++active_threads;
-            act_sum += w.activity;
-        }
-    }
-    const double activity =
-        active_threads ? act_sum / static_cast<double>(active_threads)
-                       : kIdleActivity;
 
     // VCore: dynamic while executing, leakage weighted by C-state,
     // LLC on the same rail.

@@ -379,11 +379,14 @@ class Soc : public SimObject
      * path and the replay fast path: memory/fabric service, retire,
      * counter and power integration, EWMAs, and run accumulators —
      * all driven from plan_. @p replay selects the cached rail watts
-     * over a fresh integratePower() pass. Force-inlined: both call
-     * sites are per-step hot paths, and the compile-time-constant
-     * @p replay folds the branchy halves away.
+     * over a fresh integratePower() pass, which takes the slow step's
+     * @p active_threads and @p avg_activity (replay passes 0, 0.0).
+     * Force-inlined: both call sites are per-step hot paths, and the
+     * compile-time-constant @p replay folds the branchy halves away.
      */
-    [[gnu::always_inline]] void commitStep(Tick interval, bool replay);
+    [[gnu::always_inline]] void commitStep(Tick interval, bool replay,
+                                           std::size_t active_threads,
+                                           double avg_activity);
 
     /** Fast path: replay + batch grid steps, then reschedule. */
     void replaySteps(Tick interval);
@@ -391,8 +394,13 @@ class Soc : public SimObject
                              std::size_t active_threads,
                              double avg_activity);
 
-    /** Integrate rail power for the step; returns total watts. */
+    /**
+     * Integrate rail power for the step; returns total watts.
+     * @p active_threads and @p activity are the step's busy-thread
+     * count and their mean activity, as step() computed them.
+     */
     Watt integratePower(const IntervalDemand &demand,
+                        std::size_t active_threads, double activity,
                         double mc_util, double fabric_util,
                         Watt dram_power, Tick interval);
 

@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+
 #include "dram/device.hh"
 #include "mem/controller.hh"
 #include "mem/ddrio.hh"
 #include "mem/mrc.hh"
 #include "sim/sim_object.hh"
+#include "sim/snapshot.hh"
 
 namespace sysscale {
 namespace mem {
@@ -215,6 +220,164 @@ TEST_F(ControllerTest, PowerDropsWithVoltageAndClock)
 
     EXPECT_LT(MemoryController::powerAt(0.68, 533 * kMHz, 0.5),
               MemoryController::powerAt(0.80, 800 * kMHz, 0.5));
+}
+
+// ---------------------------------------------------------------------
+// The controller caches its register-derived constants (capacity, base
+// latency, line service time, peak bandwidth). The cache is refreshed
+// by every writer of the registers and never snapshotted, so a bin
+// reached through programRegisters() and the same bin restored by
+// loadState() must answer bit for bit alike.
+// ---------------------------------------------------------------------
+
+std::uint64_t
+bits(double x)
+{
+    std::uint64_t u;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+}
+
+/** A DRAM population and its controller, driven by the DVFS flow. */
+struct McRig
+{
+    explicit McRig(const dram::DramSpec &spec)
+        : dev(sim, nullptr, spec), mrc(spec),
+          mc(sim, nullptr, dev, mrc, 0.80)
+    {
+    }
+
+    /** Flow steps 3-9: block, self-refresh, switch, program, resume. */
+    void
+    program(const MrcRegisterSet &regs)
+    {
+        mc.blockAndDrain();
+        dev.enterSelfRefresh();
+        dev.setBin(regs.appliedBin);
+        mc.programRegisters(regs);
+        dev.exitSelfRefresh(true);
+        mc.release();
+    }
+
+    std::string
+    save() const
+    {
+        SnapshotWriter w("0000000000000000", 0);
+        w.push("dram");
+        dev.saveState(w);
+        w.pop();
+        w.push("mc");
+        mc.saveState(w);
+        w.pop();
+        return w.str();
+    }
+
+    void
+    load(const std::string &text)
+    {
+        SnapshotReader r(text);
+        r.push("dram");
+        dev.loadState(r);
+        r.pop();
+        r.push("mc");
+        mc.loadState(r);
+        r.pop();
+        r.finish();
+    }
+
+    Simulator sim;
+    dram::DramDevice dev;
+    MrcStore mrc;
+    MemoryController mc;
+};
+
+void
+expectSameDerived(McRig &a, McRig &b, const std::string &what)
+{
+    SCOPED_TRACE(what);
+    EXPECT_EQ(a.mc.binIndex(), b.mc.binIndex());
+    EXPECT_EQ(bits(a.mc.capacity()), bits(b.mc.capacity()));
+    EXPECT_EQ(bits(a.mc.baseLatencyNs()), bits(b.mc.baseLatencyNs()));
+    EXPECT_EQ(bits(a.mc.clock()), bits(b.mc.clock()));
+    for (int i = 0; i <= 100; ++i) {
+        const double rho = i / 100.0;
+        EXPECT_EQ(bits(a.mc.loadedLatencyAt(rho)),
+                  bits(b.mc.loadedLatencyAt(rho)))
+            << "rho " << rho;
+    }
+
+    MemDemand d;
+    for (const double scale : {0.0, 0.1, 0.5, 1.0, 2.0}) {
+        d.cpuRead = 8e9 * scale;
+        d.cpuWrite = 3e9 * scale;
+        d.gfx = 4e9 * scale;
+        d.ioIso = 2e9 * scale;
+        d.ioBestEffort = 1e9 * scale;
+        const MemServiceResult ra = a.mc.service(d, 100 * kTicksPerUs);
+        const MemServiceResult rb = b.mc.service(d, 100 * kTicksPerUs);
+        EXPECT_EQ(bits(ra.achievedTotal()), bits(rb.achievedTotal()));
+        EXPECT_EQ(bits(ra.utilization), bits(rb.utilization));
+        EXPECT_EQ(bits(ra.loadedLatencyNs), bits(rb.loadedLatencyNs));
+        EXPECT_EQ(bits(ra.readPendingOccupancy),
+                  bits(rb.readPendingOccupancy));
+        EXPECT_EQ(ra.qosViolation, rb.qosViolation);
+        EXPECT_EQ(bits(a.mc.lastDramPower()),
+                  bits(b.mc.lastDramPower()));
+    }
+}
+
+TEST(ControllerCache, ProgramAndRestoreDeriveIdenticalConstants)
+{
+    for (const dram::DramSpec &spec :
+         {dram::lpddr3Spec(), dram::ddr4Spec()}) {
+        const std::size_t bins = spec.numBins();
+        for (std::size_t trained = 0; trained < bins; ++trained) {
+            for (std::size_t applied = 0; applied < bins; ++applied) {
+                const std::string what =
+                    spec.name() + " trained " + std::to_string(trained) +
+                    " applied " + std::to_string(applied);
+
+                // Reached through programRegisters().
+                McRig programmed(spec);
+                programmed.program(
+                    programmed.mrc.crossBinSet(trained, applied));
+
+                // Reached through a saveState/loadState round trip of
+                // a controller left at that bin, loaded into one parked
+                // at another bin so a stale cache cannot pass.
+                McRig source(spec);
+                source.program(source.mrc.crossBinSet(trained, applied));
+                McRig restored(spec);
+                const std::size_t other = (applied + 1) % bins;
+                restored.program(restored.mrc.optimizedSet(other));
+                restored.load(source.save());
+
+                expectSameDerived(programmed, restored, what);
+            }
+        }
+    }
+}
+
+TEST(ControllerCache, RestoreRejectsOutOfRangeBin)
+{
+    // A well-formed register image naming a bin the spec lacks must
+    // fail the restore, not index past the bin table when the cache
+    // is derived.
+    McRig rig(dram::lpddr3Spec());
+    SnapshotWriter w("0000000000000000", 0);
+    w.push("regs");
+    w.putU64("trained_bin", 0);
+    w.putU64("applied_bin", rig.dev.spec().numBins());
+    for (const char *k :
+         {"t_ck_ns", "t_cl_ns", "t_rcd_ns", "t_rp_ns", "t_ras_ns",
+          "t_wr_ns", "t_rfc_ns", "t_refi_ns", "t_xsr_ns", "t_faw_ns",
+          "interface_efficiency", "latency_adder_ns",
+          "termination_factor", "ddrio_activity_factor"}) {
+        w.putDouble(k, 1.0);
+    }
+    w.pop();
+    SnapshotReader r(w.str());
+    EXPECT_THROW(rig.mc.loadState(r), SnapshotError);
 }
 
 } // namespace

@@ -6,11 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "power/energy_meter.hh"
 #include "power/pbm.hh"
 #include "power/power_model.hh"
 #include "power/regulator.hh"
 #include "power/vf_curve.hh"
+#include "soc/config.hh"
 
 namespace sysscale {
 namespace power {
@@ -147,6 +153,220 @@ TEST(Pbm, GrantDemotesOverBudgetRequests)
         pbm.grant(t, t.max().freq, /*budget=*/0.3, /*activity=*/0.8);
     EXPECT_LT(granted.freq, t.max().freq);
     EXPECT_LE(t.powerAt(granted.freq, 0.8), 0.3 + 1e-9);
+}
+
+// ---------------------------------------------------------------------
+// Differential suite: the cached P-state grant path against a verbatim
+// copy of the uncached formulas it replaced. Every comparison is
+// bitwise (returned state by address, watts by bit pattern).
+// ---------------------------------------------------------------------
+
+/** Uncached reference: interpolate V, then dynamic + leakage. */
+Watt
+refPowerAt(const PStateTable &t, const VfCurve &curve, Hertz freq,
+           double activity)
+{
+    const Volt v = curve.voltageAt(freq);
+    return dynamicPower(t.cdyn(), v, freq, activity) +
+           leakagePower(t.leakK(), v, t.temperature());
+}
+
+/** Uncached reference: re-evaluate both power terms per state. */
+const PState &
+refHighestUnder(const PStateTable &t, Watt budget, double activity)
+{
+    const PState *best = &t.states().front();
+    for (const auto &s : t.states()) {
+        const Watt p = dynamicPower(t.cdyn(), s.voltage, s.freq,
+                                    activity) +
+                       leakagePower(t.leakK(), s.voltage,
+                                    t.temperature());
+        if (p <= budget)
+            best = &s;
+    }
+    return *best;
+}
+
+/** Uncached reference of PowerBudgetManager::grant. */
+const PState &
+refGrant(const PStateTable &t, const VfCurve &curve, Hertz requested,
+         Watt budget, double activity)
+{
+    if (refPowerAt(t, curve, requested, activity) <= budget) {
+        const PState *best = &t.min();
+        for (const auto &s : t.states()) {
+            if (s.freq <= requested + 1.0)
+                best = &s;
+        }
+        return *best;
+    }
+    return refHighestUnder(t, budget, activity);
+}
+
+std::uint64_t
+bits(double x)
+{
+    std::uint64_t u;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+}
+
+/** The two default tables: skylakeConfig()'s core and gfx domains. */
+struct DefaultTable
+{
+    const char *name;
+    VfCurve curve;
+    PStateTable table;
+};
+
+std::vector<DefaultTable>
+defaultTables()
+{
+    const soc::SocConfig cfg = soc::skylakeConfig();
+    std::vector<DefaultTable> out;
+    out.push_back({"core", skylakeCoreCurve(),
+                   PStateTable(skylakeCoreCurve(), cfg.coreCdyn,
+                               cfg.coreLeakK, cfg.temperature,
+                               cfg.pstateSteps)});
+    out.push_back({"gfx", skylakeGfxCurve(),
+                   PStateTable(skylakeGfxCurve(), cfg.gfxCdyn,
+                               cfg.gfxLeakK, cfg.temperature,
+                               cfg.pstateSteps)});
+    return out;
+}
+
+const std::vector<double> kActivities = {0.0,  0.05, 0.3, 0.5, 0.77,
+                                         1.0,  1.25, 1.5, 2.0};
+
+/**
+ * Budgets spanning every state's power at @p activity: each exact
+ * value, its neighbouring doubles (the <= boundary), midpoints, and
+ * values below the minimum and above the maximum.
+ */
+std::vector<Watt>
+budgetsFor(const PStateTable &t, double activity)
+{
+    std::vector<Watt> out = {0.0, -1.0, 1e-6, 1e3};
+    Watt prev = 0.0;
+    for (const auto &s : t.states()) {
+        const Watt exact = dynamicPower(t.cdyn(), s.voltage, s.freq,
+                                        activity) +
+                           leakagePower(t.leakK(), s.voltage,
+                                        t.temperature());
+        out.push_back(exact);
+        out.push_back(std::nextafter(exact, 0.0));
+        out.push_back(std::nextafter(exact, 1e9));
+        out.push_back(0.5 * (prev + exact));
+        prev = exact;
+    }
+    for (int i = 0; i <= 100; ++i)
+        out.push_back(prev * 1.2 * i / 100.0);
+    return out;
+}
+
+/** Requests on the grid, between states, and outside the span. */
+std::vector<Hertz>
+requestsFor(const PStateTable &t)
+{
+    std::vector<Hertz> out;
+    for (std::size_t i = 0; i < t.states().size(); ++i) {
+        const Hertz f = t.states()[i].freq;
+        out.push_back(f);
+        out.push_back(std::nextafter(f, 0.0));
+        out.push_back(std::nextafter(f, 1e12));
+        out.push_back(f + 0.5);  // inside grant's +1 Hz tolerance
+        out.push_back(f - 0.5);
+        if (i + 1 < t.states().size())
+            out.push_back(0.5 * (f + t.states()[i + 1].freq));
+    }
+    out.push_back(t.min().freq * 0.5);
+    out.push_back(t.min().freq - 1e8);
+    out.push_back(t.max().freq + 1e8);
+    out.push_back(t.max().freq * 2.0);
+    return out;
+}
+
+TEST(PStateCache, DefaultTablesHaveConfiguredSteps)
+{
+    const soc::SocConfig cfg = soc::skylakeConfig();
+    ASSERT_EQ(cfg.pstateSteps, 28u);
+    for (const DefaultTable &d : defaultTables()) {
+        ASSERT_EQ(d.table.states().size(), 28u) << d.name;
+        for (const auto &s : d.table.states()) {
+            EXPECT_EQ(bits(s.maxPower),
+                      bits(refPowerAt(d.table, d.curve, s.freq, 1.0)))
+                << d.name << " @ " << s.freq;
+            EXPECT_EQ(bits(s.dynPowerW + s.leakPowerW),
+                      bits(s.maxPower));
+        }
+    }
+}
+
+TEST(PStateCache, HighestUnderMatchesUncachedBitwise)
+{
+    std::size_t cases = 0;
+    for (const DefaultTable &d : defaultTables()) {
+        for (const double a : kActivities) {
+            for (const Watt b : budgetsFor(d.table, a)) {
+                const PState &got = d.table.highestUnder(b, a);
+                const PState &want = refHighestUnder(d.table, b, a);
+                ASSERT_EQ(&got, &want) << d.name << " budget " << b
+                                       << " activity " << a;
+                ++cases;
+            }
+        }
+        // The activity-1 overload.
+        for (const Watt b : budgetsFor(d.table, 1.0)) {
+            ASSERT_EQ(&d.table.highestUnder(b),
+                      &refHighestUnder(d.table, b, 1.0));
+        }
+    }
+    EXPECT_GT(cases, 3000u);
+}
+
+TEST(PStateCache, PowerAtMatchesUncachedBitwise)
+{
+    for (const DefaultTable &d : defaultTables()) {
+        for (const double a : kActivities) {
+            for (const Hertz f : requestsFor(d.table)) {
+                ASSERT_EQ(bits(d.table.powerAt(f, a)),
+                          bits(refPowerAt(d.table, d.curve, f, a)))
+                    << d.name << " freq " << f << " activity " << a;
+            }
+        }
+    }
+}
+
+TEST(PStateCache, GrantMatchesUncachedBitwise)
+{
+    const PowerBudgetManager pbm(4.5);
+    std::size_t cases = 0;
+    for (const DefaultTable &d : defaultTables()) {
+        const std::vector<Hertz> requests = requestsFor(d.table);
+        for (const double a : kActivities) {
+            for (const Watt b : budgetsFor(d.table, a)) {
+                for (const Hertz f : requests) {
+                    const PState &got = pbm.grant(d.table, f, b, a);
+                    const PState &want =
+                        refGrant(d.table, d.curve, f, b, a);
+                    ASSERT_EQ(&got, &want)
+                        << d.name << " request " << f << " budget "
+                        << b << " activity " << a;
+                    ++cases;
+                }
+            }
+        }
+    }
+    EXPECT_GT(cases, 500000u);
+}
+
+TEST(PStateCacheDeathTest, ActivityAboveTwoStillPanics)
+{
+    const std::vector<DefaultTable> tables = defaultTables();
+    const PStateTable &t = tables.front().table;
+    EXPECT_DEATH(t.highestUnder(1.0, 2.5), "activity");
+    EXPECT_DEATH(t.powerAt(t.max().freq, 2.5), "activity");
+    EXPECT_DEATH(t.highestUnder(1.0, -0.1), "activity");
 }
 
 TEST(EnergyMeter, IntegratesPerRail)
