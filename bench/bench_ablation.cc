@@ -10,14 +10,13 @@
  *  - no SRAM MRC       (firmware recompute on every transition)
  *  - no redistribution (power saved but not re-granted)
  *
- * Every knock-out variant is an independent governor instance, so
- * the whole study — SPEC table, video-playback power column, and the
- * no-redistribution check — runs as one ExperimentRunner batch with
- * per-cell governor factories, and the report reduces through
- * exp::agg (group by workload, delta each variant against the fixed
- * baseline of the same group). Knock-out cells carry runtime
- * factories and always simulate; the fixed baselines are cacheable
- * via --cache-dir.
+ * Every knock-out is a parameter of the registered sysscale governor
+ * (sysscale:scale-vio=0, ...), so the whole study — SPEC table,
+ * video-playback power column, and the no-redistribution check — is
+ * one ExperimentRunner batch of plain specs, every cell cacheable via
+ * --cache-dir, and the report reduces through exp::agg (group by
+ * workload, delta each variant against the fixed baseline of the
+ * same group).
  */
 
 #include <algorithm>
@@ -33,62 +32,25 @@ using namespace sysscale;
 
 namespace {
 
-/** SysScale with redistribution disabled (ablation only). */
-class NoRedistSysScale : public core::SysScaleGovernor
-{
-  public:
-    NoRedistSysScale() { redistribute_ = false; }
-};
-
-core::FlowOptions
-knockout(int which)
-{
-    core::FlowOptions opts; // full SysScale
-    switch (which) {
-      case 1:
-        opts.useOptimizedMrc = false;
-        break;
-      case 2:
-        opts.scaleVio = false;
-        break;
-      case 3:
-        opts.scaleFabric = false;
-        opts.scaleVsa = false;
-        break;
-      case 4:
-        opts.sramMrc = false;
-        break;
-      default:
-        break;
-    }
-    return opts;
-}
-
-exp::GovernorFactory
-variantFactory(int which)
-{
-    return [which] {
-        return std::unique_ptr<soc::PmuPolicy>(
-            new core::GovernorHost(
-                std::make_unique<core::SysScaleGovernor>(
-                    core::SysScaleGovernor::defaultThresholds(),
-                    core::LinearImpactModel{}, knockout(which))));
-    };
-}
-
-exp::GovernorFactory
-noRedistFactory()
-{
-    return [] {
-        return std::unique_ptr<soc::PmuPolicy>(new core::GovernorHost(
-            std::make_unique<NoRedistSysScale>()));
-    };
-}
-
 const char *kVariantNames[] = {
     "full sysscale", "no optimized MRC", "no V_IO scaling",
     "no fabric/V_SA", "no SRAM MRC",
 };
+
+/** The sysscale parameter each variant clears (none for the first). */
+const char *kVariantKnockouts[] = {
+    nullptr, "optimized-mrc", "scale-vio", "scale-fabric", "sram-mrc",
+};
+
+/** @p spec as a sysscale cell with knock-out @p key (null = none). */
+exp::ExperimentSpec
+sysscaleCell(exp::ExperimentSpec spec, const char *key)
+{
+    spec.governor = "sysscale";
+    if (key)
+        spec.governorParams = {{key, "0"}};
+    return spec;
+}
 
 /** Group with key @p name, or abort: a dropped axis must be loud. */
 const exp::agg::Group &
@@ -143,10 +105,10 @@ main(int argc, char **argv)
         base.governor = "fixed";
         specs.push_back(label(std::move(base), w.name(), "fixed"));
         for (int v = 0; v < kNumVariants; ++v) {
-            exp::ExperimentSpec spec = bench::makeSpec(w, specRc(w));
-            spec.governorFactory = variantFactory(v);
-            specs.push_back(
-                label(std::move(spec), w.name(), kVariantNames[v]));
+            specs.push_back(label(
+                sysscaleCell(bench::makeSpec(w, specRc(w)),
+                             kVariantKnockouts[v]),
+                w.name(), kVariantNames[v]));
         }
     }
 
@@ -161,17 +123,13 @@ main(int argc, char **argv)
         specs.push_back(label(std::move(spec), vp.name(), "fixed"));
     }
     for (int v = 0; v < kNumVariants; ++v) {
-        exp::ExperimentSpec spec = bench::makeSpec(vp, vp_rc);
-        spec.governorFactory = variantFactory(v);
-        specs.push_back(
-            label(std::move(spec), vp.name(), kVariantNames[v]));
+        specs.push_back(label(sysscaleCell(bench::makeSpec(vp, vp_rc),
+                                           kVariantKnockouts[v]),
+                              vp.name(), kVariantNames[v]));
     }
-    {
-        exp::ExperimentSpec spec = bench::makeSpec(vp, vp_rc);
-        spec.governorFactory = noRedistFactory();
-        specs.push_back(
-            label(std::move(spec), vp.name(), "no redistribution"));
-    }
+    specs.push_back(label(
+        sysscaleCell(bench::makeSpec(vp, vp_rc), "redistribute"),
+        vp.name(), "no redistribution"));
 
     // No-redistribution SPEC check at the default window.
     {
@@ -180,10 +138,9 @@ main(int argc, char **argv)
         exp::ExperimentSpec base = bench::makeSpec(w, {});
         base.governor = "fixed";
         specs.push_back(label(std::move(base), key, "fixed"));
-        exp::ExperimentSpec noredist = bench::makeSpec(w, {});
-        noredist.governorFactory = noRedistFactory();
         specs.push_back(
-            label(std::move(noredist), key, "no redistribution"));
+            label(sysscaleCell(bench::makeSpec(w, {}), "redistribute"),
+                  key, "no redistribution"));
     }
 
     const auto results = bench::runBatch(specs, cache.get());

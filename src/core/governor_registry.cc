@@ -22,6 +22,46 @@ rejectParams(const char *name, const GovernorParams &params)
 }
 
 /**
+ * SysScale with its feature knock-outs as parameters: every key takes
+ * 0|1 and defaults to 1 (the full governor). scale-fabric=0 also pins
+ * V_SA, which cannot ramp without fabric scaling.
+ */
+std::unique_ptr<Governor>
+makeSysScale(const GovernorParams &params)
+{
+    FlowOptions opts;
+    bool redistribute = true;
+    for (const auto &kv : params) {
+        if (kv.second != "0" && kv.second != "1") {
+            throw std::invalid_argument(
+                "governor \"sysscale\": bad value \"" + kv.second +
+                "\" for parameter \"" + kv.first + "\" (expected 0|1)");
+        }
+        const bool on = kv.second == "1";
+        if (kv.first == "optimized-mrc") {
+            opts.useOptimizedMrc = on;
+        } else if (kv.first == "scale-vio") {
+            opts.scaleVio = on;
+        } else if (kv.first == "scale-fabric") {
+            opts.scaleFabric = on;
+            opts.scaleVsa = on;
+        } else if (kv.first == "sram-mrc") {
+            opts.sramMrc = on;
+        } else if (kv.first == "redistribute") {
+            redistribute = on;
+        } else {
+            throw std::invalid_argument(
+                "governor \"sysscale\": unknown parameter \"" +
+                kv.first + "\" (known: optimized-mrc, scale-vio, "
+                "scale-fabric, sram-mrc, redistribute)");
+        }
+    }
+    return std::make_unique<SysScaleGovernor>(
+        SysScaleGovernor::defaultThresholds(), LinearImpactModel{},
+        opts, redistribute);
+}
+
+/**
  * Registration idiom. Keep each call on one line starting with
  * `addEntry(reg, "<name>"` — check_docs.sh greps this file for that
  * pattern to enforce that every registered name appears in the docs.
@@ -52,8 +92,7 @@ buildRegistry()
              "the paper's five-condition multi-domain governor "
              "(Sec. 4) with budget redistribution",
              [](const GovernorParams &p) -> std::unique_ptr<Governor> {
-                 rejectParams("sysscale", p);
-                 return std::make_unique<SysScaleGovernor>();
+                 return makeSysScale(p);
              });
 
     addEntry(reg, "memscale",

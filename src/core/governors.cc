@@ -38,8 +38,8 @@ SysScaleGovernor::defaultThresholds()
 
 SysScaleGovernor::SysScaleGovernor(Thresholds thresholds,
                                    LinearImpactModel model,
-                                   FlowOptions opts)
-    : PolicyBase("sysscale", opts, /*redistribute=*/true),
+                                   FlowOptions opts, bool redistribute)
+    : PolicyBase("sysscale", opts, redistribute),
       thresholds_(thresholds), model_(model)
 {
 }

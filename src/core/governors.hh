@@ -90,11 +90,14 @@ class SysScaleGovernor : public PolicyBase
      * @param model Fig. 6 linear impact model (diagnostics only).
      * @param opts Feature knobs (defaults = full SysScale; ablations
      *        toggle individual features).
+     * @param redistribute Re-grant saved IO/memory budget to compute
+     *        (false only for the no-redistribution ablation).
      */
     explicit SysScaleGovernor(Thresholds thresholds =
                                   defaultThresholds(),
                               LinearImpactModel model = {},
-                              FlowOptions opts = {});
+                              FlowOptions opts = {},
+                              bool redistribute = true);
 
     void init(GovernorDriver &drv, soc::Soc &soc) override;
     void decide(GovernorDriver &drv, soc::Soc &soc,

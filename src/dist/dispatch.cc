@@ -45,15 +45,8 @@ runDistributed(const std::vector<exp::ExperimentSpec> &specs,
     // in id/labels) share one queue entry and one simulation but
     // still fill one result row each.
     std::map<std::string, std::vector<std::size_t>> byKey;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (!WorkQueue::queueable(specs[i])) {
-            throw std::invalid_argument(
-                "runDistributed: cell \"" + specs[i].id +
-                "\" carries runtime hooks and cannot be "
-                "distributed");
-        }
+    for (std::size_t i = 0; i < specs.size(); ++i)
         byKey[exp::specKey(specs[i])].push_back(i);
-    }
 
     // Phase 1: resolve what the shared cache already has; enqueue
     // the rest. Stale failure markers from a previous campaign are

@@ -118,8 +118,7 @@ struct DispatchOutcome
 /**
  * Fan @p specs out through the queue at @p queueDir and assemble the
  * results from @p cache. Blocks until every cell is resolved. Throws
- * std::invalid_argument when a spec cannot be serialized (runtime
- * hooks) and std::runtime_error on an expired stallTimeout.
+ * std::runtime_error on an expired stallTimeout.
  */
 DispatchOutcome runDistributed(
     const std::vector<exp::ExperimentSpec> &specs,

@@ -163,12 +163,6 @@ WorkQueue::WorkQueue(std::string dir) : dir_(std::move(dir))
     }
 }
 
-bool
-WorkQueue::queueable(const exp::ExperimentSpec &spec)
-{
-    return exp::isSerializableSpec(spec);
-}
-
 std::string
 WorkQueue::pendingPath(const std::string &key) const
 {
@@ -232,11 +226,6 @@ WorkQueue::quarantine(const std::string &path,
 std::string
 WorkQueue::enqueue(const exp::ExperimentSpec &spec)
 {
-    if (!queueable(spec)) {
-        throw std::invalid_argument(
-            "WorkQueue: cell \"" + spec.id +
-            "\" carries runtime hooks and cannot be serialized");
-    }
     const std::string text = exp::serializeSpec(spec);
     const std::string key = exp::specKey(spec);
 
@@ -321,11 +310,6 @@ std::string
 WorkQueue::enqueueSlice(const exp::ExperimentSpec &spec, Tick step,
                         std::uint64_t index)
 {
-    if (!queueable(spec)) {
-        throw std::invalid_argument(
-            "WorkQueue: cell \"" + spec.id +
-            "\" carries runtime hooks and cannot be serialized");
-    }
     if (step == 0) {
         throw std::invalid_argument(
             "WorkQueue: slice step must be nonzero");

@@ -191,15 +191,10 @@ class WorkQueue
 
     const std::string &dir() const { return dir_; }
 
-    /** Whether @p spec can ride the queue (= content-addressable). */
-    static bool queueable(const exp::ExperimentSpec &spec);
-
     /**
      * Put @p spec into pending/ (atomic write) and return its key.
      * A cell already pending, claimed, or failed is skipped (its key
-     * is still returned). Throws std::invalid_argument for specs
-     * carrying runtime hooks (governorFactory/borrowedPolicy), which
-     * cannot be serialized.
+     * is still returned).
      */
     std::string enqueue(const exp::ExperimentSpec &spec);
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "exp/report.hh"
+#include "exp/spec_codec.hh"
 #include "sim/snapshot.hh"
 
 namespace sysscale {
@@ -100,7 +101,7 @@ sliceAlreadyDone(const WorkQueue &queue, const Claim &claim)
     try {
         SnapshotReader r(readSnapshotFile(
             queue.snapshotPath(claim.baseKey, claim.t1)));
-        return r.specKey() == exp::snapshotSpecKey(claim.spec) &&
+        return r.specKey() == exp::specKey(claim.spec) &&
                r.tick() == claim.t1;
     } catch (const SnapshotError &) {
         return false;

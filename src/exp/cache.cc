@@ -384,12 +384,6 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
     }
 }
 
-bool
-ResultCache::cacheable(const ExperimentSpec &spec)
-{
-    return isSerializableSpec(spec);
-}
-
 std::string
 ResultCache::pathFor(const ExperimentSpec &spec) const
 {
@@ -399,11 +393,6 @@ ResultCache::pathFor(const ExperimentSpec &spec) const
 bool
 ResultCache::lookup(const ExperimentSpec &spec, RunResult &out)
 {
-    if (!cacheable(spec)) {
-        uncacheable_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-
     // One serialization per lookup: key and collision check both
     // derive from this text.
     const std::string canonical = canonicalSpec(spec);
@@ -455,7 +444,7 @@ ResultCache::lookup(const ExperimentSpec &spec, RunResult &out)
 void
 ResultCache::store(const ExperimentSpec &spec, const RunResult &res)
 {
-    if (!res.ok || !cacheable(spec))
+    if (!res.ok)
         return;
 
     const std::string key = specKey(spec);
@@ -518,7 +507,6 @@ ResultCache::stats() const
     s.misses = misses_.load(std::memory_order_relaxed);
     s.stores = stores_.load(std::memory_order_relaxed);
     s.corrupt = corrupt_.load(std::memory_order_relaxed);
-    s.uncacheable = uncacheable_.load(std::memory_order_relaxed);
     return s;
 }
 

@@ -12,8 +12,6 @@
  *
  * Rules:
  *  - only ok results are stored; error rows are never cached,
- *  - specs carrying a governorFactory or borrowedPolicy are not
- *    content-addressable and bypass the cache entirely,
  *  - a corrupt, unparsable, or key-mismatched file is a miss (and is
  *    overwritten by the next store),
  *  - the id and labels of a hit are taken from the querying spec,
@@ -41,11 +39,10 @@ namespace exp {
 /** Counters for one ResultCache instance (monotonic). */
 struct CacheStats
 {
-    std::size_t hits = 0;        //!< Lookups served from disk.
-    std::size_t misses = 0;      //!< Lookups with no usable entry.
-    std::size_t stores = 0;      //!< Entries written.
-    std::size_t corrupt = 0;     //!< Files rejected while looking up.
-    std::size_t uncacheable = 0; //!< Specs outside content addressing.
+    std::size_t hits = 0;    //!< Lookups served from disk.
+    std::size_t misses = 0;  //!< Lookups with no usable entry.
+    std::size_t stores = 0;  //!< Entries written.
+    std::size_t corrupt = 0; //!< Files rejected while looking up.
 };
 
 class ResultCache
@@ -59,9 +56,6 @@ class ResultCache
 
     const std::string &dir() const { return dir_; }
 
-    /** Whether @p spec can be content-addressed at all. */
-    static bool cacheable(const ExperimentSpec &spec);
-
     /** File an entry for @p spec lives at (whether or not present). */
     std::string pathFor(const ExperimentSpec &spec) const;
 
@@ -73,8 +67,8 @@ class ResultCache
     bool lookup(const ExperimentSpec &spec, RunResult &out);
 
     /**
-     * Persist @p res for @p spec. No-op for error rows and
-     * uncacheable specs. Write failures are swallowed (a cache must
+     * Persist @p res for @p spec. No-op for error rows. Write
+     * failures are swallowed (a cache must
      * never fail a sweep); the entry is simply absent next time.
      */
     void store(const ExperimentSpec &spec, const RunResult &res);
@@ -87,7 +81,6 @@ class ResultCache
     std::atomic<std::size_t> misses_{0};
     std::atomic<std::size_t> stores_{0};
     std::atomic<std::size_t> corrupt_{0};
-    std::atomic<std::size_t> uncacheable_{0};
     std::atomic<std::size_t> tmpSerial_{0};
 };
 

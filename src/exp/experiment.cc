@@ -1,7 +1,6 @@
 #include "exp/experiment.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -108,27 +107,6 @@ class PinnedFreqAgent : public soc::WorkloadAgent
     soc::WorkloadAgent &inner_;
     Hertz freq_;
 };
-
-/**
- * Trace file name for @p spec: its content key when it has one, else
- * the cell id with filesystem-hostile characters replaced.
- */
-std::string
-traceFileStem(const ExperimentSpec &spec)
-{
-    if (isSerializableSpec(spec))
-        return specKey(spec);
-    std::string stem = spec.id.empty() ? "cell" : spec.id;
-    for (char &c : stem) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '.' ||
-                        c == '_' || c == '-';
-        if (!ok)
-            c = '_';
-    }
-    return stem;
-}
 
 /** @name RunAccumulators codec (the optional "run.baseline"). @{ */
 
@@ -346,25 +324,20 @@ isGovernorName(const std::string &name)
            core::isRegisteredGovernor(name);
 }
 
-GovernorFactory
-governorFactory(const std::string &name, const GovernorParams &params)
+std::unique_ptr<soc::PmuPolicy>
+makePolicy(const std::string &name, const GovernorParams &params)
 {
-    using Policy = std::unique_ptr<soc::PmuPolicy>;
     if (name.empty() || name == "collect") {
         if (!params.empty()) {
             throw std::invalid_argument(
                 "governor \"collect\" takes no parameters");
         }
-        return [] { return Policy(); };
+        return nullptr;
     }
-    // Construct once eagerly: makeGovernor validates both the name
-    // (enumerating the registry on a miss) and the parameters, so a
-    // bad --governors token dies here, not on a sweep worker.
-    core::makeGovernor(name, params);
-    return [name, params] {
-        return Policy(new core::GovernorHost(
-            core::makeGovernor(name, params)));
-    };
+    // makeGovernor validates both the name (enumerating the registry
+    // on a miss) and the parameters.
+    return std::make_unique<core::GovernorHost>(
+        core::makeGovernor(name, params));
 }
 
 GovernorToken
@@ -407,52 +380,14 @@ validateSpec(const ExperimentSpec &spec)
     if (spec.window == 0)
         throw std::invalid_argument(
             "cell \"" + spec.id + "\": zero measurement window");
-    if (!spec.governorFactory && !spec.borrowedPolicy) {
-        // governorFactory() validates both the name (enumerating the
-        // registry on a miss) and the parameters.
-        try {
-            governorFactory(spec.governor, spec.governorParams);
-        } catch (const std::invalid_argument &e) {
-            throw std::invalid_argument(
-                "cell \"" + spec.id + "\": " + e.what());
-        }
-    }
-    // Catchable mirror of every SocConfig::validate() invariant:
-    // cfg.validate() is fatal (process exit), which from a worker
-    // thread would take the whole grid down instead of producing an
-    // ok=false row for just this cell.
     const soc::SocConfig &cfg = spec.soc;
-    if (cfg.tdp <= 0.0)
+    try {
+        (void)makePolicy(spec.governor, spec.governorParams);
+        cfg.validate();
+    } catch (const std::invalid_argument &e) {
         throw std::invalid_argument(
-            "cell \"" + spec.id + "\": non-positive TDP");
-    if (cfg.cores == 0 || cfg.threadsPerCore == 0)
-        throw std::invalid_argument(
-            "cell \"" + spec.id + "\": zero cores/threads");
-    if (cfg.pbmReserve < 0.0 || cfg.pbmReserve >= cfg.tdp)
-        throw std::invalid_argument(
-            "cell \"" + spec.id + "\": PBM reserve outside [0, TDP)");
-    if (cfg.vSaBoot <= 0.0 || cfg.vIoBoot <= 0.0 || cfg.vddq <= 0.0)
-        throw std::invalid_argument(
-            "cell \"" + spec.id + "\": non-positive rail voltage");
-    if (cfg.fabricFreqLow > cfg.fabricFreqHigh)
-        throw std::invalid_argument(
-            "cell \"" + spec.id +
-            "\": fabric low clock above high clock");
-    if (cfg.sampleInterval == 0 || cfg.evaluationInterval == 0 ||
-        cfg.stepInterval == 0) {
-        throw std::invalid_argument(
-            "cell \"" + spec.id + "\": zero PM cadence interval");
+            "cell \"" + spec.id + "\": " + e.what());
     }
-    if (cfg.sampleInterval % cfg.stepInterval != 0 ||
-        cfg.evaluationInterval % cfg.sampleInterval != 0) {
-        throw std::invalid_argument(
-            "cell \"" + spec.id + "\": PM cadence intervals are not "
-            "multiples of each other");
-    }
-    if (cfg.budgetUtilization <= 0.0 || cfg.budgetUtilization > 1.0)
-        throw std::invalid_argument(
-            "cell \"" + spec.id +
-            "\": budget utilization out of (0,1]");
 
     // Peak concurrent hardware threads: the composite concatenates
     // the base workload's thread work with every layer active at
@@ -502,12 +437,6 @@ validateSpec(const ExperimentSpec &spec)
     }
 }
 
-std::string
-snapshotSpecKey(const ExperimentSpec &spec)
-{
-    return traceFileStem(spec);
-}
-
 namespace {
 
 /**
@@ -536,20 +465,10 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
             "cell \"" + spec.id +
             "\": slice starts mid-run without an input snapshot");
 
-    std::unique_ptr<soc::PmuPolicy> owned;
-    soc::PmuPolicy *policy = spec.borrowedPolicy;
-    if (!policy) {
-        const GovernorFactory factory =
-            spec.governorFactory
-                ? spec.governorFactory
-                : governorFactory(spec.governor, spec.governorParams);
-        owned = factory();
-        policy = owned.get();
-        // Stateful governors (adaptive's learned thresholds)
-        // must not leak across cells: every factory-built policy
-        // must be a never-installed instance. Debug builds only.
-        assert(!policy || !policy->everInstalled());
-    }
+    // Built here, per cell: stateful governors (adaptive's learned
+    // thresholds) can never leak across cells.
+    const std::unique_ptr<soc::PmuPolicy> policy =
+        makePolicy(spec.governor, spec.governorParams);
 
     Simulator sim(spec.seed);
 
@@ -603,7 +522,7 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
     chip.setWorkload(&pinned);
 
     CollectPolicy collector;
-    soc::PmuPolicy *active = policy ? policy : &collector;
+    soc::PmuPolicy *active = policy ? policy.get() : &collector;
     chip.pmu().setPolicy(active);
     res.governor = active->name();
 
@@ -619,7 +538,7 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
             chip.ioMemBudget(chip.opPoints().high()), 0.0));
     }
 
-    const std::string key = snapshotSpecKey(spec);
+    const std::string key = specKey(spec);
     std::optional<soc::Soc::RunAccumulators> baseline;
     Tick pos = 0;
     if (use_snap && sopts.t0 > 0) {
@@ -680,9 +599,8 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
         res.statsDump = stats.str();
 
         if (tracing) {
-            const std::string path = sopts.traceDir + "/" +
-                                     traceFileStem(spec) +
-                                     ".trace.json";
+            const std::string path =
+                sopts.traceDir + "/" + key + ".trace.json";
             std::ofstream os(path,
                              std::ios::binary | std::ios::trunc);
             if (!os) {
@@ -761,15 +679,11 @@ expandGrid(const GridSpec &grid)
 {
     // The scenario axis: explicit entries expand like any other
     // dimension (every cell suffixed and labeled, "none" included);
-    // without them the single grid.scenario applies to every cell
-    // and ids/labels stay exactly as before — suffixed only when
-    // scenarioName is set, untouched for scenario-less grids.
+    // without them one scenario-less value keeps ids unsuffixed.
     const bool scenario_axis = !grid.scenarios.empty();
-    std::vector<GridSpec::NamedScenario> axis;
-    if (scenario_axis)
-        axis = grid.scenarios;
-    else
-        axis.push_back({grid.scenarioName, grid.scenario});
+    const std::vector<GridSpec::NamedScenario> axis =
+        scenario_axis ? grid.scenarios
+                      : std::vector<GridSpec::NamedScenario>(1);
 
     std::vector<ExperimentSpec> cells;
     cells.reserve(grid.workloads.size() * grid.governors.size() *
@@ -810,7 +724,7 @@ expandGrid(const GridSpec &grid)
                             {"tdp", tdp_s},
                             {"seed", std::to_string(seed)},
                         };
-                        if (scenario_axis || !sc.name.empty()) {
+                        if (scenario_axis) {
                             cell.id += "/" + sc.name;
                             cell.labels.emplace_back("scenario",
                                                      sc.name);

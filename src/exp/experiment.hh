@@ -14,14 +14,14 @@
  * Governors are resolved by name through the core governor registry
  * (core/governor_registry.hh — "fixed", "sysscale", "ondemand",
  * "adaptive", ... plus the policy-less "collect") so grids serialize
- * to plain strings, with optional key=value parameters riding along;
- * a custom factory hook covers ablation variants.
+ * to plain strings, with optional key=value parameters riding along
+ * (the ablation knock-outs are sysscale parameters). Every spec is
+ * therefore content-addressable: it caches and queues as is.
  */
 
 #ifndef SYSSCALE_EXP_EXPERIMENT_HH
 #define SYSSCALE_EXP_EXPERIMENT_HH
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -37,10 +37,6 @@
 
 namespace sysscale {
 namespace exp {
-
-/** Builds a fresh governor instance for one cell (thread isolation). */
-using GovernorFactory =
-    std::function<std::unique_ptr<soc::PmuPolicy>()>;
 
 /** Key=value annotations carried through to result rows. */
 using Labels = std::vector<std::pair<std::string, std::string>>;
@@ -85,16 +81,6 @@ struct ExperimentSpec
      */
     GovernorParams governorParams;
 
-    /** Overrides @ref governor when set (ablation variants). */
-    GovernorFactory governorFactory;
-
-    /**
-     * Non-owning policy instance to run instead of building one —
-     * lets callers inspect governor state after the run. Only legal
-     * on serial execution paths; the parallel runner rejects it.
-     */
-    soc::PmuPolicy *borrowedPolicy = nullptr;
-
     /** Simulator root-RNG seed. */
     std::uint64_t seed = 1;
 
@@ -115,13 +101,8 @@ struct ExperimentSpec
 
     Labels labels;
 
-    /**
-     * Compares the serializable content only: governorFactory and
-     * borrowedPolicy are runtime-local hooks, invisible to
-     * serializeSpec()/specKey(), and are deliberately excluded here
-     * so the spec_codec round-trip invariant
-     * parseSpec(serializeSpec(s)) == s can hold.
-     */
+    /** Field-wise equality (the spec_codec round-trip invariant
+     *  parseSpec(serializeSpec(s)) == s is stated with it). */
     bool
     operator==(const ExperimentSpec &o) const
     {
@@ -178,14 +159,13 @@ const std::vector<std::string> &governorNames();
 bool isGovernorName(const std::string &name);
 
 /**
- * Factory for registered governor @p name constructed with
- * @p params; returns a factory producing nullptr for "collect"/"".
- * Throws std::invalid_argument on unknown names or parameters the
- * governor rejects — eagerly, at factory-construction time, so bad
- * tokens fail before any cell runs.
+ * A fresh PMU policy for registered governor @p name constructed with
+ * @p params; nullptr for "collect"/"". Throws std::invalid_argument
+ * on unknown names or parameters the governor rejects, so callers
+ * that only validate a token can build and discard one.
  */
-GovernorFactory governorFactory(const std::string &name,
-                                const GovernorParams &params = {});
+std::unique_ptr<soc::PmuPolicy> makePolicy(
+    const std::string &name, const GovernorParams &params = {});
 
 /**
  * A sweep-console governor token: `name[:key=value[:key=value...]]`.
@@ -203,15 +183,15 @@ struct GovernorToken
  * Split a governor token into name + parameters. Throws
  * std::invalid_argument on malformed segments (missing '=' or empty
  * key); the *name* is not checked here — pair with isGovernorName()
- * or governorFactory() for that.
+ * or makePolicy() for that.
  */
 GovernorToken parseGovernorToken(const std::string &token);
 /** @} */
 
 /**
  * Throw std::invalid_argument if @p spec cannot run (empty workload,
- * zero window, unknown governor). runCell() folds the message into
- * an error result instead of propagating.
+ * zero window, unknown governor, invalid SocConfig). runCell() folds
+ * the message into an error result instead of propagating.
  */
 void validateSpec(const ExperimentSpec &spec);
 
@@ -221,10 +201,9 @@ struct RunCellOptions
     /**
      * When non-empty, the cell runs with an obs::TraceSink installed
      * and its Chrome trace-event JSON is written to
-     * `<traceDir>/<specKey>.trace.json` (falling back to a sanitized
-     * cell id for specs that cannot be content-addressed). Traces
-     * contain only sim-clock timestamps, so the same cell produces
-     * byte-identical trace files regardless of --jobs or skip-ahead.
+     * `<traceDir>/<specKey>.trace.json`. Traces contain only
+     * sim-clock timestamps, so the same cell produces byte-identical
+     * trace files regardless of --jobs or skip-ahead.
      */
     std::string traceDir;
 };
@@ -288,15 +267,6 @@ RunResult runCellSlice(const ExperimentSpec &spec,
                        const SliceOptions &opts);
 
 /**
- * The snapshot-facing identity of @p spec: its content key
- * (exp::specKey) when serializable, else the sanitized cell id.
- * Snapshot headers are stamped with it and restores reject a
- * mismatch, so a snapshot can never silently resume a different
- * simulation.
- */
-std::string snapshotSpecKey(const ExperimentSpec &spec);
-
-/**
  * Declarative governor x workload x TDP x seed grid with shared
  * measurement settings; expandGrid() produces the cross product in a
  * deterministic order (workload-major, then governor, TDP, seed).
@@ -314,16 +284,6 @@ struct GridSpec
     bool hdPanel = true;
     bool camera = false;
 
-    /** Scenario applied to every cell (empty = none). */
-    workloads::Scenario scenario;
-
-    /**
-     * Presentation name of @ref scenario; when non-empty every cell
-     * gets a "scenario" label and an id suffix (ids and labels stay
-     * exactly as before for scenario-less grids).
-     */
-    std::string scenarioName;
-
     /** One value of the scenario grid axis. */
     struct NamedScenario
     {
@@ -332,12 +292,12 @@ struct GridSpec
     };
 
     /**
-     * Scenario *axis*: when non-empty it overrides @ref scenario /
-     * @ref scenarioName and becomes a fifth grid dimension, expanded
-     * innermost (after seed). Every cell then carries a "scenario"
-     * label and a "/NAME" id suffix — including for an explicit
-     * "none" entry, so the axis values stay distinguishable in
-     * aggregation.
+     * Scenario *axis*: when non-empty it becomes a fifth grid
+     * dimension, expanded innermost (after seed). Every cell then
+     * carries a "scenario" label and a "/NAME" id suffix — including
+     * for an explicit "none" entry, so the axis values stay
+     * distinguishable in aggregation. Empty = scenario-less cells
+     * with unsuffixed ids.
      */
     std::vector<NamedScenario> scenarios;
 };

@@ -65,19 +65,9 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs) const
                 return;
             const std::size_t i = pending[slot];
 
-            const ExperimentSpec &spec = specs[i];
-            if (spec.borrowedPolicy && jobs > 1) {
-                RunResult &res = results[i];
-                res.id = spec.id;
-                res.workload = spec.workload.name();
-                res.labels = spec.labels;
-                res.ok = false;
-                res.error = "borrowed policy requires jobs == 1";
-            } else {
-                results[i] = runCell(spec, opts_.cell);
-                if (opts_.cache)
-                    opts_.cache->store(spec, results[i]);
-            }
+            results[i] = runCell(specs[i], opts_.cell);
+            if (opts_.cache)
+                opts_.cache->store(specs[i], results[i]);
 
             const std::size_t finished =
                 done.fetch_add(1, std::memory_order_relaxed) + 1;

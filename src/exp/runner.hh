@@ -68,10 +68,6 @@ class ExperimentRunner
     /**
      * Execute every cell and return results in spec order.
      *
-     * Cells with a borrowedPolicy are only legal at jobs == 1 (a
-     * borrowed instance cannot be shared across workers); with more
-     * jobs they come back as ok=false results.
-     *
      * With a cache configured, cells served from disk never reach a
      * worker, and the pool is sized to the cells that remain — a
      * fully warm cache spawns no threads at all.

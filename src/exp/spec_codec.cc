@@ -523,12 +523,6 @@ fnv1a64(std::string_view data)
     return hash;
 }
 
-bool
-isSerializableSpec(const ExperimentSpec &spec)
-{
-    return !spec.governorFactory && spec.borrowedPolicy == nullptr;
-}
-
 std::string
 serializeSpec(const ExperimentSpec &spec)
 {

@@ -11,9 +11,8 @@
  *
  *     parseSpec(serializeSpec(s)) == s
  *
- * is a hard invariant for every serializable spec (the runtime-local
- * governorFactory / borrowedPolicy hooks are outside the encoding;
- * isSerializableSpec() reports whether a spec uses them).
+ * is a hard invariant for every spec: a spec has no runtime-only
+ * fields, so every one is content-addressable.
  *
  * specKey() hashes the *canonical* form — the same encoding with the
  * id and label lines dropped, so renaming or relabeling a cell does
@@ -46,13 +45,6 @@ constexpr int kSpecFormatVersion = 6;
 
 /** FNV-1a 64-bit hash (dependency-free content addressing). */
 std::uint64_t fnv1a64(std::string_view data);
-
-/**
- * Whether @p spec is fully captured by serializeSpec(): false when
- * it carries a governorFactory or borrowedPolicy, which cannot be
- * encoded (and therefore must never be cached by content).
- */
-bool isSerializableSpec(const ExperimentSpec &spec);
 
 /** Versioned text encoding of @p spec (id and labels included). */
 std::string serializeSpec(const ExperimentSpec &spec);

@@ -1,38 +1,58 @@
 #include "soc/config.hh"
 
-#include "sim/logging.hh"
+#include <cstdarg>
+#include <cstdio>
+#include <stdexcept>
 
 namespace sysscale {
 namespace soc {
+
+namespace {
+
+/** Throw std::invalid_argument with a printf-formatted message. */
+[[noreturn]] void
+reject(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
+
+void
+reject(const char *fmt, ...)
+{
+    char buf[256];
+    va_list ap;
+    va_start(ap, fmt);
+    std::vsnprintf(buf, sizeof(buf), fmt, ap);
+    va_end(ap);
+    throw std::invalid_argument(buf);
+}
+
+} // anonymous namespace
 
 void
 SocConfig::validate() const
 {
     if (cores == 0 || threadsPerCore == 0)
-        SYSSCALE_FATAL("%s: zero cores/threads", name.c_str());
+        reject("%s: zero cores/threads", name.c_str());
     if (tdp <= 0.0)
-        SYSSCALE_FATAL("%s: non-positive TDP %.2f", name.c_str(), tdp);
+        reject("%s: non-positive TDP %.2f", name.c_str(), tdp);
     if (pbmReserve < 0.0 || pbmReserve >= tdp)
-        SYSSCALE_FATAL("%s: reserve %.2f outside [0, TDP)",
-                       name.c_str(), pbmReserve);
+        reject("%s: reserve %.2f outside [0, TDP)", name.c_str(),
+               pbmReserve);
     if (vSaBoot <= 0.0 || vIoBoot <= 0.0 || vddq <= 0.0)
-        SYSSCALE_FATAL("%s: non-positive rail voltage", name.c_str());
+        reject("%s: non-positive rail voltage", name.c_str());
     if (fabricFreqLow > fabricFreqHigh)
-        SYSSCALE_FATAL("%s: fabric low clock above high clock",
-                       name.c_str());
+        reject("%s: fabric low clock above high clock", name.c_str());
     if (sampleInterval == 0 || evaluationInterval == 0 ||
         stepInterval == 0) {
-        SYSSCALE_FATAL("%s: zero PM cadence interval", name.c_str());
+        reject("%s: zero PM cadence interval", name.c_str());
     }
     if (sampleInterval % stepInterval != 0)
-        SYSSCALE_FATAL("%s: sample interval not a multiple of the "
-                       "step interval", name.c_str());
+        reject("%s: sample interval not a multiple of the step "
+               "interval", name.c_str());
     if (evaluationInterval % sampleInterval != 0)
-        SYSSCALE_FATAL("%s: evaluation interval not a multiple of "
-                       "the sample interval", name.c_str());
+        reject("%s: evaluation interval not a multiple of the sample "
+               "interval", name.c_str());
     if (budgetUtilization <= 0.0 || budgetUtilization > 1.0)
-        SYSSCALE_FATAL("%s: budget utilization %.2f out of (0,1]",
-                       name.c_str(), budgetUtilization);
+        reject("%s: budget utilization %.2f out of (0,1]", name.c_str(),
+               budgetUtilization);
 }
 
 SocConfig

@@ -99,7 +99,7 @@ struct SocConfig
     Tick stepInterval = 100 * kTicksPerUs;
     /** @} */
 
-    /** Sanity-check invariants (fatal on violation). */
+    /** Sanity-check invariants; throws std::invalid_argument. */
     void validate() const;
 
     // Every field participates: a new config knob must be added here

@@ -45,7 +45,6 @@ Pmu::setPolicy(PmuPolicy *policy)
                 policy_->name(), policy_->firmwareBytes(),
                 kFirmwareBudgetBytes);
         }
-        policy_->markInstalled();
         policy_->reset(soc_);
     }
 }

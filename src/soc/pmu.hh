@@ -54,20 +54,6 @@ class PmuPolicy
     virtual void saveState(SnapshotWriter &w) const { (void)w; }
     virtual void loadState(SnapshotReader &r) { (void)r; }
     /** @} */
-
-    /**
-     * True once this instance has ever been installed in a PMU.
-     * Stateful policies (the adaptive governor's learned thresholds)
-     * must not leak across experiment cells, so the runner asserts
-     * each factory-built policy is a never-installed instance.
-     */
-    bool everInstalled() const { return everInstalled_; }
-
-    /** Recorded by Pmu::setPolicy; sticky across reset(). */
-    void markInstalled() { everInstalled_ = true; }
-
-  private:
-    bool everInstalled_ = false;
 };
 
 /**

@@ -155,7 +155,7 @@ class ScenarioScript : public SimObject
     EventFunctionWrapper event_;
 };
 
-/** @name Named scenario registry (sweep_grid --scenario). @{ */
+/** @name Named scenario registry (sweep_grid --scenarios). @{ */
 
 /** Registered scenario names, in presentation order. */
 const std::vector<std::string> &scenarioNames();

@@ -172,18 +172,6 @@ TEST(WorkQueue, ClaimIsExclusive)
         << "one pending cell must be claimable exactly once";
 }
 
-TEST(WorkQueue, RuntimeHookSpecsAreRejected)
-{
-    const TempDir dir("hooks");
-    dist::WorkQueue queue(dir.sub("q"));
-    exp::ExperimentSpec spec = fastSpec("hooked");
-    spec.governorFactory = [] {
-        return std::unique_ptr<soc::PmuPolicy>();
-    };
-    EXPECT_FALSE(dist::WorkQueue::queueable(spec));
-    EXPECT_THROW((void)queue.enqueue(spec), std::invalid_argument);
-}
-
 TEST(WorkQueue, StaleLeaseIsReclaimedFreshLeaseIsNot)
 {
     const TempDir dir("stale");

@@ -11,7 +11,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "bench/harness.hh"
 #include "exp/experiment.hh"
 #include "exp/report.hh"
 #include "exp/runner.hh"
@@ -50,15 +49,14 @@ TEST(GovernorRegistry, AllNamesResolve)
 {
     for (const auto &name : exp::governorNames()) {
         EXPECT_TRUE(exp::isGovernorName(name)) << name;
-        EXPECT_NO_THROW((void)exp::governorFactory(name)) << name;
+        EXPECT_NO_THROW((void)exp::makePolicy(name)) << name;
     }
 }
 
-TEST(GovernorRegistry, FactoriesProduceFreshInstances)
+TEST(GovernorRegistry, MakePolicyBuildsFreshInstances)
 {
-    const auto factory = exp::governorFactory("sysscale");
-    const auto a = factory();
-    const auto b = factory();
+    const auto a = exp::makePolicy("sysscale");
+    const auto b = exp::makePolicy("sysscale");
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
     EXPECT_NE(a.get(), b.get());
@@ -67,14 +65,16 @@ TEST(GovernorRegistry, FactoriesProduceFreshInstances)
 
 TEST(GovernorRegistry, CollectProducesNoGovernor)
 {
-    EXPECT_EQ(exp::governorFactory("collect")(), nullptr);
-    EXPECT_EQ(exp::governorFactory("")(), nullptr);
+    EXPECT_EQ(exp::makePolicy("collect"), nullptr);
+    EXPECT_EQ(exp::makePolicy(""), nullptr);
+    EXPECT_THROW((void)exp::makePolicy("collect", {{"x", "1"}}),
+                 std::invalid_argument);
 }
 
 TEST(GovernorRegistry, UnknownNameThrows)
 {
     EXPECT_FALSE(exp::isGovernorName("turbo9000"));
-    EXPECT_THROW((void)exp::governorFactory("turbo9000"),
+    EXPECT_THROW((void)exp::makePolicy("turbo9000"),
                  std::invalid_argument);
 }
 
@@ -197,27 +197,6 @@ TEST(RunCell, BadSpecBecomesErrorResultNotThrow)
     EXPECT_NE(res.error.find("broken"), std::string::npos);
 }
 
-TEST(RunCell, MatchesBenchHarness)
-{
-    const auto w = workloads::streamMicro();
-    bench::RunConfig rc;
-    rc.warmup = 10 * kTicksPerMs;
-    rc.window = 60 * kTicksPerMs;
-
-    core::SysScaleGovernor gov;
-    core::GovernorHost host(gov);
-    const auto outcome = bench::runExperiment(w, &host, rc);
-
-    exp::ExperimentSpec spec = bench::makeSpec(w, rc);
-    spec.governor = "sysscale";
-    const exp::RunResult res = exp::runCell(spec);
-    ASSERT_TRUE(res.ok) << res.error;
-
-    EXPECT_EQ(res.metrics.ips, outcome.metrics.ips);
-    EXPECT_EQ(res.metrics.energy, outcome.metrics.energy);
-    EXPECT_EQ(res.metrics.transitions, outcome.metrics.transitions);
-}
-
 TEST(Runner, ParallelGridIsByteIdenticalToSerial)
 {
     const auto specs = exp::expandGrid(smallGrid());
@@ -301,21 +280,18 @@ TEST(Runner, FailingCellDoesNotPoisonSiblings)
     opts.jobs = 4;
     const auto reference = exp::ExperimentRunner(opts).run(specs);
 
-    // Poison two cells in different ways: a throwing governor
-    // factory and an invalid spec.
+    // Poison two cells in different ways: a governor parameter the
+    // registry rejects and an invalid spec.
     const std::size_t bad_a = 1, bad_b = specs.size() - 1;
-    specs[bad_a].governorFactory =
-        []() -> std::unique_ptr<soc::PmuPolicy> {
-        throw std::runtime_error("factory exploded");
-    };
+    specs[bad_a].governor = "sysscale";
+    specs[bad_a].governorParams = {{"bogus", "1"}};
     specs[bad_b].window = 0;
 
     const auto results = exp::ExperimentRunner(opts).run(specs);
     ASSERT_EQ(results.size(), specs.size());
 
     EXPECT_FALSE(results[bad_a].ok);
-    EXPECT_NE(results[bad_a].error.find("factory exploded"),
-              std::string::npos);
+    EXPECT_NE(results[bad_a].error.find("bogus"), std::string::npos);
     EXPECT_FALSE(results[bad_b].ok);
 
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -343,34 +319,6 @@ TEST(Runner, ProgressCallbackSeesEveryCell)
     (void)exp::ExperimentRunner(opts).run(specs);
     EXPECT_EQ(calls, specs.size());
     EXPECT_EQ(last_done, specs.size());
-}
-
-TEST(Runner, BorrowedPolicyRequiresSerialExecution)
-{
-    core::FixedGovernor gov;
-    core::GovernorHost host(gov);
-    exp::ExperimentSpec spec;
-    spec.id = "borrowed";
-    spec.workload = workloads::spinMicro();
-    spec.warmup = 5 * kTicksPerMs;
-    spec.window = 30 * kTicksPerMs;
-    spec.borrowedPolicy = &host;
-
-    std::vector<exp::ExperimentSpec> specs(2, spec);
-
-    exp::RunnerOptions serial_opts;
-    serial_opts.jobs = 1;
-    for (const auto &res :
-         exp::ExperimentRunner(serial_opts).run(specs))
-        EXPECT_TRUE(res.ok) << res.error;
-
-    exp::RunnerOptions parallel_opts;
-    parallel_opts.jobs = 2;
-    for (const auto &res :
-         exp::ExperimentRunner(parallel_opts).run(specs)) {
-        EXPECT_FALSE(res.ok);
-        EXPECT_NE(res.error.find("jobs == 1"), std::string::npos);
-    }
 }
 
 TEST(Runner, JobsClampToCellCount)
@@ -489,31 +437,14 @@ TEST(GridExpansion, ScenarioAxisExpandsInnermost)
     EXPECT_EQ(ids.size(), specs.size());
 }
 
-TEST(GridExpansion, ScenarioAxisOverridesSingleScenario)
+TEST(GridExpansion, ScenarioLessGridKeepsUnsuffixedIds)
 {
-    // With an explicit axis, the legacy single-scenario fields are
-    // ignored; without one they behave exactly as before.
-    exp::GridSpec grid = smallGrid();
-    grid.scenario = workloads::scenarioByName("thermal-step");
-    grid.scenarioName = "thermal-step";
-    grid.scenarios = {{"none", workloads::Scenario{}}};
-    for (const auto &spec : exp::expandGrid(grid))
-        EXPECT_TRUE(spec.scenario.empty());
-
-    exp::GridSpec legacy = smallGrid();
-    legacy.scenario = workloads::scenarioByName("thermal-step");
-    legacy.scenarioName = "thermal-step";
-    for (const auto &spec : exp::expandGrid(legacy)) {
-        EXPECT_EQ(spec.id.substr(spec.id.rfind('/') + 1),
-                  "thermal-step");
-        ASSERT_EQ(spec.labels.size(), 5u);
-        EXPECT_EQ(spec.labels.back().second, "thermal-step");
-    }
-
-    // Scenario-less grids keep their pre-axis ids and labels.
+    // Without a scenario axis, cells carry no scenario label or id
+    // suffix and run scenario-less.
     for (const auto &spec : exp::expandGrid(smallGrid())) {
         EXPECT_EQ(spec.labels.size(), 4u);
         EXPECT_EQ(spec.id.find("none"), std::string::npos);
+        EXPECT_TRUE(spec.scenario.empty());
     }
 }
 

@@ -3,8 +3,7 @@
  * ResultCache tests: hit/miss/corrupt-file behavior, the
  * never-cache-error-rows rule, runner integration (a second
  * identical sweep reruns zero simulator cells and reproduces the
- * first run byte for byte), and cache bypass for specs that cannot
- * be content-addressed.
+ * first run byte for byte).
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/governors.hh"
 #include "exp/cache.hh"
 #include "exp/report.hh"
 #include "exp/runner.hh"
@@ -253,28 +251,6 @@ TEST(ResultCache, StoredEntryWithForeignKeyIsRejected)
     exp::RunResult out;
     EXPECT_FALSE(cache.lookup(b, out));
     EXPECT_GE(cache.stats().corrupt, 1u);
-}
-
-TEST(ResultCache, RuntimeHookSpecsBypassTheCache)
-{
-    const CacheDir dir("bypass");
-    exp::ResultCache cache(dir.path());
-
-    core::FixedGovernor gov;
-    core::GovernorHost host(gov);
-    exp::ExperimentSpec borrowed = fastSpec("borrowed");
-    borrowed.borrowedPolicy = &host;
-    EXPECT_FALSE(exp::ResultCache::cacheable(borrowed));
-
-    const exp::RunResult res = exp::runCell(borrowed);
-    ASSERT_TRUE(res.ok) << res.error;
-    cache.store(borrowed, res);
-    EXPECT_EQ(cache.stats().stores, 0u);
-
-    exp::RunResult out;
-    EXPECT_FALSE(cache.lookup(borrowed, out));
-    EXPECT_EQ(cache.stats().uncacheable, 1u);
-    EXPECT_EQ(cache.stats().misses, 0u);
 }
 
 TEST(ResultCache, SecondSweepRerunsZeroCellsByteIdentically)

@@ -2,8 +2,9 @@
  * @file
  * The governor zoo: registry round-trips, the policy/driver split's
  * transition notifiers, per-governor accounting, and the
- * differential check that re-homing the paper's governors onto the
- * driver layer changed no simulation output.
+ * differential checks that re-homing the paper's governors onto the
+ * driver layer, and turning the ablation knock-outs into sysscale
+ * parameters, changed no simulation output.
  */
 
 #include <gtest/gtest.h>
@@ -20,14 +21,17 @@
 #include "exp/experiment.hh"
 #include "exp/report.hh"
 #include "exp/spec_codec.hh"
+#include "io/display.hh"
 #include "sim/sim_object.hh"
 #include "soc/pmu.hh"
 #include "soc/soc.hh"
 #include "workloads/battery.hh"
 #include "workloads/micro.hh"
+#include "workloads/profile.hh"
 #include "workloads/spec.hh"
 
 #include "tests/golden_governor_refactor.inc"
+#include "tests/golden_sysscale_knockouts.inc"
 
 using namespace sysscale;
 
@@ -302,23 +306,17 @@ TEST(GovernorHost, ReinstallRebuildsDriverAndStats)
 
 TEST(OnlineAdaptive, LearnsDuringTheRunAndStartsFresh)
 {
-    exp::ExperimentSpec spec;
-    spec.id = "adaptive/learn";
-    spec.workload = workloads::pointerChaseMicro();
-    spec.warmup = 5 * kTicksPerMs;
-    spec.window = 400 * kTicksPerMs;
-
-    auto run_borrowed = [&spec](core::OnlineAdaptiveGovernor &gov) {
-        core::GovernorHost host(gov);
-        exp::ExperimentSpec cell = spec;
-        cell.borrowedPolicy = &host;
-        const exp::RunResult res = exp::runCell(cell);
-        ASSERT_TRUE(res.ok) << res.error;
-    };
+    Simulator sim;
+    soc::Soc chip(sim, soc::skylakeConfig());
+    chip.display().attachPanel(0, io::kDefaultHdPanel);
+    workloads::ProfileAgent agent(workloads::pointerChaseMicro());
+    chip.setWorkload(&agent);
 
     core::OnlineAdaptiveGovernor gov(
         core::GovernorParams{{"min-samples", "2"}});
-    run_borrowed(gov);
+    core::GovernorHost host(gov);
+    chip.pmu().setPolicy(&host);
+    chip.run(405 * kTicksPerMs);
 
     // The run produced learning: windows observed safe fed the
     // mu+sigma estimate.
@@ -416,4 +414,91 @@ TEST(GovernorRefactor, SysScaleByteIdenticalToPreRefactorGoldens)
     EXPECT_EQ(csv, std::string(kPreRefactorGoldenCsv))
         << "re-homing the paper's governors onto the driver layer "
            "must not change any simulation output";
+}
+
+// ------------------------------------------------------------------
+// Differential: the ablation knock-outs as sysscale parameters
+// ------------------------------------------------------------------
+
+namespace {
+
+/** The knock-out cells baked into golden_sysscale_knockouts.inc. */
+std::vector<exp::ExperimentSpec>
+knockoutSpecs()
+{
+    const std::vector<std::string> tokens = {
+        "sysscale",
+        "sysscale:optimized-mrc=0",
+        "sysscale:scale-vio=0",
+        "sysscale:scale-fabric=0",
+        "sysscale:sram-mrc=0",
+        "sysscale:redistribute=0",
+    };
+    std::vector<exp::ExperimentSpec> specs;
+    for (const auto &w : {workloads::specBenchmark("416.gamess"),
+                          workloads::videoPlayback()}) {
+        for (const auto &token : tokens) {
+            const exp::GovernorToken tok =
+                exp::parseGovernorToken(token);
+            exp::ExperimentSpec spec;
+            spec.soc = soc::skylakeConfig(4.5);
+            spec.workload = w;
+            spec.window =
+                w.name() == "video-playback"
+                    ? 3 * kTicksPerSec
+                    : std::max<Tick>(2 * kTicksPerSec, 2 * w.period());
+            spec.governor = tok.name;
+            spec.governorParams = tok.params;
+            spec.id = w.name() + "/" + token;
+            spec.labels = {{"workload", w.name()},
+                           {"governor", token}};
+            specs.push_back(std::move(spec));
+        }
+    }
+    return specs;
+}
+
+} // namespace
+
+TEST(SysScaleKnockouts, ParamsReproduceTheFactoryGoldens)
+{
+    std::string csv = "\n" + exp::csvHeader() + "\n";
+    for (const auto &spec : knockoutSpecs()) {
+        exp::RunResult res = exp::runCell(spec);
+        ASSERT_TRUE(res.ok) << res.id << ": " << res.error;
+        res.hostSeconds = 0.0; // wall clock: not deterministic
+        csv += exp::csvRow(res) + "\n";
+    }
+    EXPECT_EQ(csv, std::string(kKnockoutGoldenCsv))
+        << "a sysscale:<key>=0 token must run exactly the knock-out "
+           "the ablation bench used to build by hand";
+}
+
+TEST(SysScaleKnockouts, BadParamsThrow)
+{
+    EXPECT_THROW((void)core::makeGovernor("sysscale", {{"bogus", "1"}}),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        (void)core::makeGovernor("sysscale", {{"scale-vio", "2"}}),
+        std::invalid_argument);
+    EXPECT_THROW(
+        (void)exp::makePolicy("sysscale", {{"redistribute", "yes"}}),
+        std::invalid_argument);
+
+    const auto gov =
+        core::makeGovernor("sysscale", {{"scale-fabric", "0"}});
+    EXPECT_FALSE(gov->flowOptions().scaleFabric);
+    EXPECT_FALSE(gov->flowOptions().scaleVsa);
+    EXPECT_TRUE(gov->flowOptions().scaleVio);
+    EXPECT_TRUE(gov->redistributes());
+}
+
+TEST(SysScaleKnockouts, PlainSysScaleKeepsItsCodecKeys)
+{
+    // Content keys of the plain cells, baked before sysscale took
+    // parameters: existing cache entries stay valid.
+    const std::vector<exp::ExperimentSpec> specs = knockoutSpecs();
+    EXPECT_EQ(exp::specKey(specs[0]), "b0fc4a21973e7e89");
+    EXPECT_EQ(exp::specKey(specs[6]), "76a89840bf88b6a7");
+    EXPECT_NE(exp::specKey(specs[1]), exp::specKey(specs[0]));
 }

@@ -153,7 +153,7 @@ readFile(const std::string &path)
 std::string
 traceFileFor(const exp::ExperimentSpec &spec, const std::string &dir)
 {
-    return dir + "/" + exp::snapshotSpecKey(spec) + ".trace.json";
+    return dir + "/" + exp::specKey(spec) + ".trace.json";
 }
 
 /**

@@ -35,7 +35,7 @@ TEST(SocConfig, ValidationCatchesBadCadence)
     SocConfig cfg = skylakeConfig();
     cfg.sampleInterval = 3 * kTicksPerUs; // not a step multiple
     cfg.stepInterval = 2 * kTicksPerUs;
-    EXPECT_DEATH(cfg.validate(), "");
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(OpPoints, OnePointPerBinHighestFirst)

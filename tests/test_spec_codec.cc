@@ -11,7 +11,6 @@
 
 #include <stdexcept>
 
-#include "core/governors.hh"
 #include "exp/spec_codec.hh"
 #include "soc/op_point.hh"
 #include "workloads/battery.hh"
@@ -248,26 +247,6 @@ TEST(SpecCodec, GoldenKeys)
 
     exp::ExperimentSpec rich = richSpec();
     EXPECT_EQ(exp::specKey(rich), "77d39e8b1856434e");
-}
-
-TEST(SpecCodec, SerializableOnlyWithoutRuntimeHooks)
-{
-    exp::ExperimentSpec spec;
-    spec.workload = workloads::streamMicro();
-    EXPECT_TRUE(exp::isSerializableSpec(spec));
-
-    exp::ExperimentSpec factory = spec;
-    factory.governorFactory = [] {
-        return std::unique_ptr<soc::PmuPolicy>(new core::GovernorHost(
-            std::make_unique<core::FixedGovernor>()));
-    };
-    EXPECT_FALSE(exp::isSerializableSpec(factory));
-
-    core::FixedGovernor gov;
-    core::GovernorHost host(gov);
-    exp::ExperimentSpec borrowed = spec;
-    borrowed.borrowedPolicy = &host;
-    EXPECT_FALSE(exp::isSerializableSpec(borrowed));
 }
 
 TEST(SpecCodec, RejectsMalformedDocuments)

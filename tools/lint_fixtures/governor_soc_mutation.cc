@@ -19,5 +19,5 @@ BadGovernor::decide(GovernorDriver &drv, soc::Soc &soc,
     log("soc.setComputeBudget(0.0)");
     // A waived site with a reason is fine:
     // lint:allow governor-soc-mutation -- fixture: sanctioned seam
-    soc.markInstalled();
+    soc.setWorkload(nullptr);
 }

@@ -329,7 +329,7 @@ GOVERNOR_MECHANICS_FILES = (
 # sanctioned path.
 GOVERNOR_MUTATOR_RE = re.compile(
     r"(?P<recv>[A-Za-z_]\w*(?:\s*\(\s*\))?)\s*\.\s*"
-    r"(?P<call>set[A-Z]\w*|execute|markInstalled|run)\s*\(")
+    r"(?P<call>set[A-Z]\w*|execute|run)\s*\(")
 GOVERNOR_DRIVER_RECEIVERS = re.compile(
     r"^(drv_?|driver\s*\(\s*\))$")
 

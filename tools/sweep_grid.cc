@@ -15,7 +15,7 @@
  *              --window-ms 500 --json -
  *   sweep_grid --workloads battery --cache-dir .sweep-cache \
  *              --cache-stats --csv results.csv
- *   sweep_grid --workloads spec:470.lbm --scenario videoconf \
+ *   sweep_grid --workloads spec:470.lbm --scenarios videoconf \
  *              --governors fixed,sysscale --csv mixed.csv
  *   sweep_grid --workloads battery --scenarios none,videoconf \
  *              --governors fixed,sysscale --csv scen-axis.csv
@@ -161,10 +161,9 @@ usage()
         "  --window-ms N      measured window per cell (default: "
         "2000)\n"
         "  --jobs N           worker threads (default: hardware)\n"
-        "  --scenario NAME    overlay a named scenario on every cell\n"
-        "                     (mixed agents + timed SoC mutations)\n"
         "  --scenarios LIST   scenario names as a fifth grid axis\n"
-        "                     (each cell gets a scenario label and\n"
+        "                     (mixed agents + timed SoC mutations;\n"
+        "                     each cell gets a scenario label and\n"
         "                     id suffix; 'none' is a valid value)\n"
         "  --distributed DIR  fan the grid out through the work\n"
         "                     queue at DIR instead of simulating\n"
@@ -320,7 +319,6 @@ main(int argc, char **argv)
     double warmup_ms = 200.0;
     double window_ms = 2000.0;
     std::size_t jobs = 0;
-    std::string scenario_arg;
     std::string scenarios_arg;
     std::string distributed_dir;
     std::size_t spawn_workers = 0;
@@ -362,8 +360,6 @@ main(int argc, char **argv)
         } else if (arg == "--jobs") {
             jobs = static_cast<std::size_t>(
                 std::atol(value().c_str()));
-        } else if (arg == "--scenario") {
-            scenario_arg = value();
         } else if (arg == "--scenarios") {
             scenarios_arg = value();
         } else if (arg == "--distributed") {
@@ -456,24 +452,6 @@ main(int argc, char **argv)
             static_cast<std::uint64_t>(std::atoll(s.c_str())));
     grid.warmup = ticksFromMs(warmup_ms);
     grid.window = ticksFromMs(window_ms);
-    if (!scenario_arg.empty() && !scenarios_arg.empty()) {
-        std::fprintf(stderr,
-                     "sweep_grid: --scenario and --scenarios are "
-                     "mutually exclusive\n");
-        return 2;
-    }
-    if (!scenario_arg.empty() && scenario_arg != "none") {
-        try {
-            grid.scenario = workloads::scenarioByName(scenario_arg);
-        } catch (const std::exception &) {
-            std::fprintf(stderr,
-                         "sweep_grid: unknown scenario \"%s\" "
-                         "(try --list)\n",
-                         scenario_arg.c_str());
-            return 2;
-        }
-        grid.scenarioName = scenario_arg;
-    }
     for (const auto &name : splitList(scenarios_arg)) {
         try {
             grid.scenarios.push_back(
@@ -487,15 +465,15 @@ main(int argc, char **argv)
         }
     }
 
-    // Validate every governor token up front: governorFactory()
-    // constructs the governor once eagerly, so an unknown name (the
-    // error enumerates the registry) or a bad parameter dies here at
-    // parse time, never deep inside a cell on a sweep worker.
+    // Validate every governor token up front: makePolicy() constructs
+    // the governor once, so an unknown name (the error enumerates the
+    // registry) or a bad parameter dies here at parse time, never
+    // deep inside a cell on a sweep worker.
     for (const auto &gov : grid.governors) {
         try {
             const exp::GovernorToken tok =
                 exp::parseGovernorToken(gov);
-            (void)exp::governorFactory(tok.name, tok.params);
+            (void)exp::makePolicy(tok.name, tok.params);
         } catch (const std::exception &e) {
             std::fprintf(stderr, "sweep_grid: bad governor \"%s\": "
                                  "%s (try --list)\n",
@@ -700,10 +678,9 @@ main(int argc, char **argv)
         const exp::CacheStats cs = cache->stats();
         std::fprintf(stderr,
                      "sweep_grid: cache %s: %zu hit(s), %zu "
-                     "miss(es), %zu store(s), %zu corrupt, %zu "
-                     "uncacheable\n",
+                     "miss(es), %zu store(s), %zu corrupt\n",
                      cache->dir().c_str(), cs.hits, cs.misses,
-                     cs.stores, cs.corrupt, cs.uncacheable);
+                     cs.stores, cs.corrupt);
     } else if (cache_stats) {
         std::fprintf(stderr, "sweep_grid: cache disabled (use "
                              "--cache-dir or SYSSCALE_CACHE_DIR)\n");
