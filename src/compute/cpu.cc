@@ -21,6 +21,7 @@ CpuCluster::CpuCluster(Simulator &sim, SimObject *parent,
 {
     if (cores == 0 || threads_per_core == 0)
         SYSSCALE_FATAL("CpuCluster: zero cores or threads");
+    refreshLeakage();
 }
 
 void
@@ -29,7 +30,10 @@ CpuCluster::setPState(const power::PState &state)
     if (state.freq != freq_ || state.voltage != voltage_)
         ++pstateChanges_;
     freq_ = state.freq;
-    voltage_ = state.voltage;
+    if (state.voltage != voltage_) {
+        voltage_ = state.voltage;
+        refreshLeakage();
+    }
 }
 
 double
@@ -115,12 +119,12 @@ CpuCluster::power(std::size_t active_threads, double activity) const
     return per_core_dyn * core_equivalents + leakage();
 }
 
-Watt
-CpuCluster::leakage() const
+void
+CpuCluster::refreshLeakage()
 {
-    return power::leakagePower(pstates_.leakK(), voltage_,
-                               pstates_.temperature()) *
-           static_cast<double>(cores_);
+    leakage_ = power::leakagePower(pstates_.leakK(), voltage_,
+                                   pstates_.temperature()) *
+               static_cast<double>(cores_);
 }
 
 void
@@ -137,6 +141,7 @@ CpuCluster::loadState(SnapshotReader &r)
     // P-state transition that never happened.
     freq_ = r.getDouble("freq");
     voltage_ = r.getDouble("voltage");
+    refreshLeakage();
 }
 
 } // namespace compute

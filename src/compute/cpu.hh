@@ -133,7 +133,7 @@ class CpuCluster : public SimObject
     Watt power(std::size_t active_threads, double activity) const;
 
     /** Leakage of the whole cluster at the current voltage. */
-    Watt leakage() const;
+    Watt leakage() const { return leakage_; }
 
     /** Instructions retired since construction. */
     double totalInstructions() const { return instructions_.value(); }
@@ -147,11 +147,19 @@ class CpuCluster : public SimObject
     /** @} */
 
   private:
+    /**
+     * Re-derive leakage_ from voltage_. Every writer of voltage_
+     * (constructor, setPState(), loadState()) must call it; the cache
+     * is never snapshotted.
+     */
+    void refreshLeakage();
+
     std::size_t cores_;
     std::size_t threadsPerCore_;
     power::PStateTable pstates_;
     Hertz freq_;
     Volt voltage_;
+    Watt leakage_ = 0.0; //!< Derived from voltage_ by refreshLeakage().
 
     stats::Scalar instructions_;
     stats::Scalar stallCycles_;

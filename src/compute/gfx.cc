@@ -16,6 +16,7 @@ GfxEngine::GfxEngine(Simulator &sim, SimObject *parent,
       pstateChanges_(this, "pstate_changes", "P-state transitions"),
       fpsAvg_(this, "fps", "achieved frame rate")
 {
+    refreshLeakage();
 }
 
 void
@@ -24,7 +25,17 @@ GfxEngine::setPState(const power::PState &state)
     if (state.freq != freq_ || state.voltage != voltage_)
         ++pstateChanges_;
     freq_ = state.freq;
-    voltage_ = state.voltage;
+    if (state.voltage != voltage_) {
+        voltage_ = state.voltage;
+        refreshLeakage();
+    }
+}
+
+void
+GfxEngine::refreshLeakage()
+{
+    leakage_ = power::leakagePower(pstates_.leakK(), voltage_,
+                                   pstates_.temperature());
 }
 
 double
@@ -75,14 +86,11 @@ GfxEngine::render(const GfxWork &work, BytesPerSec granted_bw,
 Watt
 GfxEngine::power(const GfxWork &work) const
 {
-    const Watt leak =
-        power::leakagePower(pstates_.leakK(), voltage_,
-                            pstates_.temperature());
     if (work.idle())
-        return leak;
+        return leakage_;
     return power::dynamicPower(pstates_.cdyn(), voltage_, freq_,
                                work.activity) +
-           leak;
+           leakage_;
 }
 
 void
@@ -97,6 +105,7 @@ GfxEngine::loadState(SnapshotReader &r)
 {
     freq_ = r.getDouble("freq");
     voltage_ = r.getDouble("voltage");
+    refreshLeakage();
 }
 
 } // namespace compute

@@ -89,8 +89,11 @@ class GfxEngine : public SimObject
     GfxResult render(const GfxWork &work, BytesPerSec granted_bw,
                      Tick interval);
 
-    /** Engine power while rendering with @p activity (0 when idle). */
+    /** Engine power while rendering @p work (leakage when idle). */
     Watt power(const GfxWork &work) const;
+
+    /** Leakage at the current voltage (power() of idle work). */
+    Watt leakage() const { return leakage_; }
 
     /** Frames rendered since construction. */
     double totalFrames() const { return frames_.value(); }
@@ -101,9 +104,17 @@ class GfxEngine : public SimObject
     /** @} */
 
   private:
+    /**
+     * Re-derive leakage_ from voltage_. Every writer of voltage_
+     * (constructor, setPState(), loadState()) must call it; the cache
+     * is never snapshotted.
+     */
+    void refreshLeakage();
+
     power::PStateTable pstates_;
     Hertz freq_;
     Volt voltage_;
+    Watt leakage_ = 0.0; //!< Derived from voltage_ by refreshLeakage().
 
     stats::Scalar frames_;
     stats::Scalar pstateChanges_;

@@ -1,6 +1,7 @@
 #include "compute/llc.hh"
 
 #include <cmath>
+#include <cstring>
 
 #include "power/power_model.hh"
 #include "sim/logging.hh"
@@ -48,8 +49,13 @@ Llc::power(Volt voltage, double utilization) const
                     "LLC utilization %.3f out of [0,1]", utilization);
     const Watt dynamic = power::dynamicPower(
         kCdynFarad, voltage, kAccessClock, 0.1 + 0.9 * utilization);
-    const Watt leak = power::leakagePower(kLeakK, voltage, 50.0);
-    return dynamic + leak;
+    std::uint64_t bits;
+    std::memcpy(&bits, &voltage, sizeof bits);
+    if (bits != leakVoltBits_) {
+        leakVoltBits_ = bits;
+        leak_ = power::leakagePower(kLeakK, voltage, 50.0);
+    }
+    return dynamic + leak_;
 }
 
 void

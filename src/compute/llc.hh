@@ -59,7 +59,11 @@ class Llc : public SimObject
     double lastPendingOccupancy() const { return lastOccupancy_; }
     /** @} */
 
-    /** Cache power at @p voltage with @p utilization. */
+    /**
+     * Cache power at @p voltage with @p utilization. The leakage term
+     * is memoized on the bit pattern of @p voltage: the core rail only
+     * moves on a P-state change, so consecutive steps reuse it.
+     */
     Watt power(Volt voltage, double utilization) const;
 
     /** Leakage coefficient of the array at (0.8V, 50C). */
@@ -81,6 +85,15 @@ class Llc : public SimObject
     double lastGfxMisses_ = 0.0;
     double lastStallCycles_ = 0.0;
     double lastOccupancy_ = 0.0;
+
+    /**
+     * @name One-entry leakage memo (never snapshotted).
+     * Zero-initialized it is already consistent: leakagePower() at
+     * +0.0 V is exactly 0 W.
+     * @{ */
+    mutable std::uint64_t leakVoltBits_ = 0; //!< Bit pattern of the volt.
+    mutable Watt leak_ = 0.0;
+    /** @} */
 
     stats::Scalar cpuMisses_;
     stats::Scalar gfxMisses_;

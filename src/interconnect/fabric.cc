@@ -28,6 +28,7 @@ IoFabric::IoFabric(Simulator &sim, SimObject *parent, Hertz freq,
         SYSSCALE_FATAL("IoFabric: non-positive V_SA %.3f", v_sa);
     if (link_bytes == 0)
         SYSSCALE_FATAL("IoFabric: zero link width");
+    leakage_ = leakageAt(vsa_);
 }
 
 void
@@ -44,6 +45,7 @@ IoFabric::setVsa(Volt v)
 {
     SYSSCALE_ASSERT(v > 0.0, "non-positive V_SA %.3f", v);
     vsa_ = v;
+    leakage_ = leakageAt(vsa_);
 }
 
 BytesPerSec
@@ -119,20 +121,29 @@ IoFabric::service(const FabricDemand &demand, Tick interval)
 Watt
 IoFabric::power(double utilization) const
 {
-    return powerAt(vsa_, freq_, utilization);
+    return dynamicAt(vsa_, freq_, utilization) + leakage_;
 }
 
 Watt
 IoFabric::powerAt(Volt v_sa, Hertz freq, double utilization)
 {
+    return dynamicAt(v_sa, freq, utilization) + leakageAt(v_sa);
+}
+
+Watt
+IoFabric::dynamicAt(Volt v_sa, Hertz freq, double utilization)
+{
     SYSSCALE_ASSERT(utilization >= 0.0 && utilization <= 1.0,
                     "fabric utilization %.3f out of [0,1]",
                     utilization);
     const double activity = 0.20 + 0.80 * utilization;
-    const Watt dynamic =
-        power::dynamicPower(kCdynFarad, v_sa, freq, activity);
-    const Watt leak = power::leakagePower(kLeakK, v_sa, 50.0);
-    return dynamic + leak;
+    return power::dynamicPower(kCdynFarad, v_sa, freq, activity);
+}
+
+Watt
+IoFabric::leakageAt(Volt v_sa)
+{
+    return power::leakagePower(kLeakK, v_sa, 50.0);
 }
 
 void
@@ -150,6 +161,7 @@ IoFabric::loadState(SnapshotReader &r)
     // Direct restore: setFrequency() asserts a blocked fabric.
     freq_ = r.getDouble("freq");
     vsa_ = r.getDouble("v_sa");
+    leakage_ = leakageAt(vsa_);
     blocked_ = r.getBool("blocked");
     lastUtilization_ = r.getDouble("last_utilization");
 }

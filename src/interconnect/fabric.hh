@@ -108,7 +108,10 @@ class IoFabric : public SimObject
     /** Unloaded transit latency at the current clock. */
     double baseLatencyNs() const;
 
-    /** Average fabric power at @p utilization. */
+    /**
+     * Average fabric power at @p utilization: powerAt() at the live
+     * rail and clock, with the leakage cached where V_SA is written.
+     */
     Watt power(double utilization) const;
 
     /**
@@ -141,8 +144,19 @@ class IoFabric : public SimObject
     /** @} */
 
   private:
+    /** Switching term of powerAt(). */
+    static Watt dynamicAt(Volt v_sa, Hertz freq, double utilization);
+
+    /** Leakage term of powerAt(). */
+    static Watt leakageAt(Volt v_sa);
+
     Hertz freq_;
     Volt vsa_;
+    /**
+     * leakageAt(vsa_). Every writer of vsa_ (constructor, setVsa(),
+     * loadState()) refreshes it; never snapshotted.
+     */
+    Watt leakage_ = 0.0;
     std::size_t linkBytes_;
     bool blocked_ = false;
     double lastUtilization_ = 0.0;

@@ -29,6 +29,7 @@ MemoryController::MemoryController(Simulator &sim, SimObject *parent,
     if (v_sa <= 0.0)
         SYSSCALE_FATAL("MemoryController: non-positive V_SA %.3f",
                        v_sa);
+    leakage_ = leakageAt(vsa_);
 }
 
 void
@@ -62,6 +63,7 @@ MemoryController::setVsa(Volt v)
 {
     SYSSCALE_ASSERT(v > 0.0, "non-positive V_SA %.3f", v);
     vsa_ = v;
+    leakage_ = leakageAt(vsa_);
 }
 
 Tick
@@ -179,19 +181,28 @@ MemoryController::idleSelfRefresh(Tick interval)
 Watt
 MemoryController::controllerPower(double utilization) const
 {
-    return powerAt(vsa_, clock(), utilization);
+    return dynamicAt(vsa_, clock(), utilization) + leakage_;
 }
 
 Watt
 MemoryController::powerAt(Volt v_sa, Hertz clock, double utilization)
 {
+    return dynamicAt(v_sa, clock, utilization) + leakageAt(v_sa);
+}
+
+Watt
+MemoryController::dynamicAt(Volt v_sa, Hertz clock, double utilization)
+{
     SYSSCALE_ASSERT(utilization >= 0.0 && utilization <= 1.0,
                     "MC utilization %.3f out of [0,1]", utilization);
     const double activity = 0.25 + 0.75 * utilization;
-    const Watt dynamic =
-        power::dynamicPower(kCdynFarad, v_sa, clock, activity);
-    const Watt leak = power::leakagePower(kLeakK, v_sa, 50.0);
-    return dynamic + leak;
+    return power::dynamicPower(kCdynFarad, v_sa, clock, activity);
+}
+
+Watt
+MemoryController::leakageAt(Volt v_sa)
+{
+    return power::leakagePower(kLeakK, v_sa, 50.0);
 }
 
 Watt
@@ -256,6 +267,7 @@ MemoryController::loadState(SnapshotReader &r)
         throw SnapshotError("mc: applied bin out of range");
     refreshDerived();
     vsa_ = r.getDouble("v_sa");
+    leakage_ = leakageAt(vsa_);
     blocked_ = r.getBool("blocked");
     lastUtilization_ = r.getDouble("last_utilization");
     lastDramPower_ = r.getDouble("last_dram_power");

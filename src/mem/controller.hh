@@ -158,7 +158,11 @@ class MemoryController : public SimObject
      */
     double loadedLatencyAt(double utilization) const;
 
-    /** Average controller power over an interval at @p utilization. */
+    /**
+     * Average controller power over an interval at @p utilization:
+     * powerAt() at the live rail and clock, with the leakage cached
+     * where V_SA is written.
+     */
     Watt controllerPower(double utilization) const;
 
     /**
@@ -209,6 +213,12 @@ class MemoryController : public SimObject
     /** @} */
 
   private:
+    /** Switching term of powerAt(). */
+    static Watt dynamicAt(Volt v_sa, Hertz clock, double utilization);
+
+    /** Leakage term of powerAt(). */
+    static Watt leakageAt(Volt v_sa);
+
     /**
      * Re-derive the register-dependent constants below from regs_.
      * Every writer of regs_ (constructor, programRegisters(),
@@ -220,6 +230,11 @@ class MemoryController : public SimObject
     Ddrio ddrio_;
     MrcRegisterSet regs_;
     Volt vsa_;
+    /**
+     * leakageAt(vsa_). Every writer of vsa_ (constructor, setVsa(),
+     * loadState()) refreshes it; never snapshotted.
+     */
+    Watt leakage_ = 0.0;
 
     /** @name Derived from regs_ by refreshDerived(). @{ */
     Hertz clockHz_ = 0.0;

@@ -12,6 +12,7 @@ Ddrio::Ddrio(const dram::DramSpec &spec, Volt v_io, double cdyn_farad,
 {
     if (v_io <= 0.0)
         SYSSCALE_FATAL("Ddrio: non-positive V_IO %.3f", v_io);
+    setVio(v_io);
 }
 
 void
@@ -27,6 +28,7 @@ Ddrio::setVio(Volt v)
 {
     SYSSCALE_ASSERT(v > 0.0, "Ddrio: non-positive V_IO %.3f", v);
     vio_ = v;
+    leakage_ = power::leakagePower(leakK_, vio_, 50.0);
 }
 
 Hertz
@@ -47,8 +49,7 @@ Ddrio::digitalPower(double utilization, double activity_factor) const
         (0.30 + 0.70 * utilization) * activity_factor;
     const Watt dynamic =
         power::dynamicPower(cdyn_, vio_, clock(), activity);
-    const Watt leak = power::leakagePower(leakK_, vio_, 50.0);
-    return dynamic + leak;
+    return dynamic + leakage_;
 }
 
 Watt
@@ -58,8 +59,8 @@ Ddrio::powerAt(Volt v_io, Hertz clock, double utilization,
     const double activity =
         (0.30 + 0.70 * utilization) * activity_factor;
     const Watt dynamic =
-        power::dynamicPower(200e-12, v_io, clock, activity);
-    const Watt leak = power::leakagePower(0.245, v_io, 50.0);
+        power::dynamicPower(kCdynFarad, v_io, clock, activity);
+    const Watt leak = power::leakagePower(kLeakK, v_io, 50.0);
     return dynamic + leak;
 }
 

@@ -36,7 +36,7 @@ class Ddrio
      * @param leak_k Digital leakage coefficient (see leakagePower()).
      */
     Ddrio(const dram::DramSpec &spec, Volt v_io,
-          double cdyn_farad = 200e-12, double leak_k = 0.245);
+          double cdyn_farad = kCdynFarad, double leak_k = kLeakK);
 
     /** @name Operating state. @{ */
     std::size_t binIndex() const { return binIndex_; }
@@ -67,7 +67,8 @@ class Ddrio
 
     /**
      * Digital-rail power at an arbitrary (voltage, clock,
-     * utilization) triple — used by budget arithmetic.
+     * utilization) triple — used by budget arithmetic. Costs the
+     * default kCdynFarad/kLeakK characterization.
      */
     static Watt powerAt(Volt v_io, Hertz clock, double utilization,
                         double activity_factor = 1.0);
@@ -75,11 +76,22 @@ class Ddrio
     /** DLL relock time; sized well inside the flow's 10us budget. */
     static constexpr Tick kRelockLatency = 800 * kTicksPerNs;
 
+    /** Default effective switched capacitance of the digital rail. */
+    static constexpr double kCdynFarad = 200e-12;
+
+    /** Default digital leakage coefficient at (0.8V, 50C). */
+    static constexpr double kLeakK = 0.245;
+
   private:
     dram::DramSpec spec_;
     Volt vio_;
     double cdyn_;
     double leakK_;
+    /**
+     * Leakage at vio_, refreshed by setVio(), which the constructor
+     * and MemoryController::loadState() also go through.
+     */
+    Watt leakage_ = 0.0;
     std::size_t binIndex_ = dram::DramSpec::kDefaultBin;
 };
 

@@ -1,6 +1,7 @@
 #include "power/pbm.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "sim/logging.hh"
 
@@ -54,13 +55,14 @@ PowerBudgetManager::grant(const PStateTable &table, Hertz requested,
     const Watt p = table.powerAt(requested, activity);
     if (p <= budget) {
         // Find the table state closest-below the request so callers
-        // always land on a discrete P-state.
-        const PState *best = &table.min();
-        for (const auto &s : table.states()) {
-            if (s.freq <= requested + 1.0)
-                best = &s;
-        }
-        return *best;
+        // always land on a discrete P-state. States ascend in
+        // frequency, so the ones at or below it form a prefix.
+        const std::vector<PState> &states = table.states();
+        const auto below = std::partition_point(
+            states.begin(), states.end(), [&](const PState &s) {
+                return s.freq <= requested + 1.0;
+            });
+        return below == states.begin() ? table.min() : *std::prev(below);
     }
     return table.highestUnder(budget, activity);
 }

@@ -1,6 +1,8 @@
 #include "power/power_model.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "sim/logging.hh"
 
@@ -105,12 +107,13 @@ PStateTable::highestUnder(Watt budget, double activity) const
 {
     SYSSCALE_ASSERT(!states_.empty(), "empty PStateTable");
     checkActivity(activity);
-    const PState *best = &states_.front();
-    for (const auto &s : states_) {
-        if (s.powerAt(activity) <= budget)
-            best = &s;
-    }
-    return *best;
+    // Power is nondecreasing in state index (VfCurve rejects a
+    // decreasing voltage), so the states that fit form a prefix.
+    const auto fits = std::partition_point(
+        states_.begin(), states_.end(), [&](const PState &s) {
+            return s.powerAt(activity) <= budget;
+        });
+    return fits == states_.begin() ? states_.front() : *std::prev(fits);
 }
 
 } // namespace power

@@ -106,8 +106,10 @@ class PStateTable
     const PState &highestUnder(Watt budget) const;
 
     /**
-     * Highest P-state fitting @p budget at a given activity: one
-     * multiply-add per state over the terms cached at construction.
+     * Highest P-state fitting @p budget at a given activity: a binary
+     * search over the terms cached at construction. Valid because a
+     * state's power at any activity in [0, 2] is nondecreasing in its
+     * index (frequency ascends and VfCurve voltage never descends).
      */
     const PState &highestUnder(Watt budget, double activity) const;
 

@@ -52,9 +52,17 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->when_ = when;
     ev->seq_ = nextSeq_++;
     ++ev->generation_;
-    buckets_[dayOf(when) % kNumBuckets].push_back(
+    const std::size_t bi = dayOf(when) % kNumBuckets;
+    std::vector<Entry> &bucket = buckets_[bi];
+    bucket.push_back(
         Entry{when, ev->priority(), ev->seq_, ev->generation_, ev});
     ++live_;
+
+    if (minValid_ &&
+        (!min_.found() ||
+         entryLess(bucket.back(), buckets_[min_.bucket][min_.slot]))) {
+        min_ = EntryRef{bi, bucket.size() - 1};
+    }
 }
 
 void
@@ -64,6 +72,9 @@ EventQueue::deschedule(Event *ev)
     SYSSCALE_ASSERT(ev->scheduled_,
                     "event '%s' descheduled while not scheduled",
                     ev->name().c_str());
+    if (minValid_ && min_.found() &&
+        buckets_[min_.bucket][min_.slot].ev == ev)
+        minValid_ = false;
     // Lazy deletion: bump the generation so the bucket entry is
     // skipped (and swept) by the next scan that visits it.
     ev->scheduled_ = false;
@@ -98,14 +109,25 @@ EventQueue::pruneBucket(std::vector<Entry> &bucket)
         bucket[i] = bucket.back();
         bucket.pop_back();
         --dead_;
+        minValid_ = false;
     }
 }
 
 EventQueue::EntryRef
 EventQueue::findMin()
 {
+    if (!minValid_) {
+        min_ = scanMin();
+        minValid_ = true;
+    }
+    return min_;
+}
+
+EventQueue::EntryRef
+EventQueue::scanMin()
+{
     if (live_ == 0)
-        return EntryRef{0, 0, false};
+        return EntryRef{kNpos, 0};
 
     // Walk days forward from now; all events of a day share one
     // bucket, so the first day with a live entry yields the global
@@ -123,25 +145,25 @@ EventQueue::findMin()
                 best = i;
         }
         if (best != kNpos)
-            return EntryRef{bi, best, true};
+            return EntryRef{bi, best};
     }
 
     // Sparse queue: nothing within one calendar rotation of now.
     // live_ > 0, so a direct scan over the few survivors finds the
     // minimum without day filtering.
-    EntryRef ref{0, 0, false};
+    EntryRef ref{kNpos, 0};
     for (std::size_t bi = 0; bi < kNumBuckets; ++bi) {
         std::vector<Entry> &bucket = buckets_[bi];
         pruneBucket(bucket);
         for (std::size_t i = 0; i < bucket.size(); ++i) {
-            if (!ref.found ||
+            if (!ref.found() ||
                 entryLess(bucket[i],
                           buckets_[ref.bucket][ref.slot])) {
-                ref = EntryRef{bi, i, true};
+                ref = EntryRef{bi, i};
             }
         }
     }
-    SYSSCALE_ASSERT(ref.found, "live events but none found");
+    SYSSCALE_ASSERT(ref.found(), "live events but none found");
     return ref;
 }
 
@@ -152,6 +174,7 @@ EventQueue::fireAt(const EntryRef &ref)
     const Entry top = bucket[ref.slot];
     bucket[ref.slot] = bucket.back();
     bucket.pop_back();
+    minValid_ = false;
 
     SYSSCALE_ASSERT(top.when >= now_, "event queue went backwards");
     now_ = top.when;
@@ -167,7 +190,7 @@ bool
 EventQueue::step()
 {
     const EntryRef ref = findMin();
-    if (!ref.found)
+    if (!ref.found())
         return false;
     fireAt(ref);
     return true;
@@ -177,7 +200,7 @@ Tick
 EventQueue::nextPendingTick()
 {
     const EntryRef ref = findMin();
-    return ref.found ? buckets_[ref.bucket][ref.slot].when : kMaxTick;
+    return ref.found() ? buckets_[ref.bucket][ref.slot].when : kMaxTick;
 }
 
 void
@@ -258,7 +281,7 @@ EventQueue::runUntil(Tick limit)
     std::uint64_t fired = 0;
     while (true) {
         const EntryRef ref = findMin();
-        if (!ref.found)
+        if (!ref.found())
             break;
         if (buckets_[ref.bucket][ref.slot].when > limit)
             break;

@@ -210,6 +210,8 @@ class EventQueue
     /** @} */
 
   private:
+    static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+
     struct Entry
     {
         Tick when;
@@ -219,12 +221,17 @@ class EventQueue
         Event *ev;
     };
 
-    /** Bucket and slot of a located entry. */
+    /**
+     * Bucket and slot of a located entry; bucket kNpos means none.
+     * Two words, so it is returned in registers: a third (flag) member
+     * sent every findMin() result through a stack round trip.
+     */
     struct EntryRef
     {
         std::size_t bucket;
         std::size_t slot;
-        bool found;
+
+        bool found() const { return bucket != kNpos; }
     };
 
     /**
@@ -235,7 +242,6 @@ class EventQueue
      */
     static constexpr int kDayShift = 27;
     static constexpr std::size_t kNumBuckets = 64;
-    static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
     static std::uint64_t dayOf(Tick when) { return when >> kDayShift; }
 
@@ -243,16 +249,38 @@ class EventQueue
 
     bool isLive(const Entry &e) const;
 
-    /** Swap-remove every dead (descheduled/stale) entry. */
+    /**
+     * Swap-remove every dead (descheduled/stale) entry. Moving a slot
+     * invalidates the memoized minimum.
+     */
     void pruneBucket(std::vector<Entry> &bucket);
 
-    /** Locate the (tick, priority, seq)-minimum live entry. */
+    /**
+     * Locate the (tick, priority, seq)-minimum live entry. The answer
+     * is memoized until the queue changes, so repeated queries between
+     * mutations (advanceNow() inside a replay batch) cost O(1).
+     */
     EntryRef findMin();
+
+    /** The uncached search behind findMin(). */
+    EntryRef scanMin();
 
     /** Remove the entry at @p ref, advance time, and fire it. */
     void fireAt(const EntryRef &ref);
 
     std::array<std::vector<Entry>, kNumBuckets> buckets_;
+
+    /**
+     * @name Memoized findMin() result.
+     * Valid until the queue changes: schedule() keeps it current in
+     * place (push_back leaves existing slots where they are), while
+     * removing the memoized event (deschedule(), fireAt()) or moving
+     * any slot (pruneBucket()) drops it. Never snapshotted.
+     * @{ */
+    EntryRef min_{kNpos, 0};
+    bool minValid_ = false;
+    /** @} */
+
     Tick now_ = 0;
     Tick runLimit_ = 0;
     std::uint64_t nextSeq_ = 0;

@@ -93,6 +93,7 @@ Soc::Soc(Simulator &sim, SocConfig cfg)
                                                 std::move(gfx_table));
 
     llc_ = std::make_unique<compute::Llc>(sim, this, cfg_.llcBytes);
+    missScale_ = llc_->missScale(kProfileLlcBytes);
     counters_ = std::make_unique<PerfCounterBlock>(sim, this);
     pmu_ = std::make_unique<Pmu>(sim, *this, *counters_,
                                  cfg_.sampleInterval,
@@ -386,7 +387,6 @@ Soc::step()
     gfxActive_ = !demand.gfxWork.idle() && exec_frac > 0.0;
     applyComputePStates(demand, active_threads, avg_activity);
 
-    const double miss_scale = llc_->missScale(kProfileLlcBytes);
     const BytesPerSec iso = isoBandwidthDemand();
 
     // Rates below are normalized to the DRAM-active window; CPU and
@@ -412,7 +412,7 @@ Soc::step()
             if (w.cpiBase <= 0.0)
                 continue;
             compute::CoreWork scaled = w;
-            scaled.mpki *= miss_scale;
+            scaled.mpki *= missScale_;
             cpu_bw += cpu_->bandwidthDemand(scaled, latency);
         }
         gfx_demand_c0 = gfx_->bandwidthDemand(demand.gfxWork);
@@ -437,7 +437,7 @@ Soc::step()
     plan_.execFrac = exec_frac;
     plan_.md = md;
     plan_.gfxDemandC0 = gfx_demand_c0;
-    plan_.missScale = miss_scale;
+    plan_.missScale = missScale_;
 
     // Capture the replay fingerprint before the commit half mutates
     // any of the fingerprinted state. A step that consumed transition
@@ -652,7 +652,7 @@ Soc::integratePower(const IntervalDemand &demand,
 
     // VGfx: dynamic while rendering, leakage weighted by C-state.
     const Watt gfx_total = gfx_->power(demand.gfxWork);
-    const Watt gfx_leak = gfx_->power(compute::GfxWork{});
+    const Watt gfx_leak = gfx_->leakage();
     const Watt v_gfx = gfxActive_
                            ? (gfx_total - gfx_leak) * exec +
                                  gfx_leak * leak_w

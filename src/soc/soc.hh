@@ -434,6 +434,10 @@ class Soc : public SimObject
     Hertz coreFreqCap_ = 0.0;
     bool gfxActive_ = false;
     bool skipAhead_ = true; //!< Rebound to skipAheadDefault() in ctor.
+
+    /** LLC miss multiplier for the profiles' 4MB reference capacity. */
+    double missScale_ = 1.0;
+
     StepPlan plan_;
 
     /** Capture-backoff cap: skip at most 2^max - 1 steps. */

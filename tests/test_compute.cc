@@ -5,12 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "compute/cpu.hh"
 #include "compute/cstates.hh"
 #include "compute/gfx.hh"
 #include "compute/llc.hh"
 #include "power/vf_curve.hh"
 #include "sim/sim_object.hh"
+#include "sim/snapshot.hh"
 
 namespace sysscale {
 namespace compute {
@@ -179,6 +187,214 @@ TEST(Llc, RecordsCounterObservables)
     EXPECT_DOUBLE_EQ(llc.lastGfxMisses(), 50.0);
     EXPECT_DOUBLE_EQ(llc.lastStallCycles(), 2000.0);
     EXPECT_DOUBLE_EQ(llc.lastPendingOccupancy(), 7.5);
+}
+
+// ---------------------------------------------------------------------
+// Leakage is derived where a unit's voltage is written (constructor,
+// setPState(), loadState()) or, for the LLC, memoized on the bit
+// pattern of the voltage it is handed. Nothing is snapshotted, so
+// every path to a voltage must answer bit for bit like the uncached
+// leakagePower() expression.
+// ---------------------------------------------------------------------
+
+std::uint64_t
+bits(double x)
+{
+    std::uint64_t u;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+}
+
+template <typename Unit>
+std::string
+saveOf(const Unit &unit)
+{
+    SnapshotWriter w("0000000000000000", 0);
+    unit.saveState(w);
+    return w.str();
+}
+
+template <typename Unit>
+void
+loadInto(Unit &unit, const std::string &text)
+{
+    SnapshotReader r(text);
+    unit.loadState(r);
+    r.finish();
+}
+
+/** Every state up, then down again, so each is entered from both sides. */
+std::vector<power::PState>
+walkStates(const power::PStateTable &t)
+{
+    std::vector<power::PState> out(t.states().begin(), t.states().end());
+    out.insert(out.end(), t.states().rbegin(), t.states().rend());
+    return out;
+}
+
+/** A state whose voltage differs from @p v: where a restore parks. */
+const power::PState &
+parkedAway(const power::PStateTable &t, Volt v)
+{
+    return v == t.max().voltage ? t.min() : t.max();
+}
+
+Watt
+refCpuLeakage(const CpuCluster &cpu)
+{
+    const power::PStateTable &t = cpu.pstates();
+    return power::leakagePower(t.leakK(), cpu.voltage(), t.temperature()) *
+           static_cast<double>(cpu.numCores());
+}
+
+/** CpuCluster::power() with the leakage term recomputed. */
+Watt
+refCpuPower(const CpuCluster &cpu, std::size_t threads, double activity)
+{
+    const std::size_t cores = cpu.numCores();
+    const double smt = threads > cores
+                           ? static_cast<double>(threads - cores) *
+                                 (CpuCluster::kSmtYield - 1.0)
+                           : 0.0;
+    const double core_eq =
+        static_cast<double>(std::min(cores, threads)) + smt;
+    return power::dynamicPower(cpu.pstates().cdyn(), cpu.voltage(),
+                               cpu.frequency(), activity) *
+               core_eq +
+           refCpuLeakage(cpu);
+}
+
+void
+expectCpuUncached(const CpuCluster &cpu, const std::string &what)
+{
+    SCOPED_TRACE(what);
+    ASSERT_EQ(bits(cpu.leakage()), bits(refCpuLeakage(cpu)));
+    for (std::size_t n = 0; n <= cpu.numThreads(); ++n) {
+        for (const double a : {0.0, 0.45, 1.0}) {
+            ASSERT_EQ(bits(cpu.power(n, a)), bits(refCpuPower(cpu, n, a)))
+                << n << " threads, activity " << a;
+        }
+    }
+}
+
+TEST(LeakageCache, CpuMatchesUncachedAtEveryPState)
+{
+    Simulator sim;
+    CpuCluster cpu(sim, nullptr, 2, 2, coreTable());
+    expectCpuUncached(cpu, "constructed");
+    for (const power::PState &s : walkStates(cpu.pstates())) {
+        cpu.setPState(s);
+        expectCpuUncached(cpu, "state " + std::to_string(s.freq));
+        // Same voltage, other clock: the cache must survive as is.
+        cpu.setPState(power::PState{s.freq * 0.5, s.voltage, 0.0});
+        expectCpuUncached(cpu, "clock-only " + std::to_string(s.freq));
+    }
+}
+
+TEST(LeakageCache, CpuRestoreRefreshesLeakage)
+{
+    const power::PStateTable table = coreTable();
+    for (const power::PState &s : table.states()) {
+        Simulator sim;
+        CpuCluster source(sim, nullptr, 2, 2, coreTable());
+        source.setPState(s);
+        CpuCluster restored(sim, nullptr, 2, 2, coreTable());
+        restored.setPState(parkedAway(restored.pstates(), s.voltage));
+        loadInto(restored, saveOf(source));
+        expectCpuUncached(restored, "restored " + std::to_string(s.freq));
+        EXPECT_EQ(bits(restored.leakage()), bits(source.leakage()));
+    }
+}
+
+void
+expectGfxUncached(const GfxEngine &gfx, const std::string &what)
+{
+    SCOPED_TRACE(what);
+    const power::PStateTable &t = gfx.pstates();
+    const Watt leak =
+        power::leakagePower(t.leakK(), gfx.voltage(), t.temperature());
+    ASSERT_EQ(bits(gfx.leakage()), bits(leak));
+    ASSERT_EQ(bits(gfx.power(GfxWork{})), bits(leak));
+    const GfxWork busy{15e6, 100e6, 0.0, 0.8};
+    ASSERT_EQ(bits(gfx.power(busy)),
+              bits(power::dynamicPower(t.cdyn(), gfx.voltage(),
+                                       gfx.frequency(), busy.activity) +
+                   leak));
+}
+
+TEST(LeakageCache, GfxMatchesUncachedAtEveryPState)
+{
+    Simulator sim;
+    GfxEngine gfx(sim, nullptr, gfxTable());
+    expectGfxUncached(gfx, "constructed");
+    for (const power::PState &s : walkStates(gfx.pstates())) {
+        gfx.setPState(s);
+        expectGfxUncached(gfx, "state " + std::to_string(s.freq));
+        gfx.setPState(power::PState{s.freq * 0.5, s.voltage, 0.0});
+        expectGfxUncached(gfx, "clock-only " + std::to_string(s.freq));
+    }
+}
+
+TEST(LeakageCache, GfxRestoreRefreshesLeakage)
+{
+    const power::PStateTable table = gfxTable();
+    for (const power::PState &s : table.states()) {
+        Simulator sim;
+        GfxEngine source(sim, nullptr, gfxTable());
+        source.setPState(s);
+        GfxEngine restored(sim, nullptr, gfxTable());
+        restored.setPState(parkedAway(restored.pstates(), s.voltage));
+        loadInto(restored, saveOf(source));
+        expectGfxUncached(restored, "restored " + std::to_string(s.freq));
+    }
+}
+
+Watt
+refLlcPower(Volt v, double utilization)
+{
+    return power::dynamicPower(Llc::kCdynFarad, v, Llc::kAccessClock,
+                               0.1 + 0.9 * utilization) +
+           power::leakagePower(Llc::kLeakK, v, 50.0);
+}
+
+TEST(LeakageCache, LlcMemoFollowsTheVoltageBits)
+{
+    Simulator sim;
+    Llc llc(sim, nullptr, 4 * 1024 * 1024);
+    // Every core P-state voltage, revisited out of order, plus the
+    // zero-volt seed and neighbouring doubles of one state.
+    std::vector<Volt> volts = {0.0};
+    for (const power::PState &s : walkStates(coreTable()))
+        volts.push_back(s.voltage);
+    const Volt mid = coreTable().states()[14].voltage;
+    for (const Volt v : {mid, std::nextafter(mid, 0.0), mid,
+                         std::nextafter(mid, 2.0), 0.0, mid}) {
+        volts.push_back(v);
+    }
+    for (const Volt v : volts) {
+        for (const double u : {0.0, 0.3, 1.0}) {
+            ASSERT_EQ(bits(llc.power(v, u)), bits(refLlcPower(v, u)))
+                << "voltage " << v << " utilization " << u;
+        }
+    }
+}
+
+TEST(LeakageCache, LlcRestoreKeepsMemoConsistent)
+{
+    // The memo is not snapshotted: a restored LLC that memoized some
+    // other voltage must still answer for the source's.
+    Simulator sim;
+    const power::PStateTable t = coreTable();
+    Llc source(sim, nullptr, 4 * 1024 * 1024);
+    source.recordInterval(10.0, 5.0, 200.0, 1.5);
+    source.power(t.max().voltage, 0.5);
+    Llc restored(sim, nullptr, 4 * 1024 * 1024);
+    restored.power(t.min().voltage, 0.5);
+    loadInto(restored, saveOf(source));
+    EXPECT_EQ(bits(restored.power(t.max().voltage, 0.5)),
+              bits(refLlcPower(t.max().voltage, 0.5)));
+    EXPECT_EQ(bits(restored.power(t.min().voltage, 0.2)),
+              bits(refLlcPower(t.min().voltage, 0.2)));
 }
 
 TEST(CStates, ResidencyMustSumToOne)

@@ -20,6 +20,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -276,6 +277,34 @@ class ReferenceQueue
     Tick now() const { return now_; }
     std::size_t pending() const { return entries_.size(); }
 
+    /** Earliest live tick, kMaxTick when empty. */
+    Tick
+    nextTick() const
+    {
+        Tick t = kMaxTick;
+        for (const ModelEntry &e : entries_)
+            t = std::min(t, e.when);
+        return t;
+    }
+
+    /** Jump the clock without firing (@p when <= nextTick()). */
+    void advanceNow(Tick when) { now_ = when; }
+
+    /** Live (id, when) pairs in ascending seq order. */
+    std::vector<std::pair<std::size_t, Tick>>
+    bySeq() const
+    {
+        std::vector<ModelEntry> sorted = entries_;
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const ModelEntry &a, const ModelEntry &b) {
+                      return a.seq < b.seq;
+                  });
+        std::vector<std::pair<std::size_t, Tick>> out;
+        for (const ModelEntry &e : sorted)
+            out.emplace_back(e.id, e.when);
+        return out;
+    }
+
     void
     schedule(std::size_t id, int priority, Tick when)
     {
@@ -340,7 +369,10 @@ class ReferenceQueue
 /**
  * One seeded trial: drive the calendar queue and the reference model
  * through an identical random op sequence and require identical
- * firing logs, clocks, and pending counts throughout.
+ * firing logs, clocks, pending counts and earliest pending ticks
+ * throughout. The ops cover every path that touches the memoized
+ * minimum: schedule, deschedule, reschedule, run, advanceNow and a
+ * full-calendar prune (saveEvents).
  */
 void
 differentialTrial(std::uint64_t seed, std::size_t num_ops)
@@ -380,7 +412,7 @@ differentialTrial(std::uint64_t seed, std::size_t num_ops)
             0, Tick(200) << 27)(rng);
     };
 
-    std::uniform_int_distribution<int> op_dist(0, 9);
+    std::uniform_int_distribution<int> op_dist(0, 11);
     std::uniform_int_distribution<std::size_t> ev_dist(
         0, kNumEvents - 1);
 
@@ -410,6 +442,36 @@ differentialTrial(std::uint64_t seed, std::size_t num_ops)
                 model.schedule(i, ev->priority(), when);
             }
             break;
+          case 7:
+            {
+                // Anywhere in [now, next pending], both ends included.
+                const Tick next = model.nextTick();
+                const Tick span =
+                    std::min<Tick>(next - q.now(), Tick(20) << 27);
+                const Tick when =
+                    q.now() +
+                    std::uniform_int_distribution<Tick>(0, span)(rng);
+                q.advanceNow(when);
+                model.advanceNow(when);
+            }
+            break;
+          case 8:
+            {
+                // Prunes every bucket: moves slots without changing
+                // what is live.
+                const std::vector<EventQueue::SavedEvent> saved =
+                    q.saveEvents();
+                const auto want = model.bySeq();
+                ASSERT_EQ(saved.size(), want.size()) << "seed " << seed;
+                for (std::size_t k = 0; k < saved.size(); ++k) {
+                    ASSERT_EQ(saved[k].name,
+                              "ev" + std::to_string(want[k].first))
+                        << "seed " << seed;
+                    ASSERT_EQ(saved[k].when, want[k].second)
+                        << "seed " << seed;
+                }
+            }
+            break;
           default:
             {
                 const Tick limit = q.now() + random_delay();
@@ -420,9 +482,8 @@ differentialTrial(std::uint64_t seed, std::size_t num_ops)
             break;
         }
         ASSERT_EQ(q.pending(), model.pending()) << "seed " << seed;
-        ASSERT_EQ(q.nextPendingTick() == kMaxTick,
-                  model.pending() == 0)
-            << "seed " << seed;
+        ASSERT_EQ(q.nextPendingTick(), model.nextTick())
+            << "seed " << seed << " op " << op;
     }
 
     // Drain everything that is left and compare the full history.

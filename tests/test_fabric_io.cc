@@ -5,12 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+
 #include "interconnect/fabric.hh"
 #include "io/csr.hh"
 #include "io/display.hh"
 #include "io/dma.hh"
 #include "io/isp.hh"
+#include "power/power_model.hh"
 #include "sim/sim_object.hh"
+#include "sim/snapshot.hh"
 
 namespace sysscale {
 namespace {
@@ -70,6 +76,69 @@ TEST(Fabric, PowerDropsWithVoltageAndClock)
 {
     EXPECT_LT(interconnect::IoFabric::powerAt(0.64, 0.4e9, 0.3),
               interconnect::IoFabric::powerAt(0.80, 0.8e9, 0.3));
+}
+
+// Fabric leakage is cached where V_SA is written (constructor,
+// setVsa(), loadState()); every path must answer bit for bit like the
+// uncached leakagePower() expression.
+
+std::uint64_t
+bits(double x)
+{
+    std::uint64_t u;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+}
+
+void
+expectFabricUncached(const interconnect::IoFabric &fab,
+                     const std::string &what)
+{
+    using interconnect::IoFabric;
+    SCOPED_TRACE(what);
+    const Volt v = fab.vsa();
+    for (const double u : {0.0, 0.25, 0.6, 1.0}) {
+        const Watt want =
+            power::dynamicPower(IoFabric::kCdynFarad, v, fab.frequency(),
+                                0.20 + 0.80 * u) +
+            power::leakagePower(IoFabric::kLeakK, v, 50.0);
+        ASSERT_EQ(bits(fab.power(u)), bits(want)) << "util " << u;
+        ASSERT_EQ(bits(IoFabric::powerAt(v, fab.frequency(), u)),
+                  bits(want));
+    }
+}
+
+TEST(FabricLeakageCache, MatchesUncachedAcrossVsa)
+{
+    Simulator sim;
+    interconnect::IoFabric fab(sim, nullptr, 0.8 * kGHz, 0.8);
+    expectFabricUncached(fab, "constructed");
+    for (int i = 0; i <= 50; ++i) {
+        fab.setVsa(0.55 + 0.01 * i);
+        expectFabricUncached(fab, "vsa " + std::to_string(fab.vsa()));
+    }
+    // A clock change moves the dynamic term only.
+    fab.blockAndDrain();
+    fab.setFrequency(0.4 * kGHz);
+    fab.release();
+    expectFabricUncached(fab, "0.4 GHz");
+}
+
+TEST(FabricLeakageCache, RestoreRefreshesLeakage)
+{
+    for (int i = 0; i <= 50; ++i) {
+        const Volt v = 0.55 + 0.01 * i;
+        Simulator sim;
+        interconnect::IoFabric source(sim, nullptr, 0.4 * kGHz, v);
+        interconnect::IoFabric restored(sim, nullptr, 0.8 * kGHz,
+                                        v + 0.1);
+        SnapshotWriter w("0000000000000000", 0);
+        source.saveState(w);
+        SnapshotReader r(w.str());
+        restored.loadState(r);
+        r.finish();
+        expectFabricUncached(restored, "vsa " + std::to_string(v));
+    }
 }
 
 TEST(Csr, DefineReadWriteReset)

@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "dram/device.hh"
 #include "mem/controller.hh"
 #include "mem/ddrio.hh"
 #include "mem/mrc.hh"
+#include "power/power_model.hh"
 #include "sim/sim_object.hh"
 #include "sim/snapshot.hh"
 
@@ -378,6 +381,124 @@ TEST(ControllerCache, RestoreRejectsOutOfRangeBin)
     w.pop();
     SnapshotReader r(w.str());
     EXPECT_THROW(rig.mc.loadState(r), SnapshotError);
+}
+
+// ---------------------------------------------------------------------
+// Leakage on the V_SA and V_IO rails is cached where the voltage is
+// written: MemoryController at its constructor, setVsa() and
+// loadState(); Ddrio at its constructor and setVio() (the controller's
+// restore goes through setVio()). Every path must answer bit for bit
+// like the uncached leakagePower() expression.
+// ---------------------------------------------------------------------
+
+/** A V_SA/V_IO sweep: the Table 1 rail span plus its neighbours. */
+std::vector<Volt>
+railSweep()
+{
+    std::vector<Volt> out;
+    for (int i = 0; i <= 50; ++i)
+        out.push_back(0.55 + 0.01 * i);
+    out.push_back(std::nextafter(0.8, 0.0));
+    out.push_back(std::nextafter(0.8, 2.0));
+    return out;
+}
+
+const std::vector<double> kUtils = {0.0, 0.25, 0.6, 1.0};
+
+void
+expectMcUncached(const MemoryController &mc, const std::string &what)
+{
+    SCOPED_TRACE(what);
+    const Volt v = mc.vsa();
+    for (const double u : kUtils) {
+        const Watt want =
+            power::dynamicPower(MemoryController::kCdynFarad, v,
+                                mc.clock(), 0.25 + 0.75 * u) +
+            power::leakagePower(MemoryController::kLeakK, v, 50.0);
+        ASSERT_EQ(bits(mc.controllerPower(u)), bits(want)) << "util " << u;
+        ASSERT_EQ(bits(MemoryController::powerAt(v, mc.clock(), u)),
+                  bits(want));
+    }
+}
+
+void
+expectDdrioUncached(const Ddrio &d, double activity_factor,
+                    const std::string &what)
+{
+    SCOPED_TRACE(what);
+    const Volt v = d.vio();
+    for (const double u : kUtils) {
+        const double act = (0.30 + 0.70 * u) * activity_factor;
+        const Watt want =
+            power::dynamicPower(Ddrio::kCdynFarad, v, d.clock(), act) +
+            power::leakagePower(Ddrio::kLeakK, v, 50.0);
+        ASSERT_EQ(bits(d.digitalPower(u, activity_factor)), bits(want))
+            << "util " << u;
+        ASSERT_EQ(
+            bits(Ddrio::powerAt(v, d.clock(), u, activity_factor)),
+            bits(want));
+    }
+}
+
+TEST(LeakageCache, ControllerMatchesUncachedAcrossVsa)
+{
+    McRig rig(dram::lpddr3Spec());
+    expectMcUncached(rig.mc, "constructed");
+    for (const Volt v : railSweep()) {
+        rig.mc.setVsa(v);
+        expectMcUncached(rig.mc, "vsa " + std::to_string(v));
+    }
+    // A bin change moves the clock, not the rail.
+    rig.program(rig.mrc.optimizedSet(1));
+    expectMcUncached(rig.mc, "bin 1");
+}
+
+TEST(LeakageCache, DdrioMatchesUncachedAcrossVio)
+{
+    for (const dram::DramSpec &spec :
+         {dram::lpddr3Spec(), dram::ddr4Spec()}) {
+        Ddrio d(spec, 1.0);
+        expectDdrioUncached(d, 1.0, spec.name() + " constructed");
+        for (std::size_t bin = 0; bin < spec.numBins(); ++bin) {
+            d.setBin(bin);
+            for (const Volt v : railSweep()) {
+                d.setVio(v);
+                for (const double af : {1.0, 1.35}) {
+                    expectDdrioUncached(d, af,
+                                        spec.name() + " bin " +
+                                            std::to_string(bin) + " vio " +
+                                            std::to_string(v));
+                }
+            }
+        }
+    }
+}
+
+TEST(LeakageCache, ControllerRestoreRefreshesBothRails)
+{
+    const std::vector<Volt> sweep = railSweep();
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+        const Volt vsa = sweep[i];
+        const Volt vio = sweep[sweep.size() - 1 - i];
+        McRig source(dram::lpddr3Spec());
+        source.mc.setVsa(vsa);
+        source.mc.ddrio().setVio(vio);
+
+        // Parked at other rail voltages, so a stale cache cannot pass.
+        McRig restored(dram::lpddr3Spec());
+        restored.mc.setVsa(vsa + 0.1);
+        restored.mc.ddrio().setVio(vio + 0.1);
+        restored.load(source.save());
+
+        const std::string what = "vsa " + std::to_string(vsa) + " vio " +
+                                 std::to_string(vio);
+        expectMcUncached(restored.mc, what);
+        expectDdrioUncached(restored.mc.ddrio(), 1.0, what);
+        for (const double u : kUtils) {
+            EXPECT_EQ(bits(restored.mc.ddrioDigitalPower(u)),
+                      bits(source.mc.ddrioDigitalPower(u)));
+        }
+    }
 }
 
 } // namespace

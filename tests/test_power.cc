@@ -276,6 +276,7 @@ requestsFor(const PStateTable &t)
         out.push_back(std::nextafter(f, 1e12));
         out.push_back(f + 0.5);  // inside grant's +1 Hz tolerance
         out.push_back(f - 0.5);
+        out.push_back(f - 1.0);  // on the tolerance boundary
         if (i + 1 < t.states().size())
             out.push_back(0.5 * (f + t.states()[i + 1].freq));
     }
@@ -358,6 +359,22 @@ TEST(PStateCache, GrantMatchesUncachedBitwise)
         }
     }
     EXPECT_GT(cases, 500000u);
+}
+
+TEST(PStateCache, PowerAndFrequencyNondecreasingAcrossStates)
+{
+    // highestUnder() and grant() binary-search the table, which is
+    // only valid while both keys are sorted by state index.
+    for (const DefaultTable &d : defaultTables()) {
+        const std::vector<PState> &st = d.table.states();
+        for (std::size_t i = 1; i < st.size(); ++i) {
+            EXPECT_LE(st[i - 1].freq, st[i].freq) << d.name << " " << i;
+            for (const double a : {0.0, 0.5, 1.0, 2.0}) {
+                EXPECT_LE(st[i - 1].powerAt(a), st[i].powerAt(a))
+                    << d.name << " state " << i << " activity " << a;
+            }
+        }
+    }
 }
 
 TEST(PStateCacheDeathTest, ActivityAboveTwoStillPanics)
