@@ -184,7 +184,7 @@ BENCHMARK(BM_SocStepTraced)->Name("BM_SocStep/traced");
  * Fig. 9-class idle-heavy run (video playback: C0/C2/C8 = 10/5/85)
  * with the constant-step replay path toggled by the benchmark arg
  * (0 = off, 1 = on). The strict perf ledger requires the enabled
- * variant to hold a >= 2x wall-clock advantage over the disabled
+ * variant to hold a >= 3x wall-clock advantage over the disabled
  * one; each iteration simulates 10ms.
  */
 void

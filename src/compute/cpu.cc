@@ -60,6 +60,16 @@ CoreResult
 CpuCluster::retire(const CoreWork &work, double mem_latency_ns,
                    double bw_grant_ratio, Tick interval)
 {
+    const CoreResult res =
+        evaluateRetire(work, mem_latency_ns, bw_grant_ratio, interval);
+    commitRetire(res);
+    return res;
+}
+
+CoreResult
+CpuCluster::evaluateRetire(const CoreWork &work, double mem_latency_ns,
+                           double bw_grant_ratio, Tick interval) const
+{
     SYSSCALE_ASSERT(interval > 0, "zero-length retire interval");
     SYSSCALE_ASSERT(bw_grant_ratio > 0.0 && bw_grant_ratio <= 1.0,
                     "bandwidth grant ratio %.3f out of (0,1]",
@@ -88,9 +98,6 @@ CpuCluster::retire(const CoreWork &work, double mem_latency_ns,
     const double lat_cycles = mem_latency_ns * 1e-9 * freq_;
     res.stallCycles = res.instructions * work.mpki / 1000.0 *
                       work.blockingFactor * lat_cycles;
-
-    instructions_ += res.instructions;
-    stallCycles_ += res.stallCycles;
     return res;
 }
 

@@ -116,7 +116,8 @@ class CpuCluster : public SimObject
                                 double mem_latency_ns) const;
 
     /**
-     * Retire one interval of work on one thread.
+     * Retire one interval of work on one thread:
+     * commitRetire(evaluateRetire(...)).
      *
      * @param work Thread characteristics.
      * @param mem_latency_ns Loaded memory latency this interval.
@@ -125,6 +126,18 @@ class CpuCluster : public SimObject
      */
     CoreResult retire(const CoreWork &work, double mem_latency_ns,
                       double bw_grant_ratio, Tick interval);
+
+    /** What retire() would retire; pure (nothing is counted). */
+    CoreResult evaluateRetire(const CoreWork &work,
+                              double mem_latency_ns,
+                              double bw_grant_ratio,
+                              Tick interval) const;
+
+    /**
+     * Count @p res: instructions and stall cycles. Committing one
+     * evaluation N times equals N retire() calls on its inputs.
+     */
+    void commitRetire(const CoreResult &res);
 
     /**
      * Cluster power with @p active_threads running at @p activity.
@@ -165,6 +178,13 @@ class CpuCluster : public SimObject
     stats::Scalar stallCycles_;
     stats::Scalar pstateChanges_;
 };
+
+inline void
+CpuCluster::commitRetire(const CoreResult &res)
+{
+    instructions_ += res.instructions;
+    stallCycles_ += res.stallCycles;
+}
 
 } // namespace compute
 } // namespace sysscale

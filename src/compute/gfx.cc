@@ -59,6 +59,16 @@ GfxResult
 GfxEngine::render(const GfxWork &work, BytesPerSec granted_bw,
                   Tick interval)
 {
+    const GfxResult res = evaluateRender(work, granted_bw, interval);
+    if (!work.idle())
+        commitRender(res);
+    return res;
+}
+
+GfxResult
+GfxEngine::evaluateRender(const GfxWork &work, BytesPerSec granted_bw,
+                          Tick interval) const
+{
     SYSSCALE_ASSERT(interval > 0, "zero-length render interval");
 
     GfxResult res;
@@ -77,9 +87,6 @@ GfxEngine::render(const GfxWork &work, BytesPerSec granted_bw,
 
     res.fps = fps;
     res.frames = fps * secondsFromTicks(interval);
-
-    frames_ += res.frames;
-    fpsAvg_.sample(fps);
     return res;
 }
 

@@ -80,7 +80,8 @@ class GfxEngine : public SimObject
     BytesPerSec bandwidthDemand(const GfxWork &work) const;
 
     /**
-     * Render one interval.
+     * Render one interval: commitRender(evaluateRender(...)), except
+     * that idle work renders and counts nothing.
      *
      * @param work Frame characteristics.
      * @param granted_bw Memory bandwidth granted to the engine.
@@ -88,6 +89,18 @@ class GfxEngine : public SimObject
      */
     GfxResult render(const GfxWork &work, BytesPerSec granted_bw,
                      Tick interval);
+
+    /** What render() would render; pure (nothing is counted). */
+    GfxResult evaluateRender(const GfxWork &work,
+                             BytesPerSec granted_bw,
+                             Tick interval) const;
+
+    /**
+     * Count @p res (of non-idle work): frames and the frame-rate
+     * average. Committing one evaluation N times equals N render()
+     * calls on its inputs.
+     */
+    void commitRender(const GfxResult &res);
 
     /** Engine power while rendering @p work (leakage when idle). */
     Watt power(const GfxWork &work) const;
@@ -120,6 +133,13 @@ class GfxEngine : public SimObject
     stats::Scalar pstateChanges_;
     stats::Average fpsAvg_;
 };
+
+inline void
+GfxEngine::commitRender(const GfxResult &res)
+{
+    frames_ += res.frames;
+    fpsAvg_.sample(res.fps);
+}
 
 } // namespace compute
 } // namespace sysscale

@@ -59,22 +59,6 @@ DramDevice::exitSelfRefresh(bool fast_relock)
     return ticksFromNs(timings_.tXSRNs + training_ns);
 }
 
-DramPowerBreakdown
-DramDevice::accountTraffic(double read_bytes, double write_bytes,
-                           Tick interval, double termination_factor)
-{
-    SYSSCALE_ASSERT(mode_ == DramMode::Active,
-                    "traffic while in self-refresh");
-    readBytes_ += read_bytes;
-    writeBytes_ += write_bytes;
-
-    const DramPowerBreakdown bd = powerModel_.activePower(
-        binIndex_, read_bytes, write_bytes,
-        secondsFromTicks(interval), termination_factor);
-    energyJ_ += bd.total() * secondsFromTicks(interval);
-    return bd;
-}
-
 void
 DramDevice::saveState(SnapshotWriter &w) const
 {

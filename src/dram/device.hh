@@ -17,6 +17,7 @@
 #include "dram/power.hh"
 #include "dram/spec.hh"
 #include "dram/timing.hh"
+#include "sim/logging.hh"
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
 
@@ -67,18 +68,24 @@ class DramDevice : public SimObject
     /** @} */
 
     /**
-     * Account an interval of serviced traffic.
+     * Average power of an interval of serviced traffic. Pure: the
+     * traffic is accounted by commitTraffic(). Panics in self-refresh.
      *
      * @param read_bytes Bytes read in the interval.
      * @param write_bytes Bytes written.
      * @param interval Interval length in ticks.
      * @param termination_factor MRC-dependent ODT/drive multiplier.
-     * @return Average power breakdown over the interval.
      */
-    DramPowerBreakdown accountTraffic(double read_bytes,
-                                      double write_bytes,
-                                      Tick interval,
-                                      double termination_factor);
+    DramPowerBreakdown activePower(double read_bytes,
+                                   double write_bytes, Tick interval,
+                                   double termination_factor) const;
+
+    /**
+     * Account an interval of serviced traffic: the bytes, and the
+     * energy of @p power (activePower().total()) over @p interval.
+     */
+    void commitTraffic(double read_bytes, double write_bytes,
+                       Watt power, Tick interval);
 
     /** Average power while parked in self-refresh. */
     Watt selfRefreshPower() const
@@ -121,6 +128,28 @@ class DramDevice : public SimObject
     stats::Scalar srEntries_;
     stats::Scalar binSwitches_;
 };
+
+inline DramPowerBreakdown
+DramDevice::activePower(double read_bytes, double write_bytes,
+                        Tick interval, double termination_factor) const
+{
+    SYSSCALE_ASSERT(mode_ == DramMode::Active,
+                    "traffic while in self-refresh");
+    return powerModel_.activePower(binIndex_, read_bytes, write_bytes,
+                                   secondsFromTicks(interval),
+                                   termination_factor);
+}
+
+inline void
+DramDevice::commitTraffic(double read_bytes, double write_bytes,
+                          Watt power, Tick interval)
+{
+    SYSSCALE_ASSERT(mode_ == DramMode::Active,
+                    "traffic while in self-refresh");
+    readBytes_ += read_bytes;
+    writeBytes_ += write_bytes;
+    energyJ_ += power * secondsFromTicks(interval);
+}
 
 } // namespace dram
 } // namespace sysscale

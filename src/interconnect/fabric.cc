@@ -82,16 +82,21 @@ IoFabric::baseLatencyNs() const
 FabricResult
 IoFabric::service(const FabricDemand &demand, Tick interval)
 {
+    const FabricResult res = evaluate(demand);
+    commit(res, interval);
+    return res;
+}
+
+FabricResult
+IoFabric::evaluate(const FabricDemand &demand) const
+{
     SYSSCALE_ASSERT(!blocked_, "servicing a blocked fabric");
-    SYSSCALE_ASSERT(interval > 0, "zero-length fabric interval");
 
     const BytesPerSec cap = capacity();
     FabricResult res;
 
     res.achievedIso = std::min(demand.isochronous, cap);
     res.qosViolation = demand.isochronous > cap + 1e-3;
-    if (res.qosViolation)
-        ++qosViolations_;
 
     const BytesPerSec remaining = cap - res.achievedIso;
     res.achievedBestEffort = std::min(demand.bestEffort, remaining);
@@ -108,13 +113,6 @@ IoFabric::service(const FabricDemand &demand, Tick interval)
 
     res.readPendingOccupancy =
         demand.bestEffort / 64.0 * (res.latencyNs * 1e-9);
-
-    lastUtilization_ = res.utilization;
-    transferredBytes_ +=
-        (res.achievedIso + res.achievedBestEffort) *
-        secondsFromTicks(interval);
-    utilizationAvg_.sample(res.utilization);
-
     return res;
 }
 

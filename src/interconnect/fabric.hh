@@ -17,6 +17,7 @@
 #ifndef SYSSCALE_INTERCONNECT_FABRIC_HH
 #define SYSSCALE_INTERCONNECT_FABRIC_HH
 
+#include "sim/logging.hh"
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
 
@@ -101,9 +102,23 @@ class IoFabric : public SimObject
     /** @} */
 
     /**
-     * Serve one interval of demand. Panics while blocked.
+     * Serve one interval of demand: commit(evaluate(demand)). Panics
+     * while blocked.
      */
     FabricResult service(const FabricDemand &demand, Tick interval);
+
+    /**
+     * The outcome of serving @p demand at the current clock. Pure:
+     * nothing is accounted until commit(). Panics while blocked.
+     */
+    FabricResult evaluate(const FabricDemand &demand) const;
+
+    /**
+     * Account one @p interval served with @p res: utilization,
+     * transferred bytes and the QoS violation count. Committing one
+     * evaluation N times equals N service() calls on its demand.
+     */
+    void commit(const FabricResult &res, Tick interval);
 
     /** Unloaded transit latency at the current clock. */
     double baseLatencyNs() const;
@@ -166,6 +181,19 @@ class IoFabric : public SimObject
     stats::Scalar drains_;
     stats::Average utilizationAvg_;
 };
+
+inline void
+IoFabric::commit(const FabricResult &res, Tick interval)
+{
+    SYSSCALE_ASSERT(interval > 0, "zero-length fabric interval");
+    if (res.qosViolation)
+        ++qosViolations_;
+    lastUtilization_ = res.utilization;
+    transferredBytes_ +=
+        (res.achievedIso + res.achievedBestEffort) *
+        secondsFromTicks(interval);
+    utilizationAvg_.sample(res.utilization);
+}
 
 } // namespace interconnect
 } // namespace sysscale

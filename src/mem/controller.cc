@@ -104,8 +104,18 @@ MemoryController::loadedLatencyAt(double utilization) const
     return baseLatencyNs_ + wait_ns;
 }
 
-MemServiceResult
+// Flattened so the standalone call keeps one body: evaluate() is
+// too large for the inliner to copy on its own.
+[[gnu::flatten]] MemServiceResult
 MemoryController::service(const MemDemand &demand, Tick interval)
+{
+    const MemServiceCommit c = evaluate(demand, interval);
+    commit(c);
+    return c.result;
+}
+
+MemServiceCommit
+MemoryController::evaluate(const MemDemand &demand, Tick interval) const
 {
     SYSSCALE_ASSERT(!blocked_, "servicing a blocked controller");
     SYSSCALE_ASSERT(interval > 0, "zero-length service interval");
@@ -113,15 +123,14 @@ MemoryController::service(const MemDemand &demand, Tick interval)
                     "servicing DRAM in self-refresh");
 
     const BytesPerSec cap = capacity_;
-    MemServiceResult res;
+    MemServiceCommit c;
+    MemServiceResult &res = c.result;
 
     // Isochronous traffic is guaranteed first: the display engine
     // cannot be stalled (Sec. 1, QoS). A violation means the static
     // demand table put the SoC in too low an operating point.
     res.achievedIso = std::min(demand.ioIso, cap);
     res.qosViolation = demand.ioIso > cap + 1e-3;
-    if (res.qosViolation)
-        ++qosViolations_;
 
     // Remaining capacity is shared in proportion to demand.
     const BytesPerSec remaining = cap - res.achievedIso;
@@ -148,25 +157,20 @@ MemoryController::service(const MemDemand &demand, Tick interval)
     res.readPendingOccupancy = demand.cpuRead / 64.0 *
                                (res.loadedLatencyNs * 1e-9);
 
-    // Account DRAM energy for the interval.
+    // DRAM traffic and power for the interval.
     const double secs = secondsFromTicks(interval);
-    const double read_bytes =
+    c.readBytes =
         (res.achievedCpuRead + res.achievedGfx * 0.7 +
          res.achievedIso * 0.8 + res.achievedBestEffort * 0.5) * secs;
-    const double write_bytes =
+    c.writeBytes =
         (res.achievedCpuWrite + res.achievedGfx * 0.3 +
          res.achievedIso * 0.2 + res.achievedBestEffort * 0.5) * secs;
-
-    const dram::DramPowerBreakdown dram_power = device_.accountTraffic(
-        read_bytes, write_bytes, interval, regs_.terminationFactor);
-    lastDramPower_ = dram_power.total();
-
-    lastUtilization_ = res.utilization;
-    servicedBytes_ += res.achievedTotal() * secs;
-    utilizationAvg_.sample(res.utilization);
-    latencyAvg_.sample(res.loadedLatencyNs);
-
-    return res;
+    c.dramPower = device_
+                      .activePower(c.readBytes, c.writeBytes, interval,
+                                   regs_.terminationFactor)
+                      .total();
+    c.interval = interval;
+    return c;
 }
 
 Watt

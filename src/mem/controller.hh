@@ -78,6 +78,19 @@ struct MemServiceResult
 };
 
 /**
+ * Everything one service() interval commits: the result, the DRAM
+ * traffic and its average power, over the interval it was served.
+ */
+struct MemServiceCommit
+{
+    MemServiceResult result;
+    double readBytes = 0.0;  //!< DRAM bytes read.
+    double writeBytes = 0.0; //!< DRAM bytes written.
+    Watt dramPower = 0.0;    //!< DRAM + DDRIO-analog average power.
+    Tick interval = 0;
+};
+
+/**
  * The SoC memory controller.
  */
 class MemoryController : public SimObject
@@ -130,7 +143,8 @@ class MemoryController : public SimObject
     /** @} */
 
     /**
-     * Service one interval of aggregate demand.
+     * Service one interval of aggregate demand:
+     * commit(evaluate(demand, interval)).
      *
      * Panics if called while blocked: the flow must release first.
      *
@@ -138,6 +152,20 @@ class MemoryController : public SimObject
      * @param interval Interval length in ticks.
      */
     MemServiceResult service(const MemDemand &demand, Tick interval);
+
+    /**
+     * What servicing @p demand over @p interval would commit. Pure:
+     * nothing is accounted until commit().
+     */
+    MemServiceCommit evaluate(const MemDemand &demand,
+                              Tick interval) const;
+
+    /**
+     * Account one serviced interval: QoS, DRAM traffic and energy,
+     * serviced bytes, utilization and latency. Committing one
+     * evaluation N times equals N service() calls on its demand.
+     */
+    void commit(const MemServiceCommit &c);
 
     /**
      * Idle-interval bookkeeping: DRAM sits in self-refresh (deep SoC
@@ -254,6 +282,22 @@ class MemoryController : public SimObject
     stats::Average utilizationAvg_;
     stats::Average latencyAvg_;
 };
+
+inline void
+MemoryController::commit(const MemServiceCommit &c)
+{
+    const MemServiceResult &res = c.result;
+    if (res.qosViolation)
+        ++qosViolations_;
+    device_.commitTraffic(c.readBytes, c.writeBytes, c.dramPower,
+                          c.interval);
+    lastDramPower_ = c.dramPower;
+
+    lastUtilization_ = res.utilization;
+    servicedBytes_ += res.achievedTotal() * secondsFromTicks(c.interval);
+    utilizationAvg_.sample(res.utilization);
+    latencyAvg_.sample(res.loadedLatencyNs);
+}
 
 } // namespace mem
 } // namespace sysscale

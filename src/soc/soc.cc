@@ -85,6 +85,7 @@ Soc::Soc(Simulator &sim, SocConfig cfg)
     cpu_ = std::make_unique<compute::CpuCluster>(
         sim, this, cfg_.cores, cfg_.threadsPerCore,
         std::move(core_table));
+    record_.threads.resize(cpu_->numThreads());
 
     power::PStateTable gfx_table(power::skylakeGfxCurve(),
                                  cfg_.gfxCdyn, cfg_.gfxLeakK,
@@ -263,20 +264,26 @@ Soc::replaySteps(Tick interval)
     const Tick batch_start = now();
     std::uint64_t batch_steps = 1;
 
-    // Serve the step event that just fired from the cached plan.
+    // Serve the step event that just fired from the cached plan. A
+    // restore leaves the commit record stale; the first replay after
+    // it re-derives the record from the restored plan.
     ++steps_;
     ++replayedSteps_;
-    commitStep(interval, true, 0, 0.0);
+    if (record_.stale)
+        commitStep<CommitMode::Derive>(interval, 0, 0.0);
+    applyCommit(interval);
 
     // Idle skip-ahead: batch further grid steps while nothing can
     // observe the difference — no event pending at or before the
     // next virtual step, the workload's demand horizon not reached,
     // the enclosing runUntil() window not overrun, and the replayed
-    // tail itself not drifting (throttle walk, latency snap). Each
-    // virtual step applies the identical mutation sequence at the
-    // identical tick; the kernel just never round-trips an event per
-    // step. Nothing in the commit half schedules events, so the
-    // pending horizon is stable across the batch.
+    // tail itself not drifting (the reactive throttle walk). A
+    // replay never moves the memory latency: the capture that did
+    // would have failed the fingerprint. Each virtual step applies
+    // the identical mutation sequence at the identical tick; the
+    // kernel just never round-trips an event per step. Nothing in
+    // the commit half schedules events, so the pending horizon is
+    // stable across the batch.
     Tick t = now();
     const Tick horizon = eventq().nextPendingTick();
     const Tick limit = eventq().runLimit();
@@ -284,8 +291,7 @@ Soc::replaySteps(Tick interval)
         const Tick next = t + interval;
         if (next >= horizon || next > limit ||
             next >= plan_.demandValidUntil ||
-            throttle_ != plan_.throttle ||
-            lastMemLatencyNs_ != plan_.latencyInNs) {
+            throttle_ != plan_.throttle) {
             break;
         }
         eventq().advanceNow(next);
@@ -293,7 +299,7 @@ Soc::replaySteps(Tick interval)
         ++steps_;
         ++replayedSteps_;
         ++batch_steps;
-        commitStep(interval, true, 0, 0.0);
+        applyCommit(interval);
     }
     eventq().schedule(&stepEvent_, t + interval);
 
@@ -462,54 +468,92 @@ Soc::step()
         plan_.ioEnginePower = display_->power() + isp_->power();
     }
 
-    commitStep(interval, false, active_threads, avg_activity);
+    // Record the commit half only when a replay can use it: this
+    // step captured a valid plan.
+    if (capture_plan && plan_.valid)
+        commitStep<CommitMode::Capture>(interval, active_threads,
+                                        avg_activity);
+    else
+        commitStep<CommitMode::Apply>(interval, active_threads,
+                                      avg_activity);
     eventq().schedule(&stepEvent_, now() + interval);
 }
 
 inline void
-Soc::commitStep(Tick interval, bool replay, std::size_t active_threads,
+Soc::traceRailPower(Watt step_power)
+{
+    // Change-filtered in the sink, so a steady phase emits one sample
+    // per level shift — and replayed steps (identical watts by
+    // construction) emit nothing, keeping traces byte-identical
+    // across skip-ahead on/off.
+    obs::TraceSink *sink = traceSink();
+    if (!TRACE_ACTIVE(sink))
+        return;
+    const StepPlan &p = plan_;
+    const Tick t_now = now();
+    sink->counter(obs::kCatPower, "vcore_w", t_now,
+                  p.railWatts[power::railIndex(power::Rail::VCore)]);
+    sink->counter(obs::kCatPower, "vgfx_w", t_now,
+                  p.railWatts[power::railIndex(power::Rail::VGfx)]);
+    sink->counter(obs::kCatPower, "vsa_w", t_now,
+                  p.railWatts[power::railIndex(power::Rail::VSA)]);
+    sink->counter(obs::kCatPower, "vio_w", t_now,
+                  p.railWatts[power::railIndex(power::Rail::VIO)]);
+    sink->counter(obs::kCatPower, "vddq_w", t_now,
+                  p.railWatts[power::railIndex(power::Rail::VDDQ)]);
+    sink->counter(obs::kCatPower, "soc_w", t_now, step_power);
+}
+
+template <Soc::CommitMode kMode>
+inline void
+Soc::commitStep(Tick interval, std::size_t active_threads,
                 double avg_activity)
 {
+    constexpr bool kApply = kMode != CommitMode::Derive;
+    constexpr bool kRecord = kMode != CommitMode::Apply;
+
     const StepPlan &p = plan_;
     const IntervalDemand &demand = demandScratch_;
+    CommitRecord &rec = record_;
     const double dram_frac = p.dramFrac;
+    const bool mem_active = dram_frac > 1e-9;
 
     // IO traffic crosses the fabric; CPU/GFX reach the MC via LLC.
+    // The MC serves only the DRAM-active share of the step.
     interconnect::FabricResult fr;
-    if (dram_frac > 1e-9) {
-        fr = fabric_->service(
-            interconnect::FabricDemand{p.md.ioIso, p.md.ioBestEffort},
-            interval);
-    }
-
-    mem::MemServiceResult ms;
+    mem::MemServiceCommit mc;
+    const mem::MemServiceResult &ms = mc.result;
     Watt vddq_power = dram_->selfRefreshPower();
-    double mc_util = 0.0;
-    if (dram_frac > 1e-9) {
+    if (mem_active) {
+        fr = fabric_->evaluate(
+            interconnect::FabricDemand{p.md.ioIso, p.md.ioBestEffort});
         const Tick active_ticks = static_cast<Tick>(
             static_cast<double>(interval) * dram_frac);
-        ms = mc_->service(p.md, std::max<Tick>(1, active_ticks));
-        vddq_power = mc_->lastDramPower() * dram_frac +
+        mc = mc_->evaluate(p.md, std::max<Tick>(1, active_ticks));
+        vddq_power = mc.dramPower * dram_frac +
                      dram_->selfRefreshPower() * (1.0 - dram_frac);
-        mc_util = ms.utilization;
-        // Bitwise latency stabilization: hold the previous estimate
-        // while the fresh one sits inside the fixpoint tolerance.
-        // The step's fixpoint already treats such a move as
-        // converged; snapping here keeps steady phases at one exact
-        // value instead of limit-cycling in the last float bits,
-        // which is what lets the replay fingerprint (and therefore
-        // skip-ahead) engage on active-but-steady workloads.
-        if (std::abs(ms.loadedLatencyNs - lastMemLatencyNs_) >
-            kMemLatencyTolNs) {
-            lastMemLatencyNs_ = ms.loadedLatencyNs;
+        if constexpr (kApply) {
+            fabric_->commit(fr, interval);
+            mc_->commit(mc);
+            // Bitwise latency stabilization: hold the previous
+            // estimate while the fresh one sits inside the fixpoint
+            // tolerance. The step's fixpoint already treats such a
+            // move as converged; snapping here keeps steady phases at
+            // one exact value instead of limit-cycling in the last
+            // float bits, which is what lets the replay fingerprint
+            // (and therefore skip-ahead) engage on active-but-steady
+            // workloads.
+            if (std::abs(ms.loadedLatencyNs - lastMemLatencyNs_) >
+                kMemLatencyTolNs) {
+                lastMemLatencyNs_ = ms.loadedLatencyNs;
+            }
         }
     }
 
-    if (ms.qosViolation || fr.qosViolation)
-        ++qosViolations_;
-
     // Retire compute progress.
     double stall_cycles = 0.0;
+    std::size_t retired = 0;
+    bool rendered = false;
     const Tick exec_ticks = static_cast<Tick>(
         static_cast<double>(interval) * p.execFrac);
     if (exec_ticks > 0) {
@@ -523,112 +567,136 @@ Soc::commitStep(Tick interval, bool replay, std::size_t active_threads,
                 continue;
             compute::CoreWork scaled = w;
             scaled.mpki *= p.missScale;
-            const compute::CoreResult r = cpu_->retire(
+            const compute::CoreResult r = cpu_->evaluateRetire(
                 scaled, lastMemLatencyNs_, cpu_grant, exec_ticks);
+            if constexpr (kApply)
+                cpu_->commitRetire(r);
+            if constexpr (kRecord) {
+                SYSSCALE_ASSERT(retired < rec.threads.size(),
+                                "more active threads than the cluster");
+                rec.threads[retired] = r;
+            }
+            ++retired;
             stall_cycles += r.stallCycles;
         }
 
+        // step() sets gfxActive_ only for non-idle work.
         if (gfxActive_) {
             const double gfx_grant =
                 p.md.gfx > 1e-9
                     ? std::clamp(ms.achievedGfx / p.md.gfx, 1e-3, 1.0)
                     : 1.0;
-            gfx_->render(demand.gfxWork,
-                         p.gfxDemandC0 * gfx_grant, exec_ticks);
+            const compute::GfxResult g = gfx_->evaluateRender(
+                demand.gfxWork, p.gfxDemandC0 * gfx_grant, exec_ticks);
+            if constexpr (kApply)
+                gfx_->commitRender(g);
+            if constexpr (kRecord)
+                rec.gfx = g;
+            rendered = true;
         }
     }
 
-    // Counter observables (raw per-step quantities).
+    // The Soc's own bookkeeping: counter observables (raw per-step
+    // quantities), EWMA terms, and run-accumulator addends.
+    StepAccounting local;
+    StepAccounting &a = kRecord ? rec.accounting : local;
     const double secs = secondsFromTicks(interval);
-    const double gfx_misses =
-        ms.achievedGfx * dram_frac * secs / 64.0;
-    const double cpu_occ = ms.readPendingOccupancy * dram_frac;
-    const double io_rpq = fr.readPendingOccupancy * dram_frac;
-    llc_->recordInterval(ms.achievedCpuRead * dram_frac * secs / 64.0,
-                         gfx_misses, stall_cycles, cpu_occ);
-    counters_->accumulate(gfx_misses, cpu_occ, stall_cycles, io_rpq,
-                          interval);
+    a.qosViolation = ms.qosViolation || fr.qosViolation;
+    a.cpuMisses = ms.achievedCpuRead * dram_frac * secs / 64.0;
+    a.gfxMisses = ms.achievedGfx * dram_frac * secs / 64.0;
+    a.stallCycles = stall_cycles;
+    a.cpuOccupancy = ms.readPendingOccupancy * dram_frac;
+    a.ioRpq = fr.readPendingOccupancy * dram_frac;
+    a.bwEwmaTerm = 0.02 * ms.achievedTotal() * dram_frac;
+    a.secs = secs;
+    a.memLatIntegral = lastMemLatencyNs_ * secs * dram_frac;
+    a.memActiveSeconds = secs * dram_frac;
+    a.bwIntegral = ms.achievedTotal() * dram_frac * secs;
+    a.coreFreqIntegral = cpu_->frequency() * secs;
+    a.lowPoint = !(currentOp_ == opPoints_.high());
 
-    // Rail power: a replayed step re-issues the captured watts in
-    // the captured order — the energy meter sees the identical
-    // addPower() sequence the slow path produced, without paying the
-    // power-model math again.
-    Watt step_power;
-    if (replay) {
-        meter_.addPower(power::Rail::VCore,
-                        p.railWatts[power::railIndex(
-                            power::Rail::VCore)], interval);
-        meter_.addPower(power::Rail::VGfx,
-                        p.railWatts[power::railIndex(
-                            power::Rail::VGfx)], interval);
-        meter_.addPower(power::Rail::VSA,
-                        p.railWatts[power::railIndex(
-                            power::Rail::VSA)], interval);
-        meter_.addPower(power::Rail::VIO,
-                        p.railWatts[power::railIndex(
-                            power::Rail::VIO)], interval);
-        meter_.addPower(power::Rail::VDDQ,
-                        p.railWatts[power::railIndex(
-                            power::Rail::VDDQ)], interval);
-        meter_.addPower(power::Rail::VSA, cfg_.platformFloor,
-                        interval);
-        step_power = p.stepPower;
-    } else {
-        step_power = integratePower(demand, active_threads,
-                                    avg_activity, mc_util,
-                                    fr.utilization, vddq_power,
-                                    interval);
+    // Rail power: integratePower() refreshes plan_.railWatts and
+    // plan_.stepPower, which a Derive pass takes as restored.
+    if constexpr (kApply) {
+        integratePower(demand, active_threads, avg_activity,
+                       ms.utilization, fr.utilization, vddq_power,
+                       interval);
+        traceRailPower(p.stepPower);
     }
+    a.powerEwmaTermW = 0.02 * (p.stepPower - cfg_.platformFloor);
+    if constexpr (kApply)
+        applyAccounting(a, interval);
 
-    // Rail-power counters. Change-filtered in the sink, so a steady
-    // phase emits one sample per level shift — and replayed steps
-    // (identical watts by construction) emit nothing, keeping traces
-    // byte-identical across skip-ahead on/off. integratePower() just
-    // refreshed plan_.railWatts on the slow path, so p.railWatts is
-    // this step's watts on both paths.
-    obs::TraceSink *sink = traceSink();
-    if (TRACE_ACTIVE(sink)) {
-        const Tick t_now = now();
-        sink->counter(obs::kCatPower, "vcore_w", t_now,
-                      p.railWatts[power::railIndex(
-                          power::Rail::VCore)]);
-        sink->counter(obs::kCatPower, "vgfx_w", t_now,
-                      p.railWatts[power::railIndex(
-                          power::Rail::VGfx)]);
-        sink->counter(obs::kCatPower, "vsa_w", t_now,
-                      p.railWatts[power::railIndex(power::Rail::VSA)]);
-        sink->counter(obs::kCatPower, "vio_w", t_now,
-                      p.railWatts[power::railIndex(power::Rail::VIO)]);
-        sink->counter(obs::kCatPower, "vddq_w", t_now,
-                      p.railWatts[power::railIndex(
-                          power::Rail::VDDQ)]);
-        sink->counter(obs::kCatPower, "soc_w", t_now, step_power);
+    if constexpr (kRecord) {
+        rec.memActive = mem_active;
+        rec.fabric = fr;
+        rec.mc = mc;
+        rec.retired = retired;
+        rec.rendered = rendered;
+        // The product EnergyMeter::addPower() would form.
+        for (std::size_t i = 0; i < rec.railJoules.size(); ++i)
+            rec.railJoules[i] = p.railWatts[i] * secs;
+        rec.floorJoules = cfg_.platformFloor * secs;
+        rec.stale = false;
     }
+}
+
+inline void
+Soc::applyCommit(Tick interval)
+{
+    const CommitRecord &rec = record_;
+    if (rec.memActive) {
+        fabric_->commit(rec.fabric, interval);
+        mc_->commit(rec.mc);
+    }
+    for (std::size_t i = 0; i < rec.retired; ++i)
+        cpu_->commitRetire(rec.threads[i]);
+    if (rec.rendered)
+        gfx_->commitRender(rec.gfx);
+
+    // The energy meter sees the identical per-rail addition sequence
+    // integratePower() produced, V_SA's platform floor last.
+    for (power::Rail r : power::kAllRails)
+        meter_.addEnergy(r, rec.railJoules[power::railIndex(r)]);
+    meter_.addEnergy(power::Rail::VSA, rec.floorJoules);
+    traceRailPower(plan_.stepPower);
+
+    applyAccounting(rec.accounting, interval);
+}
+
+inline void
+Soc::applyAccounting(const StepAccounting &a, Tick interval)
+{
+    if (a.qosViolation)
+        ++qosViolations_;
+    llc_->recordInterval(a.cpuMisses, a.gfxMisses, a.stallCycles,
+                         a.cpuOccupancy);
+    counters_->accumulate(a.gfxMisses, a.cpuOccupancy, a.stallCycles,
+                          a.ioRpq, interval);
 
     // Reactive power capping: budget models are estimates; when the
     // measured average runs above TDP the compute grant is walked
     // down (and back up once headroom returns).
-    powerEwma_ = 0.98 * powerEwma_ +
-                 0.02 * (step_power - cfg_.platformFloor);
+    powerEwma_ = 0.98 * powerEwma_ + a.powerEwmaTermW;
     if (powerEwma_ > cfg_.tdp) {
         throttle_ = std::max(kThrottleFloor, throttle_ * 0.98);
     } else if (throttle_ < 1.0) {
         throttle_ = std::min(1.0, throttle_ * 1.01);
     }
 
-    bwEwma_ = 0.98 * bwEwma_ + 0.02 * ms.achievedTotal() * dram_frac;
+    bwEwma_ = 0.98 * bwEwma_ + a.bwEwmaTerm;
 
     // Run-window accumulators.
-    elapsedSeconds_ += secs;
-    memLatIntegral_ += lastMemLatencyNs_ * secs * dram_frac;
-    memActiveSeconds_ += secs * dram_frac;
-    bwIntegral_ += ms.achievedTotal() * dram_frac * secs;
-    coreFreqIntegral_ += cpu_->frequency() * secs;
-    if (!(currentOp_ == opPoints_.high()))
-        lowPointSeconds_ += secs;
+    elapsedSeconds_ += a.secs;
+    memLatIntegral_ += a.memLatIntegral;
+    memActiveSeconds_ += a.memActiveSeconds;
+    bwIntegral_ += a.bwIntegral;
+    coreFreqIntegral_ += a.coreFreqIntegral;
+    if (a.lowPoint)
+        lowPointSeconds_ += a.secs;
 }
 
-Watt
+void
 Soc::integratePower(const IntervalDemand &demand,
                     std::size_t active_threads, double activity,
                     double mc_util, double fabric_util, Watt vddq_power,
@@ -682,16 +750,14 @@ Soc::integratePower(const IntervalDemand &demand,
     const Watt total = v_core + v_gfx + v_sa + v_io + vddq_power +
                        cfg_.platformFloor;
 
-    // Record the per-rail watts so a fingerprint-identical step can
-    // replay this exact addPower() sequence (commitStep, replay).
+    // Record the per-rail watts: a capturing step's commit record
+    // turns them into the energy a replayed step adds.
     plan_.railWatts[power::railIndex(power::Rail::VCore)] = v_core;
     plan_.railWatts[power::railIndex(power::Rail::VGfx)] = v_gfx;
     plan_.railWatts[power::railIndex(power::Rail::VSA)] = v_sa;
     plan_.railWatts[power::railIndex(power::Rail::VIO)] = v_io;
     plan_.railWatts[power::railIndex(power::Rail::VDDQ)] = vddq_power;
     plan_.stepPower = total;
-
-    return total;
 }
 
 Soc::RunAccumulators
@@ -993,6 +1059,11 @@ Soc::loadState(SnapshotReader &r)
     r.push("vio_reg");
     vioReg_.loadState(r);
     r.pop();
+
+    // The commit record is derived state. The children this Soc owns
+    // restore after it, so re-deriving here would read their stale
+    // state: the first replay re-derives it instead.
+    record_.stale = true;
 
     r.push("csr");
     for (const std::string &n : csr_.names())

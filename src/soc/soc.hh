@@ -19,6 +19,7 @@
 
 #include <array>
 #include <memory>
+#include <vector>
 
 #include "compute/cpu.hh"
 #include "compute/cstates.hh"
@@ -366,6 +367,82 @@ class Soc : public SimObject
         /** @} */
     };
 
+    /**
+     * The bookkeeping the commit half does on the Soc itself: the QoS
+     * count, the LLC and counter observables, the EWMA terms and the
+     * run-accumulator addends of one step. Each term is associated
+     * exactly as the slow step writes it, so applying a recorded
+     * value adds the identical bits.
+     */
+    struct StepAccounting
+    {
+        bool qosViolation = false;
+
+        /** @name Llc::recordInterval / PerfCounterBlock::accumulate. @{ */
+        double cpuMisses = 0.0;
+        double gfxMisses = 0.0;
+        double stallCycles = 0.0;
+        double cpuOccupancy = 0.0;
+        double ioRpq = 0.0;
+        /** @} */
+
+        /** @name EWMA terms. @{ */
+        double powerEwmaTermW = 0.0; //!< 0.02 * (stepPower - floor).
+        double bwEwmaTerm = 0.0;     //!< 0.02 * achievedTotal * dramFrac.
+        /** @} */
+
+        /** @name Run-accumulator addends. @{ */
+        double secs = 0.0;
+        double memLatIntegral = 0.0;   //!< latency * secs * dramFrac.
+        double memActiveSeconds = 0.0; //!< secs * dramFrac.
+        double bwIntegral = 0.0;       //!< achievedTotal * dramFrac * secs.
+        double coreFreqIntegral = 0.0; //!< frequency * secs.
+        bool lowPoint = false;         //!< Below the top point.
+        /** @} */
+    };
+
+    /**
+     * Every side effect of a plan's capturing slow step, so a replayed
+     * step applies them instead of re-running the fabric, memory,
+     * retire and render evaluations on inputs the fingerprint already
+     * proved identical. Filled only by slow steps that capture a
+     * valid plan. Derived state, never snapshotted: loadState() marks
+     * it stale (Soc restores before its children), and the first
+     * replay after a restore re-derives it from the restored plan and
+     * component state.
+     */
+    struct CommitRecord
+    {
+        bool stale = true; //!< Re-derive before the next replay.
+
+        /** @name Memory-active steps only (dramFrac > 1e-9). @{ */
+        bool memActive = false;
+        interconnect::FabricResult fabric;
+        mem::MemServiceCommit mc; //!< Over the MC's own active ticks.
+        /** @} */
+
+        /** Per-thread retire results; sized once at construction. */
+        std::vector<compute::CoreResult> threads;
+        std::size_t retired = 0; //!< Leading entries of threads used.
+        bool rendered = false;
+        compute::GfxResult gfx;
+
+        /** addEnergy() operands: the captured watts times the step. @{ */
+        std::array<Joule, power::kNumRails> railJoules{};
+        Joule floorJoules = 0.0;
+        /** @} */
+
+        StepAccounting accounting;
+    };
+
+    /** What commitStep() does with the evaluations it computes. */
+    enum class CommitMode
+    {
+        Apply,   //!< Commit them (a slow step that captures nothing).
+        Capture, //!< Commit and record them (a capturing slow step).
+        Derive,  //!< Only record them (re-derivation after restore).
+    };
+
     void step();
 
     /** Residency-stat and trace-counter bookkeeping for @p op. */
@@ -375,18 +452,33 @@ class Soc : public SimObject
     bool planValidAt(Tick t) const;
 
     /**
-     * The commit half of a step, shared verbatim between the slow
-     * path and the replay fast path: memory/fabric service, retire,
-     * counter and power integration, EWMAs, and run accumulators —
-     * all driven from plan_. @p replay selects the cached rail watts
-     * over a fresh integratePower() pass, which takes the slow step's
-     * @p active_threads and @p avg_activity (replay passes 0, 0.0).
-     * Force-inlined: both call sites are per-step hot paths, and the
-     * compile-time-constant @p replay folds the branchy halves away.
+     * The commit half of a step, driven from plan_: fabric and memory
+     * service, retire and render, counter and power integration,
+     * EWMAs, and run accumulators. Each call is evaluated, then
+     * committed and/or recorded into record_ as @p kMode says. The
+     * slow step passes its @p active_threads and @p avg_activity for
+     * integratePower(); Derive takes the plan's rail watts instead.
+     * Force-inlined: the Apply and Capture instances are per-step
+     * hot paths, and the compile-time mode folds the branches away.
      */
-    [[gnu::always_inline]] void commitStep(Tick interval, bool replay,
+    template <CommitMode kMode>
+    [[gnu::always_inline]] void commitStep(Tick interval,
                                            std::size_t active_threads,
                                            double avg_activity);
+
+    /**
+     * A replayed step's commit half: apply record_'s side effects in
+     * the slow step's order, so every accumulator sees the identical
+     * sequence of additions.
+     */
+    [[gnu::always_inline]] void applyCommit(Tick interval);
+
+    /** Apply @p a to the Soc's own stats, EWMAs and accumulators. */
+    [[gnu::always_inline]] void
+    applyAccounting(const StepAccounting &a, Tick interval);
+
+    /** Rail-power trace counters of the step (change-filtered). */
+    [[gnu::always_inline]] void traceRailPower(Watt step_power);
 
     /** Fast path: replay + batch grid steps, then reschedule. */
     void replaySteps(Tick interval);
@@ -395,11 +487,12 @@ class Soc : public SimObject
                              double avg_activity);
 
     /**
-     * Integrate rail power for the step; returns total watts.
+     * Integrate rail power for the step into the meter, recording
+     * the watts in plan_.railWatts and plan_.stepPower.
      * @p active_threads and @p activity are the step's busy-thread
      * count and their mean activity, as step() computed them.
      */
-    Watt integratePower(const IntervalDemand &demand,
+    void integratePower(const IntervalDemand &demand,
                         std::size_t active_threads, double activity,
                         double mc_util, double fabric_util,
                         Watt dram_power, Tick interval);
@@ -439,6 +532,7 @@ class Soc : public SimObject
     double missScale_ = 1.0;
 
     StepPlan plan_;
+    CommitRecord record_;
 
     /** Capture-backoff cap: skip at most 2^max - 1 steps. */
     static constexpr std::uint8_t kPlanBackoffMax = 6;

@@ -397,6 +397,108 @@ TEST(LeakageCache, LlcRestoreKeepsMemoConsistent)
               bits(refLlcPower(t.min().voltage, 0.2)));
 }
 
+// ---------------------------------------------------------------------
+// Evaluate/commit split. A replayed step commits a recorded evaluation
+// instead of calling retire()/render() again, so N commits of one
+// evaluation must leave every stat bitwise where N calls leave it.
+// N = 1 is the slow path's split itself.
+// ---------------------------------------------------------------------
+
+/** Every stat under @p sim's root, doubles as bit patterns. */
+std::string
+statBits(Simulator &sim)
+{
+    SnapshotWriter w("0000000000000000", 0);
+    sim.statsRoot().saveStats(w);
+    return w.str();
+}
+
+TEST(RetireSplit, NCommitsOfOneEvaluationEqualNRetireCalls)
+{
+    CoreWork compute_bound;
+    compute_bound.cpiBase = 0.8;
+    compute_bound.mpki = 0.5;
+    CoreWork streaming;
+    streaming.cpiBase = 0.6;
+    streaming.mpki = 30.0;
+    streaming.blockingFactor = 0.35;
+    streaming.bytesPerInstr = 40.0;
+
+    for (const CoreWork &w : {compute_bound, streaming}) {
+        for (const double grant : {1.0, 0.37}) {
+            for (const int n : {1, 5}) {
+                SCOPED_TRACE("mpki " + std::to_string(w.mpki) +
+                             " grant " + std::to_string(grant) +
+                             " n " + std::to_string(n));
+                Simulator sa, sb;
+                CpuCluster a(sa, nullptr, 2, 2, coreTable());
+                CpuCluster b(sb, nullptr, 2, 2, coreTable());
+                a.setPState(power::PState{2.0 * kGHz, 0.87, 1.0});
+                b.setPState(power::PState{2.0 * kGHz, 0.87, 1.0});
+                const Tick exec = 61 * kTicksPerUs + 13;
+
+                CoreResult ra;
+                for (int i = 0; i < n; ++i)
+                    ra = a.retire(w, 93.5, grant, exec);
+                const CoreResult rb =
+                    b.evaluateRetire(w, 93.5, grant, exec);
+                for (int i = 0; i < n; ++i)
+                    b.commitRetire(rb);
+
+                EXPECT_EQ(bits(ra.instructions), bits(rb.instructions));
+                EXPECT_EQ(bits(ra.ipc), bits(rb.ipc));
+                EXPECT_EQ(bits(ra.stallCycles), bits(rb.stallCycles));
+                EXPECT_EQ(ra.bandwidthLimited, rb.bandwidthLimited);
+                EXPECT_EQ(statBits(sa), statBits(sb));
+            }
+        }
+    }
+}
+
+TEST(RenderSplit, NCommitsOfOneEvaluationEqualNRenderCalls)
+{
+    const GfxWork shader_bound{15e6, 100e6, 0.0, 0.8};
+    const GfxWork vsync{5e6, 40e6, 60.0, 0.8};
+    for (const GfxWork &w : {shader_bound, vsync}) {
+        for (const BytesPerSec bw : {20e9, 3e9}) {
+            for (const int n : {1, 5}) {
+                SCOPED_TRACE("cycles " + std::to_string(w.cyclesPerFrame) +
+                             " bw " + std::to_string(bw) + " n " +
+                             std::to_string(n));
+                Simulator sa, sb;
+                GfxEngine a(sa, nullptr, gfxTable());
+                GfxEngine b(sb, nullptr, gfxTable());
+                a.setPState(power::PState{0.9 * kGHz, 0.92, 1.0});
+                b.setPState(power::PState{0.9 * kGHz, 0.92, 1.0});
+                const Tick exec = 61 * kTicksPerUs + 13;
+
+                GfxResult ra;
+                for (int i = 0; i < n; ++i)
+                    ra = a.render(w, bw, exec);
+                const GfxResult rb = b.evaluateRender(w, bw, exec);
+                for (int i = 0; i < n; ++i)
+                    b.commitRender(rb);
+
+                EXPECT_EQ(bits(ra.fps), bits(rb.fps));
+                EXPECT_EQ(bits(ra.frames), bits(rb.frames));
+                EXPECT_EQ(ra.bandwidthLimited, rb.bandwidthLimited);
+                EXPECT_EQ(statBits(sa), statBits(sb));
+            }
+        }
+    }
+}
+
+TEST(RenderSplit, IdleWorkEvaluatesToNothingAndCountsNothing)
+{
+    Simulator sim;
+    GfxEngine gfx(sim, nullptr, gfxTable());
+    const std::string before = statBits(sim);
+    const GfxResult r = gfx.render(GfxWork{}, 20e9, kTicksPerMs);
+    EXPECT_EQ(r.frames, 0.0);
+    EXPECT_EQ(r.fps, 0.0);
+    EXPECT_EQ(statBits(sim), before);
+}
+
 TEST(CStates, ResidencyMustSumToOne)
 {
     std::array<double, kNumCStates> bad{};

@@ -149,7 +149,8 @@ TEST(DramDevice, TrafficWhileParkedPanics)
     Simulator sim;
     DramDevice dev(sim, nullptr, lpddr3Spec());
     dev.enterSelfRefresh();
-    EXPECT_DEATH(dev.accountTraffic(64.0, 0.0, kTicksPerUs, 1.0), "");
+    EXPECT_DEATH(dev.activePower(64.0, 0.0, kTicksPerUs, 1.0), "");
+    EXPECT_DEATH(dev.commitTraffic(64.0, 0.0, 1.0, kTicksPerUs), "");
 }
 
 class DramBinSweep : public ::testing::TestWithParam<std::size_t>

@@ -141,6 +141,61 @@ TEST(FabricLeakageCache, RestoreRefreshesLeakage)
     }
 }
 
+/** Every stat under @p sim's root, doubles as bit patterns. */
+std::string
+statBits(Simulator &sim)
+{
+    SnapshotWriter w("0000000000000000", 0);
+    sim.statsRoot().saveStats(w);
+    return w.str();
+}
+
+TEST(FabricSplit, NCommitsOfOneEvaluationEqualNServiceCalls)
+{
+    // service() is evaluate() then commit(), and a replayed step
+    // commits one evaluation many times: both must leave every stat,
+    // the saved state and the result bitwise where N service() calls
+    // leave them. N = 1 is the slow path's split itself.
+    const interconnect::FabricDemand demands[] = {
+        {0.0, 0.0},   // idle link
+        {2e9, 1e9},   // light
+        {10e9, 8e9},  // best effort squeezed
+        {20e9, 3e9},  // isochronous over the 12.8 GB/s link
+    };
+    for (const interconnect::FabricDemand &d : demands) {
+        for (const int n : {1, 5}) {
+            SCOPED_TRACE("iso " + std::to_string(d.isochronous) +
+                         " n " + std::to_string(n));
+            Simulator sa, sb;
+            interconnect::IoFabric a(sa, nullptr, 0.4 * kGHz, 0.64);
+            interconnect::IoFabric b(sb, nullptr, 0.4 * kGHz, 0.64);
+
+            interconnect::FabricResult ra;
+            for (int i = 0; i < n; ++i)
+                ra = a.service(d, 37 * kTicksPerUs + 1);
+            const interconnect::FabricResult rb = b.evaluate(d);
+            for (int i = 0; i < n; ++i)
+                b.commit(rb, 37 * kTicksPerUs + 1);
+
+            EXPECT_EQ(bits(ra.achievedIso), bits(rb.achievedIso));
+            EXPECT_EQ(bits(ra.achievedBestEffort),
+                      bits(rb.achievedBestEffort));
+            EXPECT_EQ(bits(ra.utilization), bits(rb.utilization));
+            EXPECT_EQ(bits(ra.latencyNs), bits(rb.latencyNs));
+            EXPECT_EQ(bits(ra.readPendingOccupancy),
+                      bits(rb.readPendingOccupancy));
+            EXPECT_EQ(ra.qosViolation, rb.qosViolation);
+            EXPECT_EQ(statBits(sa), statBits(sb));
+
+            SnapshotWriter wa("0000000000000000", 0);
+            SnapshotWriter wb("0000000000000000", 0);
+            a.saveState(wa);
+            b.saveState(wb);
+            EXPECT_EQ(wa.str(), wb.str());
+        }
+    }
+}
+
 TEST(Csr, DefineReadWriteReset)
 {
     io::CsrSpace csr;

@@ -501,6 +501,86 @@ TEST(LeakageCache, ControllerRestoreRefreshesBothRails)
     }
 }
 
+/** Every stat under @p sim's root, doubles as bit patterns. */
+std::string
+statBits(Simulator &sim)
+{
+    SnapshotWriter w("0000000000000000", 0);
+    sim.statsRoot().saveStats(w);
+    return w.str();
+}
+
+TEST(ControllerSplit, NCommitsOfOneEvaluationEqualNServiceCalls)
+{
+    // service() is evaluate() then commit(), and a replayed step
+    // commits one evaluation many times: both must leave every MC and
+    // DRAM stat, the saved state and the result bitwise where N
+    // service() calls leave them. N = 1 is the slow path's split
+    // itself. The odd interval stands in for a step's DRAM-active
+    // share, which the MC serves over its own tick count.
+    MemDemand light;
+    light.cpuRead = 1e9;
+    light.cpuWrite = 4e8;
+    light.ioIso = 5e8;
+    MemDemand squeezed;
+    squeezed.cpuRead = 20e9;
+    squeezed.cpuWrite = 8e9;
+    squeezed.gfx = 6e9;
+    squeezed.ioIso = 3e9;
+    squeezed.ioBestEffort = 2e9;
+    MemDemand qos;
+    qos.ioIso = 40e9;
+    qos.cpuRead = 1e9;
+
+    for (const dram::DramSpec &spec :
+         {dram::lpddr3Spec(), dram::ddr4Spec()}) {
+        for (std::size_t bin = 0; bin < spec.numBins(); ++bin) {
+            for (const MemDemand &d : {MemDemand{}, light, squeezed, qos}) {
+                for (const int n : {1, 5}) {
+                    SCOPED_TRACE(spec.name() + " bin " +
+                                 std::to_string(bin) + " total " +
+                                 std::to_string(d.total()) + " n " +
+                                 std::to_string(n));
+                    McRig a(spec);
+                    McRig b(spec);
+                    a.program(a.mrc.optimizedSet(bin));
+                    b.program(b.mrc.optimizedSet(bin));
+                    const Tick interval = 46 * kTicksPerUs + 237;
+
+                    MemServiceResult ra;
+                    for (int i = 0; i < n; ++i)
+                        ra = a.mc.service(d, interval);
+                    const MemServiceCommit cb =
+                        b.mc.evaluate(d, interval);
+                    for (int i = 0; i < n; ++i)
+                        b.mc.commit(cb);
+                    const MemServiceResult &rb = cb.result;
+
+                    EXPECT_EQ(cb.interval, interval);
+                    EXPECT_EQ(bits(ra.achievedCpuRead),
+                              bits(rb.achievedCpuRead));
+                    EXPECT_EQ(bits(ra.achievedCpuWrite),
+                              bits(rb.achievedCpuWrite));
+                    EXPECT_EQ(bits(ra.achievedGfx), bits(rb.achievedGfx));
+                    EXPECT_EQ(bits(ra.achievedIso), bits(rb.achievedIso));
+                    EXPECT_EQ(bits(ra.achievedBestEffort),
+                              bits(rb.achievedBestEffort));
+                    EXPECT_EQ(bits(ra.utilization), bits(rb.utilization));
+                    EXPECT_EQ(bits(ra.loadedLatencyNs),
+                              bits(rb.loadedLatencyNs));
+                    EXPECT_EQ(bits(ra.readPendingOccupancy),
+                              bits(rb.readPendingOccupancy));
+                    EXPECT_EQ(ra.qosViolation, rb.qosViolation);
+                    EXPECT_EQ(bits(a.mc.lastDramPower()),
+                              bits(b.mc.lastDramPower()));
+                    EXPECT_EQ(statBits(a.sim), statBits(b.sim));
+                    EXPECT_EQ(a.save(), b.save());
+                }
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace mem
 } // namespace sysscale

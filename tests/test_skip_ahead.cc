@@ -11,6 +11,8 @@
  * profiles are 60-90% idle) plus a mid-idle ScenarioScript mutation,
  * and assert the fast path really ran (replayedStepCount() > 0) so a
  * regression that silently disables it cannot pass as "equivalent".
+ * Reports round their figures, so the battery also compares the bit
+ * pattern of every stat in an end-of-run snapshot.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,6 +38,7 @@
 #include "workloads/battery.hh"
 #include "workloads/profile.hh"
 #include "workloads/scenario.hh"
+#include "workloads/spec.hh"
 
 using namespace sysscale;
 
@@ -163,22 +167,87 @@ replayedFromDump(const std::string &dump)
 }
 
 /**
- * The replayed_steps scalar out of a snapshot text — stats doubles
- * are serialized as 16-hex bit patterns under
- * "stats...replayed_steps.value". -1 when absent.
+ * The "stats.*" lines of a snapshot text, key -> 16-hex bit pattern:
+ * every stat in the hierarchy, compared bit for bit.
  */
-double
-replayedFromSnapshot(const std::string &text)
+std::map<std::string, std::string>
+statLines(const std::string &text)
 {
-    const std::string needle = ".replayed_steps.value = ";
+    std::map<std::string, std::string> out;
+    std::istringstream is(text);
+    std::string line;
+    while (std::getline(is, line)) {
+        const std::size_t eq = line.find(" = ");
+        if (line.compare(0, 6, "stats.") == 0 && eq != std::string::npos)
+            out[line.substr(0, eq)] = line.substr(eq + 3);
+    }
+    return out;
+}
+
+/** The value of @p key in a snapshot text ("" when absent). */
+std::string
+snapshotField(const std::string &text, const std::string &key)
+{
+    const std::string needle = "\n" + key + " = ";
     const std::size_t at = text.find(needle);
     if (at == std::string::npos)
-        return -1.0;
-    const std::uint64_t u = std::strtoull(
-        text.c_str() + at + needle.size(), nullptr, 16);
+        return "";
+    const std::size_t from = at + needle.size();
+    return text.substr(from, text.find('\n', from) - from);
+}
+
+/** The double a snapshot text stores as @p key's bit pattern. */
+double
+statValue(const std::string &text, const std::string &key)
+{
+    const std::uint64_t u =
+        std::strtoull(snapshotField(text, key).c_str(), nullptr, 16);
     double d = 0.0;
     std::memcpy(&d, &u, sizeof(d));
     return d;
+}
+
+/** Run @p opts' slice of @p spec and return the snapshot it wrote. */
+std::string
+sliceSnapshot(const exp::ExperimentSpec &spec, exp::SliceOptions opts,
+              const std::string &path)
+{
+    opts.outSnap = path;
+    const exp::RunResult r = exp::runCellSlice(spec, opts);
+    EXPECT_TRUE(r.ok) << r.error;
+    return readSnapshotFile(path);
+}
+
+/** Key-by-key comparison, so a failure names the diverging stat. */
+void
+expectSameStats(const std::map<std::string, std::string> &a,
+                const std::map<std::string, std::string> &b,
+                const std::string &what)
+{
+    EXPECT_EQ(a.size(), b.size()) << what;
+    for (const auto &[key, value] : a) {
+        const auto it = b.find(key);
+        if (it == b.end()) {
+            ADD_FAILURE() << what << ": " << key << " missing";
+            continue;
+        }
+        EXPECT_EQ(value, it->second) << what << ": " << key;
+    }
+}
+
+/** One cell of @p w under @p scenario (sysscale, camera when asked). */
+exp::ExperimentSpec
+scenarioCell(const workloads::WorkloadProfile &w,
+             const std::string &scenario, Tick window)
+{
+    exp::ExperimentSpec spec;
+    spec.id = w.name() + "/" + scenario;
+    spec.workload = w;
+    spec.scenario = workloads::scenarioByName(scenario);
+    spec.governor = "sysscale";
+    spec.warmup = 50 * kTicksPerMs;
+    spec.window = window;
+    return spec;
 }
 
 } // anonymous namespace
@@ -369,7 +438,8 @@ TEST(SkipAhead, RestoreThenReplayReengagesFastPath)
     first.outSnap = snap;
     ASSERT_TRUE(exp::runCellSlice(spec, first).ok);
 
-    const double atSave = replayedFromSnapshot(readSnapshotFile(snap));
+    const double atSave = statValue(readSnapshotFile(snap),
+                                    "stats.soc.replayed_steps.value");
     EXPECT_GT(atSave, 0.0)
         << "checkpoint must land after replay engaged";
 
@@ -386,4 +456,112 @@ TEST(SkipAhead, RestoreThenReplayReengagesFastPath)
     const exp::RunResult a = exp::runCell(spec);
     ASSERT_TRUE(a.ok) << a.error;
     EXPECT_EQ(replayedFromDump(a.statsDump), atEnd);
+}
+
+TEST(SkipAhead, EveryStatBitIdenticalAcrossModes)
+{
+    // Reports print rounded figures, so a replay that accounts DRAM
+    // traffic over the wrong interval can leave every CSV/JSON byte
+    // alone. This compares the bit pattern of every stat in an
+    // end-of-run snapshot instead: only soc.replayed_steps may
+    // differ. Fig. 9 cells, a videoconf cell (camera, a mid-run layer
+    // and two TDP steps), an app-switch cell (the demand stream
+    // handed between apps at 1 s) and a SPEC cell.
+    std::vector<exp::ExperimentSpec> cells = fig9Cells();
+    cells.push_back(scenarioCell(workloads::webBrowsing(), "videoconf",
+                                 900 * kTicksPerMs));
+    cells.push_back(scenarioCell(workloads::videoPlayback(),
+                                 "app-switch", 1150 * kTicksPerMs));
+    exp::ExperimentSpec spec_cell;
+    spec_cell.id = "416.gamess/sysscale";
+    spec_cell.workload = workloads::specBenchmark("416.gamess");
+    spec_cell.governor = "sysscale";
+    spec_cell.warmup = 50 * kTicksPerMs;
+    spec_cell.window = 300 * kTicksPerMs;
+    cells.push_back(spec_cell);
+
+    const TempDir dir("stat-bits");
+    const std::string replayed = "stats.soc.replayed_steps.value";
+    for (const exp::ExperimentSpec &spec : cells) {
+        std::map<std::string, std::string> on, off;
+        {
+            SkipAheadGuard guard(true);
+            on = statLines(sliceSnapshot(spec, {}, dir.path() + "/on"));
+        }
+        {
+            SkipAheadGuard guard(false);
+            off = statLines(sliceSnapshot(spec, {}, dir.path() + "/off"));
+        }
+        ASSERT_EQ(on.count(replayed), 1u) << spec.id;
+        // The premise: the fast path ran in every cell compared.
+        EXPECT_NE(on[replayed], off[replayed]) << spec.id;
+        on.erase(replayed);
+        off.erase(replayed);
+        expectSameStats(on, off, spec.id);
+    }
+}
+
+TEST(SkipAhead, RestoreIntoReplayRederivesTheCommitRecord)
+{
+    // The commit record a replay applies is not snapshotted. Cut the
+    // cell on the step right after a plan capture, so the first step
+    // after the restore replays from a record re-derived out of the
+    // restored plan, and compare every stat bit of the end-of-run
+    // snapshot against the run-through.
+    SkipAheadGuard guard(true);
+    const exp::ExperimentSpec spec = fig9Cells()[1]; // web-browsing
+    const Tick total = spec.warmup + spec.window;
+    const Tick step = spec.soc.stepInterval;
+    const TempDir dir("restore-record");
+
+    // Find the cut: the last step before it captured a valid plan
+    // (and nothing replayed since), and the next step replays. Slow
+    // steps are rare in this cell, so each is found by bisecting the
+    // slow-step count (steps - replayed) over the step grid.
+    const std::string probe_path = dir.path() + "/probe";
+    auto probeAt = [&](Tick t) {
+        exp::SliceOptions probe;
+        probe.t1 = t;
+        return sliceSnapshot(spec, probe, probe_path);
+    };
+    auto slowSteps = [](const std::string &text) {
+        return statValue(text, "stats.soc.steps.value") -
+               statValue(text, "stats.soc.replayed_steps.value");
+    };
+    Tick cut = 0;
+    Tick from = spec.warmup + 37; // off the step grid
+    double slow_from = slowSteps(probeAt(from));
+    while (cut == 0 && from + 2 * step < total) {
+        // The first grid tick after `from` with one more slow step.
+        Tick lo = from, hi = from + (total - from - step) / step * step;
+        if (slowSteps(probeAt(hi)) == slow_from)
+            break;
+        while (hi - lo > step) {
+            const Tick mid = lo + (hi - lo) / step / 2 * step;
+            (slowSteps(probeAt(mid)) == slow_from ? lo : hi) = mid;
+        }
+        const std::string at = probeAt(hi);
+        if (snapshotField(at, "objects.soc.plan_just_captured") == "1" &&
+            snapshotField(at, "objects.soc.plan.valid") == "1" &&
+            slowSteps(probeAt(hi + step)) == slowSteps(at)) {
+            cut = hi;
+        }
+        from = hi;
+        slow_from = slowSteps(at);
+    }
+    ASSERT_NE(cut, 0u) << "no capture followed by a replay";
+
+    const std::map<std::string, std::string> through =
+        statLines(sliceSnapshot(spec, {}, dir.path() + "/through"));
+
+    exp::SliceOptions first;
+    first.t1 = cut;
+    sliceSnapshot(spec, first, dir.path() + "/cut");
+    exp::SliceOptions second;
+    second.t0 = cut;
+    second.inSnap = dir.path() + "/cut";
+    const std::map<std::string, std::string> resumed =
+        statLines(sliceSnapshot(spec, second, dir.path() + "/resumed"));
+
+    expectSameStats(through, resumed, "restored at " + std::to_string(cut));
 }
