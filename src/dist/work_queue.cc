@@ -5,10 +5,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -24,15 +22,18 @@ namespace dist {
 namespace {
 
 constexpr std::size_t kKeyLen = 16; //!< specKey() hex digits.
-constexpr const char *kFailureHeader = "sysscale-dist-failure v1";
+/** Header of a failure marker (failed/<key>). */
+constexpr const char *kFailureHeader = "sysscale-dist-failure v2";
 
 /**
- * Header of a pending slice entry. The framing (base key, slicing
- * period, slice index) precedes the cell's own serialized spec; the
- * spec codec's version guard covers the payload, this header the
- * frame — bump it if the frame's shape changes.
+ * Header of a pending slice entry: base key, slicing period, slice
+ * index and the cell's own serialized spec. The spec codec's version
+ * guard covers the spec, this header the record around it.
  */
-constexpr const char *kSliceHeader = "sysscale-slice v1";
+constexpr const char *kSliceHeader = "sysscale-slice v2";
+
+/** Header of a worker metrics file (metrics/<worker>.metrics). */
+constexpr const char *kMetricsHeader = "sysscale-metrics v1";
 
 bool
 isHexKey(const std::string &s)
@@ -58,81 +59,30 @@ splitClaimName(const std::string &name, std::string &key,
     return isHexKey(key) && !worker.empty();
 }
 
-/** Decoded frame of a pending slice entry (see enqueueSlice). */
-struct SliceFrame
+/**
+ * Decode a pending file into @p out's spec and slice fields: a slice
+ * record (enqueueSlice) or a bare serialized spec (enqueue). Throws
+ * on anything that does not decode.
+ */
+void
+decodeEntry(const std::string &text, Claim &out)
 {
-    std::string baseKey;
-    Tick step = 0;
-    std::uint64_t index = 0;
-    std::string specText;
-};
-
-/** Build the pending-file document of one slice entry. */
-std::string
-formatSliceFrame(const std::string &baseKey, Tick step,
-                 std::uint64_t index, const std::string &specText)
-{
-    std::string doc = std::string(kSliceHeader) + "\n";
-    doc += "base = " + baseKey + "\n";
-    doc += "step = " + std::to_string(step) + "\n";
-    doc += "index = " + std::to_string(index) + "\n";
-    doc += "---\n";
-    doc += specText;
-    return doc;
-}
-
-/** Inverse of formatSliceFrame; false (with reason) on garbage. */
-bool
-parseSliceFrame(const std::string &text, SliceFrame &out,
-                std::string &reason)
-{
-    std::istringstream is(text);
-    std::string line;
-    if (!std::getline(is, line) || line != kSliceHeader) {
-        reason = "bad slice header";
-        return false;
+    // Any slice header, stale versions included, takes the record
+    // path so a stale entry fails loudly as one.
+    if (text.rfind("sysscale-slice v", 0) != 0) {
+        out.spec = exp::parseSpec(text);
+        return;
     }
-    if (!std::getline(is, line) || line.rfind("base = ", 0) != 0 ||
-        !isHexKey(line.substr(7))) {
-        reason = "bad slice base key";
-        return false;
-    }
-    out.baseKey = line.substr(7);
-    if (!std::getline(is, line) || line.rfind("step = ", 0) != 0) {
-        reason = "bad slice step";
-        return false;
-    }
-    out.step = std::strtoull(line.c_str() + 7, nullptr, 10);
-    if (!std::getline(is, line) || line.rfind("index = ", 0) != 0) {
-        reason = "bad slice index";
-        return false;
-    }
-    out.index = std::strtoull(line.c_str() + 8, nullptr, 10);
-    if (!std::getline(is, line) || line != "---") {
-        reason = "bad slice separator";
-        return false;
-    }
-    std::ostringstream rest;
-    rest << is.rdbuf();
-    out.specText = rest.str();
-    if (out.step == 0) {
-        reason = "zero slice step";
-        return false;
-    }
-    return true;
-}
-
-/** Whole-file read; false when the file cannot be opened. */
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return false;
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    out = buf.str();
-    return true;
+    SnapshotReader r(text, kSliceHeader);
+    out.isSlice = true;
+    out.baseKey = r.getString("base");
+    out.step = r.getU64("step");
+    out.index = r.getU64("index");
+    out.spec = exp::parseSpec(r.getString("spec"));
+    r.finish();
+    out.total = out.spec.warmup + out.spec.window;
+    out.t0 = out.index * out.step;
+    out.t1 = std::min(out.t0 + out.step, out.total);
 }
 
 /** @p ref minus @p path's mtime, in (possibly negative) seconds. */
@@ -192,7 +142,7 @@ WorkQueue::failedPath(const std::string &key) const
 std::string
 WorkQueue::metricsPath(const std::string &workerId) const
 {
-    return dir_ + "/metrics/" + workerId + ".json";
+    return dir_ + "/metrics/" + workerId + ".metrics";
 }
 
 void
@@ -226,12 +176,20 @@ WorkQueue::quarantine(const std::string &path,
 std::string
 WorkQueue::enqueue(const exp::ExperimentSpec &spec)
 {
-    const std::string text = exp::serializeSpec(spec);
     const std::string key = exp::specKey(spec);
+    return publishEntry(key, key, exp::serializeSpec(spec));
+}
 
+std::string
+WorkQueue::publishEntry(const std::string &key, const std::string &cellKey,
+                        const std::string &text)
+{
+    // The entry already pending or claimed — or its cell already
+    // failed — is a skip, which is what makes the crash-recovery
+    // "enqueue successor, then release" order safe to replay.
     std::error_code ec;
     bool present = fs::exists(pendingPath(key), ec) ||
-                   fs::exists(failedPath(key), ec);
+                   fs::exists(failedPath(cellKey), ec);
     if (!present) {
         for (const auto &entry : fs::directory_iterator(
                  fs::path(dir_) / "claimed", ec)) {
@@ -246,30 +204,7 @@ WorkQueue::enqueue(const exp::ExperimentSpec &spec)
         ++counters_.skipped;
         return key;
     }
-
-    const std::string tmp = dir_ + "/tmp/" + key + "." +
-                            std::to_string(::getpid()) + "." +
-                            std::to_string(tmpSerial_++);
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            throw std::runtime_error("WorkQueue: cannot write \"" +
-                                     tmp + "\"");
-        }
-        os << text;
-        if (!os.flush()) {
-            os.close();
-            fs::remove(tmp, ec);
-            throw std::runtime_error("WorkQueue: cannot write \"" +
-                                     tmp + "\"");
-        }
-    }
-    fs::rename(tmp, pendingPath(key), ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        throw std::runtime_error("WorkQueue: cannot enqueue \"" +
-                                 key + "\"");
-    }
+    writeSnapshotFile(pendingPath(key), text, dir_ + "/tmp");
     ++counters_.enqueued;
     return key;
 }
@@ -320,57 +255,13 @@ WorkQueue::enqueueSlice(const exp::ExperimentSpec &spec, Tick step,
             " past the end of the chain");
     }
     const std::string baseKey = exp::specKey(spec);
-    const std::string key = sliceKeyFor(baseKey, step, index);
-
-    // Same idempotence as enqueue(): the slice already pending or
-    // claimed — or the whole cell already failed — is a skip, which
-    // is what makes the crash-recovery "enqueue successor, then
-    // release" order safe to replay.
-    std::error_code ec;
-    bool present = fs::exists(pendingPath(key), ec) ||
-                   fs::exists(failedPath(baseKey), ec);
-    if (!present) {
-        for (const auto &entry : fs::directory_iterator(
-                 fs::path(dir_) / "claimed", ec)) {
-            if (entry.path().filename().string().rfind(key + ".",
-                                                       0) == 0) {
-                present = true;
-                break;
-            }
-        }
-    }
-    if (present) {
-        ++counters_.skipped;
-        return key;
-    }
-
-    const std::string doc = formatSliceFrame(
-        baseKey, step, index, exp::serializeSpec(spec));
-    const std::string tmp = dir_ + "/tmp/" + key + "." +
-                            std::to_string(::getpid()) + "." +
-                            std::to_string(tmpSerial_++);
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            throw std::runtime_error("WorkQueue: cannot write \"" +
-                                     tmp + "\"");
-        }
-        os << doc;
-        if (!os.flush()) {
-            os.close();
-            fs::remove(tmp, ec);
-            throw std::runtime_error("WorkQueue: cannot write \"" +
-                                     tmp + "\"");
-        }
-    }
-    fs::rename(tmp, pendingPath(key), ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        throw std::runtime_error("WorkQueue: cannot enqueue \"" +
-                                 key + "\"");
-    }
-    ++counters_.enqueued;
-    return key;
+    SnapshotWriter w(kSliceHeader);
+    w.putString("base", baseKey);
+    w.putU64("step", step);
+    w.putU64("index", index);
+    w.putString("spec", exp::serializeSpec(spec));
+    return publishEntry(sliceKeyFor(baseKey, step, index), baseKey,
+                        w.str());
 }
 
 bool
@@ -401,70 +292,39 @@ WorkQueue::tryClaim(const std::string &workerId, Claim &out)
             continue;
         }
 
-        // The rename is ours. A file that does not parse back into
+        // The rename is ours. A file that does not decode back into
         // the entry it is named for must never be simulated — move it
         // aside loudly and keep scanning; the dispatcher re-enqueues
         // the cell from its own copy of the spec.
-        std::string text;
-        bool ok = readFile(claimed, text);
-        exp::ExperimentSpec spec;
-        SliceFrame frame;
-        const bool isSlice =
-            ok && text.rfind(kSliceHeader, 0) == 0;
-        std::string reason = "unreadable";
-        if (ok && isSlice) {
-            ok = parseSliceFrame(text, frame, reason);
-            if (ok) {
-                try {
-                    spec = exp::parseSpec(frame.specText);
-                    if (exp::specKey(spec) != frame.baseKey) {
-                        ok = false;
-                        reason = "slice base key mismatch";
-                    } else if (sliceKeyFor(frame.baseKey, frame.step,
-                                           frame.index) != key) {
-                        ok = false;
-                        reason = "slice key mismatch";
-                    } else if (frame.index >=
-                               sliceCount(spec, frame.step)) {
-                        ok = false;
-                        reason = "slice index past the chain";
-                    }
-                } catch (const std::exception &e) {
-                    ok = false;
-                    reason = e.what();
-                }
-            }
-        } else if (ok) {
-            try {
-                spec = exp::parseSpec(text);
-                if (exp::specKey(spec) != key) {
-                    ok = false;
+        Claim claim;
+        claim.key = key;
+        claim.workerId = workerId;
+        std::string reason;
+        try {
+            decodeEntry(readSnapshotFile(claimed), claim);
+            if (!claim.isSlice) {
+                if (exp::specKey(claim.spec) != key)
                     reason = "content key mismatch";
-                }
-            } catch (const std::exception &e) {
-                ok = false;
-                reason = e.what();
+            } else if (claim.step == 0) {
+                reason = "zero slice step";
+            } else if (exp::specKey(claim.spec) != claim.baseKey) {
+                reason = "slice base key mismatch";
+            } else if (sliceKeyFor(claim.baseKey, claim.step,
+                                   claim.index) != key) {
+                reason = "slice key mismatch";
+            } else if (claim.index >=
+                       sliceCount(claim.spec, claim.step)) {
+                reason = "slice index past the chain";
             }
+        } catch (const std::exception &e) {
+            reason = *e.what() ? e.what() : "undecodable";
         }
-        if (!ok) {
+        if (!reason.empty()) {
             quarantine(claimed, reason);
             fs::remove(leasePath(key, workerId), ec);
             continue;
         }
-
-        out = Claim{};
-        out.key = key;
-        out.workerId = workerId;
-        out.spec = std::move(spec);
-        if (isSlice) {
-            out.isSlice = true;
-            out.baseKey = frame.baseKey;
-            out.step = frame.step;
-            out.index = frame.index;
-            out.total = out.spec.warmup + out.spec.window;
-            out.t0 = frame.index * frame.step;
-            out.t1 = std::min(out.t0 + frame.step, out.total);
-        }
+        out = std::move(claim);
         ++counters_.claims;
         return true;
     }
@@ -509,50 +369,37 @@ WorkQueue::fail(const Claim &claim, const exp::RunResult &res)
         if (c == '\n' || c == '\r')
             c = ' ';
     }
-    std::string doc = std::string(kFailureHeader) + "\n";
-    doc += "governor = " + res.governor + "\n";
-    doc += "host_seconds = " + exp::formatDouble(res.hostSeconds) +
-           "\n";
-    doc += "error = " + error + "\n";
 
     // A failed slice fails its *cell*: the marker carries the base
     // key the dispatcher is watching, and the rest of the chain is
     // simply never enqueued.
     const std::string cellKey =
         claim.isSlice ? claim.baseKey : claim.key;
-
-    const std::string tmp = dir_ + "/tmp/" + claim.key + ".fail." +
-                            std::to_string(::getpid()) + "." +
-                            std::to_string(tmpSerial_++);
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (os)
-            os << doc;
-    }
-    fs::rename(tmp, failedPath(cellKey), ec);
-    if (ec)
-        fs::remove(tmp, ec);
-    else
+    SnapshotWriter w(kFailureHeader);
+    w.putString("key", cellKey);
+    w.putString("governor", res.governor);
+    w.putDouble("host_seconds", res.hostSeconds);
+    w.putString("error", error);
+    try {
+        writeSnapshotFile(failedPath(cellKey), w.str(), dir_ + "/tmp");
         ++counters_.failures;
+    } catch (const SnapshotError &) {
+        // No marker: the dispatcher re-enqueues the cell.
+    }
+
     // Keep the serialized spec next to the marker: retryFailed()
     // can then put the cell back on the queue without needing a
     // dispatcher's copy of the grid. A slice's claimed file is the
-    // framed chain entry, not a plain spec — rewrite the spec from
-    // the decoded claim instead so a retry re-runs the whole cell.
+    // chain record, not a plain spec — write the spec from the
+    // decoded claim instead so a retry re-runs the whole cell.
     if (claim.isSlice) {
-        const std::string spec_tmp =
-            dir_ + "/tmp/" + claim.key + ".spec." +
-            std::to_string(::getpid()) + "." +
-            std::to_string(tmpSerial_++);
-        {
-            std::ofstream os(spec_tmp,
-                             std::ios::binary | std::ios::trunc);
-            if (os)
-                os << exp::serializeSpec(claim.spec);
+        try {
+            writeSnapshotFile(failedPath(cellKey) + ".spec",
+                              exp::serializeSpec(claim.spec),
+                              dir_ + "/tmp");
+        } catch (const SnapshotError &) {
+            // A retry then waits for the next dispatch instead.
         }
-        fs::rename(spec_tmp, failedPath(cellKey) + ".spec", ec);
-        if (ec)
-            fs::remove(spec_tmp, ec);
         fs::remove(claimedPath(claim.key, claim.workerId), ec);
     } else {
         fs::rename(claimedPath(claim.key, claim.workerId),
@@ -579,26 +426,21 @@ WorkQueue::failedResult(const std::string &key, std::string &governor,
                         std::string &error,
                         double &hostSeconds) const
 {
-    std::string text;
-    if (!readFile(failedPath(key), text))
+    // Absent, torn, stale or foreign markers are treated as absent;
+    // the cell re-runs.
+    try {
+        SnapshotReader r(readSnapshotFile(failedPath(key)),
+                         kFailureHeader);
+        if (r.getString("key") != key)
+            return false;
+        governor = r.getString("governor");
+        hostSeconds = r.getDouble("host_seconds");
+        error = r.getString("error");
+        r.finish();
+        return true;
+    } catch (const SnapshotError &) {
         return false;
-    std::istringstream is(text);
-    std::string line;
-    if (!std::getline(is, line) || line != kFailureHeader)
-        return false; // Treated as absent; the cell will re-run.
-    governor.clear();
-    error.clear();
-    hostSeconds = 0.0;
-    while (std::getline(is, line)) {
-        if (line.rfind("governor = ", 0) == 0) {
-            governor = line.substr(11);
-        } else if (line.rfind("host_seconds = ", 0) == 0) {
-            hostSeconds = std::strtod(line.c_str() + 15, nullptr);
-        } else if (line.rfind("error = ", 0) == 0) {
-            error = line.substr(8);
-        }
     }
-    return true;
 }
 
 void
@@ -809,19 +651,18 @@ WorkQueue::listCells() const
     // claim path owns that) or otherwise perturb the campaign.
     auto decodeId = [&](const std::string &path) -> std::string {
         std::string text;
-        if (!readFile(path, text))
-            return std::string(); // Vanished mid-scan: skip signal.
         try {
-            if (text.rfind(kSliceHeader, 0) == 0) {
-                SliceFrame frame;
-                std::string reason;
-                if (!parseSliceFrame(text, frame, reason))
-                    return "(unparsable)";
-                return exp::parseSpec(frame.specText).id +
-                       " [slice " + std::to_string(frame.index) +
-                       "]";
-            }
-            return exp::parseSpec(text).id;
+            text = readSnapshotFile(path);
+        } catch (const SnapshotError &) {
+            return std::string(); // Vanished mid-scan: skip signal.
+        }
+        try {
+            Claim entry;
+            decodeEntry(text, entry);
+            if (entry.isSlice)
+                return entry.spec.id + " [slice " +
+                       std::to_string(entry.index) + "]";
+            return entry.spec.id;
         } catch (const std::exception &) {
             return "(unparsable)";
         }
@@ -897,70 +738,23 @@ WorkQueue::listCells() const
     return cells;
 }
 
-namespace {
-
-/**
- * Value of a `"key": value` member in a metrics file (one member
- * per line; quotes stripped). False when absent.
- */
-bool
-metricsField(const std::string &text, const std::string &key,
-             std::string &out)
-{
-    const std::string needle = "\"" + key + "\":";
-    const auto pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    auto v = text.find_first_not_of(" \t", pos + needle.size());
-    if (v == std::string::npos)
-        return false;
-    auto end = text.find_first_of(",\n}", v);
-    if (end == std::string::npos)
-        end = text.size();
-    out = text.substr(v, end - v);
-    if (out.size() >= 2 && out.front() == '"' && out.back() == '"')
-        out = out.substr(1, out.size() - 2);
-    return true;
-}
-
-} // anonymous namespace
-
 void
 WorkQueue::publishMetrics(const WorkerMetrics &m)
 {
-    std::string doc = "{\n";
-    doc += "  \"worker\": \"" + m.workerId + "\",\n";
-    doc += "  \"claimed\": " + std::to_string(m.claimed) + ",\n";
-    doc +=
-        "  \"simulated\": " + std::to_string(m.simulated) + ",\n";
-    doc +=
-        "  \"cacheHits\": " + std::to_string(m.cacheHits) + ",\n";
-    doc += "  \"failures\": " + std::to_string(m.failures) + ",\n";
-    doc += "  \"simSeconds\": " + exp::formatDouble(m.simSeconds) +
-           ",\n";
-    doc += "  \"wallSeconds\": " +
-           exp::formatDouble(m.wallSeconds) + "\n";
-    doc += "}\n";
-
-    std::error_code ec;
-    const std::string tmp = dir_ + "/tmp/" + m.workerId +
-                            ".metrics." +
-                            std::to_string(::getpid()) + "." +
-                            std::to_string(tmpSerial_++);
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            return; // Telemetry never fails a cell.
-        os << doc;
-        if (!os.flush()) {
-            os.close();
-            fs::remove(tmp, ec);
-            return;
-        }
+    SnapshotWriter w(kMetricsHeader);
+    w.putString("worker", m.workerId);
+    w.putU64("claimed", m.claimed);
+    w.putU64("simulated", m.simulated);
+    w.putU64("cache_hits", m.cacheHits);
+    w.putU64("failures", m.failures);
+    w.putDouble("sim_seconds", m.simSeconds);
+    w.putDouble("wall_seconds", m.wallSeconds);
+    try {
+        writeSnapshotFile(metricsPath(m.workerId), w.str(),
+                          dir_ + "/tmp");
+    } catch (const SnapshotError &) {
+        // Telemetry never fails a cell.
     }
-    fs::rename(tmp, metricsPath(m.workerId), ec);
-    if (ec)
-        fs::remove(tmp, ec);
 }
 
 std::vector<WorkerMetrics>
@@ -972,32 +766,27 @@ WorkQueue::workerMetrics() const
     for (const auto &entry :
          fs::directory_iterator(fs::path(dir_) / "metrics", ec)) {
         const fs::path p = entry.path();
-        if (p.extension() != ".json")
+        if (p.extension() != ".metrics")
             continue;
-        std::string text;
-        if (!readFile(p.string(), text))
-            continue; // Vanished mid-scan.
         WorkerMetrics m;
-        std::string v;
-        // Publishes are atomic renames, so a file without the
-        // "worker" member is not torn — it is garbage; skip it.
-        if (!metricsField(text, "worker", v))
-            continue;
-        // The file name is the identity (publishMetrics names it);
-        // the embedded field is diagnostic.
-        m.workerId = p.stem().string();
-        if (metricsField(text, "claimed", v))
-            m.claimed = std::strtoul(v.c_str(), nullptr, 10);
-        if (metricsField(text, "simulated", v))
-            m.simulated = std::strtoul(v.c_str(), nullptr, 10);
-        if (metricsField(text, "cacheHits", v))
-            m.cacheHits = std::strtoul(v.c_str(), nullptr, 10);
-        if (metricsField(text, "failures", v))
-            m.failures = std::strtoul(v.c_str(), nullptr, 10);
-        if (metricsField(text, "simSeconds", v))
-            m.simSeconds = std::strtod(v.c_str(), nullptr);
-        if (metricsField(text, "wallSeconds", v))
-            m.wallSeconds = std::strtod(v.c_str(), nullptr);
+        try {
+            SnapshotReader r(readSnapshotFile(p.string()),
+                             kMetricsHeader);
+            // The file name is the identity publishMetrics gave it;
+            // a record filed under another worker's name is garbage.
+            m.workerId = r.getString("worker");
+            if (m.workerId != p.stem().string())
+                continue;
+            m.claimed = r.getU64("claimed");
+            m.simulated = r.getU64("simulated");
+            m.cacheHits = r.getU64("cache_hits");
+            m.failures = r.getU64("failures");
+            m.simSeconds = r.getDouble("sim_seconds");
+            m.wallSeconds = r.getDouble("wall_seconds");
+            r.finish();
+        } catch (const SnapshotError &) {
+            continue; // Vanished mid-scan, torn, stale or garbage.
+        }
         std::error_code age_ec;
         m.ageSeconds = ageAgainst(ref, p, age_ec);
         if (age_ec)

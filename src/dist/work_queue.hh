@@ -11,6 +11,7 @@
  *     <queue>/failed/<key>              published error rows
  *     <queue>/failed/<key>.spec         retained specs (retry-failed)
  *     <queue>/snaps/<key>.t<tick>.snap  checkpoint-chain snapshots
+ *     <queue>/metrics/<worker>.metrics  worker telemetry
  *     <queue>/corrupt/                  quarantined unreadable files
  *     <queue>/tmp/                      staging for atomic writes
  *                                       + the lease-staleness probe
@@ -19,6 +20,9 @@
  * docs/EXPERIMENTS.md), named by its content key (exp::specKey), so
  * the queue inherits the cache's identity rules: duplicate cells
  * collapse to one file and renaming/relabeling never re-enqueues.
+ * Slice entries, failure markers and metrics files are records of
+ * the snapshot codec (sim/snapshot.hh), and every file is published
+ * through writeSnapshotFile, staged under tmp/.
  *
  * Claiming is one atomic rename(pending -> claimed): exactly one
  * worker wins a cell, with no coordination beyond the filesystem.
@@ -139,8 +143,9 @@ struct QueueStatus
 
 /**
  * One worker's self-published campaign telemetry. Workers rewrite
- * their own metrics file (metrics/<workerId>.json, atomic staged
- * rename) after every completed cell; observers read the whole
+ * their own metrics file (metrics/<workerId>.metrics, a
+ * `sysscale-metrics v1` record published by atomic staged rename)
+ * after every completed cell; observers read the whole
  * directory back with @ref WorkQueue::workerMetrics. Ages are
  * measured against the queue filesystem's probe clock, like lease
  * ages, so "last heartbeat" is meaningful across skewed machines.
@@ -290,7 +295,9 @@ class WorkQueue
     /**
      * Read the error row published for @p key, if any. Fills
      * @p governor / @p error / @p hostSeconds and returns true when
-     * a failure marker exists.
+     * a valid failure marker for @p key exists; a torn, stale or
+     * foreign marker reads as absent (the outputs are then
+     * unspecified).
      */
     bool failedResult(const std::string &key, std::string &governor,
                       std::string &error, double &hostSeconds) const;
@@ -361,7 +368,7 @@ class WorkQueue
 
     /**
      * Publish @p m as this worker's metrics file
-     * (metrics/<m.workerId>.json), staged under tmp/ and atomically
+     * (metrics/<m.workerId>.metrics), staged under tmp/ and atomically
      * renamed so observers never read a torn write. Best-effort: a
      * publish that cannot complete is dropped silently (telemetry
      * must never fail a cell).
@@ -371,7 +378,7 @@ class WorkQueue
     /**
      * Read back every published worker metrics file, sorted by
      * worker id, with @ref WorkerMetrics::ageSeconds filled from the
-     * probe clock. Unreadable or torn files are skipped.
+     * probe clock. Unreadable, stale, or foreign files are skipped.
      */
     std::vector<WorkerMetrics> workerMetrics() const;
 
@@ -431,6 +438,14 @@ class WorkQueue
     /** @} */
 
   private:
+    /**
+     * Publish @p text as pending entry @p key unless it is already
+     * pending or claimed, or cell @p cellKey already failed.
+     */
+    std::string publishEntry(const std::string &key,
+                             const std::string &cellKey,
+                             const std::string &text);
+
     void note(const std::string &event);
     bool quarantine(const std::string &path,
                     const std::string &reason);

@@ -2,25 +2,27 @@
  * @file
  * Content-addressed on-disk result cache.
  *
- * One file per cell, named <cache_dir>/<specKey(spec)>.json, holding
- * the full serialized spec (for auditability and hash-collision
- * detection) plus the RunResult JSON exactly as report.cc emits it.
- * Because the key covers everything the simulation depends on and
- * numbers are stored with round-trip precision, replaying a hit is
- * byte-identical to rerunning the cell — including the recorded
- * hostSeconds of the original execution.
+ * One file per cell, named <cache_dir>/<specKey(spec)>.entry: a
+ * `sysscale-cache v1` record (sim/snapshot.hh codec) holding the
+ * key, the spec's canonical text, and the RunResult fields a hit
+ * needs — governor, host_seconds, metrics, rail energies, counters
+ * and the stats dump. Doubles are stored bit-exact, so replaying a
+ * hit is byte-identical to rerunning the cell — including the
+ * recorded hostSeconds of the original execution.
  *
  * Rules:
  *  - only ok results are stored; error rows are never cached,
- *  - a corrupt, unparsable, or key-mismatched file is a miss (and is
- *    overwritten by the next store),
- *  - the id and labels of a hit are taken from the querying spec,
- *    not the stored one: cells that differ only in presentation
- *    share one entry.
+ *  - a hit byte-compares the stored canonical text against the
+ *    query's, so hash collisions and spec-format bumps are misses,
+ *  - a corrupt, truncated, stale, or mismatched file is a miss (and
+ *    is overwritten by the next store),
+ *  - the id, workload name and labels of a hit are taken from the
+ *    querying spec: cells that differ only in presentation share
+ *    one entry.
  *
- * Writes go through a temp file + atomic rename, so concurrent
- * workers (or concurrent sweeps sharing a directory) never expose a
- * partially written entry.
+ * Writes go through writeSnapshotFile (temp file + atomic rename),
+ * so concurrent workers (or concurrent sweeps sharing a directory)
+ * never expose a partially written entry.
  */
 
 #ifndef SYSSCALE_EXP_CACHE_HH
@@ -81,7 +83,6 @@ class ResultCache
     std::atomic<std::size_t> misses_{0};
     std::atomic<std::size_t> stores_{0};
     std::atomic<std::size_t> corrupt_{0};
-    std::atomic<std::size_t> tmpSerial_{0};
 };
 
 /**

@@ -13,10 +13,10 @@
  *             value re-reported every step costs one event per change.
  *
  * Instrumentation sites use the TRACE_* macros below, which compile
- * to a null/enabled check when tracing is off and to nothing at all
- * under -DSYSSCALE_NO_TRACING. Because macro arguments may therefore
- * never be evaluated, they must be side-effect free — enforced by the
- * `trace-side-effect` repo-invariant lint.
+ * to a null/enabled check when tracing is off. Because macro
+ * arguments may therefore never be evaluated, they must be
+ * side-effect free — enforced by the `trace-side-effect`
+ * repo-invariant lint.
  *
  * Categories are the registry check_docs.sh section 9 walks; every
  * kCat* constant must be documented in docs/OBSERVABILITY.md.
@@ -161,11 +161,9 @@ class TraceSink
 /**
  * Instrumentation macros. @p sink is an obs::TraceSink pointer and
  * may be null; arguments are evaluated only when the sink is present
- * and enabled (and never under -DSYSSCALE_NO_TRACING), so they must
- * be side-effect free (`trace-side-effect` lint).
+ * and enabled, so they must be side-effect free (`trace-side-effect`
+ * lint).
  */
-#ifndef SYSSCALE_NO_TRACING
-
 #define TRACE_ACTIVE(sink) ((sink) != nullptr && (sink)->enabled())
 
 #define TRACE_SPAN(sink, cat, name, begin, end, args)                  \
@@ -185,14 +183,5 @@ class TraceSink
         if (TRACE_ACTIVE(sink))                                        \
             (sink)->counter((cat), (name), (ts), (value));             \
     } while (0)
-
-#else // SYSSCALE_NO_TRACING
-
-#define TRACE_ACTIVE(sink) (false)
-#define TRACE_SPAN(sink, cat, name, begin, end, args) do { } while (0)
-#define TRACE_INSTANT(sink, cat, name, ts, args) do { } while (0)
-#define TRACE_COUNTER(sink, cat, name, ts, value) do { } while (0)
-
-#endif // SYSSCALE_NO_TRACING
 
 #endif // SYSSCALE_OBS_TRACE_HH

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -12,45 +13,37 @@ namespace sysscale {
 
 namespace {
 
-const char kMagic[] = "sysscale-snap v";
+// Both directions copy the runs between special characters in
+// bulk: stats dumps and spec texts are kilobytes of plain text.
 
 std::string
 escapeValue(const std::string &v)
 {
     std::string out;
-    out.reserve(v.size());
-    for (const char c : v) {
-        switch (c) {
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            out += c;
-        }
+    out.reserve(v.size() + v.size() / 16);
+    std::size_t i = 0;
+    std::size_t j;
+    while ((j = v.find_first_of("\\\n\r", i)) != std::string::npos) {
+        out.append(v, i, j - i);
+        out += v[j] == '\\' ? "\\\\" : v[j] == '\n' ? "\\n" : "\\r";
+        i = j + 1;
     }
+    out.append(v, i, std::string::npos);
     return out;
 }
 
 std::string
-unescapeValue(const std::string &v)
+unescapeValue(std::string_view v)
 {
     std::string out;
     out.reserve(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (v[i] != '\\') {
-            out += v[i];
-            continue;
-        }
-        if (i + 1 >= v.size())
+    std::size_t i = 0;
+    std::size_t j;
+    while ((j = v.find('\\', i)) != std::string_view::npos) {
+        out.append(v.substr(i, j - i));
+        if (j + 1 >= v.size())
             throw SnapshotError("dangling escape in string value");
-        ++i;
-        switch (v[i]) {
+        switch (v[j + 1]) {
           case '\\':
             out += '\\';
             break;
@@ -63,7 +56,9 @@ unescapeValue(const std::string &v)
           default:
             throw SnapshotError("unknown escape in string value");
         }
+        i = j + 2;
     }
+    out.append(v.substr(i));
     return out;
 }
 
@@ -77,11 +72,11 @@ hex16(std::uint64_t v)
 }
 
 std::uint64_t
-parseHex16(const std::string &text, const char *what)
+parseHex16(std::string_view text, const char *what)
 {
     if (text.size() != 16)
         throw SnapshotError(std::string(what) + " is not 16 hex digits: \"" +
-                            text + "\"");
+                            std::string(text) + "\"");
     std::uint64_t v = 0;
     for (const char c : text) {
         v <<= 4;
@@ -91,13 +86,14 @@ parseHex16(const std::string &text, const char *what)
             v |= static_cast<std::uint64_t>(c - 'a' + 10);
         else
             throw SnapshotError(std::string(what) +
-                                " has a non-hex digit: \"" + text + "\"");
+                                " has a non-hex digit: \"" +
+                                std::string(text) + "\"");
     }
     return v;
 }
 
 std::uint64_t
-parseU64(const std::string &text, const std::string &key)
+parseU64(std::string_view text, const std::string &key)
 {
     if (text.empty())
         throw SnapshotError("empty integer for key \"" + key + "\"");
@@ -105,11 +101,11 @@ parseU64(const std::string &text, const std::string &key)
     for (const char c : text) {
         if (c < '0' || c > '9')
             throw SnapshotError("non-decimal integer for key \"" + key +
-                                "\": \"" + text + "\"");
+                                "\": \"" + std::string(text) + "\"");
         const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
         if (v > (UINT64_MAX - digit) / 10)
             throw SnapshotError("integer overflow for key \"" + key +
-                                "\": \"" + text + "\"");
+                                "\": \"" + std::string(text) + "\"");
         v = v * 10 + digit;
     }
     return v;
@@ -138,7 +134,7 @@ encodeDouble(double v)
 }
 
 double
-decodeDouble(const std::string &text)
+decodeDouble(std::string_view text)
 {
     const std::uint64_t bits = parseHex16(text, "double");
     double v = 0.0;
@@ -146,9 +142,22 @@ decodeDouble(const std::string &text)
     return v;
 }
 
-SnapshotWriter::SnapshotWriter(std::string spec_key, Tick tick)
-    : specKey_(std::move(spec_key)), tick_(tick)
+std::string
+snapshotHeader()
 {
+    return "sysscale-snap v" + std::to_string(kSnapFormatVersion);
+}
+
+SnapshotWriter::SnapshotWriter(std::string header)
+    : header_(std::move(header))
+{
+}
+
+SnapshotWriter::SnapshotWriter(const std::string &spec_key, Tick tick)
+    : SnapshotWriter(snapshotHeader())
+{
+    putString("spec", spec_key);
+    putU64("tick", tick);
 }
 
 void
@@ -207,80 +216,88 @@ SnapshotWriter::putString(const std::string &key, const std::string &v)
 std::string
 SnapshotWriter::str() const
 {
-    std::string out = kMagic + std::to_string(kSnapFormatVersion) + "\n";
-    out += "spec = " + specKey_ + "\n";
-    out += "tick = " + std::to_string(tick_) + "\n";
+    std::string out;
+    out.reserve(header_.size() + body_.size() + 30);
+    out += header_;
+    out += '\n';
     out += body_;
     out += "checksum = " + hex16(snapshotFnv1a64(out)) + "\n";
     return out;
 }
 
-SnapshotReader::SnapshotReader(const std::string &text)
+SnapshotReader::SnapshotReader(std::string text, std::string_view header)
+    : text_(std::move(text))
 {
     // Validate the trailing checksum first: it covers every byte up
     // to its own line, so truncation and bit flips both fail here
     // before any value is interpreted.
-    const std::string marker = "checksum = ";
-    const std::size_t pos = text.rfind(marker);
-    if (pos == std::string::npos ||
-        (pos != 0 && text[pos - 1] != '\n')) {
+    const std::string_view all(text_);
+    const std::string_view marker = "checksum = ";
+    const std::size_t pos = all.rfind(marker);
+    if (pos == std::string_view::npos ||
+        (pos != 0 && all[pos - 1] != '\n')) {
         throw SnapshotError("snapshot has no checksum line");
     }
     const std::size_t value_at = pos + marker.size();
-    std::size_t end = text.find('\n', value_at);
-    if (end == std::string::npos)
-        end = text.size();
-    if (text.find('\n', end + 1) != std::string::npos)
+    std::size_t end = all.find('\n', value_at);
+    if (end == std::string_view::npos)
+        end = all.size();
+    if (all.find('\n', end + 1) != std::string_view::npos)
         throw SnapshotError("trailing data after snapshot checksum");
     const std::uint64_t want =
-        parseHex16(text.substr(value_at, end - value_at), "checksum");
-    const std::uint64_t got =
-        snapshotFnv1a64(std::string_view(text).substr(0, pos));
+        parseHex16(all.substr(value_at, end - value_at), "checksum");
+    const std::uint64_t got = snapshotFnv1a64(all.substr(0, pos));
     if (want != got) {
         throw SnapshotError("snapshot checksum mismatch (stored " +
                             hex16(want) + ", computed " + hex16(got) +
                             "): truncated or corrupted file");
     }
 
-    std::istringstream is(text.substr(0, pos));
-    std::string line;
-
-    if (!std::getline(is, line) ||
-        line.compare(0, sizeof(kMagic) - 1, kMagic) != 0) {
-        throw SnapshotError(
-            "not a sysscale snapshot (bad magic line)");
+    // The header names the record type and its version; the same
+    // type at another version is stale, anything else is foreign.
+    const std::string_view body = all.substr(0, pos);
+    std::size_t at = body.find('\n');
+    const std::string_view line = body.substr(0, at);
+    if (line != header) {
+        const std::size_t v = header.rfind(" v");
+        if (v != std::string_view::npos &&
+            line.substr(0, v + 2) == header.substr(0, v + 2)) {
+            throw SnapshotError(
+                "\"" + std::string(line) + "\" does not match this "
+                "build's \"" + std::string(header) +
+                "\"; stale records must be re-simulated");
+        }
+        throw SnapshotError("not a \"" + std::string(header) +
+                            "\" record (bad header line)");
     }
-    const std::string ver = line.substr(sizeof(kMagic) - 1);
-    if (ver != std::to_string(kSnapFormatVersion)) {
-        throw SnapshotError(
-            "snapshot format v" + ver + " does not match this build's v" +
-            std::to_string(kSnapFormatVersion) +
-            "; stale snapshots must be re-simulated");
-    }
 
+    // The body ends with the newline before the checksum line.
     std::size_t lineno = 1;
-    while (std::getline(is, line)) {
+    for (std::size_t begin = at + 1; begin < body.size(); begin = at + 1) {
+        at = body.find('\n', begin);
+        const std::string_view row = body.substr(begin, at - begin);
         ++lineno;
-        if (line.empty())
-            throw SnapshotError("empty snapshot line " +
-                                std::to_string(lineno));
-        const std::size_t sep = line.find(" = ");
-        if (sep == std::string::npos)
+        const std::size_t sep = row.find(" = ");
+        if (sep == std::string_view::npos)
             throw SnapshotError("malformed snapshot line " +
-                                std::to_string(lineno) + ": \"" + line +
-                                "\"");
-        const std::string key = line.substr(0, sep);
-        const std::string value = line.substr(sep + 3);
-        if (!values_.emplace(key, value).second)
-            throw SnapshotError("duplicate snapshot key \"" + key + "\"");
+                                std::to_string(lineno) + ": \"" +
+                                std::string(row) + "\"");
+        entries_.push_back({row.substr(0, sep), row.substr(sep + 3)});
     }
+    std::sort(entries_.begin(), entries_.end(),
+              [](const Entry &a, const Entry &b) { return a.key < b.key; });
+    for (std::size_t i = 1; i < entries_.size(); ++i) {
+        if (entries_[i].key == entries_[i - 1].key)
+            throw SnapshotError("duplicate snapshot key \"" +
+                                std::string(entries_[i].key) + "\"");
+    }
+}
 
-    if (values_.count("spec") == 0 || values_.count("tick") == 0)
-        throw SnapshotError("snapshot missing spec/tick header keys");
-    specKey_ = values_["spec"];
-    tick_ = parseU64(values_["tick"], "tick");
-    consumed_.insert("spec");
-    consumed_.insert("tick");
+SnapshotReader::SnapshotReader(std::string text)
+    : SnapshotReader(std::move(text), snapshotHeader())
+{
+    specKey_ = getString("spec");
+    tick_ = getU64("tick");
 }
 
 void
@@ -300,54 +317,61 @@ SnapshotReader::pop()
     prefixLens_.pop_back();
 }
 
-std::string
-SnapshotReader::full(const std::string &key) const
+std::size_t
+SnapshotReader::find(const std::string &key) const
 {
-    return prefix_ + key;
+    full_.assign(prefix_).append(key);
+    const auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), std::string_view(full_),
+        [](const Entry &e, std::string_view k) { return e.key < k; });
+    if (it == entries_.end() || it->key != full_)
+        return entries_.size();
+    return static_cast<std::size_t>(it - entries_.begin());
 }
 
 bool
 SnapshotReader::has(const std::string &key) const
 {
-    return values_.count(full(key)) != 0;
+    return find(key) != entries_.size();
 }
 
-const std::string &
+std::string_view
 SnapshotReader::consume(const std::string &key)
 {
-    const std::string f = full(key);
-    const auto it = values_.find(f);
-    if (it == values_.end())
-        throw SnapshotError("snapshot is missing key \"" + f + "\"");
-    consumed_.insert(f);
-    return it->second;
+    const std::size_t i = find(key);
+    if (i == entries_.size())
+        throw SnapshotError("snapshot is missing key \"" + full_ + "\"");
+    entries_[i].consumed = true;
+    return entries_[i].value;
 }
 
 std::uint64_t
 SnapshotReader::getU64(const std::string &key)
 {
-    return parseU64(consume(key), full(key));
+    const std::string_view v = consume(key);
+    return parseU64(v, full_);
 }
 
 bool
 SnapshotReader::getBool(const std::string &key)
 {
-    const std::string &v = consume(key);
+    const std::string_view v = consume(key);
     if (v == "1")
         return true;
     if (v == "0")
         return false;
-    throw SnapshotError("non-boolean value for key \"" + full(key) +
-                        "\": \"" + v + "\"");
+    throw SnapshotError("non-boolean value for key \"" + full_ +
+                        "\": \"" + std::string(v) + "\"");
 }
 
 double
 SnapshotReader::getDouble(const std::string &key)
 {
+    const std::string_view v = consume(key);
     try {
-        return decodeDouble(consume(key));
+        return decodeDouble(v);
     } catch (const SnapshotError &) {
-        throw SnapshotError("malformed double for key \"" + full(key) +
+        throw SnapshotError("malformed double for key \"" + full_ +
                             "\"");
     }
 }
@@ -362,43 +386,49 @@ void
 SnapshotReader::skipScope(const std::string &scope)
 {
     const std::string p = prefix_ + scope + ".";
-    for (auto it = values_.lower_bound(p);
-         it != values_.end() && it->first.compare(0, p.size(), p) == 0;
+    auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), std::string_view(p),
+        [](const Entry &e, std::string_view k) { return e.key < k; });
+    for (; it != entries_.end() && it->key.substr(0, p.size()) == p;
          ++it) {
-        consumed_.insert(it->first);
+        it->consumed = true;
     }
 }
 
 void
 SnapshotReader::finish() const
 {
-    for (const auto &kv : values_) {
-        if (consumed_.count(kv.first) == 0)
+    for (const Entry &e : entries_) {
+        if (!e.consumed)
             throw SnapshotError(
-                "snapshot key \"" + kv.first +
+                "snapshot key \"" + std::string(e.key) +
                 "\" was never consumed: field-set mismatch "
-                "(kSnapFormatVersion should have been bumped)");
+                "(the header's version should have been bumped)");
     }
 }
 
 void
-writeSnapshotFile(const std::string &path, const std::string &text)
+writeSnapshotFile(const std::string &path, const std::string &text,
+                  const std::string &stage_dir)
 {
     // lint:allow nondeterminism -- pid/serial only name the temp file
     static std::atomic<std::uint64_t> serial{0};
-    const std::string tmp = path + ".tmp." +
+    const std::string staged =
+        stage_dir.empty()
+            ? path
+            : stage_dir + "/" + path.substr(path.rfind('/') + 1);
+    const std::string tmp = staged + ".tmp." +
                             std::to_string(::getpid()) + "." +
                             std::to_string(serial.fetch_add(1));
     {
         std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            throw SnapshotError("cannot open \"" + tmp +
-                                "\" for writing");
-        os << text;
-        os.flush();
+        if (os) {
+            os << text;
+            os.close();
+        }
         if (!os) {
             std::remove(tmp.c_str());
-            throw SnapshotError("short write to \"" + tmp + "\"");
+            throw SnapshotError("cannot write \"" + tmp + "\"");
         }
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {

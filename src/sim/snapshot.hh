@@ -1,6 +1,7 @@
 /**
  * @file
- * Versioned, deterministic simulator snapshots.
+ * Versioned, deterministic simulator snapshots — and the one record
+ * codec every file the repo reads back shares.
  *
  * A snapshot is a line-oriented text image of the full simulator
  * state at one tick — every component's private state, the whole
@@ -11,19 +12,23 @@
  * never having stopped; `tests/test_snapshot.cc` pins that with a
  * randomized differential battery.
  *
- * Format (all text, one `key = value` pair per line):
+ * Record format (all text, one `key = value` pair per line):
  *
- *     sysscale-snap v<kSnapFormatVersion>
- *     spec = <16-hex spec key>
- *     tick = <decimal tick>
+ *     <name> v<version>
  *     <dotted.scoped.key> = <value>
  *     ...
  *     checksum = <16-hex FNV-1a of everything above>
  *
+ * A snapshot's header is `sysscale-snap v<kSnapFormatVersion>` and
+ * its first two keys are `spec` (16-hex spec key) and `tick`. The
+ * result cache, the work queue's slice entries and failure markers,
+ * and worker metrics are records with their own header lines (see
+ * docs/ARCHITECTURE.md, "On-disk formats").
+ *
  * Doubles are encoded as the 16-hex IEEE-754 bit pattern so round
  * trips are bit-exact (NaNs, infinities and signed zeros included).
  * The trailing checksum catches truncation and bit flips; the
- * version line is rejected loudly on mismatch, exactly like the spec
+ * header line is rejected loudly on mismatch, exactly like the spec
  * codec. Writers are strict about duplicate keys and readers are
  * strict about *unconsumed* keys, so a divergence bisects to a named
  * field instead of silently misaligning (`tools/snap_inspect` dumps
@@ -40,7 +45,6 @@
 #define SYSSCALE_SIM_SNAPSHOT_HH
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -78,16 +82,23 @@ std::uint64_t snapshotFnv1a64(std::string_view data);
 std::string encodeDouble(double v);
 
 /** Invert encodeDouble(). Throws SnapshotError on malformed input. */
-double decodeDouble(const std::string &text);
+double decodeDouble(std::string_view text);
+
+/** Header line of a simulator snapshot: "sysscale-snap v<N>". */
+std::string snapshotHeader();
 
 /**
- * Builds the snapshot text. Scopes nest via push()/pop() and turn
- * into dotted key prefixes; duplicate full keys throw.
+ * Builds a record's text. Scopes nest via push()/pop() and turn into
+ * dotted key prefixes; duplicate full keys throw.
  */
 class SnapshotWriter
 {
   public:
-    SnapshotWriter(std::string spec_key, Tick tick);
+    /** A record whose first line is @p header ("<name> v<N>"). */
+    explicit SnapshotWriter(std::string header);
+
+    /** A simulator snapshot: snapshotHeader(), then spec and tick. */
+    SnapshotWriter(const std::string &spec_key, Tick tick);
 
     /** Enter a key scope (becomes a dotted prefix). */
     void push(const std::string &scope);
@@ -99,14 +110,13 @@ class SnapshotWriter
     /** Strings are escaped (\\n, \\r, \\\\) so values stay one line. */
     void putString(const std::string &key, const std::string &v);
 
-    /** Full snapshot text: header + body + checksum line. */
+    /** Full record text: header + body + checksum line. */
     std::string str() const;
 
   private:
     void emit(const std::string &key, const std::string &value);
 
-    std::string specKey_;
-    Tick tick_;
+    std::string header_;
     std::string prefix_;
     std::vector<std::size_t> prefixLens_;
     std::set<std::string> seen_;
@@ -114,18 +124,26 @@ class SnapshotWriter
 };
 
 /**
- * Parses and fully validates a snapshot text up front (header,
- * version, checksum), then serves typed key lookups. Every get
- * consumes its key; finish() throws if any key was never consumed,
- * so adding a field without bumping the version cannot pass
+ * Parses and fully validates a record text up front (checksum, then
+ * header line), then serves typed key lookups. Every get consumes
+ * its key; finish() throws if any key was never consumed, so adding
+ * a field without bumping the header's version cannot pass
  * silently. skipScope() consumes a whole optional section (e.g. the
  * trace buffer when the restoring cell is not tracing).
  */
 class SnapshotReader
 {
   public:
-    explicit SnapshotReader(const std::string &text);
+    /** Validate @p text as a record whose header is @p header. */
+    SnapshotReader(std::string text, std::string_view header);
 
+    /** Validate @p text as a simulator snapshot; reads spec, tick. */
+    explicit SnapshotReader(std::string text);
+
+    SnapshotReader(const SnapshotReader &) = delete;
+    SnapshotReader &operator=(const SnapshotReader &) = delete;
+
+    /** Snapshots only: the spec key and tick of the header keys. */
     const std::string &specKey() const { return specKey_; }
     Tick tick() const { return tick_; }
 
@@ -146,26 +164,39 @@ class SnapshotReader
     void finish() const;
 
   private:
-    const std::string &consume(const std::string &key);
-    std::string full(const std::string &key) const;
+    /** One `key = value` line; views into text_. */
+    struct Entry
+    {
+        std::string_view key;
+        std::string_view value;
+        bool consumed = false;
+    };
 
+    /** Index of prefix_ + @p key in entries_; size() when absent. */
+    std::size_t find(const std::string &key) const;
+    std::string_view consume(const std::string &key);
+
+    std::string text_;
+    std::vector<Entry> entries_; //!< Sorted by key.
     std::string specKey_;
     Tick tick_ = 0;
     std::string prefix_;
     std::vector<std::size_t> prefixLens_;
-    std::map<std::string, std::string> values_;
-    std::set<std::string> consumed_;
+    mutable std::string full_; //!< Scratch: prefix_ + key.
 };
 
 /**
- * Write @p text to @p path via the repo's tmp + atomic-rename
- * protocol, so concurrent readers never observe a partial snapshot.
- * Throws SnapshotError on any IO failure.
+ * Publish @p text at @p path: stage it in @p stage_dir (next to
+ * @p path when empty), flush, then rename over @p path, so
+ * concurrent readers never observe a partial file. The staged file
+ * is removed on any failure. Throws SnapshotError on any IO failure.
+ * Every file the repo reads back is published through here.
  */
 void writeSnapshotFile(const std::string &path,
-                       const std::string &text);
+                       const std::string &text,
+                       const std::string &stage_dir = std::string());
 
-/** Read a whole snapshot file. Throws SnapshotError on IO failure. */
+/** Read a whole file. Throws SnapshotError on IO failure. */
 std::string readSnapshotFile(const std::string &path);
 
 } // namespace sysscale

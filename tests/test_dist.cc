@@ -37,6 +37,7 @@
 #include "exp/report.hh"
 #include "exp/runner.hh"
 #include "exp/spec_codec.hh"
+#include "tests/record_corruption.hh"
 #include "workloads/micro.hh"
 
 using namespace sysscale;
@@ -1243,4 +1244,120 @@ TEST(Slice, FailedSliceFailsItsCellLoudly)
               std::string::npos)
         << outcome.results[0].error;
     EXPECT_TRUE(outcome.results[1].ok);
+}
+
+/**
+ * The record battery (tests/record_corruption.hh) against a slice
+ * entry: every truncation, a flipped value byte, a stale header and
+ * another cell's spec under a valid checksum are quarantined, never
+ * claimed.
+ */
+TEST(Slice, CorruptionBatteryIsQuarantinedNeverClaimed)
+{
+    const TempDir dir("slice-battery");
+    dist::WorkQueue queue(dir.sub("q"));
+    const exp::ExperimentSpec spec = fastSpec("cell");
+    const Tick step = 5 * kTicksPerMs;
+    const std::string key = queue.enqueueSlice(spec, step, 1);
+    const std::string good = test::readText(queue.pendingPath(key));
+    std::filesystem::remove(queue.pendingPath(key));
+
+    auto cases = test::recordCorruptions(good, "index");
+    const exp::ExperimentSpec other = fastSpec("other", 9);
+    cases.emplace_back("foreign base key",
+                       test::replaceValue(good, "base",
+                                          exp::specKey(other)));
+    const std::string otherKey = queue.enqueueSlice(other, step, 1);
+    const std::string otherText = test::readText(queue.pendingPath(otherKey));
+    std::filesystem::remove(queue.pendingPath(otherKey));
+    cases.emplace_back("foreign entry", otherText);
+    cases.emplace_back("foreign spec",
+                       test::replaceValue(good, "spec",
+                                          test::rawValue(otherText,
+                                                         "spec")));
+    for (const auto &c : cases) {
+        test::writeText(queue.pendingPath(key), c.second);
+        dist::Claim claim;
+        EXPECT_FALSE(queue.tryClaim("w1", claim)) << c.first;
+    }
+    EXPECT_EQ(queue.counters().corrupt, cases.size());
+    EXPECT_TRUE(queue.scan().drained());
+
+    test::writeText(queue.pendingPath(key), good);
+    dist::Claim claim;
+    ASSERT_TRUE(queue.tryClaim("w1", claim));
+    EXPECT_EQ(claim.index, 1u);
+    EXPECT_EQ(claim.spec, spec);
+}
+
+/**
+ * The record battery against a failure marker: every corruption —
+ * and a marker filed under another cell's key — reads as absent,
+ * never as an error row with a wrong governor, error or timing.
+ */
+TEST(WorkQueue, FailureMarkerCorruptionBatteryReadsAsAbsent)
+{
+    const TempDir dir("failure-battery");
+    dist::WorkQueue queue(dir.sub("q"));
+    const std::string key = queue.enqueue(fastSpec("cell"));
+    dist::Claim claim;
+    ASSERT_TRUE(queue.tryClaim("w1", claim));
+    exp::RunResult res;
+    res.governor = "fixed";
+    res.error = "line one\nline two";
+    res.hostSeconds = 0.125;
+    queue.fail(claim, res);
+
+    std::string governor, error;
+    double hostSeconds = 0.0;
+    ASSERT_TRUE(queue.failedResult(key, governor, error, hostSeconds));
+    EXPECT_EQ(governor, "fixed");
+    EXPECT_EQ(error, "line one line two");
+    EXPECT_EQ(hostSeconds, 0.125);
+
+    const std::string good = test::readText(queue.failedPath(key));
+    auto cases = test::recordCorruptions(good, "error");
+    const std::string other = exp::specKey(fastSpec("other", 9));
+    cases.emplace_back("foreign key",
+                       test::replaceValue(good, "key", other));
+    for (const auto &c : cases) {
+        test::writeText(queue.failedPath(key), c.second);
+        EXPECT_FALSE(queue.failedResult(key, governor, error,
+                                        hostSeconds))
+            << c.first;
+    }
+    // A valid marker copied to another cell's slot is foreign too.
+    test::writeText(queue.failedPath(other), good);
+    EXPECT_FALSE(queue.failedResult(other, governor, error, hostSeconds));
+}
+
+/**
+ * The record battery against a worker metrics file: every
+ * corruption — including "claimed = 6" flipped to 7, and a record
+ * filed under another worker's name — is skipped, never a wrong row.
+ */
+TEST(WorkQueue, WorkerMetricsCorruptionBatteryIsSkipped)
+{
+    const TempDir dir("metrics-battery");
+    dist::WorkQueue queue(dir.sub("q"));
+    dist::WorkerMetrics m;
+    m.workerId = "host-1-p0";
+    m.claimed = 6;
+    m.simulated = 5;
+    m.simSeconds = 0.5;
+    m.wallSeconds = 2.0;
+    queue.publishMetrics(m);
+    const std::string path = queue.metricsPath(m.workerId);
+    const std::string good = test::readText(path);
+
+    for (const auto &c : test::recordCorruptions(good, "claimed")) {
+        test::writeText(path, c.second);
+        EXPECT_TRUE(queue.workerMetrics().empty()) << c.first;
+    }
+    test::writeText(path, good);
+    test::writeText(queue.metricsPath("host-2-p0"), good);
+    const std::vector<dist::WorkerMetrics> all = queue.workerMetrics();
+    ASSERT_EQ(all.size(), 1u);
+    EXPECT_EQ(all[0].workerId, "host-1-p0");
+    EXPECT_EQ(all[0].claimed, 6u);
 }

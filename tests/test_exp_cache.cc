@@ -12,7 +12,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "exp/report.hh"
 #include "exp/runner.hh"
 #include "exp/spec_codec.hh"
+#include "tests/record_corruption.hh"
 #include "workloads/micro.hh"
 
 using namespace sysscale;
@@ -158,12 +158,10 @@ TEST(ResultCache, CorruptFileIsAMissAndGetsRepaired)
     cache.store(spec, res);
 
     for (const char *garbage :
-         {"", "not json at all", "{\"format\": 1", "{}",
-          "{\"format\": 99, \"key\": \"x\"}"}) {
-        std::ofstream os(cache.pathFor(spec),
-                         std::ios::binary | std::ios::trunc);
-        os << garbage;
-        os.close();
+         {"", "not a record at all", "sysscale-cache v1\n",
+          "sysscale-cache v1\nkey = x\nchecksum = 0000000000000000\n",
+          "sysscale-cache v99\nkey = x\n"}) {
+        test::writeText(cache.pathFor(spec), garbage);
         exp::RunResult out;
         EXPECT_FALSE(cache.lookup(spec, out)) << garbage;
     }
@@ -183,13 +181,11 @@ TEST(ResultCache, EntryWithFatalSpecFieldIsAMissNotACrash)
     const exp::ExperimentSpec spec = fastSpec("fatal");
     cache.store(spec, exp::runCell(spec));
 
-    // Tamper with the embedded spec text: a zero-length phase is
-    // fatal in WorkloadProfile's constructor, so parseSpec must
-    // throw (-> miss) rather than reach it.
-    std::ifstream is(cache.pathFor(spec), std::ios::binary);
-    std::string doc((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
-    is.close();
+    // Tamper with the stored spec text, checksum re-stamped: a
+    // zero-length phase is fatal in WorkloadProfile's constructor,
+    // so the hit path must reject the entry by comparing canonical
+    // bytes, never by constructing the stored spec.
+    std::string doc = test::readText(cache.pathFor(spec));
     const std::string needle = "phase.0.duration = ";
     const std::size_t at = doc.find(needle);
     ASSERT_NE(at, std::string::npos);
@@ -197,10 +193,7 @@ TEST(ResultCache, EntryWithFatalSpecFieldIsAMissNotACrash)
     while (end < doc.size() && doc[end] >= '0' && doc[end] <= '9')
         ++end;
     doc.replace(at + needle.size(), end - (at + needle.size()), "0");
-    std::ofstream os(cache.pathFor(spec),
-                     std::ios::binary | std::ios::trunc);
-    os << doc;
-    os.close();
+    test::writeText(cache.pathFor(spec), test::restampRecord(doc));
 
     exp::RunResult out;
     EXPECT_FALSE(cache.lookup(spec, out));
@@ -214,24 +207,13 @@ TEST(ResultCache, TruncatedNumberTokenIsAMissNotAWrongHit)
     const exp::ExperimentSpec spec = fastSpec("badnumber");
     cache.store(spec, exp::runCell(spec));
 
-    // "qos_violations":0 -> 12.9: strtoull would stop at the '.'
-    // and serve 12; the reader must reject the token instead.
-    std::ifstream is(cache.pathFor(spec), std::ios::binary);
-    std::string doc((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
-    is.close();
-    const std::string needle = "\"qos_violations\":";
-    const std::size_t at = doc.find(needle);
-    ASSERT_NE(at, std::string::npos);
-    std::size_t end = at + needle.size();
-    while (end < doc.size() && doc[end] >= '0' && doc[end] <= '9')
-        ++end;
-    doc.replace(at + needle.size(), end - (at + needle.size()),
-                "12.9");
-    std::ofstream os(cache.pathFor(spec),
-                     std::ios::binary | std::ios::trunc);
-    os << doc;
-    os.close();
+    // qos_violations 0 -> 12.9 under a valid checksum: a prefix
+    // parse would stop at the '.' and serve 12; the reader must
+    // reject the token instead.
+    const std::string doc = test::readText(cache.pathFor(spec));
+    test::writeText(cache.pathFor(spec),
+                    test::replaceValue(doc, "metrics.qos_violations",
+                                       "12.9"));
 
     exp::RunResult out;
     EXPECT_FALSE(cache.lookup(spec, out));
@@ -318,9 +300,9 @@ TEST(ResultCache, InterruptedSweepResumesIncrementally)
 }
 
 /**
- * An entry written under the previous format version sitting at the
- * right path must degrade to a miss — never a wrong hit — and the
- * next store replaces it with a current entry. This is the
+ * An entry written under the previous spec format version sitting at
+ * the right path must degrade to a miss — never a wrong hit — and
+ * the next store replaces it with a current entry. This is the
  * versioning policy of docs/EXPERIMENTS.md exercised end to end.
  */
 TEST(ResultCache, StaleFormatEntryDegradesToAMiss)
@@ -331,28 +313,18 @@ TEST(ResultCache, StaleFormatEntryDegradesToAMiss)
     const exp::RunResult res = exp::runCell(spec);
     cache.store(spec, res);
 
-    // Rewrite the entry as a previous-version document: format field
-    // and embedded spec header both claim the old version (as a real
-    // pre-bump cache file would at this path).
+    // Rewrite the stored canonical text as a previous-version spec
+    // under a valid checksum (as a real pre-bump entry at this path
+    // would be): only the canonical byte compare can reject it.
     const std::string cur = std::to_string(exp::kSpecFormatVersion);
     const std::string old =
         std::to_string(exp::kSpecFormatVersion - 1);
-    std::ifstream is(cache.pathFor(spec), std::ios::binary);
-    std::string doc((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
-    is.close();
-    const std::string fmt_cur = "\"format\": " + cur;
-    const std::size_t fmt = doc.find(fmt_cur);
-    ASSERT_NE(fmt, std::string::npos);
-    doc.replace(fmt, fmt_cur.size(), "\"format\": " + old);
-    const std::string hdr_cur = "sysscale-spec v" + cur;
+    std::string doc = test::readText(cache.pathFor(spec));
+    const std::string hdr_cur = "spec = sysscale-spec v" + cur;
     const std::size_t hdr = doc.find(hdr_cur);
     ASSERT_NE(hdr, std::string::npos);
-    doc.replace(hdr, hdr_cur.size(), "sysscale-spec v" + old);
-    std::ofstream os(cache.pathFor(spec),
-                     std::ios::binary | std::ios::trunc);
-    os << doc;
-    os.close();
+    doc.replace(hdr, hdr_cur.size(), "spec = sysscale-spec v" + old);
+    test::writeText(cache.pathFor(spec), test::restampRecord(doc));
 
     exp::RunResult out;
     EXPECT_FALSE(cache.lookup(spec, out));
@@ -362,6 +334,44 @@ TEST(ResultCache, StaleFormatEntryDegradesToAMiss)
     cache.store(spec, res);
     EXPECT_TRUE(cache.lookup(spec, out));
     EXPECT_EQ(stableRow(out), stableRow(res));
+}
+
+/**
+ * The record battery (tests/record_corruption.hh) against a cache
+ * entry: every truncation, a flipped value byte, a stale container
+ * header and a foreign spec under a valid checksum are all misses,
+ * never a hit with a wrong value; the next store repairs the slot.
+ */
+TEST(ResultCache, CorruptionBatteryIsAlwaysAMiss)
+{
+    const CacheDir dir("battery");
+    exp::ResultCache cache(dir.path());
+    const exp::ExperimentSpec spec = fastSpec("battery");
+    const exp::RunResult res = exp::runCell(spec);
+    cache.store(spec, res);
+    const std::string good = test::readText(cache.pathFor(spec));
+
+    auto cases = test::recordCorruptions(good, "metrics.qos_violations");
+    // Another cell's entry re-keyed to this slot: the key matches,
+    // only the canonical byte compare can reject it.
+    const exp::ExperimentSpec other = fastSpec("other", 9);
+    cache.store(other, res);
+    cases.emplace_back(
+        "foreign spec",
+        test::replaceValue(test::readText(cache.pathFor(other)), "key",
+                           exp::specKey(spec)));
+    for (const auto &c : cases) {
+        test::writeText(cache.pathFor(spec), c.second);
+        exp::RunResult out;
+        EXPECT_FALSE(cache.lookup(spec, out)) << c.first;
+    }
+    EXPECT_EQ(cache.stats().corrupt, cases.size());
+    EXPECT_EQ(cache.stats().hits, 0u);
+
+    test::writeText(cache.pathFor(spec), good);
+    exp::RunResult out;
+    ASSERT_TRUE(cache.lookup(spec, out));
+    EXPECT_EQ(exp::csvRow(out), exp::csvRow(res));
 }
 
 /**

@@ -1,8 +1,9 @@
-// Clean fixture: deterministic, tmp-staged, scanned as if under
-// src/dist/ — must produce zero findings.
-#include <fstream>
+// Clean fixture: deterministic, published through the helper,
+// scanned as if under src/dist/ — must produce zero findings.
 #include <random>
 #include <string>
+
+#include "sim/snapshot.hh"
 
 unsigned seededDraw(unsigned seed)
 {
@@ -13,7 +14,6 @@ unsigned seededDraw(unsigned seed)
 void stagedWrite(const std::string &dir, const std::string &key,
                  const std::string &text)
 {
-    const std::string tmpPath = dir + "/tmp/" + key + ".0";
-    std::ofstream os(tmpPath, std::ios::binary | std::ios::trunc);
-    os << text;
+    sysscale::writeSnapshotFile(dir + "/pending/" + key, text,
+                                dir + "/tmp");
 }

@@ -1,8 +1,8 @@
 // Known-bad fixture for the trace-side-effect check: trace-macro
-// arguments that mutate state.  The macros compile out under
-// SYSSCALE_NO_TRACING and short-circuit when the sink is disabled,
-// so these side effects run in some builds and not others.  Virtual
-// path: src/soc/trace_side_effect.cc.
+// arguments that mutate state.  The macros short-circuit when no
+// sink is attached or the sink is disabled, so these side effects
+// run in traced runs and not in untraced ones.  Virtual path:
+// src/soc/trace_side_effect.cc.
 
 void
 Traced::step(obs::TraceSink *sink)

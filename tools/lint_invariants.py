@@ -20,11 +20,11 @@ nondeterminism
     wallClock fallback) carry explicit waivers.
 
 raw-queue-write
-    Inside the queue/cache layers (src/dist/, src/exp/cache.cc) every
-    std::ofstream must target a tmp-staged path (atomic tmp+rename
-    publication).  In-place rewrites whose only signal is the mtime
-    (lease heartbeats, the staleness probe) carry waivers at the
-    site.
+    Inside the queue/cache layers (src/dist/, src/exp/cache.cc) no
+    std::ofstream at all: every file is published through the one
+    tmp+rename helper, writeSnapshotFile (src/sim/snapshot.hh).  The
+    in-place rewrites whose only signal is the mtime (lease
+    heartbeats, the staleness probe) carry waivers at the site.
 
 unit-suffix
     Arithmetic-typed duration/power fields in src/ headers must name
@@ -47,10 +47,10 @@ trace-side-effect
     Arguments to the tracing macros (TRACE_SPAN / TRACE_INSTANT /
     TRACE_COUNTER, src/obs/trace.hh) must be pure expressions: no
     ``++``/``--``, no assignment, no compound assignment.  The macros
-    compile to nothing under SYSSCALE_NO_TRACING and short-circuit
-    when the sink is disabled, so a side effect in an argument runs
-    in some builds and not others — the exact heisenbug the
-    deterministic-trace contract exists to rule out.
+    short-circuit when no sink is attached or the sink is disabled,
+    so a side effect in an argument runs in traced runs and not in
+    untraced ones — the exact heisenbug the deterministic-trace
+    contract exists to rule out.
 
 spec-version-guard
     Diff mode only (--diff-base/--diff-file): a diff that touches
@@ -241,31 +241,26 @@ def check_nondeterminism(path, lines, findings):
                     "nondeterminism", path, i + 1, why))
 
 
-OFSTREAM_RE = re.compile(r"\bstd\s*::\s*ofstream\s+\w+\s*[({]"
-                         r"(?P<arg>[^,)}]*)")
+OFSTREAM_RE = re.compile(r"\bstd\s*::\s*ofstream\b")
 
 
 @check("raw-queue-write",
-       "queue/cache layers write through tmp+rename only (no raw "
-       "std::ofstream to a final path)")
+       "queue/cache layers publish through writeSnapshotFile only (no "
+       "std::ofstream outside the waived mtime-only writes)")
 def check_raw_queue_write(path, lines, findings):
     if not (path.startswith("src/dist/") or path == "src/exp/cache.cc"):
         return
     code = strip_comments(lines)
     for i, line in enumerate(code):
-        m = OFSTREAM_RE.search(line)
-        if not m:
-            continue
-        # A tmp-staged write names its staging path: the constructor
-        # argument references a 'tmp' variable/path component.
-        if re.search(r"tmp", m.group("arg"), re.IGNORECASE):
+        if not OFSTREAM_RE.search(line):
             continue
         if waived("raw-queue-write", lines, i, findings, path):
             continue
         findings.append(Finding(
             "raw-queue-write", path, i + 1,
-            "std::ofstream to a non-tmp path — publish via the "
-            "tmp+rename helper so readers never see a torn file"))
+            "std::ofstream in a queue/cache layer — publish via "
+            "writeSnapshotFile (the tmp+rename helper) so readers "
+            "never see a torn file"))
 
 
 ARITH_DECL_RE = re.compile(
@@ -428,11 +423,10 @@ def check_snap_version_guard(diff_text, findings):
         "is provably encoding-neutral")
 
 
-# The macro expansion guards every argument behind TRACE_ACTIVE (and
-# the whole call behind SYSSCALE_NO_TRACING), so argument evaluation
-# is conditional on the build and the sink state.  Any mutation in an
-# argument therefore changes simulation behavior when tracing is
-# toggled — flag ++/--, compound assignment, and bare assignment.
+# The macro expansion guards every argument behind TRACE_ACTIVE, so
+# argument evaluation is conditional on the sink state.  Any mutation
+# in an argument therefore changes simulation behavior when tracing
+# is toggled — flag ++/--, compound assignment, and bare assignment.
 TRACE_MACRO_RE = re.compile(
     r"\b(?:TRACE_SPAN|TRACE_INSTANT|TRACE_COUNTER)\s*\(")
 TRACE_SIDE_EFFECT_RE = re.compile(
@@ -530,7 +524,7 @@ FIXTURES = (
     ("nondeterminism.cc", "src/sim/nondeterminism.cc",
      "nondeterminism", 3),
     ("raw_queue_write.cc", "src/dist/raw_queue_write.cc",
-     "raw-queue-write", 1),
+     "raw-queue-write", 2),
     ("unit_suffix.hh", "src/soc/unit_suffix.hh", "unit-suffix", 2),
     ("governor_soc_mutation.cc", "src/core/governor_zoo.cc",
      "governor-soc-mutation", 3),
