@@ -42,86 +42,103 @@ runDistributed(const std::vector<exp::ExperimentSpec> &specs,
     };
 
     // Index the grid by content key: duplicate cells (differing only
-    // in id/labels) share one queue entry and one simulation but
-    // still fill one result row each.
-    std::map<std::string, std::vector<std::size_t>> byKey;
+    // in id/labels) share one chain and one simulation but still fill
+    // one result row each. A cell may ride the queue under its own
+    // key (the whole-cell link, which is also what retry-failed puts
+    // back) or, when sliced, under the keys of its chain's links.
+    struct Cell
+    {
+        std::vector<std::size_t> rows;
+        std::vector<std::string> keys;
+    };
+    std::map<std::string, Cell> cells;
     for (std::size_t i = 0; i < specs.size(); ++i)
-        byKey[exp::specKey(specs[i])].push_back(i);
+        cells[exp::specKey(specs[i])].rows.push_back(i);
+    for (auto &[key, cell] : cells) {
+        const std::uint64_t n = WorkQueue::sliceCount(
+            specs[cell.rows.front()], opts.sliceTicks);
+        cell.keys.push_back(key);
+        for (std::uint64_t i = 0; n > 1 && i < n; ++i) {
+            cell.keys.push_back(
+                WorkQueue::sliceKeyFor(key, opts.sliceTicks, i));
+        }
+    }
+
+    // Enqueue a cell's first unfinished link: right after the last
+    // published chain snapshot rather than link 0 — a crashed chain
+    // re-pays at most one link, never the prefix. A chain of one
+    // link is the whole cell. Returns whether a file was written.
+    auto enqueueCell = [&](const std::string &key, const Cell &cell) {
+        const exp::ExperimentSpec &spec = specs[cell.rows.front()];
+        const std::uint64_t n =
+            WorkQueue::sliceCount(spec, opts.sliceTicks);
+        std::uint64_t resume = n > 1 ? n - 1 : 0;
+        std::error_code ec;
+        while (resume > 0 &&
+               !std::filesystem::exists(
+                   queue.snapshotPath(key, resume * opts.sliceTicks),
+                   ec))
+            --resume;
+        const std::size_t before = queue.counters().enqueued;
+        queue.enqueue(spec, opts.sliceTicks, resume);
+        return queue.counters().enqueued != before;
+    };
+
+    // Resolve a cell the shared cache holds: fill its rows and sweep
+    // its queue leftovers — a re-enqueue race's pending file, or the
+    // claim of a worker that died between publishing and releasing
+    // (this campaign or a previous one) — so a finished sweep leaves
+    // an empty queue.
+    auto resolveFromCache = [&](const Cell &cell) {
+        const std::size_t first = cell.rows.front();
+        if (!cache.lookup(specs[first], out.results[first]))
+            return false;
+        for (const std::size_t i : cell.rows) {
+            if (i != first)
+                cache.lookup(specs[i], out.results[i]);
+            resolved[i] = 1;
+        }
+        for (const std::string &k : cell.keys)
+            queue.discardResolved(k);
+        return true;
+    };
+
+    // Resolve a failed cell from its failure marker as error rows.
+    auto resolveFromMarker = [&](const std::string &key,
+                                 const Cell &cell) {
+        std::string governor, error;
+        double hostSeconds = 0.0;
+        if (!queue.failedResult(key, governor, error, hostSeconds))
+            return false;
+        for (const std::size_t i : cell.rows) {
+            exp::RunResult &res = out.results[i];
+            res.id = specs[i].id;
+            res.governor = governor;
+            res.workload = specs[i].workload.name();
+            res.labels = specs[i].labels;
+            res.ok = false;
+            res.error = error;
+            res.hostSeconds = hostSeconds;
+            ++out.failedCells;
+            resolved[i] = 1;
+        }
+        return true;
+    };
 
     // Phase 1: resolve what the shared cache already has; enqueue
     // the rest. Stale failure markers from a previous campaign are
     // cleared first — like the single-process runner, every dispatch
-    // retries previously failed cells. The counters delta separates
-    // real writes from cells another campaign already queued.
-    // A cell rides the queue sliced when slicing is on and the cell
-    // is longer than one slice (a one-slice chain would only add
-    // snapshot overhead for nothing).
-    auto sliced = [&](const exp::ExperimentSpec &spec) {
-        return opts.sliceTicks > 0 &&
-               WorkQueue::sliceCount(spec, opts.sliceTicks) > 1;
-    };
-
-    // First queue entry of a lost sliced cell: resume right after
-    // the last published chain snapshot rather than from slice 0 —
-    // a crashed chain re-pays at most one slice, never the prefix.
-    auto enqueueChain = [&](const exp::ExperimentSpec &spec) {
-        const std::uint64_t n =
-            WorkQueue::sliceCount(spec, opts.sliceTicks);
-        const std::string base = exp::specKey(spec);
-        std::uint64_t resume = 0;
-        for (std::uint64_t i = n - 1; i > 0; --i) {
-            std::error_code ec;
-            if (std::filesystem::exists(
-                    queue.snapshotPath(base,
-                                       i * opts.sliceTicks),
-                    ec)) {
-                resume = i;
-                break;
-            }
-        }
-        queue.enqueueSlice(spec, opts.sliceTicks, resume);
-    };
-
-    // Sweep a resolved cell's queue leftovers — including, for a
-    // sliced cell, any entry of its chain.
-    auto discardCell = [&](const std::string &key,
-                           const exp::ExperimentSpec &spec) {
-        queue.discardResolved(key);
-        if (sliced(spec)) {
-            const std::uint64_t n =
-                WorkQueue::sliceCount(spec, opts.sliceTicks);
-            for (std::uint64_t i = 0; i < n; ++i) {
-                queue.discardResolved(WorkQueue::sliceKeyFor(
-                    key, opts.sliceTicks, i));
-            }
-        }
-    };
-
+    // retries previously failed cells. Only real writes count, not
+    // cells another campaign already queued.
     std::vector<std::string> unresolved;
-    for (auto &kv : byKey) {
-        const std::size_t first = kv.second.front();
-        if (cache.lookup(specs[first], out.results[first])) {
-            for (std::size_t j = 1; j < kv.second.size(); ++j) {
-                cache.lookup(specs[kv.second[j]],
-                             out.results[kv.second[j]]);
-            }
-            for (const std::size_t i : kv.second)
-                resolved[i] = 1;
-            out.alreadyCached += kv.second.size();
-            // A worker that died between publishing and releasing
-            // (this campaign or a previous one) leaves its claim
-            // behind; sweep it so the queue cannot accrete garbage.
-            discardCell(kv.first, specs[first]);
+    for (const auto &[key, cell] : cells) {
+        if (resolveFromCache(cell)) {
+            out.alreadyCached += cell.rows.size();
             continue;
         }
-        queue.clearFailed(kv.first);
-        const std::size_t before = queue.counters().enqueued;
-        if (sliced(specs[first]))
-            enqueueChain(specs[first]);
-        else
-            queue.enqueue(specs[first]);
-        out.enqueued += queue.counters().enqueued - before;
-        unresolved.push_back(kv.first);
+        queue.clearFailed(key);
+        out.enqueued += enqueueCell(key, cell);
+        unresolved.push_back(key);
     }
     log("enqueued " + std::to_string(out.enqueued) + " cell(s) (" +
         std::to_string(out.alreadyCached) +
@@ -186,87 +203,33 @@ runDistributed(const std::vector<exp::ExperimentSpec> &specs,
             bool progressed = false;
             for (std::size_t u = 0; u < unresolved.size();) {
                 const std::string key = unresolved[u];
-                const auto &indices = byKey[key];
-                const std::size_t first = indices.front();
+                const Cell &cell = cells[key];
 
-                if (cache.lookup(specs[first],
-                                 out.results[first])) {
-                    for (std::size_t j = 1; j < indices.size();
-                         ++j) {
-                        cache.lookup(specs[indices[j]],
-                                     out.results[indices[j]]);
-                    }
-                    for (const std::size_t i : indices)
-                        resolved[i] = 1;
-                    // Sweep any queue leftovers of the resolved
-                    // cell — a re-enqueue race's pending file, or
-                    // the claim of a worker that died between
-                    // publishing and releasing — so a finished
-                    // sweep leaves an empty queue.
-                    discardCell(key, specs[first]);
-                    unresolved[u] = unresolved.back();
-                    unresolved.pop_back();
-                    progressed = true;
-                    continue;
-                }
-
-                std::string governor, error;
-                double hostSeconds = 0.0;
-                if (queue.failedResult(key, governor, error,
-                                       hostSeconds)) {
-                    for (const std::size_t i : indices) {
-                        exp::RunResult &res = out.results[i];
-                        res.id = specs[i].id;
-                        res.governor = governor;
-                        res.workload = specs[i].workload.name();
-                        res.labels = specs[i].labels;
-                        res.ok = false;
-                        res.error = error;
-                        res.hostSeconds = hostSeconds;
-                        ++out.failedCells;
-                        resolved[i] = 1;
-                    }
-                    unresolved[u] = unresolved.back();
-                    unresolved.pop_back();
-                    progressed = true;
-                    continue;
-                }
-
-                // Neither finished nor in flight? The queue file
-                // was quarantined (corrupt) or lost — re-enqueue
-                // from the spec we hold. enqueue() itself re-checks
-                // pending/claimed/failed, so a cell that moved
-                // between the listing and here is skipped, not
-                // duplicated. A sliced cell is in flight if *any*
-                // entry of its chain is; losing the chain costs at
-                // most one slice — the resume scan picks up right
-                // after the last published snapshot.
-                bool inFlight = onQueue.count(key) > 0;
-                if (!inFlight && sliced(specs[first])) {
-                    const std::uint64_t n = WorkQueue::sliceCount(
-                        specs[first], opts.sliceTicks);
-                    for (std::uint64_t i = 0; i < n && !inFlight;
-                         ++i) {
-                        inFlight =
-                            onQueue.count(WorkQueue::sliceKeyFor(
-                                key, opts.sliceTicks, i)) > 0;
-                    }
-                }
-                if (!inFlight) {
-                    const std::size_t before =
-                        queue.counters().enqueued;
-                    if (sliced(specs[first]))
-                        enqueueChain(specs[first]);
-                    else
-                        queue.enqueue(specs[first]);
-                    if (queue.counters().enqueued != before) {
+                if (!resolveFromCache(cell) &&
+                    !resolveFromMarker(key, cell)) {
+                    // Neither finished nor in flight? The queue file
+                    // was quarantined (corrupt) or lost — re-enqueue
+                    // from the spec we hold. enqueue() itself
+                    // re-checks pending/claimed/failed, so a link
+                    // that moved between the listing and here is
+                    // skipped, not duplicated.
+                    const bool inFlight = std::any_of(
+                        cell.keys.begin(), cell.keys.end(),
+                        [&](const std::string &k) {
+                            return onQueue.count(k) > 0;
+                        });
+                    if (!inFlight && enqueueCell(key, cell)) {
                         ++out.reenqueued;
                         log("re-enqueued " + key +
                             " (queue entry was lost or "
                             "quarantined)");
                     }
+                    ++u;
+                    continue;
                 }
-                ++u;
+                unresolved[u] = unresolved.back();
+                unresolved.pop_back();
+                progressed = true;
             }
             if (progressed)
                 streamReady();
@@ -281,7 +244,7 @@ runDistributed(const std::vector<exp::ExperimentSpec> &specs,
                 lastProgress = now;
                 std::size_t left = 0;
                 for (const auto &k : unresolved)
-                    left += byKey[k].size();
+                    left += cells[k].rows.size();
                 log(std::to_string(specs.size() - left) + "/" +
                     std::to_string(specs.size()) +
                     " cells resolved");
@@ -301,13 +264,8 @@ runDistributed(const std::vector<exp::ExperimentSpec> &specs,
     }
 
     joinWorkers();
-    for (const WorkerStats &ws : workerStats) {
-        out.localWork.claimed += ws.claimed;
-        out.localWork.simulated += ws.simulated;
-        out.localWork.cacheHits += ws.cacheHits;
-        out.localWork.failures += ws.failures;
-        out.localWork.reclaims += ws.reclaims;
-    }
+    for (const WorkerStats &ws : workerStats)
+        out.localWork += ws;
     return out;
 }
 

@@ -15,7 +15,8 @@
  *  1. Cells already in the shared cache are *not* enqueued — a
  *     distributed sweep resumes exactly like a local one.
  *  2. The rest are enqueued by content key (duplicate cells collapse
- *     onto one queue entry; each still gets its own result row).
+ *     onto one queue entry; each still gets its own result row), as
+ *     the first link of their checkpoint chain (see sliceTicks).
  *  3. The dispatcher polls: a cache entry resolves a cell, a failed/
  *     marker resolves it as an error row, and a cell that vanished
  *     entirely (its queue file was quarantined as corrupt) is
@@ -72,16 +73,17 @@ struct DispatchOptions
 
     /**
      * Checkpoint-chain slicing period in simulated ticks (0 = off,
-     * the sweep_grid --slice-s flag). Cells longer than this are
-     * dispatched as a chain of WorkQueue::enqueueSlice entries —
-     * each slice a separate claim, leased and crash-recovered on its
-     * own, handing its state to the next through a snapshot under
-     * the queue's snaps/ directory — so one enormous cell spreads
-     * its latency across the fleet's failure domain instead of
-     * pinning one worker for hours. Assembly is unchanged and
-     * byte-identical to unsliced dispatch: the final slice publishes
-     * the cell's RunResult through the shared cache like any other
-     * cell.
+     * the sweep_grid --slice-s flag). Every cell rides the queue as
+     * a chain of WorkQueue::enqueue links of this period — each link
+     * a separate claim, leased and crash-recovered on its own,
+     * handing its state to the next through a snapshot under the
+     * queue's snaps/ directory — so one enormous cell spreads its
+     * latency across the fleet's failure domain instead of pinning
+     * one worker for hours. A cell no longer than one period (every
+     * cell, when off) is a one-link chain: the whole cell, with no
+     * snapshot. Assembly is unchanged and byte-identical to unsliced
+     * dispatch: the final link publishes the cell's RunResult through
+     * the shared cache.
      */
     Tick sliceTicks = 0;
 

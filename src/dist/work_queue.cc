@@ -26,9 +26,9 @@ constexpr std::size_t kKeyLen = 16; //!< specKey() hex digits.
 constexpr const char *kFailureHeader = "sysscale-dist-failure v2";
 
 /**
- * Header of a pending slice entry: base key, slicing period, slice
- * index and the cell's own serialized spec. The spec codec's version
- * guard covers the spec, this header the record around it.
+ * Header of a queue entry (one chain link): base key, slicing period,
+ * link index and the cell's own serialized spec. The spec codec's
+ * version guard covers the spec, this header the record around it.
  */
 constexpr const char *kSliceHeader = "sysscale-slice v2";
 
@@ -59,22 +59,28 @@ splitClaimName(const std::string &name, std::string &key,
     return isHexKey(key) && !worker.empty();
 }
 
+/** Encode link @p index of @p spec's chain as a queue entry. */
+std::string
+encodeEntry(const std::string &baseKey, Tick step, std::uint64_t index,
+            const exp::ExperimentSpec &spec)
+{
+    SnapshotWriter w(kSliceHeader);
+    w.putString("base", baseKey);
+    w.putU64("step", step);
+    w.putU64("index", index);
+    w.putString("spec", exp::serializeSpec(spec));
+    return w.str();
+}
+
 /**
- * Decode a pending file into @p out's spec and slice fields: a slice
- * record (enqueueSlice) or a bare serialized spec (enqueue). Throws
- * on anything that does not decode.
+ * Decode a queue entry into @p out's spec and link fields. Throws on
+ * anything that does not decode, a bare spec from an older build
+ * included.
  */
 void
 decodeEntry(const std::string &text, Claim &out)
 {
-    // Any slice header, stale versions included, takes the record
-    // path so a stale entry fails loudly as one.
-    if (text.rfind("sysscale-slice v", 0) != 0) {
-        out.spec = exp::parseSpec(text);
-        return;
-    }
     SnapshotReader r(text, kSliceHeader);
-    out.isSlice = true;
     out.baseKey = r.getString("base");
     out.step = r.getU64("step");
     out.index = r.getU64("index");
@@ -82,7 +88,8 @@ decodeEntry(const std::string &text, Claim &out)
     r.finish();
     out.total = out.spec.warmup + out.spec.window;
     out.t0 = out.index * out.step;
-    out.t1 = std::min(out.t0 + out.step, out.total);
+    out.t1 = out.step == 0 ? out.total
+                           : std::min(out.t0 + out.step, out.total);
 }
 
 /** @p ref minus @p path's mtime, in (possibly negative) seconds. */
@@ -174,45 +181,11 @@ WorkQueue::quarantine(const std::string &path,
 }
 
 std::string
-WorkQueue::enqueue(const exp::ExperimentSpec &spec)
-{
-    const std::string key = exp::specKey(spec);
-    return publishEntry(key, key, exp::serializeSpec(spec));
-}
-
-std::string
-WorkQueue::publishEntry(const std::string &key, const std::string &cellKey,
-                        const std::string &text)
-{
-    // The entry already pending or claimed — or its cell already
-    // failed — is a skip, which is what makes the crash-recovery
-    // "enqueue successor, then release" order safe to replay.
-    std::error_code ec;
-    bool present = fs::exists(pendingPath(key), ec) ||
-                   fs::exists(failedPath(cellKey), ec);
-    if (!present) {
-        for (const auto &entry : fs::directory_iterator(
-                 fs::path(dir_) / "claimed", ec)) {
-            if (entry.path().filename().string().rfind(key + ".",
-                                                       0) == 0) {
-                present = true;
-                break;
-            }
-        }
-    }
-    if (present) {
-        ++counters_.skipped;
-        return key;
-    }
-    writeSnapshotFile(pendingPath(key), text, dir_ + "/tmp");
-    ++counters_.enqueued;
-    return key;
-}
-
-std::string
 WorkQueue::sliceKeyFor(const std::string &baseKey, Tick step,
                        std::uint64_t index)
 {
+    if (step == 0)
+        return baseKey;
     // Deterministic across processes: every worker and dispatcher
     // derives the same chain keys from the same (cell, period).
     const std::string salt = "slice:" + baseKey + ":" +
@@ -242,26 +215,45 @@ WorkQueue::snapshotPath(const std::string &baseKey, Tick t) const
 }
 
 std::string
-WorkQueue::enqueueSlice(const exp::ExperimentSpec &spec, Tick step,
-                        std::uint64_t index)
+WorkQueue::enqueue(const exp::ExperimentSpec &spec, Tick step,
+                   std::uint64_t index)
 {
-    if (step == 0) {
-        throw std::invalid_argument(
-            "WorkQueue: slice step must be nonzero");
-    }
+    // A chain of one link is the whole cell, under the cell's own key.
+    if (sliceCount(spec, step) <= 1)
+        step = 0;
     if (index >= sliceCount(spec, step)) {
         throw std::invalid_argument(
-            "WorkQueue: slice index " + std::to_string(index) +
+            "WorkQueue: link index " + std::to_string(index) +
             " past the end of the chain");
     }
     const std::string baseKey = exp::specKey(spec);
-    SnapshotWriter w(kSliceHeader);
-    w.putString("base", baseKey);
-    w.putU64("step", step);
-    w.putU64("index", index);
-    w.putString("spec", exp::serializeSpec(spec));
-    return publishEntry(sliceKeyFor(baseKey, step, index), baseKey,
-                        w.str());
+    const std::string key = sliceKeyFor(baseKey, step, index);
+
+    // The entry already pending or claimed — or its cell already
+    // failed — is a skip, which is what makes the crash-recovery
+    // "enqueue successor, then release" order safe to replay.
+    std::error_code ec;
+    bool present = fs::exists(pendingPath(key), ec) ||
+                   fs::exists(failedPath(baseKey), ec);
+    if (!present) {
+        for (const auto &entry : fs::directory_iterator(
+                 fs::path(dir_) / "claimed", ec)) {
+            if (entry.path().filename().string().rfind(key + ".",
+                                                       0) == 0) {
+                present = true;
+                break;
+            }
+        }
+    }
+    if (present) {
+        ++counters_.skipped;
+        return key;
+    }
+    writeSnapshotFile(pendingPath(key),
+                      encodeEntry(baseKey, step, index, spec),
+                      dir_ + "/tmp");
+    ++counters_.enqueued;
+    return key;
 }
 
 bool
@@ -293,7 +285,7 @@ WorkQueue::tryClaim(const std::string &workerId, Claim &out)
         }
 
         // The rename is ours. A file that does not decode back into
-        // the entry it is named for must never be simulated — move it
+        // the link it is named for must never be simulated — move it
         // aside loudly and keep scanning; the dispatcher re-enqueues
         // the cell from its own copy of the spec.
         Claim claim;
@@ -302,19 +294,14 @@ WorkQueue::tryClaim(const std::string &workerId, Claim &out)
         std::string reason;
         try {
             decodeEntry(readSnapshotFile(claimed), claim);
-            if (!claim.isSlice) {
-                if (exp::specKey(claim.spec) != key)
-                    reason = "content key mismatch";
-            } else if (claim.step == 0) {
-                reason = "zero slice step";
-            } else if (exp::specKey(claim.spec) != claim.baseKey) {
-                reason = "slice base key mismatch";
+            if (exp::specKey(claim.spec) != claim.baseKey) {
+                reason = "base key mismatch";
             } else if (sliceKeyFor(claim.baseKey, claim.step,
                                    claim.index) != key) {
-                reason = "slice key mismatch";
+                reason = "link key mismatch";
             } else if (claim.index >=
                        sliceCount(claim.spec, claim.step)) {
-                reason = "slice index past the chain";
+                reason = "link index past the chain";
             }
         } catch (const std::exception &e) {
             reason = *e.what() ? e.what() : "undecodable";
@@ -363,50 +350,40 @@ WorkQueue::release(const Claim &claim)
 void
 WorkQueue::fail(const Claim &claim, const exp::RunResult &res)
 {
-    std::error_code ec;
+    // Keep the whole-cell link next to the marker: retryFailed()
+    // can then put the cell back on the queue, from tick 0, without
+    // needing a dispatcher's copy of the grid. Written first, so a
+    // retry that sees the marker also finds the link.
+    try {
+        writeSnapshotFile(failedPath(claim.baseKey) + ".spec",
+                          encodeEntry(claim.baseKey, 0, 0, claim.spec),
+                          dir_ + "/tmp");
+    } catch (const SnapshotError &) {
+        // A retry then waits for the next dispatch instead.
+    }
+
+    // A failed link fails its *cell*: the marker carries the base
+    // key the dispatcher is watching, and the rest of the chain is
+    // simply never enqueued.
     std::string error = res.error;
     for (char &c : error) {
         if (c == '\n' || c == '\r')
             c = ' ';
     }
-
-    // A failed slice fails its *cell*: the marker carries the base
-    // key the dispatcher is watching, and the rest of the chain is
-    // simply never enqueued.
-    const std::string cellKey =
-        claim.isSlice ? claim.baseKey : claim.key;
     SnapshotWriter w(kFailureHeader);
-    w.putString("key", cellKey);
+    w.putString("key", claim.baseKey);
     w.putString("governor", res.governor);
     w.putDouble("host_seconds", res.hostSeconds);
     w.putString("error", error);
     try {
-        writeSnapshotFile(failedPath(cellKey), w.str(), dir_ + "/tmp");
+        writeSnapshotFile(failedPath(claim.baseKey), w.str(),
+                          dir_ + "/tmp");
         ++counters_.failures;
     } catch (const SnapshotError &) {
         // No marker: the dispatcher re-enqueues the cell.
     }
-
-    // Keep the serialized spec next to the marker: retryFailed()
-    // can then put the cell back on the queue without needing a
-    // dispatcher's copy of the grid. A slice's claimed file is the
-    // chain record, not a plain spec — write the spec from the
-    // decoded claim instead so a retry re-runs the whole cell.
-    if (claim.isSlice) {
-        try {
-            writeSnapshotFile(failedPath(cellKey) + ".spec",
-                              exp::serializeSpec(claim.spec),
-                              dir_ + "/tmp");
-        } catch (const SnapshotError &) {
-            // A retry then waits for the next dispatch instead.
-        }
-        fs::remove(claimedPath(claim.key, claim.workerId), ec);
-    } else {
-        fs::rename(claimedPath(claim.key, claim.workerId),
-                   failedPath(cellKey) + ".spec", ec);
-        if (ec)
-            fs::remove(claimedPath(claim.key, claim.workerId), ec);
-    }
+    std::error_code ec;
+    fs::remove(claimedPath(claim.key, claim.workerId), ec);
     fs::remove(leasePath(claim.key, claim.workerId), ec);
 }
 
@@ -646,7 +623,7 @@ WorkQueue::listCells() const
     std::error_code ec;
     const fs::file_time_type ref = probeNow();
 
-    // Decode a cell's display id from its serialized spec; strictly
+    // Decode a cell's display id from its queue entry; strictly
     // read-only — listing a live queue must never quarantine (the
     // claim path owns that) or otherwise perturb the campaign.
     auto decodeId = [&](const std::string &path) -> std::string {
@@ -659,7 +636,7 @@ WorkQueue::listCells() const
         try {
             Claim entry;
             decodeEntry(text, entry);
-            if (entry.isSlice)
+            if (entry.step != 0)
                 return entry.spec.id + " [slice " +
                        std::to_string(entry.index) + "]";
             return entry.spec.id;
@@ -814,18 +791,20 @@ WorkQueue::retryFailed()
 
     std::size_t cleared = 0;
     for (const std::string &key : keys) {
-        // Rename-first so a concurrent retry cannot double-count:
-        // exactly one caller wins the spec file. A marker without a
-        // retained spec is just cleared — the next dispatch holds
-        // the spec and re-enqueues the cell.
+        // The marker's removal arbitrates concurrent retries: exactly
+        // one caller removes it, and only that caller counts the
+        // cell and moves its link. A marker without a retained link
+        // is just cleared — the next dispatch holds the spec and
+        // re-enqueues the cell.
+        if (!fs::remove(failedPath(key), ec))
+            continue;
         fs::rename(failedPath(key) + ".spec", pendingPath(key), ec);
         const bool requeued = !ec;
-        fs::remove(failedPath(key), ec);
         ++cleared;
         note(requeued
                  ? "retry-failed: " + key + " back in pending"
                  : "retry-failed: cleared marker for " + key +
-                       " (no retained spec; next dispatch "
+                       " (no retained link; next dispatch "
                        "re-enqueues it)");
     }
     return cleared;

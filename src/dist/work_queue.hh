@@ -5,34 +5,40 @@
  * One grid fans out across machines through a shared directory (NFS
  * or any POSIX filesystem with atomic rename — no locks, no server):
  *
- *     <queue>/pending/<key>.spec        cells waiting for a worker
- *     <queue>/claimed/<key>.<worker>    cells being simulated
+ *     <queue>/pending/<key>.spec        chain links waiting for a worker
+ *     <queue>/claimed/<key>.<worker>    links being simulated
  *     <queue>/leases/<key>.<worker>     heartbeat files (mtime = alive)
  *     <queue>/failed/<key>              published error rows
- *     <queue>/failed/<key>.spec         retained specs (retry-failed)
+ *     <queue>/failed/<key>.spec         retained whole-cell links
+ *                                       (retry-failed)
  *     <queue>/snaps/<key>.t<tick>.snap  checkpoint-chain snapshots
  *     <queue>/metrics/<worker>.metrics  worker telemetry
  *     <queue>/corrupt/                  quarantined unreadable files
  *     <queue>/tmp/                      staging for atomic writes
  *                                       + the lease-staleness probe
  *
- * A pending cell is its serialized exp::ExperimentSpec (format
- * docs/EXPERIMENTS.md), named by its content key (exp::specKey), so
- * the queue inherits the cache's identity rules: duplicate cells
- * collapse to one file and renaming/relabeling never re-enqueues.
- * Slice entries, failure markers and metrics files are records of
- * the snapshot codec (sim/snapshot.hh), and every file is published
- * through writeSnapshotFile, staged under tmp/.
+ * Every queue entry is one link of its cell's checkpoint chain (see
+ * @ref WorkQueue::enqueue): a `sysscale-slice v2` record holding the
+ * cell's content key (exp::specKey), the slicing period, the link
+ * index and the cell's serialized exp::ExperimentSpec (format
+ * docs/EXPERIMENTS.md). An unsliced cell is the one-link chain with
+ * period 0, filed under the cell's own content key, so the queue
+ * inherits the cache's identity rules: duplicate cells collapse to
+ * one file and renaming/relabeling never re-enqueues. Entries,
+ * failure markers and metrics files are records of the snapshot
+ * codec (sim/snapshot.hh), and every file is published through
+ * writeSnapshotFile, staged under tmp/.
  *
  * Claiming is one atomic rename(pending -> claimed): exactly one
- * worker wins a cell, with no coordination beyond the filesystem.
+ * worker wins a link, with no coordination beyond the filesystem.
  * While simulating, the winner refreshes its lease file; a claim
  * whose lease goes stale (crashed or partitioned worker) is renamed
- * back into pending/ by whoever notices first, so no cell is ever
- * lost. Results are published through the shared exp::ResultCache —
- * the cache entry *is* the completion marker — and workers check the
- * cache immediately after claiming, so a reclaimed cell whose
- * original worker actually finished is never simulated twice.
+ * back into pending/ by whoever notices first, so no link is ever
+ * lost. A cell's result is published through the shared
+ * exp::ResultCache — the cache entry *is* the completion marker —
+ * and workers check the cache immediately after claiming, so a
+ * reclaimed link whose cell another worker actually finished is
+ * never simulated twice.
  *
  * Corrupt or truncated files never produce a claim (and therefore
  * never a wrong result): they are moved into corrupt/ and reported
@@ -57,27 +63,23 @@ namespace dist {
 
 /**
  * One claimed queue entry, owned by a worker until release/fail/
- * requeue: either a whole cell or one time-slice of a cell's
- * checkpoint chain (see @ref WorkQueue::enqueueSlice).
+ * requeue: link @ref index of its cell's checkpoint chain (see
+ * @ref WorkQueue::enqueue). The link simulates [t0, t1] of the cell's
+ * warmup+window timeline; an unsliced cell is the one link with
+ * step 0 and window [0, total].
  */
 struct Claim
 {
-    std::string key;      //!< File key: specKey, or sliceKeyFor().
+    std::string key;      //!< sliceKeyFor(baseKey, step, index).
     std::string workerId; //!< Worker holding the claim.
     exp::ExperimentSpec spec;
 
-    /** @name Slice claims only. @{ */
-
-    /** Entry is one slice of a checkpoint chain, not a whole cell. */
-    bool isSlice = false;
-
-    std::string baseKey;   //!< exp::specKey of the sliced cell.
-    Tick step = 0;         //!< Chain slicing period (ticks).
-    std::uint64_t index = 0; //!< Slice number, 0-based.
-    Tick t0 = 0;           //!< Slice start = index * step.
-    Tick t1 = 0;           //!< Slice end = min(t0 + step, total).
+    std::string baseKey;   //!< exp::specKey of the cell.
+    Tick step = 0;         //!< Chain slicing period; 0 = whole cell.
+    std::uint64_t index = 0; //!< Link number, 0-based.
+    Tick t0 = 0;           //!< Link start = index * step.
+    Tick t1 = 0;           //!< Link end (total for step 0).
     Tick total = 0;        //!< Cell length (warmup + window).
-    /** @} */
 };
 
 /** Directory occupancy from one scan (point-in-time, racy by design). */
@@ -116,7 +118,8 @@ struct CellInfo
     std::string workerId; //!< Claimed cells only.
 
     /**
-     * Cell id decoded from the serialized spec via the spec codec;
+     * Cell id decoded from the queue entry via the spec codec, with
+     * " [slice <i>]" appended for a link of a multi-link chain;
      * "(unparsable)" when the file does not decode (the claim path
      * will quarantine it — inspection only reports).
      */
@@ -197,61 +200,59 @@ class WorkQueue
     const std::string &dir() const { return dir_; }
 
     /**
-     * Put @p spec into pending/ (atomic write) and return its key.
-     * A cell already pending, claimed, or failed is skipped (its key
-     * is still returned).
-     */
-    std::string enqueue(const exp::ExperimentSpec &spec);
-
-    /**
-     * @name Checkpoint-chained slices.
+     * @name Checkpoint chains.
      *
-     * A cell longer than a dispatcher's --slice-s rides the queue as
-     * a *chain* of slice entries instead of one monolithic cell:
-     * slice i simulates [i*step, min((i+1)*step, total)] of the
-     * cell's warmup+window timeline via exp::runCellSlice, restoring
-     * the chain's snapshot at t0 and publishing one at t1 under
-     * snaps/ (tmp+rename, so observers never read a torn snapshot).
-     * Only slice i is on the queue at a time; the worker that
-     * completes it enqueues slice i+1 before releasing, and the
-     * published snapshot doubles as the slice's completion marker —
-     * a reclaimed slice whose snapshot already exists is never
-     * simulated twice. A missing or corrupt chain snapshot degrades
-     * to a cache miss inside runCellSlice (re-simulate from tick 0),
-     * so a damaged chain heals itself instead of wedging; the final
-     * slice publishes the cell's RunResult through the shared cache
-     * exactly like an unsliced cell, byte-identical to the unsliced
-     * run (tests/test_snapshot.cc pins the equivalence, test_dist.cc
-     * the queue protocol).
+     * A cell rides the queue as a *chain* of links: link i simulates
+     * [i*step, min((i+1)*step, total)] of the cell's warmup+window
+     * timeline via exp::runCellSlice, restoring the chain's snapshot
+     * at t0 and publishing one at t1 under snaps/ (tmp+rename, so
+     * observers never read a torn snapshot). A chain of one link —
+     * an unsliced cell, or one no longer than its period — is the
+     * whole cell: step 0, window [0, total], filed under the cell's
+     * content key, no snapshot. Only link i is on the queue at a
+     * time; the worker that completes it enqueues link i+1 before
+     * releasing, and the published snapshot doubles as the link's
+     * completion marker — a reclaimed link whose snapshot already
+     * exists is never simulated twice. A missing or corrupt chain
+     * snapshot degrades to a cache miss inside runCellSlice
+     * (re-simulate from tick 0), so a damaged chain heals itself
+     * instead of wedging; the final link publishes the cell's
+     * RunResult through the shared cache, byte-identical to the
+     * unsliced run (tests/test_snapshot.cc pins the equivalence,
+     * test_dist.cc the queue protocol).
      * @{
      */
 
     /**
-     * File key of slice @p index of the cell with content key
-     * @p baseKey under slicing period @p step: 16 hex digits,
-     * deterministic across processes (the whole fleet derives the
-     * same chain from the same spec).
+     * File key of link @p index of the cell with content key
+     * @p baseKey under slicing period @p step: @p baseKey itself for
+     * step 0 (the whole cell), else 16 hex digits deterministic
+     * across processes (the whole fleet derives the same chain from
+     * the same spec).
      */
     static std::string sliceKeyFor(const std::string &baseKey,
                                    Tick step, std::uint64_t index);
 
-    /** Slices in @p spec's chain under period @p step (>= 1). */
+    /** Links in @p spec's chain under period @p step (1 for step 0). */
     static std::uint64_t sliceCount(const exp::ExperimentSpec &spec,
                                     Tick step);
 
     /**
-     * Put slice @p index of @p spec's chain into pending/ and return
-     * its slice key. Idempotent like enqueue(): an entry already
-     * pending or claimed — or a cell already failed — is skipped.
-     * Throws std::invalid_argument for unserializable specs, a zero
-     * @p step, or an index at or past the end of the chain.
+     * Put link @p index of @p spec's chain under period @p step into
+     * pending/ (atomic write) and return its key. A chain of at most
+     * one link is enqueued as the whole cell (step 0), so
+     * enqueue(spec) is the unsliced cell under exp::specKey(spec).
+     * An entry already pending or claimed — or a cell already failed
+     * — is skipped (its key is still returned). Throws
+     * std::invalid_argument for unserializable specs or an index at
+     * or past the end of the chain.
      */
-    std::string enqueueSlice(const exp::ExperimentSpec &spec,
-                             Tick step, std::uint64_t index);
+    std::string enqueue(const exp::ExperimentSpec &spec, Tick step = 0,
+                        std::uint64_t index = 0);
 
     /**
      * Path of the chain snapshot published at tick @p t of cell
-     * @p baseKey (snaps/<baseKey>.t<t>.snap). Existence = the slice
+     * @p baseKey (snaps/<baseKey>.t<t>.snap). Existence = the link
      * ending at @p t completed; validity is re-checked on read.
      */
     std::string snapshotPath(const std::string &baseKey,
@@ -259,8 +260,8 @@ class WorkQueue
     /** @} */
 
     /**
-     * Claim any pending cell for @p workerId: the lease file is
-     * written first, then the cell is renamed into claimed/ — an
+     * Claim any pending link for @p workerId: the lease file is
+     * written first, then the entry is renamed into claimed/ — an
      * atomic operation only one contender can win. On success fills
      * @p out and returns true; returns false when nothing claimable
      * remains. Unparsable or key-mismatched files are quarantined
@@ -279,13 +280,14 @@ class WorkQueue
     void release(const Claim &claim);
 
     /**
-     * Publish an error row for @p claim into failed/ and drop the
-     * claim. Failed cells count as finished: they are not retried
+     * Publish an error row for @p claim's cell into failed/ (under
+     * the cell's content key: a failed link fails its cell) and drop
+     * the claim. Failed cells count as finished: they are not retried
      * until a dispatcher explicitly clears them (error rows are
      * never cached, matching the single-process runner). The cell's
-     * serialized spec is kept alongside the marker (failed/<key>.spec)
-     * so @ref retryFailed can put the cell back on the queue without
-     * a dispatcher.
+     * whole-cell link is kept alongside the marker
+     * (failed/<key>.spec) so @ref retryFailed can put the cell back
+     * on the queue without a dispatcher.
      */
     void fail(const Claim &claim, const exp::RunResult &res);
 
@@ -385,11 +387,13 @@ class WorkQueue
     /** @} */
 
     /**
-     * Put every failed cell back on the queue: its retained spec
-     * (failed/<key>.spec) is renamed into pending/ and the failure
-     * marker removed. Markers without a retained spec (failures
-     * published by older builds) are cleared so the next dispatch
-     * re-enqueues them. Returns the number of markers cleared.
+     * Put every failed cell back on the queue: the failure marker is
+     * removed and the retained whole-cell link (failed/<key>.spec)
+     * renamed into pending/. Removing the marker arbitrates
+     * concurrent callers: only the one whose removal succeeds counts
+     * the cell, moves its link and reports it. A marker without a
+     * retained link is just cleared, so the next dispatch re-enqueues
+     * the cell. Returns the number of markers this call cleared.
      */
     std::size_t retryFailed();
 
@@ -438,14 +442,6 @@ class WorkQueue
     /** @} */
 
   private:
-    /**
-     * Publish @p text as pending entry @p key unless it is already
-     * pending or claimed, or cell @p cellKey already failed.
-     */
-    std::string publishEntry(const std::string &key,
-                             const std::string &cellKey,
-                             const std::string &text);
-
     void note(const std::string &event);
     bool quarantine(const std::string &path,
                     const std::string &reason);

@@ -108,7 +108,7 @@ sliceAlreadyDone(const WorkQueue &queue, const Claim &claim)
     }
 }
 
-/** One claim → cache-check → simulate → publish loop. */
+/** One claim → cache-check → simulate link → publish loop. */
 WorkerStats
 runWorkerLoop(const std::string &queueDir, exp::ResultCache &cache,
               const WorkerOptions &opts, const std::string &id,
@@ -173,20 +173,17 @@ runWorkerLoop(const std::string &queueDir, exp::ResultCache &cache,
             continue;
         }
 
-        // Checkpoint-chain slices have a second completion marker:
-        // the chain snapshot this slice would publish. A reclaimed
-        // slice whose worker died *after* publishing it (but before
+        // A link short of the cell's end has a second completion
+        // marker: the chain snapshot it would publish. A reclaimed
+        // link whose worker died *after* publishing it (but before
         // enqueueing the successor or releasing) is not re-simulated
         // — only its bookkeeping is replayed, so a crash never costs
         // duplicate simulation. Validity is checked, not assumed: a
         // torn or stale file re-simulates instead.
-        const bool finalSlice =
-            claim.isSlice && claim.t1 >= claim.total;
-        if (claim.isSlice && !finalSlice &&
-            sliceAlreadyDone(queue, claim)) {
+        const bool finalLink = claim.t1 >= claim.total;
+        if (!finalLink && sliceAlreadyDone(queue, claim)) {
             ++stats.cacheHits;
-            queue.enqueueSlice(claim.spec, claim.step,
-                               claim.index + 1);
+            queue.enqueue(claim.spec, claim.step, claim.index + 1);
             queue.release(claim);
             publish();
             log(claim.key + " slice " +
@@ -198,35 +195,26 @@ runWorkerLoop(const std::string &queueDir, exp::ResultCache &cache,
         exp::RunResult res;
         {
             const LeaseKeeper keeper(queue, claim, opts.heartbeat);
-            if (claim.isSlice) {
-                exp::SliceOptions so;
-                so.t0 = claim.t0;
-                so.t1 = claim.t1;
-                if (claim.t0 > 0) {
-                    so.inSnap = queue.snapshotPath(claim.baseKey,
-                                                   claim.t0);
-                }
-                if (!finalSlice) {
-                    so.outSnap = queue.snapshotPath(claim.baseKey,
-                                                    claim.t1);
-                }
-                res = exp::runCellSlice(claim.spec, so);
-            } else {
-                res = exp::runCell(claim.spec);
-            }
+            exp::SliceOptions so;
+            so.t0 = claim.t0;
+            so.t1 = claim.t1;
+            if (claim.t0 > 0)
+                so.inSnap = queue.snapshotPath(claim.baseKey, claim.t0);
+            if (!finalLink)
+                so.outSnap = queue.snapshotPath(claim.baseKey, claim.t1);
+            res = exp::runCellSlice(claim.spec, so);
         }
         ++stats.simulated;
         sim_seconds += res.metrics.seconds;
         wall_seconds += res.hostSeconds;
 
-        if (res.ok && claim.isSlice && !finalSlice) {
+        if (res.ok && !finalLink) {
             // Publish order matters for crash recovery: the snapshot
             // is already on disk (runCellSlice renames it in before
             // returning), so enqueue the successor *before* releasing
             // — a death in between is healed by the snapshot-hit path
             // above, never by re-simulation.
-            queue.enqueueSlice(claim.spec, claim.step,
-                               claim.index + 1);
+            queue.enqueue(claim.spec, claim.step, claim.index + 1);
             queue.release(claim);
             log(claim.key + " slice " + std::to_string(claim.index) +
                 " ok (" + claim.spec.id + ", " +
@@ -289,13 +277,8 @@ runWorker(const std::string &queueDir, exp::ResultCache &cache,
         throw std::runtime_error(first_error);
 
     WorkerStats total;
-    for (const WorkerStats &s : stats) {
-        total.claimed += s.claimed;
-        total.simulated += s.simulated;
-        total.cacheHits += s.cacheHits;
-        total.failures += s.failures;
-        total.reclaims += s.reclaims;
-    }
+    for (const WorkerStats &s : stats)
+        total += s;
     return total;
 }
 

@@ -3,14 +3,17 @@
  * The sweep worker loop: claim → cache check → simulate → publish.
  *
  * runWorker() drains (or serves, in daemon mode) a WorkQueue
- * directory: it claims pending cells one at a time, consults the
- * shared exp::ResultCache immediately after each claim (a cell
+ * directory: it claims pending chain links one at a time, consults
+ * the shared exp::ResultCache immediately after each claim (a cell
  * another worker already completed is *never* re-simulated), runs
- * the cell through exp::runCell() — the same execution path as the
- * in-process ExperimentRunner — while a background thread refreshes
- * the claim's lease, and publishes the result: ok rows into the
- * cache (the completion marker the dispatcher watches), error rows
- * into the queue's failed/ directory.
+ * the link through exp::runCellSlice() — for an unsliced cell the
+ * full slice, which is exactly exp::runCell(), the in-process
+ * ExperimentRunner's path — while a background thread refreshes the
+ * claim's lease, and publishes the result: a link short of the
+ * cell's end enqueues its successor behind a chain snapshot, the
+ * final link stores ok rows into the cache (the completion marker
+ * the dispatcher watches), and error rows go into the queue's
+ * failed/ directory.
  *
  * WorkerOptions::capacity > 1 turns one runWorker() call into an
  * internal pool: N copies of the same loop on N threads, each
@@ -91,11 +94,22 @@ struct WorkerOptions
 
 struct WorkerStats
 {
-    std::size_t claimed = 0;   //!< Cells claimed.
-    std::size_t simulated = 0; //!< Cells actually run through runCell.
+    std::size_t claimed = 0;   //!< Links claimed.
+    std::size_t simulated = 0; //!< Links actually simulated.
     std::size_t cacheHits = 0; //!< Claims already completed elsewhere.
     std::size_t failures = 0;  //!< Error rows published.
     std::size_t reclaims = 0;  //!< Stale claims recovered for others.
+
+    WorkerStats &
+    operator+=(const WorkerStats &o)
+    {
+        claimed += o.claimed;
+        simulated += o.simulated;
+        cacheHits += o.cacheHits;
+        failures += o.failures;
+        reclaims += o.reclaims;
+        return *this;
+    }
 };
 
 /**

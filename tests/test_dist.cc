@@ -21,6 +21,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -724,6 +725,62 @@ TEST(WorkQueue, RetryFailedRequeuesTheRetainedSpec)
     EXPECT_TRUE(again.spec == spec);
 }
 
+/**
+ * Concurrent retry-failed callers, each with its own queue handle
+ * (separate processes in production): removing a failure marker is
+ * the arbiter, so every failed cell is counted and requeued exactly
+ * once across all callers.
+ */
+TEST(WorkQueue, ConcurrentRetryFailedCountsEachCellOnce)
+{
+    const TempDir dir("retry-race");
+    constexpr std::size_t kCells = 64;
+    constexpr std::size_t kCallers = 4;
+    {
+        dist::WorkQueue queue(dir.sub("q"));
+        exp::RunResult res;
+        res.governor = "fixed";
+        res.error = "deliberate failure";
+        for (std::size_t i = 0; i < kCells; ++i) {
+            queue.enqueue(fastSpec("cell", i + 1));
+            dist::Claim claim;
+            ASSERT_TRUE(queue.tryClaim("w1", claim));
+            queue.fail(claim, res);
+        }
+        ASSERT_EQ(queue.scan().failed, kCells);
+    }
+
+    // Every caller holds its handle before any of them starts, and a
+    // slow event sink (a log on a network filesystem, say) keeps each
+    // pass open long enough for the others to list the same markers.
+    std::atomic<std::size_t> ready{0};
+    std::vector<std::size_t> cleared(kCallers, 0);
+    std::vector<std::thread> callers;
+    for (std::size_t k = 0; k < kCallers; ++k) {
+        callers.emplace_back([&, k] {
+            dist::WorkQueue queue(dir.sub("q"));
+            queue.onEvent = [](const std::string &) {
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(200));
+            };
+            ready.fetch_add(1);
+            while (ready.load() < kCallers)
+                std::this_thread::yield();
+            cleared[k] = queue.retryFailed();
+        });
+    }
+    for (auto &t : callers)
+        t.join();
+
+    std::size_t total = 0;
+    for (const std::size_t n : cleared)
+        total += n;
+    EXPECT_EQ(total, kCells) << "each failed cell counted exactly once";
+    const dist::WorkQueue queue(dir.sub("q"));
+    EXPECT_EQ(queue.scan().pending, kCells);
+    EXPECT_EQ(queue.scan().failed, 0u);
+}
+
 TEST(WorkQueue, PurgeEmptiesEveryQueueDirectory)
 {
     const TempDir dir("purge");
@@ -1031,13 +1088,12 @@ TEST(Slice, EntriesRoundTripThroughClaim)
     const Tick step = 5 * kTicksPerMs;
     EXPECT_EQ(dist::WorkQueue::sliceCount(spec, step), 3u);
 
-    const std::string key = queue.enqueueSlice(spec, step, 1);
+    const std::string key = queue.enqueue(spec, step, 1);
     EXPECT_EQ(key, dist::WorkQueue::sliceKeyFor(exp::specKey(spec),
                                                 step, 1));
 
     dist::Claim claim;
     ASSERT_TRUE(queue.tryClaim("w1", claim));
-    EXPECT_TRUE(claim.isSlice);
     EXPECT_EQ(claim.key, key);
     EXPECT_EQ(claim.baseKey, exp::specKey(spec));
     EXPECT_EQ(claim.step, step);
@@ -1051,17 +1107,82 @@ TEST(Slice, EntriesRoundTripThroughClaim)
     // the "enqueue successor, then release" crash protocol safe to
     // replay from any point.
     const std::size_t skipped = queue.counters().skipped;
-    queue.enqueueSlice(spec, step, 1);
+    queue.enqueue(spec, step, 1);
     EXPECT_EQ(queue.counters().skipped, skipped + 1);
 
     queue.release(claim);
     EXPECT_TRUE(queue.scan().drained());
 
     // Bounds are validated eagerly.
-    EXPECT_THROW(queue.enqueueSlice(spec, step, 3),
+    EXPECT_THROW(queue.enqueue(spec, step, 3),
                  std::invalid_argument);
-    EXPECT_THROW(queue.enqueueSlice(spec, 0, 0),
-                 std::invalid_argument);
+}
+
+/**
+ * A chain of one link is the whole cell: unsliced, sliced at the
+ * cell's length or coarser, it is the step-0 link under the cell's
+ * own key over [0, total] — and a failed link of a longer chain
+ * comes back from retry-failed as that same whole-cell link.
+ */
+TEST(Slice, OneLinkChainIsTheWholeCell)
+{
+    const TempDir dir("slice-one-link");
+    dist::WorkQueue queue(dir.sub("q"));
+    const exp::ExperimentSpec spec = fastSpec("cell"); // 12 ms total
+    const std::string key = exp::specKey(spec);
+
+    EXPECT_EQ(queue.enqueue(spec), key);
+    EXPECT_EQ(queue.enqueue(spec, 12 * kTicksPerMs, 0), key);
+    EXPECT_EQ(queue.enqueue(spec, kTicksPerSec, 0), key);
+    EXPECT_EQ(queue.counters().enqueued, 1u);
+    EXPECT_EQ(queue.counters().skipped, 2u);
+
+    dist::Claim claim;
+    ASSERT_TRUE(queue.tryClaim("w1", claim));
+    EXPECT_EQ(claim.key, key);
+    EXPECT_EQ(claim.baseKey, key);
+    EXPECT_EQ(claim.step, 0u);
+    EXPECT_EQ(claim.index, 0u);
+    EXPECT_EQ(claim.t0, 0u);
+    EXPECT_EQ(claim.total, 12 * kTicksPerMs);
+    EXPECT_EQ(claim.t1, claim.total);
+    queue.release(claim);
+
+    // Link 1 of a 3-link chain fails: retry-failed puts back the
+    // whole cell, from tick 0, under the cell's own key.
+    queue.enqueue(spec, 5 * kTicksPerMs, 1);
+    dist::Claim link;
+    ASSERT_TRUE(queue.tryClaim("w1", link));
+    ASSERT_EQ(link.index, 1u);
+    exp::RunResult res;
+    res.governor = "fixed";
+    res.error = "deliberate failure";
+    queue.fail(link, res);
+    EXPECT_EQ(queue.retryFailed(), 1u);
+    dist::Claim again;
+    ASSERT_TRUE(queue.tryClaim("w2", again));
+    EXPECT_EQ(again.key, key);
+    EXPECT_EQ(again.step, 0u);
+    EXPECT_EQ(again.t0, 0u);
+    EXPECT_EQ(again.t1, again.total);
+    EXPECT_EQ(again.spec, spec);
+    queue.release(again);
+    EXPECT_TRUE(queue.scan().drained());
+
+    // A dispatch sliced coarser than every cell runs one link per
+    // cell and publishes no chain snapshot.
+    exp::ResultCache cache(dir.sub("cache"));
+    const auto specs = smallGrid();
+    dist::DispatchOptions opts;
+    opts.spawnWorkers = 2;
+    opts.poll = std::chrono::milliseconds(10);
+    opts.sliceTicks = kTicksPerSec;
+    const dist::DispatchOutcome outcome =
+        dist::runDistributed(specs, dir.sub("q2"), cache, opts);
+    EXPECT_EQ(outcome.localWork.simulated, specs.size());
+    for (const auto &r : outcome.results)
+        EXPECT_TRUE(r.ok) << r.id << ": " << r.error;
+    EXPECT_TRUE(std::filesystem::is_empty(dir.sub("q2") + "/snaps"));
 }
 
 TEST(Slice, TamperedEntriesAreQuarantinedNeverSimulated)
@@ -1077,7 +1198,7 @@ TEST(Slice, TamperedEntriesAreQuarantinedNeverSimulated)
     // path recomputes the key and refuses to run it.
     const std::string wrongKey =
         dist::WorkQueue::sliceKeyFor(base, step, 2);
-    queue.enqueueSlice(spec, step, 0);
+    queue.enqueue(spec, step, 0);
     std::filesystem::rename(
         queue.pendingPath(
             dist::WorkQueue::sliceKeyFor(base, step, 0)),
@@ -1139,14 +1260,14 @@ TEST(Slice, ChainCrashResumesWithZeroDuplicateSimulation)
 
     const exp::ExperimentSpec spec = fastSpec("cell");
     const Tick step = 5 * kTicksPerMs; // 3 slices.
-    queue.enqueueSlice(spec, step, 0);
+    queue.enqueue(spec, step, 0);
 
     // A worker claims slice 0, simulates it, publishes its chain
     // snapshot — and dies before enqueueing the successor or
     // releasing the claim.
     dist::Claim claim;
     ASSERT_TRUE(queue.tryClaim("w-dead", claim));
-    ASSERT_TRUE(claim.isSlice);
+    ASSERT_LT(claim.t1, claim.total);
     exp::SliceOptions so;
     so.t0 = claim.t0;
     so.t1 = claim.t1;
@@ -1198,7 +1319,7 @@ TEST(Slice, CorruptChainSnapshotDegradesNeverCrashes)
         std::ofstream os(queue.snapshotPath(base, step));
         os << "sysscale-snap v1\nnot a real snapshot\n";
     }
-    queue.enqueueSlice(spec, step, 1);
+    queue.enqueue(spec, step, 1);
 
     dist::WorkerOptions wopts;
     wopts.workerId = "w1";
@@ -1258,7 +1379,7 @@ TEST(Slice, CorruptionBatteryIsQuarantinedNeverClaimed)
     dist::WorkQueue queue(dir.sub("q"));
     const exp::ExperimentSpec spec = fastSpec("cell");
     const Tick step = 5 * kTicksPerMs;
-    const std::string key = queue.enqueueSlice(spec, step, 1);
+    const std::string key = queue.enqueue(spec, step, 1);
     const std::string good = test::readText(queue.pendingPath(key));
     std::filesystem::remove(queue.pendingPath(key));
 
@@ -1267,7 +1388,7 @@ TEST(Slice, CorruptionBatteryIsQuarantinedNeverClaimed)
     cases.emplace_back("foreign base key",
                        test::replaceValue(good, "base",
                                           exp::specKey(other)));
-    const std::string otherKey = queue.enqueueSlice(other, step, 1);
+    const std::string otherKey = queue.enqueue(other, step, 1);
     const std::string otherText = test::readText(queue.pendingPath(otherKey));
     std::filesystem::remove(queue.pendingPath(otherKey));
     cases.emplace_back("foreign entry", otherText);
