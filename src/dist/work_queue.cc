@@ -193,8 +193,7 @@ WorkQueue::sliceKeyFor(const std::string &baseKey, Tick step,
                              std::to_string(index);
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(
-                      snapshotFnv1a64(salt)));
+                  static_cast<unsigned long long>(fnv1a64(salt)));
     return buf;
 }
 

@@ -53,17 +53,6 @@ forEachMetric(Metrics &m, Visit &&f)
     }
 }
 
-/** Inverse of exp::formatDouble; throws SnapshotError on garbage. */
-double
-parseFormatted(const std::string &text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (text.empty() || end != text.c_str() + text.size())
-        throw SnapshotError("malformed number \"" + text + "\"");
-    return v;
-}
-
 } // anonymous namespace
 
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
@@ -113,7 +102,7 @@ ResultCache::lookup(const ExperimentSpec &spec, RunResult &out)
         res.labels = spec.labels;
         res.ok = true;
         res.governor = r.getString("governor");
-        res.hostSeconds = parseFormatted(r.getString("host_seconds"));
+        res.hostSeconds = parseDouble(r.getString("host_seconds"));
         r.push("metrics");
         forEachMetric(res.metrics, [&r](const std::string &k, auto &v) {
             if constexpr (std::is_floating_point_v<

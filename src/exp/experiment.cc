@@ -538,13 +538,20 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
             chip.ioMemBudget(chip.opPoints().high()), 0.0));
     }
 
-    const std::string key = specKey(spec);
+    // The key only checks and names snapshots and traces, so an
+    // ordinary cell never serializes its spec here.
+    std::string key;
+    const auto keyOf = [&]() -> const std::string & {
+        if (key.empty())
+            key = specKey(spec);
+        return key;
+    };
     std::optional<soc::Soc::RunAccumulators> baseline;
     Tick pos = 0;
     if (use_snap && sopts.t0 > 0) {
         const std::string text = readSnapshotFile(sopts.inSnap);
         SnapshotReader reader(text);
-        if (reader.specKey() != key) {
+        if (reader.specKey() != keyOf()) {
             throw SnapshotError(
                 "snapshot " + sopts.inSnap + " belongs to spec " +
                 reader.specKey() + ", not " + key);
@@ -578,7 +585,7 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
         // Publish before stats finalization: finalizeStats() closes
         // the time-averaged stats, which must not leak into an image
         // a continuation resumes from.
-        SnapshotWriter writer(key, sim.now());
+        SnapshotWriter writer(keyOf(), sim.now());
         encodeCellState(writer, sim, *active,
                         tracing ? &sink : nullptr, baseline);
         writeSnapshotFile(sopts.outSnap, writer.str());
@@ -600,7 +607,7 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
 
         if (tracing) {
             const std::string path =
-                sopts.traceDir + "/" + key + ".trace.json";
+                sopts.traceDir + "/" + keyOf() + ".trace.json";
             std::ofstream os(path,
                              std::ios::binary | std::ios::trunc);
             if (!os) {

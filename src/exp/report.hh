@@ -29,6 +29,12 @@ namespace exp {
  */
 std::string formatDouble(double v);
 
+/**
+ * Invert formatDouble(): all of @p text must be one number. Throws
+ * SnapshotError otherwise, since its callers read records.
+ */
+double parseDouble(const std::string &text);
+
 /** JSON string literal for @p s, surrounding quotes included. */
 std::string jsonQuote(const std::string &s);
 

@@ -114,9 +114,9 @@ parseU64(std::string_view text, const std::string &key)
 } // anonymous namespace
 
 std::uint64_t
-snapshotFnv1a64(std::string_view data)
+fnv1a64(std::string_view data)
 {
-    std::uint64_t h = 1469598103934665603ull;
+    std::uint64_t h = 14695981039346656037ull;
     for (const char c : data) {
         h ^= static_cast<unsigned char>(c);
         h *= 1099511628211ull;
@@ -221,7 +221,7 @@ SnapshotWriter::str() const
     out += header_;
     out += '\n';
     out += body_;
-    out += "checksum = " + hex16(snapshotFnv1a64(out)) + "\n";
+    out += "checksum = " + hex16(fnv1a64(out)) + "\n";
     return out;
 }
 
@@ -246,7 +246,7 @@ SnapshotReader::SnapshotReader(std::string text, std::string_view header)
         throw SnapshotError("trailing data after snapshot checksum");
     const std::uint64_t want =
         parseHex16(all.substr(value_at, end - value_at), "checksum");
-    const std::uint64_t got = snapshotFnv1a64(all.substr(0, pos));
+    const std::uint64_t got = fnv1a64(all.substr(0, pos));
     if (want != got) {
         throw SnapshotError("snapshot checksum mismatch (stored " +
                             hex16(want) + ", computed " + hex16(got) +

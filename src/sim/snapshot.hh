@@ -21,15 +21,18 @@
  *
  * A snapshot's header is `sysscale-snap v<kSnapFormatVersion>` and
  * its first two keys are `spec` (16-hex spec key) and `tick`. The
- * result cache, the work queue's slice entries and failure markers,
- * and worker metrics are records with their own header lines (see
- * docs/ARCHITECTURE.md, "On-disk formats").
+ * experiment spec, the result cache, the work queue's slice entries
+ * and failure markers, and worker metrics are records with their own
+ * header lines (see docs/ARCHITECTURE.md, "On-disk formats"). The
+ * checksum is fnv1a64() of the record text above it, so the checksum
+ * line of a canonical spec record is that spec's key.
  *
  * Doubles are encoded as the 16-hex IEEE-754 bit pattern so round
- * trips are bit-exact (NaNs, infinities and signed zeros included).
- * The trailing checksum catches truncation and bit flips; the
- * header line is rejected loudly on mismatch, exactly like the spec
- * codec. Writers are strict about duplicate keys and readers are
+ * trips are bit-exact (NaNs, infinities and signed zeros included);
+ * the spec record stores its numbers as exp::formatDouble() text
+ * through putString() instead. The trailing checksum catches
+ * truncation and bit flips; the header line is rejected loudly on
+ * mismatch. Writers are strict about duplicate keys and readers are
  * strict about *unconsumed* keys, so a divergence bisects to a named
  * field instead of silently misaligning (`tools/snap_inspect` dumps
  * the decoded view).
@@ -57,9 +60,10 @@ namespace sysscale {
 
 /**
  * Snapshot encoding version. Bump on any change to the serialized
- * field set or the semantics behind a serialized field.
+ * field set, the semantics behind a serialized field, or the record
+ * checksum. v2: checksums use the standard FNV-1a/64 offset basis.
  */
-constexpr int kSnapFormatVersion = 1;
+constexpr int kSnapFormatVersion = 2;
 
 /**
  * Every snapshot failure mode — unreadable file, bad header, stale
@@ -75,8 +79,12 @@ class SnapshotError : public std::runtime_error
     {}
 };
 
-/** FNV-1a/64 (local copy so sim/ stays dependency-free). */
-std::uint64_t snapshotFnv1a64(std::string_view data);
+/**
+ * FNV-1a/64 with the standard offset basis: the repo's one hash. It
+ * seals every record (so a spec record's checksum is its key) and
+ * salts multi-link slice keys.
+ */
+std::uint64_t fnv1a64(std::string_view data);
 
 /** Bit-exact double encoding: 16 lowercase hex of the bit pattern. */
 std::string encodeDouble(double v);

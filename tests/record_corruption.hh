@@ -44,8 +44,7 @@ restampRecord(const std::string &text)
     const std::string body = text.substr(0, text.rfind("checksum = "));
     char sum[17];
     std::snprintf(sum, sizeof(sum), "%016llx",
-                  static_cast<unsigned long long>(
-                      snapshotFnv1a64(body)));
+                  static_cast<unsigned long long>(fnv1a64(body)));
     return body + "checksum = " + sum + "\n";
 }
 

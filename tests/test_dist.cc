@@ -1119,6 +1119,19 @@ TEST(Slice, EntriesRoundTripThroughClaim)
 }
 
 /**
+ * Golden multi-link key: fnv1a64 of "slice:<base>:<step>:<index>"
+ * under the standard offset basis. It changes exactly when the one
+ * hash (sim/snapshot.hh) or the salt format does, which strands
+ * every queued chain.
+ */
+TEST(Slice, MultiLinkKeyIsGolden)
+{
+    EXPECT_EQ(dist::WorkQueue::sliceKeyFor("3b459bfd9e183161",
+                                           5 * kTicksPerMs, 2),
+              "13fe7773f7941b7f");
+}
+
+/**
  * A chain of one link is the whole cell: unsliced, sliced at the
  * cell's length or coarser, it is the step-0 link under the cell's
  * own key over [0, total] — and a failed link of a longer chain

@@ -225,7 +225,7 @@ restampChecksum(std::string text)
     const std::size_t pos = text.rfind("checksum = ");
     EXPECT_NE(pos, std::string::npos);
     text.resize(pos);
-    const std::uint64_t sum = snapshotFnv1a64(text);
+    const std::uint64_t sum = fnv1a64(text);
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(sum));

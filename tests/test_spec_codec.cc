@@ -13,6 +13,7 @@
 
 #include "exp/spec_codec.hh"
 #include "soc/op_point.hh"
+#include "tests/record_corruption.hh"
 #include "workloads/battery.hh"
 #include "workloads/micro.hh"
 #include "workloads/spec.hh"
@@ -105,9 +106,9 @@ roundTripCorpus()
 TEST(Fnv1a64, KnownVectors)
 {
     // Published FNV-1a 64-bit test vectors.
-    EXPECT_EQ(exp::fnv1a64(""), 0xcbf29ce484222325ull);
-    EXPECT_EQ(exp::fnv1a64("a"), 0xaf63dc4c8601ec8cull);
-    EXPECT_EQ(exp::fnv1a64("foobar"), 0x85944171f73967e8ull);
+    EXPECT_EQ(sysscale::fnv1a64(""), 0xcbf29ce484222325ull);
+    EXPECT_EQ(sysscale::fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(sysscale::fnv1a64("foobar"), 0x85944171f73967e8ull);
 }
 
 TEST(SpecCodec, RoundTripIsExact)
@@ -155,7 +156,7 @@ TEST(SpecCodec, RejectsStaleVersionDocuments)
         std::string stale = text;
         stale.replace(0, header.size(),
                       "sysscale-spec v" + std::to_string(v) + "\n");
-        EXPECT_THROW((void)exp::parseSpec(stale),
+        EXPECT_THROW((void)exp::parseSpec(test::restampRecord(stale)),
                      std::invalid_argument)
             << "v" << v;
     }
@@ -249,34 +250,67 @@ TEST(SpecCodec, GoldenKeys)
     EXPECT_EQ(exp::specKey(rich), "77d39e8b1856434e");
 }
 
+TEST(SpecCodec, CanonicalRecordChecksumIsTheKey)
+{
+    for (const exp::ExperimentSpec &spec : roundTripCorpus()) {
+        const std::string canonical = exp::canonicalSpec(spec);
+        const std::string line =
+            "checksum = " + exp::specKey(spec) + "\n";
+        ASSERT_GE(canonical.size(), line.size()) << spec.id;
+        EXPECT_EQ(canonical.substr(canonical.size() - line.size()),
+                  line)
+            << spec.id;
+    }
+}
+
 TEST(SpecCodec, RejectsMalformedDocuments)
 {
     const std::string good =
         exp::serializeSpec(exp::ExperimentSpec{});
+    // Lines land above the checksum, which is then re-sealed, so
+    // only the line itself can reject the document.
+    const auto withLine = [&good](const std::string &line) {
+        return test::restampRecord(
+            good.substr(0, good.rfind("checksum = ")) + line +
+            "checksum = ");
+    };
 
     EXPECT_THROW((void)exp::parseSpec(""), std::invalid_argument);
     EXPECT_THROW((void)exp::parseSpec("sysscale-spec v999\n"),
                  std::invalid_argument);
-    EXPECT_THROW((void)exp::parseSpec(good + "mystery = 1\n"),
+    EXPECT_THROW((void)exp::parseSpec(withLine("mystery = 1\n")),
                  std::invalid_argument);
-    EXPECT_THROW((void)exp::parseSpec(good + "seed = 1\n"),
+    EXPECT_THROW((void)exp::parseSpec(withLine("seed = 1\n")),
                  std::invalid_argument); // duplicate key
-    EXPECT_THROW((void)exp::parseSpec(good + "no separator\n"),
+    EXPECT_THROW((void)exp::parseSpec(withLine("no separator\n")),
                  std::invalid_argument);
 
     // Corrupt one numeric value in place.
-    std::string bad_number = good;
-    const std::string needle = "seed = ";
-    const std::size_t at = bad_number.find(needle);
-    ASSERT_NE(at, std::string::npos);
-    bad_number.replace(at + needle.size(), 1, "x");
-    EXPECT_THROW((void)exp::parseSpec(bad_number),
+    EXPECT_THROW((void)exp::parseSpec(
+                     test::replaceValue(good, "seed", "x")),
                  std::invalid_argument);
+}
+
+/**
+ * The record battery (tests/record_corruption.hh) against a spec
+ * record: every truncation, a flipped value byte and a stale header
+ * under a valid checksum keep parseSpec's invalid_argument contract.
+ */
+TEST(SpecCodec, CorruptionBatteryThrows)
+{
+    const std::string text = exp::serializeSpec(richSpec());
+    ASSERT_NO_THROW((void)exp::parseSpec(text));
+    for (const auto &[name, bad] : test::recordCorruptions(text, "seed"))
+        EXPECT_THROW((void)exp::parseSpec(bad), std::invalid_argument)
+            << name;
 }
 
 namespace {
 
-/** Replace the value of @p key in a serialized spec document. */
+/**
+ * Replace the value of @p key in a serialized spec record and
+ * re-seal it, so only the edit — not the checksum — can reject it.
+ */
 std::string
 rewriteField(std::string text, const std::string &key,
              const std::string &value)
@@ -286,7 +320,7 @@ rewriteField(std::string text, const std::string &key,
     EXPECT_NE(at, std::string::npos) << key;
     const std::size_t eol = text.find('\n', at);
     text.replace(at, eol - at, needle + value);
-    return text;
+    return test::restampRecord(text);
 }
 
 } // anonymous namespace

@@ -52,6 +52,12 @@ trace-side-effect
     untraced ones — the exact heisenbug the deterministic-trace
     contract exists to rule out.
 
+one-hash
+    The FNV-1a/64 prime 1099511628211 appears in src/ only in
+    src/sim/snapshot.cc, home of the one hash (sysscale::fnv1a64):
+    record checksums, spec keys and slice keys.  Two private copies
+    once drifted to different offset bases with no test noticing.
+
 spec-version-guard
     Diff mode only (--diff-base/--diff-file): a diff that touches
     src/exp/spec_codec.* or any spec-serialized header must also
@@ -483,8 +489,32 @@ def check_trace_side_effect(path, lines, findings):
             "hoist the mutation out of the macro call"))
 
 
+FNV_PRIME_RE = re.compile(r"\b1099511628211(?:ull|ULL|u|U)?\b")
+ONE_HASH_HOME = "src/sim/snapshot.cc"
+
+
+@check("one-hash",
+       "the FNV-1a/64 prime appears in src/ only in src/sim/snapshot.cc "
+       "(sysscale::fnv1a64 is the one hash)")
+def check_one_hash(path, lines, findings):
+    if not path.startswith("src/") or path == ONE_HASH_HOME:
+        return
+    code = strip_comments(lines)
+    for i, line in enumerate(code):
+        if not FNV_PRIME_RE.search(line):
+            continue
+        if waived("one-hash", lines, i, findings, path):
+            continue
+        findings.append(Finding(
+            "one-hash", path, i + 1,
+            "second FNV-1a/64 implementation — call sysscale::fnv1a64 "
+            "(sim/snapshot.hh) so every key and checksum shares one "
+            "hash"))
+
+
 SOURCE_CHECKS = ("nondeterminism", "raw-queue-write", "unit-suffix",
-                 "governor-soc-mutation", "trace-side-effect")
+                 "governor-soc-mutation", "trace-side-effect",
+                 "one-hash")
 
 
 def iter_source_files(root):
@@ -530,6 +560,7 @@ FIXTURES = (
      "governor-soc-mutation", 3),
     ("trace_side_effect.cc", "src/soc/trace_side_effect.cc",
      "trace-side-effect", 3),
+    ("one_hash.cc", "src/exp/one_hash.cc", "one-hash", 1),
     ("clean.cc", "src/dist/clean.cc", None, 0),
     ("clean.hh", "src/soc/clean.hh", None, 0),
     ("governor_clean.cc", "src/core/governor_zoo.cc", None, 0),
