@@ -29,19 +29,6 @@ Llc::missScale(std::size_t reference_bytes) const
                      static_cast<double>(capacityBytes_));
 }
 
-void
-Llc::recordInterval(double cpu_misses, double gfx_misses,
-                    double stall_cycles, double pending_occupancy)
-{
-    lastGfxMisses_ = gfx_misses;
-    lastStallCycles_ = stall_cycles;
-    lastOccupancy_ = pending_occupancy;
-
-    cpuMisses_ += cpu_misses;
-    gfxMisses_ += gfx_misses;
-    stallCycles_ += stall_cycles;
-}
-
 Watt
 Llc::power(Volt voltage, double utilization) const
 {

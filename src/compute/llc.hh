@@ -100,6 +100,19 @@ class Llc : public SimObject
     stats::Scalar stallCycles_;
 };
 
+inline void
+Llc::recordInterval(double cpu_misses, double gfx_misses,
+                    double stall_cycles, double pending_occupancy)
+{
+    lastGfxMisses_ = gfx_misses;
+    lastStallCycles_ = stall_cycles;
+    lastOccupancy_ = pending_occupancy;
+
+    cpuMisses_ += cpu_misses;
+    gfxMisses_ += gfx_misses;
+    stallCycles_ += stall_cycles;
+}
+
 } // namespace compute
 } // namespace sysscale
 

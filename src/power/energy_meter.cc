@@ -14,14 +14,6 @@ EnergyMeter::addPower(Rail rail, Watt watts, Tick duration)
     energy_[railIndex(rail)] += watts * secondsFromTicks(duration);
 }
 
-void
-EnergyMeter::addEnergy(Rail rail, Joule joules)
-{
-    SYSSCALE_ASSERT(joules >= 0.0, "negative energy on rail %s",
-                    std::string(railName(rail)).c_str());
-    energy_[railIndex(rail)] += joules;
-}
-
 Joule
 EnergyMeter::railEnergy(Rail rail) const
 {

@@ -11,8 +11,10 @@
 #define SYSSCALE_POWER_ENERGY_METER_HH
 
 #include <array>
+#include <string>
 
 #include "power/dvfs_types.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace sysscale {
@@ -58,6 +60,14 @@ class EnergyMeter
     std::array<Joule, kNumRails> energy_{};
     Tick windowStart_ = 0;
 };
+
+inline void
+EnergyMeter::addEnergy(Rail rail, Joule joules)
+{
+    SYSSCALE_ASSERT(joules >= 0.0, "negative energy on rail %s",
+                    std::string(railName(rail)).c_str());
+    energy_[railIndex(rail)] += joules;
+}
 
 } // namespace power
 } // namespace sysscale

@@ -52,7 +52,7 @@ class Event
         kPrioMinimum = 0,
         kPrioDvfsFlow = 10,     //!< PMU transition-flow steps.
         kPrioDefault = 50,
-        kPrioStatsSample = 80,  //!< Counter sampling after model updates.
+        kPrioStatsSample = 80,  //!< PMU evaluation after model updates.
         kPrioMaximum = 100,
     };
 

@@ -62,8 +62,10 @@ namespace sysscale {
  * Snapshot encoding version. Bump on any change to the serialized
  * field set, the semantics behind a serialized field, or the record
  * checksum. v2: checksums use the standard FNV-1a/64 offset basis.
+ * v3: counter sampling is a phase of the Soc's step, so the saved
+ * event list no longer holds `pmu.sample`.
  */
-constexpr int kSnapFormatVersion = 2;
+constexpr int kSnapFormatVersion = 3;
 
 /**
  * Every snapshot failure mode — unreadable file, bad header, stale

@@ -35,17 +35,6 @@ Scalar::loadState(SnapshotReader &r)
     value_ = r.getDouble("value");
 }
 
-void
-Average::sample(double v, double weight)
-{
-    SYSSCALE_ASSERT(weight >= 0.0, "negative sample weight");
-    sum_ += v * weight;
-    weight_ += weight;
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-    ++count_;
-}
-
 double
 Average::mean() const
 {

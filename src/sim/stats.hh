@@ -13,12 +13,14 @@
 #ifndef SYSSCALE_SIM_STATS_HH
 #define SYSSCALE_SIM_STATS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace sysscale {
@@ -106,6 +108,17 @@ class Average : public StatBase
     double max_ = -std::numeric_limits<double>::infinity();
     std::uint64_t count_ = 0;
 };
+
+inline void
+Average::sample(double v, double weight)
+{
+    SYSSCALE_ASSERT(weight >= 0.0, "negative sample weight");
+    sum_ += v * weight;
+    weight_ += weight;
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+    ++count_;
+}
 
 /**
  * Time-weighted mean of a piecewise-constant signal.

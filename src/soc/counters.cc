@@ -13,22 +13,6 @@ PerfCounterBlock::PerfCounterBlock(Simulator &sim, SimObject *parent)
 }
 
 void
-PerfCounterBlock::accumulate(double gfx_misses, double cpu_occupancy,
-                             double stall_cycles, double io_rpq,
-                             Tick step)
-{
-    SYSSCALE_ASSERT(step > 0, "zero-length counter step");
-
-    const double w = static_cast<double>(step);
-    pending_[counterIndex(Counter::GfxLlcMisses)] += gfx_misses;
-    pending_[counterIndex(Counter::LlcOccupancyTracer)] +=
-        cpu_occupancy * w;
-    pending_[counterIndex(Counter::LlcStalls)] += stall_cycles;
-    pending_[counterIndex(Counter::IoRpq)] += io_rpq * w;
-    pendingTicks_ += step;
-}
-
-void
 PerfCounterBlock::sample()
 {
     if (pendingTicks_ == 0) {

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "sim/logging.hh"
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
 
@@ -132,6 +133,22 @@ class PerfCounterBlock : public SimObject
 
     stats::Scalar samples_;
 };
+
+inline void
+PerfCounterBlock::accumulate(double gfx_misses, double cpu_occupancy,
+                             double stall_cycles, double io_rpq,
+                             Tick step)
+{
+    SYSSCALE_ASSERT(step > 0, "zero-length counter step");
+
+    const double w = static_cast<double>(step);
+    pending_[counterIndex(Counter::GfxLlcMisses)] += gfx_misses;
+    pending_[counterIndex(Counter::LlcOccupancyTracer)] +=
+        cpu_occupancy * w;
+    pending_[counterIndex(Counter::LlcStalls)] += stall_cycles;
+    pending_[counterIndex(Counter::IoRpq)] += io_rpq * w;
+    pendingTicks_ += step;
+}
 
 } // namespace soc
 } // namespace sysscale

@@ -11,8 +11,6 @@ Pmu::Pmu(Simulator &sim, Soc &soc, PerfCounterBlock &counters,
     : SimObject(sim, &soc, "pmu"), soc_(soc), counters_(counters),
       sampleInterval_(sample_interval),
       evalInterval_(evaluation_interval),
-      sampleEvent_("pmu.sample", [this] { onSample(); },
-                   Event::kPrioStatsSample),
       evalEvent_("pmu.evaluate", [this] { onEvaluate(); },
                  Event::kPrioStatsSample),
       samplesTaken_(this, "samples", "counter samples taken"),
@@ -27,8 +25,6 @@ Pmu::Pmu(Simulator &sim, Soc &soc, PerfCounterBlock &counters,
 
 Pmu::~Pmu()
 {
-    if (sampleEvent_.scheduled())
-        eventq().deschedule(&sampleEvent_);
     if (evalEvent_.scheduled())
         eventq().deschedule(&evalEvent_);
 }
@@ -52,16 +48,23 @@ Pmu::setPolicy(PmuPolicy *policy)
 void
 Pmu::startup()
 {
-    eventq().schedule(&sampleEvent_, now() + sampleInterval_);
+    nextSample_ = now() + sampleInterval_;
     eventq().schedule(&evalEvent_, now() + evalInterval_);
 }
 
 void
-Pmu::onSample()
+Pmu::loadState(SnapshotReader &r)
+{
+    (void)r;
+    nextSample_ = (now() / sampleInterval_ + 1) * sampleInterval_;
+}
+
+void
+Pmu::sample(Tick t)
 {
     counters_.sample();
     ++samplesTaken_;
-    eventq().schedule(&sampleEvent_, now() + sampleInterval_);
+    nextSample_ = t + sampleInterval_;
 }
 
 void
@@ -73,6 +76,7 @@ Pmu::onEvaluate()
         ++evaluations_;
     }
     counters_.clearWindow();
+    sample(now());
     eventq().schedule(&evalEvent_, now() + evalInterval_);
 }
 

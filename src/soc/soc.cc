@@ -267,11 +267,10 @@ Soc::replaySteps(Tick interval)
     // Serve the step event that just fired from the cached plan. A
     // restore leaves the commit record stale; the first replay after
     // it re-derives the record from the restored plan.
-    ++steps_;
-    ++replayedSteps_;
     if (record_.stale)
         commitStep<CommitMode::Derive>(interval, 0, 0.0);
-    applyCommit(interval);
+    applyCommit(batch_start, interval);
+    pmu_->afterStep(batch_start);
 
     // Idle skip-ahead: batch further grid steps while nothing can
     // observe the difference — no event pending at or before the
@@ -280,11 +279,12 @@ Soc::replaySteps(Tick interval)
     // tail itself not drifting (the reactive throttle walk). A
     // replay never moves the memory latency: the capture that did
     // would have failed the fingerprint. Each virtual step applies
-    // the identical mutation sequence at the identical tick; the
-    // kernel just never round-trips an event per step. Nothing in
-    // the commit half schedules events, so the pending horizon is
-    // stable across the batch.
-    Tick t = now();
+    // the identical mutation sequence at the identical tick, counter
+    // sample included; the kernel just never round-trips an event
+    // per step. Nothing in the commit half or the sample reads now()
+    // or schedules events, so the clock moves once, to the batch's
+    // last step, and the pending horizon is stable across the batch.
+    Tick t = batch_start;
     const Tick horizon = eventq().nextPendingTick();
     const Tick limit = eventq().runLimit();
     while (true) {
@@ -294,13 +294,17 @@ Soc::replaySteps(Tick interval)
             throttle_ != plan_.throttle) {
             break;
         }
-        eventq().advanceNow(next);
         t = next;
-        ++steps_;
-        ++replayedSteps_;
         ++batch_steps;
-        applyCommit(interval);
+        applyCommit(t, interval);
+        pmu_->afterStep(t);
     }
+    eventq().advanceNow(t);
+    // Integer-valued doubles far below 2^53: one add of the batch
+    // length is exact.
+    const double n = static_cast<double>(batch_steps);
+    steps_ += n;
+    replayedSteps_ += n;
     eventq().schedule(&stepEvent_, t + interval);
 
     // One span per batch: the only trace category that differs
@@ -476,11 +480,12 @@ Soc::step()
     else
         commitStep<CommitMode::Apply>(interval, active_threads,
                                       avg_activity);
+    pmu_->afterStep(now());
     eventq().schedule(&stepEvent_, now() + interval);
 }
 
 inline void
-Soc::traceRailPower(Watt step_power)
+Soc::traceRailPower(Tick t, Watt step_power)
 {
     // Change-filtered in the sink, so a steady phase emits one sample
     // per level shift — and replayed steps (identical watts by
@@ -490,18 +495,17 @@ Soc::traceRailPower(Watt step_power)
     if (!TRACE_ACTIVE(sink))
         return;
     const StepPlan &p = plan_;
-    const Tick t_now = now();
-    sink->counter(obs::kCatPower, "vcore_w", t_now,
+    sink->counter(obs::kCatPower, "vcore_w", t,
                   p.railWatts[power::railIndex(power::Rail::VCore)]);
-    sink->counter(obs::kCatPower, "vgfx_w", t_now,
+    sink->counter(obs::kCatPower, "vgfx_w", t,
                   p.railWatts[power::railIndex(power::Rail::VGfx)]);
-    sink->counter(obs::kCatPower, "vsa_w", t_now,
+    sink->counter(obs::kCatPower, "vsa_w", t,
                   p.railWatts[power::railIndex(power::Rail::VSA)]);
-    sink->counter(obs::kCatPower, "vio_w", t_now,
+    sink->counter(obs::kCatPower, "vio_w", t,
                   p.railWatts[power::railIndex(power::Rail::VIO)]);
-    sink->counter(obs::kCatPower, "vddq_w", t_now,
+    sink->counter(obs::kCatPower, "vddq_w", t,
                   p.railWatts[power::railIndex(power::Rail::VDDQ)]);
-    sink->counter(obs::kCatPower, "soc_w", t_now, step_power);
+    sink->counter(obs::kCatPower, "soc_w", t, step_power);
 }
 
 template <Soc::CommitMode kMode>
@@ -621,7 +625,7 @@ Soc::commitStep(Tick interval, std::size_t active_threads,
         integratePower(demand, active_threads, avg_activity,
                        ms.utilization, fr.utilization, vddq_power,
                        interval);
-        traceRailPower(p.stepPower);
+        traceRailPower(now(), p.stepPower);
     }
     a.powerEwmaTermW = 0.02 * (p.stepPower - cfg_.platformFloor);
     if constexpr (kApply)
@@ -642,7 +646,7 @@ Soc::commitStep(Tick interval, std::size_t active_threads,
 }
 
 inline void
-Soc::applyCommit(Tick interval)
+Soc::applyCommit(Tick t, Tick interval)
 {
     const CommitRecord &rec = record_;
     if (rec.memActive) {
@@ -659,7 +663,7 @@ Soc::applyCommit(Tick interval)
     for (power::Rail r : power::kAllRails)
         meter_.addEnergy(r, rec.railJoules[power::railIndex(r)]);
     meter_.addEnergy(power::Rail::VSA, rec.floorJoules);
-    traceRailPower(plan_.stepPower);
+    traceRailPower(t, plan_.stepPower);
 
     applyAccounting(rec.accounting, interval);
 }

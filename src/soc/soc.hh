@@ -288,9 +288,13 @@ class Soc : public SimObject
      * fingerprint-identical to the previous slow step are replayed
      * from a cached plan — and runs of such steps inside one run()
      * window are batched into a single event, advancing simulated
-     * time analytically. Every replay applies the exact floating-
-     * point operation sequence of the slow path, so all reported
-     * metrics are byte-identical either way (pinned by
+     * time analytically. A batch ends before the next pending event
+     * (a PMU evaluation, a scenario action, a transition-flow step),
+     * at the workload's demand horizon, at the run limit, or when
+     * the reactive throttle moves; the PMU's counter samples run
+     * inside it (Pmu::afterStep()). Every replay applies the exact
+     * floating-point operation sequence of the slow path, so all
+     * reported metrics are byte-identical either way (pinned by
      * tests/test_skip_ahead.cc).
      */
     void
@@ -469,16 +473,17 @@ class Soc : public SimObject
     /**
      * A replayed step's commit half: apply record_'s side effects in
      * the slow step's order, so every accumulator sees the identical
-     * sequence of additions.
+     * sequence of additions. @p t is the step's tick: a replay batch
+     * moves the clock only once, to its last step.
      */
-    [[gnu::always_inline]] void applyCommit(Tick interval);
+    [[gnu::always_inline]] void applyCommit(Tick t, Tick interval);
 
     /** Apply @p a to the Soc's own stats, EWMAs and accumulators. */
     [[gnu::always_inline]] void
     applyAccounting(const StepAccounting &a, Tick interval);
 
-    /** Rail-power trace counters of the step (change-filtered). */
-    [[gnu::always_inline]] void traceRailPower(Watt step_power);
+    /** Rail-power trace counters at @p t (change-filtered). */
+    [[gnu::always_inline]] void traceRailPower(Tick t, Watt step_power);
 
     /** Fast path: replay + batch grid steps, then reschedule. */
     void replaySteps(Tick interval);

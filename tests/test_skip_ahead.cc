@@ -17,10 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -31,6 +33,7 @@
 #include "compute/cstates.hh"
 #include "exp/experiment.hh"
 #include "exp/report.hh"
+#include "exp/spec_codec.hh"
 #include "io/display.hh"
 #include "sim/sim_object.hh"
 #include "sim/snapshot.hh"
@@ -564,4 +567,49 @@ TEST(SkipAhead, RestoreIntoReplayRederivesTheCommitRecord)
         statLines(sliceSnapshot(spec, second, dir.path() + "/resumed"));
 
     expectSameStats(through, resumed, "restored at " + std::to_string(cut));
+}
+
+TEST(SkipAhead, BatchesCrossSampleTicks)
+{
+    // The Fig. 9 web-browsing cell under the fixed governor. Counter
+    // sampling is a step phase, so a replay batch runs across the
+    // 1 ms sample ticks and ends only at an evaluation, a demand
+    // horizon, a scenario action or the run limit. A sample that is
+    // an event again cuts every batch at most 10 steps long and
+    // yields thousands of spans (6,379 when it was one).
+    exp::ExperimentSpec spec;
+    spec.id = "web-browsing/fixed";
+    spec.workload = workloads::webBrowsing();
+    spec.governor = "fixed";
+    spec.hdPanel = true;
+    spec.warmup = 200 * kTicksPerMs;
+    spec.window = 3 * kTicksPerSec;
+
+    const TempDir dir("batches");
+    exp::RunCellOptions opts;
+    opts.traceDir = dir.path();
+    const SkipAheadGuard guard(true);
+    const exp::RunResult res = exp::runCell(spec, opts);
+    ASSERT_TRUE(res.ok) << res.error;
+
+    std::ifstream is(dir.path() + "/" + exp::specKey(spec) +
+                     ".trace.json");
+    ASSERT_TRUE(is.good());
+    std::size_t spans = 0;
+    std::uint64_t longest = 0;
+    std::string line;
+    while (std::getline(is, line)) {
+        if (line.find("\"name\":\"replay_batch\"") == std::string::npos)
+            continue;
+        ++spans;
+        const std::string marker = "\"steps\":";
+        const std::size_t at = line.find(marker);
+        ASSERT_NE(at, std::string::npos);
+        longest = std::max<std::uint64_t>(
+            longest, std::strtoull(line.c_str() + at + marker.size(),
+                                   nullptr, 10));
+    }
+    EXPECT_GT(spans, 0u);
+    EXPECT_LT(spans, 400u);
+    EXPECT_GT(longest, 10u);
 }

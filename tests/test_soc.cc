@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/governors.hh"
 #include "sim/sim_object.hh"
+#include "sim/snapshot.hh"
 #include "soc/config.hh"
 #include "soc/counters.hh"
 #include "soc/op_point.hh"
@@ -130,6 +135,102 @@ TEST(Pmu, EvaluatesOncePerInterval)
     chip.pmu().setPolicy(&host);
     chip.run(100 * kTicksPerMs);
     EXPECT_EQ(chip.pmu().evaluations(), 3u); // t = 30, 60, 90 ms
+}
+
+namespace {
+
+/** Records the window's sample count at every evaluation. */
+class WindowRecorder : public PmuPolicy
+{
+  public:
+    const char *name() const override { return "window-recorder"; }
+
+    void
+    evaluate(Soc &soc, const CounterSnapshot &) override
+    {
+        windows.push_back(soc.counters().windowSamples());
+    }
+
+    std::vector<std::size_t> windows;
+};
+
+/**
+ * Run an idle Soc for @p total with a WindowRecorder and return the
+ * windows it saw. With @p cut > 0 the run stops at @p cut, its events,
+ * objects and stats are saved, and a fresh Soc restored from them
+ * runs the rest: the restore path runCellSlice() takes.
+ */
+std::vector<std::size_t>
+recordWindows(bool skip_ahead, Tick total, Tick cut)
+{
+    Simulator sim;
+    Soc chip(sim, skylakeConfig());
+    chip.setSkipAhead(skip_ahead);
+    WindowRecorder rec;
+    chip.pmu().setPolicy(&rec);
+    if (cut == 0) {
+        chip.run(total);
+        return rec.windows;
+    }
+    chip.run(cut);
+    const std::vector<EventQueue::SavedEvent> events =
+        sim.eventq().saveEvents();
+    SnapshotWriter w("0000000000000000", sim.now());
+    for (const SimObject *o : sim.objects()) {
+        w.push(o->path());
+        o->saveState(w);
+        w.pop();
+    }
+    sim.statsRoot().saveStats(w);
+
+    Simulator sim2;
+    Soc chip2(sim2, skylakeConfig());
+    chip2.setSkipAhead(skip_ahead);
+    WindowRecorder rec2;
+    chip2.pmu().setPolicy(&rec2);
+    sim2.startAll();
+    std::map<std::string, Event *> by_name;
+    for (Event *ev : sim2.eventq().scheduledEvents())
+        by_name[ev->name()] = ev;
+    sim2.eventq().clearScheduled();
+    sim2.eventq().restoreNow(cut);
+    for (const EventQueue::SavedEvent &e : events)
+        sim2.eventq().schedule(by_name.at(e.name), e.when);
+    SnapshotReader r(w.str());
+    for (SimObject *o : sim2.objects()) {
+        r.push(o->path());
+        o->loadState(r);
+        r.pop();
+    }
+    sim2.statsRoot().loadStats(r);
+    r.finish();
+
+    chip2.run(total - cut);
+    std::vector<std::size_t> all = rec.windows;
+    all.insert(all.end(), rec2.windows.begin(), rec2.windows.end());
+    return all;
+}
+
+} // anonymous namespace
+
+/**
+ * At a tick that is both a sample and an evaluation tick, the policy
+ * evaluates first and the sample opens the next window: the first
+ * window lacks the tick-0 sample (29), every later one holds 30. The
+ * same holds with skip-ahead off and across a restore at an off-grid
+ * tick, which re-derives the next sample tick.
+ */
+TEST(Pmu, EvaluationPrecedesTheBoundarySample)
+{
+    const std::vector<std::size_t> expected = {29, 30, 30};
+    const Tick total = 100 * kTicksPerMs;
+    const Tick cut = 45 * kTicksPerMs + 37;
+    for (bool skip_ahead : {true, false}) {
+        EXPECT_EQ(recordWindows(skip_ahead, total, 0), expected)
+            << "skip-ahead " << skip_ahead;
+        EXPECT_EQ(recordWindows(skip_ahead, total, cut), expected)
+            << "skip-ahead " << skip_ahead << ", restored";
+    }
 }
 
 TEST(Pmu, OversizedFirmwareRejected)
