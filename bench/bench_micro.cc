@@ -8,6 +8,7 @@
 
 #include "bench/harness.hh"
 #include "core/governor.hh"
+#include "core/governor_driver.hh"
 #include "core/governor_registry.hh"
 #include "core/threshold_trainer.hh"
 #include "obs/trace.hh"
@@ -208,11 +209,13 @@ BM_Fig9IdleRun(benchmark::State &state)
 BENCHMARK(BM_Fig9IdleRun)->Arg(0)->Arg(1);
 
 /**
- * Cost of one governor evaluation interval through the full
- * policy/driver stack: GovernorHost::evaluate() -> decide() ->
- * driver request (with notifier dispatch when the point moves).
- * One variant per registered governor, at default parameters, so
- * the perf ledger watches every policy in the zoo.
+ * Cost of one governor evaluation interval through the
+ * policy/driver stack: decide() -> driver request (running the
+ * transition flow when the point moves) -> budget refresh. The
+ * governor is installed through Pmu::setGovernor, so decide() runs
+ * on the PMU's own driver. One variant per registered governor, at
+ * default parameters, so the perf ledger watches every policy in
+ * the zoo.
  */
 void
 BM_GovernorDecide(benchmark::State &state, const std::string &name)
@@ -220,14 +223,16 @@ BM_GovernorDecide(benchmark::State &state, const std::string &name)
     Simulator sim;
     soc::Soc chip(sim, soc::skylakeConfig());
     chip.display().attachPanel(0, io::PanelConfig{});
-    core::GovernorHost host(core::makeGovernor(name, {}));
-    host.reset(chip);
+    const std::unique_ptr<core::Governor> gov =
+        core::makeGovernor(name, {});
+    chip.pmu().setGovernor(gov.get());
+    core::GovernorDriver &drv = chip.pmu().driver();
     soc::CounterSnapshot avg;
     avg[soc::Counter::LlcStalls] = 1e5;
     avg[soc::Counter::LlcOccupancyTracer] = 8.0;
     avg[soc::Counter::IoRpq] = 12.0;
     for (auto _ : state)
-        host.evaluate(chip, avg);
+        gov->decide(drv, chip, avg);
 }
 
 const int kGovernorDecideRegistered = [] {

@@ -24,8 +24,7 @@ main()
     soc::Soc chip(sim, cfg);
 
     core::SysScaleGovernor gov;
-    core::GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
 
     workloads::ProfileAgent agent(
         workloads::specBenchmark("453.povray"));

@@ -14,18 +14,6 @@ GovernorDriver::GovernorDriver(soc::Soc &soc, FlowOptions opts,
 {
 }
 
-void
-GovernorDriver::subscribePre(TransitionCallback cb)
-{
-    pre_.push_back(std::move(cb));
-}
-
-void
-GovernorDriver::subscribePost(TransitionCallback cb)
-{
-    post_.push_back(std::move(cb));
-}
-
 Tick
 GovernorDriver::estimateTransitionLatency(
     const soc::OperatingPoint &target) const
@@ -37,9 +25,8 @@ bool
 GovernorDriver::requestOpPoint(const soc::OperatingPoint &target)
 {
     const soc::OperatingPoint from = soc_.currentOpPoint();
-    const bool changes = !(from == target);
 
-    if (changes && latencyLimit_ != 0 &&
+    if (!(from == target) && latencyLimit_ != 0 &&
         flow_.estimate(target) > latencyLimit_) {
         ++denied_;
         TRACE_INSTANT(soc_.traceSink(), obs::kCatGovernor, "denied",
@@ -56,29 +43,11 @@ GovernorDriver::requestOpPoint(const soc::OperatingPoint &target)
         return false;
     }
 
-    TransitionRecord rec;
-    rec.from = from;
-    rec.to = target;
-    if (changes) {
-        for (const TransitionCallback &cb : pre_)
-            cb(rec);
-    }
-
     const FlowReport report = flow_.execute(target);
     if (report.executed) {
         ++flowRuns_;
         lastFlowLatency_ = report.totalLatency;
         totalFlowLatency_ += report.totalLatency;
-    }
-
-    rec.latency = report.totalLatency;
-    rec.increased = report.increased;
-    rec.executed = report.executed;
-    if (changes) {
-        for (const TransitionCallback &cb : post_)
-            cb(rec);
-    }
-    if (report.executed) {
         TRACE_INSTANT(soc_.traceSink(), obs::kCatGovernor, "grant",
                       soc_.now(),
                       obs::kv("from", from.name) + "," +

@@ -5,24 +5,19 @@
  * The driver is the only component that applies operating-point
  * grants to the SoC. It owns the Fig. 5 TransitionFlow, recomputes
  * the compute-domain power budget after every request, enforces an
- * optional transition-latency constraint, and publishes pre/post
- * transition notifiers so stats and policies can account transitions
- * without touching mechanics.
+ * optional transition-latency constraint, and counts the flows it
+ * ran and the requests it denied. The PMU builds one per governor
+ * install (soc::Pmu::setGovernor).
  *
  * Policies (core/governor.hh implementations) must route every SoC
  * mutation through this class; the repo-invariant linter's
- * governor-driver-only check rejects direct Soc mutator calls from
+ * governor-soc-mutation check rejects direct Soc mutator calls from
  * policy files.
  */
 
 #ifndef SYSSCALE_CORE_GOVERNOR_DRIVER_HH
 #define SYSSCALE_CORE_GOVERNOR_DRIVER_HH
 
-#include <functional>
-#include <memory>
-#include <vector>
-
-#include "core/governor.hh"
 #include "core/transition_flow.hh"
 #include "soc/soc.hh"
 
@@ -35,23 +30,8 @@ namespace core {
 class GovernorDriver
 {
   public:
-    using TransitionCallback =
-        std::function<void(const TransitionRecord &)>;
-
     GovernorDriver(soc::Soc &soc, FlowOptions opts,
                    bool redistribute);
-
-    /** @name Transition notifiers.
-     *
-     * Pre callbacks fire before the flow touches the hardware (the
-     * record carries the intent; latency fields are zero); post
-     * callbacks fire after the flow applied, with the outcome.
-     * Same-point requests notify nobody. Callbacks run in
-     * subscription order on the requesting thread.
-     * @{ */
-    void subscribePre(TransitionCallback cb);
-    void subscribePost(TransitionCallback cb);
-    /** @} */
 
     /**
      * Apply @p target: run the transition flow (a no-op if already
@@ -104,9 +84,6 @@ class GovernorDriver
     FlowOptions opts_;
     bool redistribute_;
     TransitionFlow flow_;
-
-    std::vector<TransitionCallback> pre_;
-    std::vector<TransitionCallback> post_;
 
     Tick latencyLimit_ = 0;
     std::uint64_t flowRuns_ = 0;

@@ -5,7 +5,7 @@
  *
  * Every governor in the zoo registers exactly once in
  * governor_registry.cc via the greppable addEntry() idiom; the
- * experiment layer (exp::makePolicy), the sweep console's
+ * experiment layer (exp::makeGovernor), the sweep console's
  * --governors validation, and check_docs.sh all derive their name
  * lists from here, so a governor cannot be runnable-but-undocumented
  * or documented-but-unrunnable.

@@ -26,54 +26,6 @@ namespace exp {
 
 namespace {
 
-/** PMU policy that accumulates window-averaged counters. */
-class CollectPolicy : public soc::PmuPolicy
-{
-  public:
-    const char *name() const override { return "collect"; }
-
-    void
-    evaluate(soc::Soc &soc, const soc::CounterSnapshot &avg) override
-    {
-        (void)soc;
-        for (std::size_t i = 0; i < soc::kNumCounters; ++i)
-            sum_.values[i] += avg.values[i];
-        ++windows_;
-    }
-
-    soc::CounterSnapshot
-    average() const
-    {
-        soc::CounterSnapshot out;
-        if (windows_ == 0)
-            return out;
-        for (std::size_t i = 0; i < soc::kNumCounters; ++i)
-            out.values[i] =
-                sum_.values[i] / static_cast<double>(windows_);
-        return out;
-    }
-
-    void
-    saveState(SnapshotWriter &w) const override
-    {
-        for (std::size_t i = 0; i < soc::kNumCounters; ++i)
-            w.putDouble("sum" + std::to_string(i), sum_.values[i]);
-        w.putU64("windows", windows_);
-    }
-
-    void
-    loadState(SnapshotReader &r) override
-    {
-        for (std::size_t i = 0; i < soc::kNumCounters; ++i)
-            sum_.values[i] = r.getDouble("sum" + std::to_string(i));
-        windows_ = r.getU64("windows");
-    }
-
-  private:
-    soc::CounterSnapshot sum_;
-    std::size_t windows_ = 0;
-};
-
 /** Workload wrapper that overrides the OS core-frequency request. */
 class PinnedFreqAgent : public soc::WorkloadAgent
 {
@@ -153,14 +105,14 @@ loadAccumulators(SnapshotReader &r)
 /**
  * Serialize the full simulator state of a live cell: the pending
  * event queue in exact (tick, priority, seq) order, every SimObject's
- * private state (scoped under its path), the whole stats hierarchy,
- * the root RNG stream, the installed PMU policy, the trace buffer
- * when one is attached, and the measurement-window baseline sample
- * once the run has crossed warmup.
+ * private state (scoped under its path; the PMU's includes the
+ * installed governor), the whole stats hierarchy, the root RNG
+ * stream, the trace buffer when one is attached, and the
+ * measurement-window baseline sample once the run has crossed
+ * warmup.
  */
 void
 encodeCellState(SnapshotWriter &w, Simulator &sim,
-                const soc::PmuPolicy &policy,
                 const obs::TraceSink *sink,
                 const std::optional<soc::Soc::RunAccumulators>
                     &baseline)
@@ -197,10 +149,6 @@ encodeCellState(SnapshotWriter &w, Simulator &sim,
         w.putU64("s" + std::to_string(i), rng[i]);
     w.pop();
 
-    w.push("policy");
-    policy.saveState(w);
-    w.pop();
-
     if (sink != nullptr) {
         w.push("obs");
         sink->saveState(w);
@@ -225,7 +173,7 @@ encodeCellState(SnapshotWriter &w, Simulator &sim,
  */
 void
 restoreCellState(SnapshotReader &r, Simulator &sim,
-                 soc::PmuPolicy &policy, obs::TraceSink *sink,
+                 obs::TraceSink *sink,
                  std::optional<soc::Soc::RunAccumulators> &baseline)
 {
     // Harvest the startup-scheduled events: every event that can be
@@ -281,10 +229,6 @@ restoreCellState(SnapshotReader &r, Simulator &sim,
     sim.rootRng().loadState(rng);
     r.pop();
 
-    r.push("policy");
-    policy.loadState(r);
-    r.pop();
-
     if (r.has("obs.dropped")) {
         if (sink != nullptr) {
             r.push("obs");
@@ -308,7 +252,7 @@ restoreCellState(SnapshotReader &r, Simulator &sim,
 const std::vector<std::string> &
 governorNames()
 {
-    // The core registry, plus the policy-less "collect" sentinel.
+    // The core registry, plus the governor-less "collect" sentinel.
     static const std::vector<std::string> names = [] {
         std::vector<std::string> n = core::governorNames();
         n.push_back("collect");
@@ -324,8 +268,8 @@ isGovernorName(const std::string &name)
            core::isRegisteredGovernor(name);
 }
 
-std::unique_ptr<soc::PmuPolicy>
-makePolicy(const std::string &name, const GovernorParams &params)
+std::unique_ptr<core::Governor>
+makeGovernor(const std::string &name, const GovernorParams &params)
 {
     if (name.empty() || name == "collect") {
         if (!params.empty()) {
@@ -334,10 +278,9 @@ makePolicy(const std::string &name, const GovernorParams &params)
         }
         return nullptr;
     }
-    // makeGovernor validates both the name (enumerating the registry
-    // on a miss) and the parameters.
-    return std::make_unique<core::GovernorHost>(
-        core::makeGovernor(name, params));
+    // core::makeGovernor validates both the name (enumerating the
+    // registry on a miss) and the parameters.
+    return core::makeGovernor(name, params);
 }
 
 GovernorToken
@@ -382,7 +325,7 @@ validateSpec(const ExperimentSpec &spec)
             "cell \"" + spec.id + "\": zero measurement window");
     const soc::SocConfig &cfg = spec.soc;
     try {
-        (void)makePolicy(spec.governor, spec.governorParams);
+        (void)makeGovernor(spec.governor, spec.governorParams);
         cfg.validate();
     } catch (const std::invalid_argument &e) {
         throw std::invalid_argument(
@@ -467,8 +410,8 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
 
     // Built here, per cell: stateful governors (adaptive's learned
     // thresholds) can never leak across cells.
-    const std::unique_ptr<soc::PmuPolicy> policy =
-        makePolicy(spec.governor, spec.governorParams);
+    const std::unique_ptr<core::Governor> gov =
+        makeGovernor(spec.governor, spec.governorParams);
 
     Simulator sim(spec.seed);
 
@@ -521,10 +464,8 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
     PinnedFreqAgent pinned(*root, spec.pinnedCoreFreq);
     chip.setWorkload(&pinned);
 
-    CollectPolicy collector;
-    soc::PmuPolicy *active = policy ? policy.get() : &collector;
-    chip.pmu().setPolicy(active);
-    res.governor = active->name();
+    chip.pmu().setGovernor(gov.get());
+    res.governor = gov ? gov->name() : "collect";
 
     if (spec.pinnedOpPoint) {
         core::FlowOptions fopts;
@@ -562,8 +503,8 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
                 std::to_string(reader.tick()) + ", not slice start " +
                 std::to_string(sopts.t0));
         }
-        restoreCellState(reader, sim, *active,
-                         tracing ? &sink : nullptr, baseline);
+        restoreCellState(reader, sim, tracing ? &sink : nullptr,
+                         baseline);
         reader.finish();
         pos = sopts.t0;
     }
@@ -586,8 +527,8 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
         // the time-averaged stats, which must not leak into an image
         // a continuation resumes from.
         SnapshotWriter writer(keyOf(), sim.now());
-        encodeCellState(writer, sim, *active,
-                        tracing ? &sink : nullptr, baseline);
+        encodeCellState(writer, sim, tracing ? &sink : nullptr,
+                        baseline);
         writeSnapshotFile(sopts.outSnap, writer.str());
     }
 
@@ -595,7 +536,9 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
         res.metrics = soc::Soc::metricsBetween(
             *baseline, chip.sampleAccumulators(),
             secondsFromTicks(spec.window));
-        res.counters = collector.average();
+        // Only the governor-less "collect" cells report counters.
+        if (!gov)
+            res.counters = chip.pmu().runAverage();
 
         // Per-cell stats export: close the time-weighted residency
         // stats and dump the whole hierarchy. Rides the result (and

@@ -28,9 +28,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/governor.hh"
 #include "soc/config.hh"
 #include "soc/op_point.hh"
-#include "soc/pmu.hh"
 #include "soc/soc.hh"
 #include "workloads/profile.hh"
 #include "workloads/scenario.hh"
@@ -159,12 +159,13 @@ const std::vector<std::string> &governorNames();
 bool isGovernorName(const std::string &name);
 
 /**
- * A fresh PMU policy for registered governor @p name constructed with
- * @p params; nullptr for "collect"/"". Throws std::invalid_argument
- * on unknown names or parameters the governor rejects, so callers
- * that only validate a token can build and discard one.
+ * A fresh governor for registered name @p name constructed with
+ * @p params; nullptr for "collect"/"", which runs the PMU with no
+ * governor. Throws std::invalid_argument on unknown names or
+ * parameters the governor rejects, so callers that only validate a
+ * token can build and discard one.
  */
-std::unique_ptr<soc::PmuPolicy> makePolicy(
+std::unique_ptr<core::Governor> makeGovernor(
     const std::string &name, const GovernorParams &params = {});
 
 /**
@@ -183,7 +184,7 @@ struct GovernorToken
  * Split a governor token into name + parameters. Throws
  * std::invalid_argument on malformed segments (missing '=' or empty
  * key); the *name* is not checked here — pair with isGovernorName()
- * or makePolicy() for that.
+ * or makeGovernor() for that.
  */
 GovernorToken parseGovernorToken(const std::string &token);
 /** @} */

@@ -63,9 +63,11 @@ namespace sysscale {
  * field set, the semantics behind a serialized field, or the record
  * checksum. v2: checksums use the standard FNV-1a/64 offset basis.
  * v3: counter sampling is a phase of the Soc's step, so the saved
- * event list no longer holds `pmu.sample`.
+ * event list no longer holds `pmu.sample`. v4: the PMU hosts the
+ * governor, so the driver and governor state move from the `policy`
+ * section under the PMU's object scope, next to the PMU's run sum.
  */
-constexpr int kSnapFormatVersion = 3;
+constexpr int kSnapFormatVersion = 4;
 
 /**
  * Every snapshot failure mode — unreadable file, bad header, stale

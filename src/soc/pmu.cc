@@ -1,6 +1,11 @@
 #include "soc/pmu.hh"
 
+#include <string>
+
+#include "core/governor.hh"
+#include "core/governor_driver.hh"
 #include "sim/logging.hh"
+#include "sim/snapshot.hh"
 #include "soc/soc.hh"
 
 namespace sysscale {
@@ -30,19 +35,44 @@ Pmu::~Pmu()
 }
 
 void
-Pmu::setPolicy(PmuPolicy *policy)
+Pmu::setGovernor(core::Governor *gov)
 {
-    policy_ = policy;
-    counters_.clearWindow();
-    if (policy_) {
-        if (policy_->firmwareBytes() > kFirmwareBudgetBytes) {
-            SYSSCALE_FATAL(
-                "policy '%s' needs %zu firmware bytes, budget is %zu",
-                policy_->name(), policy_->firmwareBytes(),
-                kFirmwareBudgetBytes);
-        }
-        policy_->reset(soc_);
+    if (gov && gov->firmwareBytes() > kFirmwareBudgetBytes) {
+        SYSSCALE_FATAL(
+            "governor '%s' needs %zu firmware bytes, budget is %zu",
+            gov->name(), gov->firmwareBytes(), kFirmwareBudgetBytes);
     }
+    governor_ = gov;
+    counters_.clearWindow();
+    if (!governor_) {
+        driver_.reset();
+        return;
+    }
+    // One fresh driver per install: mechanics state (latency limit,
+    // flow accounting) never leaks between installs, even when the
+    // governor object itself is reused.
+    driver_ = std::make_unique<core::GovernorDriver>(
+        soc_, governor_->flowOptions(), governor_->redistributes());
+    governor_->init(*driver_, soc_);
+    driver_->refreshBudget();
+}
+
+core::GovernorDriver &
+Pmu::driver()
+{
+    SYSSCALE_ASSERT(driver_ != nullptr, "PMU has no governor installed");
+    return *driver_;
+}
+
+CounterSnapshot
+Pmu::runAverage() const
+{
+    CounterSnapshot out;
+    if (evaluations_.value() == 0.0)
+        return out;
+    for (std::size_t i = 0; i < kNumCounters; ++i)
+        out.values[i] = runSum_.values[i] / evaluations_.value();
+    return out;
 }
 
 void
@@ -53,9 +83,33 @@ Pmu::startup()
 }
 
 void
+Pmu::saveState(SnapshotWriter &w) const
+{
+    for (std::size_t i = 0; i < kNumCounters; ++i)
+        w.putDouble("run_sum" + std::to_string(i), runSum_.values[i]);
+    if (!governor_)
+        return;
+    w.push("driver");
+    driver_->saveState(w);
+    w.pop();
+    w.push("gov");
+    governor_->saveState(w);
+    w.pop();
+}
+
+void
 Pmu::loadState(SnapshotReader &r)
 {
-    (void)r;
+    for (std::size_t i = 0; i < kNumCounters; ++i)
+        runSum_.values[i] = r.getDouble("run_sum" + std::to_string(i));
+    if (governor_) {
+        r.push("driver");
+        driver_->loadState(r);
+        r.pop();
+        r.push("gov");
+        governor_->loadState(r);
+        r.pop();
+    }
     nextSample_ = (now() / sampleInterval_ + 1) * sampleInterval_;
 }
 
@@ -70,11 +124,12 @@ Pmu::sample(Tick t)
 void
 Pmu::onEvaluate()
 {
-    if (policy_) {
-        const CounterSnapshot avg = counters_.windowAverage();
-        policy_->evaluate(soc_, avg);
-        ++evaluations_;
-    }
+    const CounterSnapshot avg = counters_.windowAverage();
+    if (governor_)
+        governor_->decide(*driver_, soc_, avg);
+    ++evaluations_;
+    for (std::size_t i = 0; i < kNumCounters; ++i)
+        runSum_.values[i] += avg.values[i];
     counters_.clearWindow();
     sample(now());
     eventq().schedule(&evalEvent_, now() + evalInterval_);

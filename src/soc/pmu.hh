@@ -6,9 +6,12 @@
  * configurable time interval called evaluation interval (30ms by
  * default)" and "samples the performance counters and CSRs multiple
  * times in an evaluation interval (e.g., every 1ms)" (Sec. 4.3).
- * The policy itself (SysScale or a baseline) plugs in behind the
- * PmuPolicy interface; the PMU provides the cadence, the counter
- * access, and the firmware/SRAM budget accounting of Sec. 5.
+ * The policy itself (SysScale or a baseline) is a core::Governor the
+ * PMU hosts directly: the PMU provides the cadence, the counter
+ * access, the firmware/SRAM budget accounting of Sec. 5, and one
+ * fresh core::GovernorDriver per install for the governor to act
+ * through. With no governor installed the PMU still evaluates: it
+ * averages its own counters over the run (runAverage()).
  *
  * Counter sampling is a phase of the Soc's step: the Soc calls
  * afterStep() at the end of every step, slow or replayed, and a step
@@ -17,7 +20,7 @@
  * so a replay batch runs straight across sample ticks.
  *
  * Evaluation is the PMU's one event (`pmu.evaluate`, priority
- * kPrioStatsSample). It stays an event because a policy acts on the
+ * kPrioStatsSample). It stays an event because a governor acts on the
  * Soc: a scenario action scheduled between the last step and the
  * evaluation tick must keep firing before it. At a tick that is both
  * an evaluation and a sample tick, the step leaves the sample to
@@ -31,50 +34,25 @@
 #define SYSSCALE_SOC_PMU_HH
 
 #include <cstdint>
+#include <memory>
 
 #include "sim/logging.hh"
 #include "sim/sim_object.hh"
 #include "soc/counters.hh"
 
 namespace sysscale {
+
+namespace core {
+class Governor;
+class GovernorDriver;
+} // namespace core
+
 namespace soc {
 
 class Soc;
 
 /**
- * A power-management policy hosted by the PMU firmware.
- */
-class PmuPolicy
-{
-  public:
-    virtual ~PmuPolicy() = default;
-
-    /** Policy name for reports. */
-    virtual const char *name() const = 0;
-
-    /** Called once when the policy is installed. */
-    virtual void reset(Soc &soc) { (void)soc; }
-
-    /**
-     * Evaluation-interval hook: decide the operating point and the
-     * compute budget from the window-averaged counters.
-     */
-    virtual void evaluate(Soc &soc, const CounterSnapshot &avg) = 0;
-
-    /**
-     * Firmware bytes this policy adds to the PMU image (Sec. 5
-     * charges SysScale ~0.6KB).
-     */
-    virtual std::size_t firmwareBytes() const { return 0; }
-
-    /** @name Snapshot support: stateless policies need nothing. @{ */
-    virtual void saveState(SnapshotWriter &w) const { (void)w; }
-    virtual void loadState(SnapshotReader &r) { (void)r; }
-    /** @} */
-};
-
-/**
- * The PMU: sampling/evaluation cadence and policy hosting.
+ * The PMU: sampling/evaluation cadence and governor hosting.
  */
 class Pmu : public SimObject
 {
@@ -83,10 +61,22 @@ class Pmu : public SimObject
         Tick sample_interval, Tick evaluation_interval);
     ~Pmu() override;
 
-    /** Install @p policy (not owned). Resets the window. */
-    void setPolicy(PmuPolicy *policy);
+    /**
+     * Install @p gov (borrowed; null uninstalls). Checks its firmware
+     * budget, clears the counter window, builds a fresh driver from
+     * the governor's flow options, calls init() and refreshes the
+     * compute budget, in that order.
+     */
+    void setGovernor(core::Governor *gov);
 
-    PmuPolicy *policy() { return policy_; }
+    /** The installed governor's driver, rebuilt on every install. */
+    core::GovernorDriver &driver();
+
+    /**
+     * Mean of the window averages of every evaluation so far (all
+     * zero before the first).
+     */
+    CounterSnapshot runAverage() const;
 
     /** Arm the first sample and schedule the first evaluation. */
     void startup() override;
@@ -130,12 +120,16 @@ class Pmu : public SimObject
     static constexpr std::size_t kFirmwareBudgetBytes = 640;
 
     /**
-     * Nothing is saved: the next sample tick is derived from the
-     * restored now(). A snapshot is taken after runUntil() fired
-     * every event at its tick, so the next sample is the first
-     * multiple of the sample interval above now().
+     * @name Snapshot support: the run sum, plus the driver and the
+     * governor's own state when one is installed. The next sample
+     * tick is derived from the restored now(): a snapshot is taken
+     * after runUntil() fired every event at its tick, so the next
+     * sample is the first multiple of the sample interval above
+     * now(). @{
      */
+    void saveState(SnapshotWriter &w) const override;
     void loadState(SnapshotReader &r) override;
+    /** @} */
 
   private:
     /** Fold the counters into the window; arm the next sample. */
@@ -146,7 +140,10 @@ class Pmu : public SimObject
     PerfCounterBlock &counters_;
     Tick sampleInterval_;
     Tick evalInterval_;
-    PmuPolicy *policy_ = nullptr;
+    core::Governor *governor_ = nullptr;
+    std::unique_ptr<core::GovernorDriver> driver_;
+    /** Sum of every evaluated window's average (runAverage()). */
+    CounterSnapshot runSum_;
     Tick nextSample_ = 0;
 
     EventFunctionWrapper evalEvent_;

@@ -10,8 +10,8 @@
  * computes achieved bandwidth and loaded latency, the compute models
  * convert service into progress, and per-rail power is integrated.
  *
- * Governors (src/core) plug in behind soc::PmuPolicy and manipulate
- * the exposed components through the transition flow.
+ * Governors (src/core) are hosted by the PMU (soc/pmu.hh) and
+ * manipulate the exposed components through the transition flow.
  */
 
 #ifndef SYSSCALE_SOC_SOC_HH

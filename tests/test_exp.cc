@@ -49,14 +49,14 @@ TEST(GovernorRegistry, AllNamesResolve)
 {
     for (const auto &name : exp::governorNames()) {
         EXPECT_TRUE(exp::isGovernorName(name)) << name;
-        EXPECT_NO_THROW((void)exp::makePolicy(name)) << name;
+        EXPECT_NO_THROW((void)exp::makeGovernor(name)) << name;
     }
 }
 
-TEST(GovernorRegistry, MakePolicyBuildsFreshInstances)
+TEST(GovernorRegistry, MakeGovernorBuildsFreshInstances)
 {
-    const auto a = exp::makePolicy("sysscale");
-    const auto b = exp::makePolicy("sysscale");
+    const auto a = exp::makeGovernor("sysscale");
+    const auto b = exp::makeGovernor("sysscale");
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
     EXPECT_NE(a.get(), b.get());
@@ -65,16 +65,16 @@ TEST(GovernorRegistry, MakePolicyBuildsFreshInstances)
 
 TEST(GovernorRegistry, CollectProducesNoGovernor)
 {
-    EXPECT_EQ(exp::makePolicy("collect"), nullptr);
-    EXPECT_EQ(exp::makePolicy(""), nullptr);
-    EXPECT_THROW((void)exp::makePolicy("collect", {{"x", "1"}}),
+    EXPECT_EQ(exp::makeGovernor("collect"), nullptr);
+    EXPECT_EQ(exp::makeGovernor(""), nullptr);
+    EXPECT_THROW((void)exp::makeGovernor("collect", {{"x", "1"}}),
                  std::invalid_argument);
 }
 
 TEST(GovernorRegistry, UnknownNameThrows)
 {
     EXPECT_FALSE(exp::isGovernorName("turbo9000"));
-    EXPECT_THROW((void)exp::makePolicy("turbo9000"),
+    EXPECT_THROW((void)exp::makeGovernor("turbo9000"),
                  std::invalid_argument);
 }
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * The governor zoo: registry round-trips, the policy/driver split's
- * transition notifiers, per-governor accounting, and the
- * differential checks that re-homing the paper's governors onto the
- * driver layer, and turning the ablation knock-outs into sysscale
- * parameters, changed no simulation output.
+ * The governor zoo: registry round-trips, the driver's latency
+ * constraint and per-install accounting, and the differential
+ * checks that re-homing the paper's governors onto the driver layer,
+ * and turning the ablation knock-outs into sysscale parameters,
+ * changed no simulation output.
  */
 
 #include <gtest/gtest.h>
@@ -163,68 +163,8 @@ TEST(GovernorRegistry, BadParametersFailAtConstruction)
 }
 
 // ------------------------------------------------------------------
-// Driver layer: transition notifiers
+// Driver layer and PMU hosting
 // ------------------------------------------------------------------
-
-TEST(GovernorDriver, PreFiresBeforeApplyAndPostAfter)
-{
-    Simulator sim;
-    soc::Soc chip(sim, soc::skylakeConfig());
-    core::GovernorDriver drv(chip, core::FlowOptions{},
-                             /*redistribute=*/true);
-
-    std::vector<std::string> order;
-    drv.subscribePre([&](const core::TransitionRecord &rec) {
-        order.push_back("pre");
-        // Pre observes the intent: the hardware has not moved yet
-        // and the outcome fields are still blank.
-        EXPECT_TRUE(chip.currentOpPoint() == rec.from);
-        EXPECT_EQ(rec.latency, 0u);
-        EXPECT_FALSE(rec.executed);
-    });
-    drv.subscribePost([&](const core::TransitionRecord &rec) {
-        order.push_back("post");
-        // Post observes the outcome: the flow applied.
-        EXPECT_TRUE(chip.currentOpPoint() == rec.to);
-        EXPECT_TRUE(rec.executed);
-        EXPECT_GT(rec.latency, 0u);
-    });
-
-    ASSERT_TRUE(chip.currentOpPoint() == chip.opPoints().high());
-    EXPECT_TRUE(drv.requestOpPoint(chip.opPoints().low()));
-    ASSERT_EQ(order.size(), 2u);
-    EXPECT_EQ(order[0], "pre");
-    EXPECT_EQ(order[1], "post");
-
-    // A same-point request is not a transition: nobody is notified.
-    order.clear();
-    EXPECT_TRUE(drv.requestOpPoint(chip.opPoints().low()));
-    EXPECT_TRUE(order.empty());
-}
-
-TEST(GovernorDriver, NotifiersRunInSubscriptionOrder)
-{
-    Simulator sim;
-    soc::Soc chip(sim, soc::skylakeConfig());
-    core::GovernorDriver drv(chip, core::FlowOptions{}, true);
-
-    std::vector<int> order;
-    drv.subscribePre([&](const core::TransitionRecord &) {
-        order.push_back(1);
-    });
-    drv.subscribePre([&](const core::TransitionRecord &) {
-        order.push_back(2);
-    });
-    drv.subscribePost([&](const core::TransitionRecord &) {
-        order.push_back(3);
-    });
-    drv.subscribePost([&](const core::TransitionRecord &) {
-        order.push_back(4);
-    });
-
-    EXPECT_TRUE(drv.requestOpPoint(chip.opPoints().low()));
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-}
 
 TEST(GovernorDriver, LatencyConstraintDeniesSlowFlows)
 {
@@ -236,16 +176,12 @@ TEST(GovernorDriver, LatencyConstraintDeniesSlowFlows)
     const Tick est = drv.estimateTransitionLatency(low);
     ASSERT_GT(est, 0u);
 
-    bool notified = false;
-    drv.subscribePre(
-        [&](const core::TransitionRecord &) { notified = true; });
-
-    // A limit below the estimate denies the flow before any notifier
-    // fires or the hardware moves.
+    // A limit below the estimate denies the flow before the hardware
+    // moves.
     drv.setTransitionLatencyLimit(est - 1);
     EXPECT_FALSE(drv.requestOpPoint(low));
     EXPECT_EQ(drv.deniedRequests(), 1u);
-    EXPECT_FALSE(notified);
+    EXPECT_EQ(drv.flowRuns(), 0u);
     EXPECT_TRUE(chip.currentOpPoint() == chip.opPoints().high());
 
     // At (or above) the estimate the same request goes through.
@@ -255,49 +191,23 @@ TEST(GovernorDriver, LatencyConstraintDeniesSlowFlows)
     EXPECT_EQ(drv.flowRuns(), 1u);
 }
 
-TEST(GovernorHost, AccountsTransitionsThroughNotifiers)
+TEST(Pmu, ReinstallRebuildsDriver)
 {
     Simulator sim;
     soc::Soc chip(sim, soc::skylakeConfig());
     core::SysScaleGovernor gov;
-    core::GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
 
     soc::CounterSnapshot quiet;
-    host.evaluate(chip, quiet); // high -> low
-    soc::CounterSnapshot pressure;
-    pressure[soc::Counter::LlcStalls] = 5e6;
-    host.evaluate(chip, pressure); // low -> high
-    host.evaluate(chip, pressure); // already high: no transition
+    gov.decide(chip.pmu().driver(), chip, quiet);
+    EXPECT_EQ(chip.pmu().driver().flowRuns(), 1u);
+    const core::GovernorDriver *first = &chip.pmu().driver();
 
-    const core::TransitionStats &stats = host.transitionStats();
-    EXPECT_EQ(stats.requested, 2u);
-    EXPECT_EQ(stats.executed, 2u);
-    EXPECT_EQ(stats.decreases, 1u);
-    EXPECT_EQ(stats.increases, 1u);
-    EXPECT_GT(stats.totalLatency, 0u);
-    EXPECT_GE(stats.totalLatency, stats.maxLatency);
-}
-
-TEST(GovernorHost, ReinstallRebuildsDriverAndStats)
-{
-    Simulator sim;
-    soc::Soc chip(sim, soc::skylakeConfig());
-    core::SysScaleGovernor gov;
-    core::GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
-
-    soc::CounterSnapshot quiet;
-    host.evaluate(chip, quiet);
-    EXPECT_EQ(host.transitionStats().executed, 1u);
-    const core::GovernorDriver *first = &host.driver();
-
-    // A second installation starts from clean mechanics: fresh
-    // driver, zeroed accounting.
-    chip.pmu().setPolicy(&host);
-    EXPECT_NE(&host.driver(), first);
-    EXPECT_EQ(host.transitionStats().executed, 0u);
-    EXPECT_EQ(host.driver().flowRuns(), 0u);
+    // A second install starts from clean mechanics: a fresh driver
+    // with zeroed accounting.
+    chip.pmu().setGovernor(&gov);
+    EXPECT_NE(&chip.pmu().driver(), first);
+    EXPECT_EQ(chip.pmu().driver().flowRuns(), 0u);
 }
 
 // ------------------------------------------------------------------
@@ -314,8 +224,7 @@ TEST(OnlineAdaptive, LearnsDuringTheRunAndStartsFresh)
 
     core::OnlineAdaptiveGovernor gov(
         core::GovernorParams{{"min-samples", "2"}});
-    core::GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
     chip.run(405 * kTicksPerMs);
 
     // The run produced learning: windows observed safe fed the
@@ -338,14 +247,13 @@ TEST(OnlineAdaptive, ThresholdFloorHoldsUnderQuietCorpus)
     soc::Soc chip(sim, soc::skylakeConfig());
     core::OnlineAdaptiveGovernor gov(
         core::GovernorParams{{"min-samples", "1"}});
-    core::GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
 
     // An all-quiet stream must not collapse thresholds to zero (that
     // would pin the SoC high forever through the hysteresis scale).
     soc::CounterSnapshot quiet;
     for (int i = 0; i < 32; ++i)
-        host.evaluate(chip, quiet);
+        gov.decide(chip.pmu().driver(), chip, quiet);
 
     const core::Thresholds defaults =
         core::SysScaleGovernor::defaultThresholds();
@@ -482,7 +390,7 @@ TEST(SysScaleKnockouts, BadParamsThrow)
         (void)core::makeGovernor("sysscale", {{"scale-vio", "2"}}),
         std::invalid_argument);
     EXPECT_THROW(
-        (void)exp::makePolicy("sysscale", {{"redistribute", "yes"}}),
+        (void)exp::makeGovernor("sysscale", {{"redistribute", "yes"}}),
         std::invalid_argument);
 
     const auto gov =

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/governor.hh"
 #include "core/governors.hh"
 #include "sim/sim_object.hh"
 #include "sim/snapshot.hh"
@@ -131,46 +132,61 @@ TEST(Pmu, EvaluatesOncePerInterval)
     Simulator sim;
     Soc chip(sim, skylakeConfig());
     core::FixedGovernor gov;
-    core::GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
     chip.run(100 * kTicksPerMs);
     EXPECT_EQ(chip.pmu().evaluations(), 3u); // t = 30, 60, 90 ms
 }
 
 namespace {
 
-/** Records the window's sample count at every evaluation. */
-class WindowRecorder : public PmuPolicy
+/** Records each evaluation's window sample count and average. */
+class WindowRecorder : public core::Governor
 {
   public:
     const char *name() const override { return "window-recorder"; }
 
     void
-    evaluate(Soc &soc, const CounterSnapshot &) override
+    decide(core::GovernorDriver &, Soc &soc,
+           const CounterSnapshot &avg) override
     {
         windows.push_back(soc.counters().windowSamples());
+        averages.push_back(avg);
     }
 
     std::vector<std::size_t> windows;
+    std::vector<CounterSnapshot> averages;
+};
+
+/** What a WindowRecorder saw over one run, and the PMU's average. */
+struct RecordedRun
+{
+    std::vector<std::size_t> windows;
+    std::vector<CounterSnapshot> averages;
+    CounterSnapshot runAverage;
 };
 
 /**
- * Run an idle Soc for @p total with a WindowRecorder and return the
- * windows it saw. With @p cut > 0 the run stops at @p cut, its events,
- * objects and stats are saved, and a fresh Soc restored from them
- * runs the rest: the restore path runCellSlice() takes.
+ * Run a Soc for @p total with a WindowRecorder installed, idle or
+ * (with @p stream) running the stream microbenchmark. With @p cut > 0
+ * the run stops at @p cut, its events, objects and stats are saved,
+ * and a fresh Soc restored from them runs the rest: the restore path
+ * runCellSlice() takes.
  */
-std::vector<std::size_t>
-recordWindows(bool skip_ahead, Tick total, Tick cut)
+RecordedRun
+recordWindows(bool skip_ahead, Tick total, Tick cut,
+              bool stream = false)
 {
+    workloads::ProfileAgent agent(workloads::streamMicro());
     Simulator sim;
     Soc chip(sim, skylakeConfig());
     chip.setSkipAhead(skip_ahead);
+    if (stream)
+        chip.setWorkload(&agent);
     WindowRecorder rec;
-    chip.pmu().setPolicy(&rec);
+    chip.pmu().setGovernor(&rec);
     if (cut == 0) {
         chip.run(total);
-        return rec.windows;
+        return {rec.windows, rec.averages, chip.pmu().runAverage()};
     }
     chip.run(cut);
     const std::vector<EventQueue::SavedEvent> events =
@@ -183,11 +199,14 @@ recordWindows(bool skip_ahead, Tick total, Tick cut)
     }
     sim.statsRoot().saveStats(w);
 
+    workloads::ProfileAgent agent2(workloads::streamMicro());
     Simulator sim2;
     Soc chip2(sim2, skylakeConfig());
     chip2.setSkipAhead(skip_ahead);
+    if (stream)
+        chip2.setWorkload(&agent2);
     WindowRecorder rec2;
-    chip2.pmu().setPolicy(&rec2);
+    chip2.pmu().setGovernor(&rec2);
     sim2.startAll();
     std::map<std::string, Event *> by_name;
     for (Event *ev : sim2.eventq().scheduledEvents())
@@ -206,15 +225,19 @@ recordWindows(bool skip_ahead, Tick total, Tick cut)
     r.finish();
 
     chip2.run(total - cut);
-    std::vector<std::size_t> all = rec.windows;
-    all.insert(all.end(), rec2.windows.begin(), rec2.windows.end());
+    RecordedRun all{rec.windows, rec.averages,
+                    chip2.pmu().runAverage()};
+    all.windows.insert(all.windows.end(), rec2.windows.begin(),
+                       rec2.windows.end());
+    all.averages.insert(all.averages.end(), rec2.averages.begin(),
+                        rec2.averages.end());
     return all;
 }
 
 } // anonymous namespace
 
 /**
- * At a tick that is both a sample and an evaluation tick, the policy
+ * At a tick that is both a sample and an evaluation tick, the governor
  * evaluates first and the sample opens the next window: the first
  * window lacks the tick-0 sample (29), every later one holds 30. The
  * same holds with skip-ahead off and across a restore at an off-grid
@@ -226,27 +249,68 @@ TEST(Pmu, EvaluationPrecedesTheBoundarySample)
     const Tick total = 100 * kTicksPerMs;
     const Tick cut = 45 * kTicksPerMs + 37;
     for (bool skip_ahead : {true, false}) {
-        EXPECT_EQ(recordWindows(skip_ahead, total, 0), expected)
+        EXPECT_EQ(recordWindows(skip_ahead, total, 0).windows,
+                  expected)
             << "skip-ahead " << skip_ahead;
-        EXPECT_EQ(recordWindows(skip_ahead, total, cut), expected)
+        EXPECT_EQ(recordWindows(skip_ahead, total, cut).windows,
+                  expected)
             << "skip-ahead " << skip_ahead << ", restored";
+    }
+}
+
+/**
+ * The PMU's run average is the mean of the window averages its
+ * governor was handed, summed in evaluation order and divided by the
+ * evaluation count, bit for bit; the run sum rides the PMU's
+ * snapshot, so a restore at an off-grid tick changes nothing.
+ */
+TEST(Pmu, RunAverageIsTheMeanOfEvaluatedWindows)
+{
+    const Tick total = 100 * kTicksPerMs;
+    const Tick cut = 45 * kTicksPerMs + 37;
+    const RecordedRun run =
+        recordWindows(true, total, 0, /*stream=*/true);
+    ASSERT_EQ(run.averages.size(), 3u);
+
+    CounterSnapshot mean;
+    for (const CounterSnapshot &avg : run.averages) {
+        for (std::size_t i = 0; i < kNumCounters; ++i)
+            mean.values[i] += avg.values[i];
+    }
+    bool any_nonzero = false;
+    for (std::size_t i = 0; i < kNumCounters; ++i) {
+        mean.values[i] /= static_cast<double>(run.averages.size());
+        EXPECT_EQ(run.runAverage.values[i], mean.values[i])
+            << "counter " << i;
+        any_nonzero = any_nonzero || mean.values[i] != 0.0;
+    }
+    EXPECT_TRUE(any_nonzero) << "the stream run moved no counter";
+
+    const RecordedRun restored =
+        recordWindows(true, total, cut, /*stream=*/true);
+    ASSERT_EQ(restored.averages.size(), 3u);
+    for (std::size_t i = 0; i < kNumCounters; ++i) {
+        EXPECT_EQ(restored.runAverage.values[i], mean.values[i])
+            << "counter " << i << ", restored";
     }
 }
 
 TEST(Pmu, OversizedFirmwareRejected)
 {
-    class FatPolicy : public PmuPolicy
+    class FatGovernor : public core::Governor
     {
       public:
         const char *name() const override { return "fat"; }
-        void evaluate(Soc &, const CounterSnapshot &) override {}
+        void decide(core::GovernorDriver &, Soc &,
+                    const CounterSnapshot &) override
+        {}
         std::size_t firmwareBytes() const override { return 10000; }
     };
 
     Simulator sim;
     Soc chip(sim, skylakeConfig());
-    FatPolicy fat;
-    EXPECT_DEATH(chip.pmu().setPolicy(&fat), "");
+    FatGovernor fat;
+    EXPECT_DEATH(chip.pmu().setGovernor(&fat), "");
 }
 
 TEST(Soc, BootsAtHighPointWithBudget)
@@ -366,8 +430,7 @@ TEST(Soc, DeterministicAcrossIdenticalRuns)
         workloads::ProfileAgent agent(workloads::streamMicro());
         chip.setWorkload(&agent);
         core::SysScaleGovernor gov;
-        core::GovernorHost host(gov);
-        chip.pmu().setPolicy(&host);
+        chip.pmu().setGovernor(&gov);
         return chip.run(300 * kTicksPerMs);
     };
 
@@ -386,8 +449,7 @@ TEST(Soc, PowerStaysWithinTdpEnvelope)
     workloads::ProfileAgent agent(workloads::streamMicro());
     chip.setWorkload(&agent);
     core::FixedGovernor gov;
-    core::GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
     chip.run(500 * kTicksPerMs); // let the reactive cap converge
     const RunMetrics m = chip.run(500 * kTicksPerMs);
     // Average power respects TDP plus the unmanaged platform floor.

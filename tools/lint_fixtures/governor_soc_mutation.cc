@@ -13,7 +13,7 @@ BadGovernor::decide(GovernorDriver &drv, soc::Soc &soc,
     // Direct core-clock cap: skips the mechanics passthrough.
     soc.cpu().setFreqCap(2.0e9);
     // Hand-rolled flow execution: skips the latency constraint and
-    // the notifier chain entirely.
+    // the driver's flow accounting entirely.
     flow_.execute(soc.opPoints().low());
     // "soc.setComputeBudget(0.0)" in a string must NOT trip.
     log("soc.setComputeBudget(0.0)");

@@ -35,13 +35,14 @@ unit-suffix
 
 governor-soc-mutation
     Governor *policy* files (src/core/governor* minus the
-    governor.{cc,hh} host and governor_driver.{cc,hh} mechanics)
-    never mutate the SoC directly: no ``soc.setX(...)`` /
-    ``soc.cpu().setX(...)`` calls, no hand-rolled flow
-    ``execute()``.  Every grant goes through the GovernorDriver
-    (requestOpPoint/setCoreFreqCap/refreshBudget) so transition-
-    latency constraints and the notifier chain stay in the loop.
-    Reads are unrestricted — policies observe, drivers apply.
+    governor_driver.{cc,hh} mechanics; governor.hh, the policy
+    interface, is checked too) never mutate the SoC directly: no
+    ``soc.setX(...)`` / ``soc.cpu().setX(...)`` calls, no
+    hand-rolled flow ``execute()``.  Every grant goes through the
+    GovernorDriver (requestOpPoint/setCoreFreqCap/refreshBudget) so
+    transition-latency constraints and the driver's flow accounting
+    stay in the loop.  Reads are unrestricted — policies observe,
+    drivers apply.
 
 trace-side-effect
     Arguments to the tracing macros (TRACE_SPAN / TRACE_INSTANT /
@@ -322,7 +323,6 @@ def check_unit_suffix(path, lines, findings):
 # decide, the GovernorDriver applies.  Mechanics files are exempt —
 # they ARE the layer that touches the SoC.
 GOVERNOR_MECHANICS_FILES = (
-    "src/core/governor.cc", "src/core/governor.hh",
     "src/core/governor_driver.cc", "src/core/governor_driver.hh",
 )
 # The receiver directly preceding a flagged call: `soc.setX(` gives
@@ -358,8 +358,8 @@ def check_governor_soc_mutation(path, lines, findings):
                 "policy-layer call '%s.%s(...)' mutates the SoC "
                 "directly — route it through the GovernorDriver "
                 "(requestOpPoint/setCoreFreqCap/refreshBudget) so "
-                "latency constraints and notifiers stay in the "
-                "loop" % (m.group("recv"), m.group("call"))))
+                "latency constraints and flow accounting stay in "
+                "the loop" % (m.group("recv"), m.group("call"))))
 
 
 def _version_guard(diff_text, findings, check_name, guarded_files,
@@ -557,6 +557,9 @@ FIXTURES = (
      "raw-queue-write", 2),
     ("unit_suffix.hh", "src/soc/unit_suffix.hh", "unit-suffix", 2),
     ("governor_soc_mutation.cc", "src/core/governor_zoo.cc",
+     "governor-soc-mutation", 3),
+    # The policy interface header is policy code too.
+    ("governor_soc_mutation.cc", "src/core/governor.hh",
      "governor-soc-mutation", 3),
     ("trace_side_effect.cc", "src/soc/trace_side_effect.cc",
      "trace-side-effect", 3),

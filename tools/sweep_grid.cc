@@ -465,7 +465,7 @@ main(int argc, char **argv)
         }
     }
 
-    // Validate every governor token up front: makePolicy() constructs
+    // Validate every governor token up front: makeGovernor() builds
     // the governor once, so an unknown name (the error enumerates the
     // registry) or a bad parameter dies here at parse time, never
     // deep inside a cell on a sweep worker.
@@ -473,7 +473,7 @@ main(int argc, char **argv)
         try {
             const exp::GovernorToken tok =
                 exp::parseGovernorToken(gov);
-            (void)exp::makePolicy(tok.name, tok.params);
+            (void)exp::makeGovernor(tok.name, tok.params);
         } catch (const std::exception &e) {
             std::fprintf(stderr, "sweep_grid: bad governor \"%s\": "
                                  "%s (try --list)\n",
