@@ -135,20 +135,14 @@ CpuCluster::refreshLeakage()
 }
 
 void
-CpuCluster::saveState(SnapshotWriter &w) const
-{
-    w.putDouble("freq", freq_);
-    w.putDouble("voltage", voltage_);
-}
-
-void
-CpuCluster::loadState(SnapshotReader &r)
+CpuCluster::visitState(StateIO &io)
 {
     // Direct restore, not setPState(): a restore must not count a
     // P-state transition that never happened.
-    freq_ = r.getDouble("freq");
-    voltage_ = r.getDouble("voltage");
-    refreshLeakage();
+    io.field("freq", freq_);
+    io.field("voltage", voltage_);
+    if (io.loading())
+        refreshLeakage();
 }
 
 } // namespace compute

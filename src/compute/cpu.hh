@@ -154,16 +154,14 @@ class CpuCluster : public SimObject
     /** SMT throughput factor: 2 threads on a core yield this much. */
     static constexpr double kSmtYield = 1.45;
 
-    /** @name Snapshot support: the applied P-state. @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support: the applied P-state. */
+    void visitState(StateIO &io) override;
 
   private:
     /**
      * Re-derive leakage_ from voltage_. Every writer of voltage_
-     * (constructor, setPState(), loadState()) must call it; the cache
-     * is never snapshotted.
+     * (constructor, setPState(), a restoring visitState()) must call
+     * it; the cache is never snapshotted.
      */
     void refreshLeakage();
 

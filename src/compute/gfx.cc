@@ -101,18 +101,12 @@ GfxEngine::power(const GfxWork &work) const
 }
 
 void
-GfxEngine::saveState(SnapshotWriter &w) const
+GfxEngine::visitState(StateIO &io)
 {
-    w.putDouble("freq", freq_);
-    w.putDouble("voltage", voltage_);
-}
-
-void
-GfxEngine::loadState(SnapshotReader &r)
-{
-    freq_ = r.getDouble("freq");
-    voltage_ = r.getDouble("voltage");
-    refreshLeakage();
+    io.field("freq", freq_);
+    io.field("voltage", voltage_);
+    if (io.loading())
+        refreshLeakage();
 }
 
 } // namespace compute

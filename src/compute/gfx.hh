@@ -111,16 +111,14 @@ class GfxEngine : public SimObject
     /** Frames rendered since construction. */
     double totalFrames() const { return frames_.value(); }
 
-    /** @name Snapshot support: the applied P-state. @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support: the applied P-state. */
+    void visitState(StateIO &io) override;
 
   private:
     /**
      * Re-derive leakage_ from voltage_. Every writer of voltage_
-     * (constructor, setPState(), loadState()) must call it; the cache
-     * is never snapshotted.
+     * (constructor, setPState(), a restoring visitState()) must call
+     * it; the cache is never snapshotted.
      */
     void refreshLeakage();
 

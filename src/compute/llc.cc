@@ -46,19 +46,11 @@ Llc::power(Volt voltage, double utilization) const
 }
 
 void
-Llc::saveState(SnapshotWriter &w) const
+Llc::visitState(StateIO &io)
 {
-    w.putDouble("last_gfx_misses", lastGfxMisses_);
-    w.putDouble("last_stall_cycles", lastStallCycles_);
-    w.putDouble("last_occupancy", lastOccupancy_);
-}
-
-void
-Llc::loadState(SnapshotReader &r)
-{
-    lastGfxMisses_ = r.getDouble("last_gfx_misses");
-    lastStallCycles_ = r.getDouble("last_stall_cycles");
-    lastOccupancy_ = r.getDouble("last_occupancy");
+    io.field("last_gfx_misses", lastGfxMisses_);
+    io.field("last_stall_cycles", lastStallCycles_);
+    io.field("last_occupancy", lastOccupancy_);
 }
 
 } // namespace compute

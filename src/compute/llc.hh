@@ -75,10 +75,8 @@ class Llc : public SimObject
     /** Access clock assumed for the dynamic component. */
     static constexpr Hertz kAccessClock = 1.0 * kGHz;
 
-    /** @name Snapshot support: last-interval observables. @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support: last-interval observables. */
+    void visitState(StateIO &io) override;
 
   private:
     std::size_t capacityBytes_;

@@ -80,10 +80,8 @@ class Governor
     virtual void decide(GovernorDriver &drv, soc::Soc &soc,
                         const soc::CounterSnapshot &avg) = 0;
 
-    /** @name Snapshot support: stateless policies need nothing. @{ */
-    virtual void saveState(SnapshotWriter &w) const { (void)w; }
-    virtual void loadState(SnapshotReader &r) { (void)r; }
-    /** @} */
+    /** Snapshot support: stateless policies need nothing. */
+    virtual void visitState(StateIO &io) { (void)io; }
 };
 
 } // namespace core

@@ -91,23 +91,13 @@ GovernorDriver::setCoreFreqCap(Hertz cap)
 }
 
 void
-GovernorDriver::saveState(SnapshotWriter &w) const
+GovernorDriver::visitState(StateIO &io)
 {
-    w.putU64("latency_limit", latencyLimit_);
-    w.putU64("flow_runs", flowRuns_);
-    w.putU64("last_flow_latency", lastFlowLatency_);
-    w.putU64("total_flow_latency", totalFlowLatency_);
-    w.putU64("denied", denied_);
-}
-
-void
-GovernorDriver::loadState(SnapshotReader &r)
-{
-    latencyLimit_ = r.getU64("latency_limit");
-    flowRuns_ = r.getU64("flow_runs");
-    lastFlowLatency_ = r.getU64("last_flow_latency");
-    totalFlowLatency_ = r.getU64("total_flow_latency");
-    denied_ = r.getU64("denied");
+    io.field("latency_limit", latencyLimit_);
+    io.field("flow_runs", flowRuns_);
+    io.field("last_flow_latency", lastFlowLatency_);
+    io.field("total_flow_latency", totalFlowLatency_);
+    io.field("denied", denied_);
 }
 
 } // namespace core

@@ -72,12 +72,10 @@ class GovernorDriver
     std::uint64_t deniedRequests() const { return denied_; }
     /** @} */
 
-    /** @name Snapshot support: the latency constraint + accounting
+    /** Snapshot support: the latency constraint + accounting
      *  (the flow itself is synchronous and holds no cross-eval
-     *  state). @{ */
-    void saveState(SnapshotWriter &w) const;
-    void loadState(SnapshotReader &r);
-    /** @} */
+     *  state). */
+    void visitState(StateIO &io);
 
   private:
     soc::Soc &soc_;

@@ -426,67 +426,35 @@ OnlineAdaptiveGovernor::decide(GovernorDriver &drv, soc::Soc &soc,
 }
 
 void
-ConservativeGovernor::saveState(SnapshotWriter &w) const
+ConservativeGovernor::visitState(StateIO &io)
 {
-    w.putU64("idx", idx_);
+    io.field("idx", idx_);
 }
 
 void
-ConservativeGovernor::loadState(SnapshotReader &r)
+UserspaceTableGovernor::visitState(StateIO &io)
 {
-    idx_ = r.getU64("idx");
+    io.field("evals", evals_);
 }
 
 void
-UserspaceTableGovernor::saveState(SnapshotWriter &w) const
+LatencyBudgetGovernor::visitState(StateIO &io)
 {
-    w.putU64("evals", evals_);
+    io.field("accrued", accrued_);
 }
 
 void
-UserspaceTableGovernor::loadState(SnapshotReader &r)
-{
-    evals_ = r.getU64("evals");
-}
-
-void
-LatencyBudgetGovernor::saveState(SnapshotWriter &w) const
-{
-    w.putU64("accrued", accrued_);
-}
-
-void
-LatencyBudgetGovernor::loadState(SnapshotReader &r)
-{
-    accrued_ = r.getU64("accrued");
-}
-
-void
-OnlineAdaptiveGovernor::saveState(SnapshotWriter &w) const
+OnlineAdaptiveGovernor::visitState(StateIO &io)
 {
     for (std::size_t i = 0; i < soc::kNumCounters; ++i) {
         const std::string n = std::to_string(i);
-        w.putDouble("thr_counter" + n, thresholds_.counter[i]);
-        w.putDouble("sum" + n, sum_[i]);
-        w.putDouble("sum_sq" + n, sumSq_[i]);
+        io.field("thr_counter" + n, thresholds_.counter[i]);
+        io.field("sum" + n, sum_[i]);
+        io.field("sum_sq" + n, sumSq_[i]);
     }
-    w.putDouble("thr_static_bw", thresholds_.staticBw);
-    w.putU64("safe_samples", safeSamples_);
-    w.putU64("clamps", clamps_);
-}
-
-void
-OnlineAdaptiveGovernor::loadState(SnapshotReader &r)
-{
-    for (std::size_t i = 0; i < soc::kNumCounters; ++i) {
-        const std::string n = std::to_string(i);
-        thresholds_.counter[i] = r.getDouble("thr_counter" + n);
-        sum_[i] = r.getDouble("sum" + n);
-        sumSq_[i] = r.getDouble("sum_sq" + n);
-    }
-    thresholds_.staticBw = r.getDouble("thr_static_bw");
-    safeSamples_ = r.getU64("safe_samples");
-    clamps_ = r.getU64("clamps");
+    io.field("thr_static_bw", thresholds_.staticBw);
+    io.field("safe_samples", safeSamples_);
+    io.field("clamps", clamps_);
 }
 
 } // namespace core

@@ -85,10 +85,8 @@ class ConservativeGovernor : public PolicyBase
     static constexpr double kDefaultUpThreshold = 0.65;
     static constexpr double kDefaultDownThreshold = 0.30;
 
-    /** @name Snapshot support: the current table index. @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support: the current table index. */
+    void visitState(StateIO &io) override;
 
   private:
     double up_;
@@ -115,10 +113,8 @@ class UserspaceTableGovernor : public PolicyBase
 
     std::size_t firmwareBytes() const override { return 96; }
 
-    /** @name Snapshot support: the evaluation clock. @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support: the evaluation clock. */
+    void visitState(StateIO &io) override;
 
   private:
     std::size_t pointIdx_ = 0;
@@ -152,10 +148,8 @@ class LatencyBudgetGovernor : public PolicyBase
     /** Accrued, unspent transition-latency budget (diagnostics). */
     Tick accruedBudget() const { return accrued_; }
 
-    /** @name Snapshot support: the accrued budget. @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support: the accrued budget. */
+    void visitState(StateIO &io) override;
 
   private:
     double up_;
@@ -210,11 +204,9 @@ class OnlineAdaptiveGovernor : public PolicyBase
      *  counter's threshold to zero and pin the SoC high). */
     static constexpr double kFloorShare = 0.25;
 
-    /** @name Snapshot support: the learning state — thresholds,
-     *  running mu/sigma sums, safe-sample and clamp counts. @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support: the learning state — thresholds,
+     *  running mu/sigma sums, safe-sample and clamp counts. */
+    void visitState(StateIO &io) override;
 
   private:
     double margin_;

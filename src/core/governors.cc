@@ -10,7 +10,7 @@ namespace sysscale {
 namespace core {
 
 FixedGovernor::FixedGovernor()
-    : PolicyBase("baseline", FlowOptions{}, /*redistribute=*/false)
+    : PolicyBase("fixed", FlowOptions{}, /*redistribute=*/false)
 {
 }
 
@@ -210,21 +210,12 @@ CoScaleGovernor::decide(GovernorDriver &drv, soc::Soc &soc,
 }
 
 void
-MemScaleGovernor::saveState(SnapshotWriter &w) const
+MemScaleGovernor::visitState(StateIO &io)
 {
-    w.putU64("eval_count", evalCount_);
-    w.putU64("last_went_low", lastWentLow_);
-    w.putU64("backoff_until", backoffUntil_);
-    w.putU64("backoff_len", backoffLen_);
-}
-
-void
-MemScaleGovernor::loadState(SnapshotReader &r)
-{
-    evalCount_ = r.getU64("eval_count");
-    lastWentLow_ = r.getU64("last_went_low");
-    backoffUntil_ = r.getU64("backoff_until");
-    backoffLen_ = r.getU64("backoff_len");
+    io.field("eval_count", evalCount_);
+    io.field("last_went_low", lastWentLow_);
+    io.field("backoff_until", backoffUntil_);
+    io.field("backoff_len", backoffLen_);
 }
 
 } // namespace core

@@ -180,11 +180,9 @@ class MemScaleGovernor : public PolicyBase
                        double max_low_rho);
 
   public:
-    /** @name Snapshot support: the epoch/backoff machine (CoScale
-     *  inherits it unchanged). @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support: the epoch/backoff machine (CoScale
+     *  inherits it unchanged). */
+    void visitState(StateIO &io) override;
 
   private:
     std::uint64_t evalCount_ = 0;

@@ -60,23 +60,20 @@ DramDevice::exitSelfRefresh(bool fast_relock)
 }
 
 void
-DramDevice::saveState(SnapshotWriter &w) const
-{
-    w.putU64("bin", binIndex_);
-    w.putBool("self_refresh", mode_ == DramMode::SelfRefresh);
-}
-
-void
-DramDevice::loadState(SnapshotReader &r)
+DramDevice::visitState(StateIO &io)
 {
     // Not setBin(): that asserts SelfRefresh mode and counts a
     // switch; a restore reproduces state, it is not a transition.
-    binIndex_ = r.getU64("bin");
-    if (binIndex_ >= spec_.numBins())
-        throw SnapshotError("dram: bin index out of range");
-    timings_ = optimizedTimings(spec_, binIndex_);
-    mode_ = r.getBool("self_refresh") ? DramMode::SelfRefresh
-                                      : DramMode::Active;
+    io.field("bin", binIndex_);
+    if (io.loading()) {
+        if (binIndex_ >= spec_.numBins())
+            throw SnapshotError("dram: bin index out of range");
+        timings_ = optimizedTimings(spec_, binIndex_);
+    }
+    bool self_refresh = mode_ == DramMode::SelfRefresh;
+    io.field("self_refresh", self_refresh);
+    if (io.loading())
+        mode_ = self_refresh ? DramMode::SelfRefresh : DramMode::Active;
 }
 
 } // namespace dram

@@ -110,10 +110,8 @@ class DramDevice : public SimObject
         return static_cast<std::uint64_t>(srEntries_.value());
     }
 
-    /** @name Snapshot support: bin + mode (timings re-derived). @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support: bin + mode (timings re-derived). */
+    void visitState(StateIO &io) override;
 
   private:
     DramSpec spec_;

@@ -21,8 +21,11 @@ namespace {
  * Header of a cache entry: the container's own version. The spec
  * format version rides inside the stored canonical text, so a spec
  * bump turns every entry into a miss without touching this line.
+ * v2: every cell reports the PMU's run-average counters and the
+ * fixed governor reports as "fixed", so v1 entries (all-zero
+ * counters on governor cells, "baseline") read back as misses.
  */
-constexpr const char *kEntryHeader = "sysscale-cache v1";
+constexpr const char *kEntryHeader = "sysscale-cache v2";
 
 /**
  * Every stored RunMetrics field under its entry key, so store() and

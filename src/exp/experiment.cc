@@ -4,9 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -60,190 +58,56 @@ class PinnedFreqAgent : public soc::WorkloadAgent
     Hertz freq_;
 };
 
-/** @name RunAccumulators codec (the optional "run.baseline"). @{ */
-
+/** The optional "run.baseline" section: one RunAccumulators. */
 void
-saveAccumulators(SnapshotWriter &w,
-                 const soc::Soc::RunAccumulators &a)
+visitAccumulators(StateIO &io, soc::Soc::RunAccumulators &a)
 {
-    w.putDouble("instructions", a.instructions);
-    w.putDouble("frames", a.frames);
+    io.field("instructions", a.instructions);
+    io.field("frames", a.frames);
     for (std::size_t i = 0; i < power::kNumRails; ++i)
-        w.putDouble("rail" + std::to_string(i), a.rail[i]);
-    w.putDouble("lat_int", a.latInt);
-    w.putDouble("lat_secs", a.latSecs);
-    w.putDouble("bw_int", a.bwInt);
-    w.putDouble("freq_int", a.freqInt);
-    w.putDouble("low_secs", a.lowSecs);
-    w.putDouble("elapsed_secs", a.elapsedSeconds);
-    w.putDouble("qos", a.qos);
-    w.putDouble("trans", a.trans);
-    w.putDouble("stall", a.stall);
-}
-
-soc::Soc::RunAccumulators
-loadAccumulators(SnapshotReader &r)
-{
-    soc::Soc::RunAccumulators a;
-    a.instructions = r.getDouble("instructions");
-    a.frames = r.getDouble("frames");
-    for (std::size_t i = 0; i < power::kNumRails; ++i)
-        a.rail[i] = r.getDouble("rail" + std::to_string(i));
-    a.latInt = r.getDouble("lat_int");
-    a.latSecs = r.getDouble("lat_secs");
-    a.bwInt = r.getDouble("bw_int");
-    a.freqInt = r.getDouble("freq_int");
-    a.lowSecs = r.getDouble("low_secs");
-    a.elapsedSeconds = r.getDouble("elapsed_secs");
-    a.qos = r.getDouble("qos");
-    a.trans = r.getDouble("trans");
-    a.stall = r.getDouble("stall");
-    return a;
-}
-/** @} */
-
-/**
- * Serialize the full simulator state of a live cell: the pending
- * event queue in exact (tick, priority, seq) order, every SimObject's
- * private state (scoped under its path; the PMU's includes the
- * installed governor), the whole stats hierarchy, the root RNG
- * stream, the trace buffer when one is attached, and the
- * measurement-window baseline sample once the run has crossed
- * warmup.
- */
-void
-encodeCellState(SnapshotWriter &w, Simulator &sim,
-                const obs::TraceSink *sink,
-                const std::optional<soc::Soc::RunAccumulators>
-                    &baseline)
-{
-    w.push("events");
-    const std::vector<EventQueue::SavedEvent> events =
-        sim.eventq().saveEvents();
-    w.putU64("count", events.size());
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        w.push("e" + std::to_string(i));
-        w.putString("name", events[i].name);
-        w.putU64("when", events[i].when);
-        w.putU64("priority",
-                 static_cast<std::uint64_t>(events[i].priority));
-        w.pop();
-    }
-    w.pop();
-
-    w.push("objects");
-    for (const SimObject *o : sim.objects()) {
-        w.push(o->path());
-        o->saveState(w);
-        w.pop();
-    }
-    w.pop();
-
-    w.push("stats");
-    sim.statsRoot().saveStats(w);
-    w.pop();
-
-    w.push("rng");
-    const std::array<std::uint64_t, 4> rng = sim.rootRng().saveState();
-    for (std::size_t i = 0; i < rng.size(); ++i)
-        w.putU64("s" + std::to_string(i), rng[i]);
-    w.pop();
-
-    if (sink != nullptr) {
-        w.push("obs");
-        sink->saveState(w);
-        w.pop();
-    }
-
-    if (baseline) {
-        w.push("run.baseline");
-        saveAccumulators(w, *baseline);
-        w.pop();
-    }
+        io.field("rail" + std::to_string(i), a.rail[i]);
+    io.field("lat_int", a.latInt);
+    io.field("lat_secs", a.latSecs);
+    io.field("bw_int", a.bwInt);
+    io.field("freq_int", a.freqInt);
+    io.field("low_secs", a.lowSecs);
+    io.field("elapsed_secs", a.elapsedSeconds);
+    io.field("qos", a.qos);
+    io.field("trans", a.trans);
+    io.field("stall", a.stall);
 }
 
 /**
- * Restore a freshly constructed cell to the snapshot's instant. The
- * caller has built the cell exactly as runCell would; this starts
- * the components (so their startup hooks register the same named
- * events), rebuilds the event queue from the saved list, and walks
- * the same sections encodeCellState wrote. Any shape mismatch —
- * unknown event name, missing/unconsumed field — throws
+ * Walk the full simulator state of a cell: the kernel's sections
+ * (Simulator::visitState(): events, every object's state with the
+ * PMU's installed governor, stats, RNG), then the trace buffer when
+ * the cell traces, and the measurement-window baseline sample once
+ * the run has crossed warmup. A loading walk runs on a freshly
+ * constructed cell, built exactly as runCell would; any shape
+ * mismatch (unknown event name, missing or unconsumed field) throws
  * SnapshotError.
  */
 void
-restoreCellState(SnapshotReader &r, Simulator &sim,
-                 obs::TraceSink *sink,
-                 std::optional<soc::Soc::RunAccumulators> &baseline)
+visitCellState(StateIO &io, Simulator &sim, obs::TraceSink *sink,
+               std::optional<soc::Soc::RunAccumulators> &baseline)
 {
-    // Harvest the startup-scheduled events: every event that can be
-    // live mid-run is a named member some component schedules at
-    // startup, so the harvest is a superset of the saved list.
-    sim.startAll();
-    std::map<std::string, Event *> by_name;
-    for (Event *ev : sim.eventq().scheduledEvents())
-        by_name[ev->name()] = ev;
-
-    sim.eventq().clearScheduled();
-    sim.eventq().restoreNow(r.tick());
-
-    r.push("events");
-    const std::uint64_t count = r.getU64("count");
-    std::set<std::string> used;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        r.push("e" + std::to_string(i));
-        const std::string name = r.getString("name");
-        const Tick when = r.getU64("when");
-        const int priority = static_cast<int>(r.getU64("priority"));
-        const auto it = by_name.find(name);
-        if (it == by_name.end())
-            throw SnapshotError(
-                "snapshot schedules unknown event \"" + name + "\"");
-        if (!used.insert(name).second)
-            throw SnapshotError(
-                "snapshot schedules event \"" + name + "\" twice");
-        if (it->second->priority() != priority)
-            throw SnapshotError(
-                "event \"" + name + "\" priority mismatch");
-        sim.eventq().schedule(it->second, when);
-        r.pop();
-    }
-    r.pop();
-
-    r.push("objects");
-    for (SimObject *o : sim.objects()) {
-        r.push(o->path());
-        o->loadState(r);
-        r.pop();
-    }
-    r.pop();
-
-    r.push("stats");
-    sim.statsRoot().loadStats(r);
-    r.pop();
-
-    r.push("rng");
-    std::array<std::uint64_t, 4> rng{};
-    for (std::size_t i = 0; i < rng.size(); ++i)
-        rng[i] = r.getU64("s" + std::to_string(i));
-    sim.rootRng().loadState(rng);
-    r.pop();
-
-    if (r.has("obs.dropped")) {
+    sim.visitState(io);
+    if (io.loading() ? io.reader().has("obs.dropped") : sink != nullptr) {
         if (sink != nullptr) {
-            r.push("obs");
-            sink->loadState(r);
-            r.pop();
+            io.push("obs");
+            sink->visitState(io);
+            io.pop();
         } else {
             // Saved with tracing, restored without: drop the buffer.
-            r.skipScope("obs");
+            io.reader().skipScope("obs");
         }
     }
-
-    if (r.has("run.baseline.instructions")) {
-        r.push("run.baseline");
-        baseline = loadAccumulators(r);
-        r.pop();
+    if (io.loading() ? io.reader().has("run.baseline.instructions")
+                     : baseline.has_value()) {
+        io.push("run.baseline");
+        visitAccumulators(io, io.loading() ? baseline.emplace()
+                                           : *baseline);
+        io.pop();
     }
 }
 
@@ -503,8 +367,8 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
                 std::to_string(reader.tick()) + ", not slice start " +
                 std::to_string(sopts.t0));
         }
-        restoreCellState(reader, sim, tracing ? &sink : nullptr,
-                         baseline);
+        StateIO io(reader);
+        visitCellState(io, sim, tracing ? &sink : nullptr, baseline);
         reader.finish();
         pos = sopts.t0;
     }
@@ -527,8 +391,8 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
         // the time-averaged stats, which must not leak into an image
         // a continuation resumes from.
         SnapshotWriter writer(keyOf(), sim.now());
-        encodeCellState(writer, sim, tracing ? &sink : nullptr,
-                        baseline);
+        StateIO io(writer);
+        visitCellState(io, sim, tracing ? &sink : nullptr, baseline);
         writeSnapshotFile(sopts.outSnap, writer.str());
     }
 
@@ -536,9 +400,7 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
         res.metrics = soc::Soc::metricsBetween(
             *baseline, chip.sampleAccumulators(),
             secondsFromTicks(spec.window));
-        // Only the governor-less "collect" cells report counters.
-        if (!gov)
-            res.counters = chip.pmu().runAverage();
+        res.counters = chip.pmu().runAverage();
 
         // Per-cell stats export: close the time-weighted residency
         // stats and dump the whole hierarchy. Rides the result (and

@@ -145,23 +145,15 @@ IoFabric::leakageAt(Volt v_sa)
 }
 
 void
-IoFabric::saveState(SnapshotWriter &w) const
-{
-    w.putDouble("freq", freq_);
-    w.putDouble("v_sa", vsa_);
-    w.putBool("blocked", blocked_);
-    w.putDouble("last_utilization", lastUtilization_);
-}
-
-void
-IoFabric::loadState(SnapshotReader &r)
+IoFabric::visitState(StateIO &io)
 {
     // Direct restore: setFrequency() asserts a blocked fabric.
-    freq_ = r.getDouble("freq");
-    vsa_ = r.getDouble("v_sa");
-    leakage_ = leakageAt(vsa_);
-    blocked_ = r.getBool("blocked");
-    lastUtilization_ = r.getDouble("last_utilization");
+    io.field("freq", freq_);
+    io.field("v_sa", vsa_);
+    if (io.loading())
+        leakage_ = leakageAt(vsa_);
+    io.field("blocked", blocked_);
+    io.field("last_utilization", lastUtilization_);
 }
 
 } // namespace interconnect

@@ -153,10 +153,8 @@ class IoFabric : public SimObject
     static constexpr double kMaxOutstandingBytes = 8 * 1024.0;
     /** @} */
 
-    /** @name Snapshot support. @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support. */
+    void visitState(StateIO &io) override;
 
   private:
     /** Switching term of powerAt(). */
@@ -169,7 +167,7 @@ class IoFabric : public SimObject
     Volt vsa_;
     /**
      * leakageAt(vsa_). Every writer of vsa_ (constructor, setVsa(),
-     * loadState()) refreshes it; never snapshotted.
+     * a restoring visitState()) refreshes it; never snapshotted.
      */
     Watt leakage_ = 0.0;
     std::size_t linkBytes_;

@@ -159,43 +159,34 @@ DisplayEngine::publishCsrs()
 }
 
 void
-DisplayEngine::saveState(SnapshotWriter &w) const
-{
-    for (std::size_t i = 0; i < kMaxPanels; ++i) {
-        w.push("panel" + std::to_string(i));
-        const auto &p = panels_[i];
-        w.putBool("attached", p.has_value());
-        if (p) {
-            w.putU64("resolution",
-                     static_cast<std::uint64_t>(p->resolution));
-            w.putDouble("refresh_hz", p->refreshHz);
-            w.putU64("bytes_per_pixel", p->bytesPerPixel);
-        }
-        w.pop();
-    }
-}
-
-void
-DisplayEngine::loadState(SnapshotReader &r)
+DisplayEngine::visitState(StateIO &io)
 {
     // No publishCsrs(): the Soc restores the CSR space wholesale, and
     // attachPanel() would count hotplug events that never happened.
     for (std::size_t i = 0; i < kMaxPanels; ++i) {
-        r.push("panel" + std::to_string(i));
-        if (r.getBool("attached")) {
-            PanelConfig cfg;
-            const std::uint64_t res = r.getU64("resolution");
-            if (res > static_cast<std::uint64_t>(
-                          PanelResolution::UHD4K))
-                throw SnapshotError("display: bad panel resolution");
-            cfg.resolution = static_cast<PanelResolution>(res);
-            cfg.refreshHz = r.getDouble("refresh_hz");
-            cfg.bytesPerPixel = r.getU64("bytes_per_pixel");
-            panels_[i] = cfg;
-        } else {
-            panels_[i].reset();
+        io.push("panel" + std::to_string(i));
+        std::optional<PanelConfig> &p = panels_[i];
+        bool attached = p.has_value();
+        io.field("attached", attached);
+        if (io.loading()) {
+            if (attached)
+                p.emplace();
+            else
+                p.reset();
         }
-        r.pop();
+        if (attached) {
+            auto res = static_cast<std::uint64_t>(p->resolution);
+            io.field("resolution", res);
+            if (io.loading()) {
+                if (res > static_cast<std::uint64_t>(
+                              PanelResolution::UHD4K))
+                    throw SnapshotError("display: bad panel resolution");
+                p->resolution = static_cast<PanelResolution>(res);
+            }
+            io.field("refresh_hz", p->refreshHz);
+            io.field("bytes_per_pixel", p->bytesPerPixel);
+        }
+        io.pop();
     }
 }
 

@@ -125,11 +125,9 @@ class DisplayEngine : public SimObject
     static std::string csrRefresh(std::size_t index);
     /** @} */
 
-    /** @name Snapshot support: panel slots (CSR values round-trip
-     *  through the Soc's own CSR-space section). @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support: panel slots (CSR values round-trip
+     *  through the Soc's own CSR-space section). */
+    void visitState(StateIO &io) override;
 
   private:
     void publishCsrs();

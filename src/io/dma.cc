@@ -48,17 +48,10 @@ DmaDevice::power(BytesPerSec achieved) const
 }
 
 void
-DmaDevice::saveState(SnapshotWriter &w) const
+DmaDevice::visitState(StateIO &io)
 {
-    w.putDouble("offered_rate", offeredRate_);
-    w.putDouble("backlog", backlog_);
-}
-
-void
-DmaDevice::loadState(SnapshotReader &r)
-{
-    offeredRate_ = r.getDouble("offered_rate");
-    backlog_ = r.getDouble("backlog");
+    io.field("offered_rate", offeredRate_);
+    io.field("backlog", backlog_);
 }
 
 } // namespace io

@@ -50,10 +50,8 @@ class DmaDevice : public SimObject
     /** Idle controller power while the device is enabled. */
     static constexpr Watt kIdlePower = 0.01;
 
-    /** @name Snapshot support. @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support. */
+    void visitState(StateIO &io) override;
 
   private:
     BytesPerSec offeredRate_;

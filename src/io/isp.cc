@@ -67,31 +67,23 @@ IspEngine::publishCsrs()
 }
 
 void
-IspEngine::saveState(SnapshotWriter &w) const
-{
-    w.putBool("active", camera_.has_value());
-    if (camera_) {
-        w.putU64("width", camera_->width);
-        w.putU64("height", camera_->height);
-        w.putDouble("fps", camera_->fps);
-        w.putU64("bytes_per_pixel", camera_->bytesPerPixel);
-    }
-}
-
-void
-IspEngine::loadState(SnapshotReader &r)
+IspEngine::visitState(StateIO &io)
 {
     // No publishCsrs(): CSR values restore with the Soc; and no
     // startCamera(), which would count a session.
-    if (r.getBool("active")) {
-        CameraConfig cfg;
-        cfg.width = r.getU64("width");
-        cfg.height = r.getU64("height");
-        cfg.fps = r.getDouble("fps");
-        cfg.bytesPerPixel = r.getU64("bytes_per_pixel");
-        camera_ = cfg;
-    } else {
-        camera_.reset();
+    bool active = camera_.has_value();
+    io.field("active", active);
+    if (io.loading()) {
+        if (active)
+            camera_.emplace();
+        else
+            camera_.reset();
+    }
+    if (active) {
+        io.field("width", camera_->width);
+        io.field("height", camera_->height);
+        io.field("fps", camera_->fps);
+        io.field("bytes_per_pixel", camera_->bytesPerPixel);
     }
 }
 

@@ -70,10 +70,8 @@ class IspEngine : public SimObject
     static constexpr const char *kCsrPixelRate = "isp.pixel_rate";
     /** @} */
 
-    /** @name Snapshot support. @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support. */
+    void visitState(StateIO &io) override;
 
   private:
     void publishCsrs();

@@ -216,67 +216,47 @@ MemoryController::ddrioDigitalPower(double utilization) const
 }
 
 void
-MemoryController::saveState(SnapshotWriter &w) const
-{
-    w.push("regs");
-    w.putU64("trained_bin", regs_.trainedBin);
-    w.putU64("applied_bin", regs_.appliedBin);
-    w.putDouble("t_ck_ns", regs_.timings.tCKNs);
-    w.putDouble("t_cl_ns", regs_.timings.tCLNs);
-    w.putDouble("t_rcd_ns", regs_.timings.tRCDNs);
-    w.putDouble("t_rp_ns", regs_.timings.tRPNs);
-    w.putDouble("t_ras_ns", regs_.timings.tRASNs);
-    w.putDouble("t_wr_ns", regs_.timings.tWRNs);
-    w.putDouble("t_rfc_ns", regs_.timings.tRFCNs);
-    w.putDouble("t_refi_ns", regs_.timings.tREFINs);
-    w.putDouble("t_xsr_ns", regs_.timings.tXSRNs);
-    w.putDouble("t_faw_ns", regs_.timings.tFAWNs);
-    w.putDouble("interface_efficiency", regs_.interfaceEfficiency);
-    w.putDouble("latency_adder_ns", regs_.latencyAdderNs);
-    w.putDouble("termination_factor", regs_.terminationFactor);
-    w.putDouble("ddrio_activity_factor", regs_.ddrioActivityFactor);
-    w.pop();
-    w.putDouble("v_sa", vsa_);
-    w.putBool("blocked", blocked_);
-    w.putDouble("last_utilization", lastUtilization_);
-    w.putDouble("last_dram_power", lastDramPower_);
-    w.putU64("ddrio_bin", ddrio_.binIndex());
-    w.putDouble("ddrio_vio", ddrio_.vio());
-}
-
-void
-MemoryController::loadState(SnapshotReader &r)
+MemoryController::visitState(StateIO &io)
 {
     // Not programRegisters(): that asserts a blocked controller and
     // self-refreshed DRAM; a restore reproduces state directly.
-    r.push("regs");
-    regs_.trainedBin = r.getU64("trained_bin");
-    regs_.appliedBin = r.getU64("applied_bin");
-    regs_.timings.tCKNs = r.getDouble("t_ck_ns");
-    regs_.timings.tCLNs = r.getDouble("t_cl_ns");
-    regs_.timings.tRCDNs = r.getDouble("t_rcd_ns");
-    regs_.timings.tRPNs = r.getDouble("t_rp_ns");
-    regs_.timings.tRASNs = r.getDouble("t_ras_ns");
-    regs_.timings.tWRNs = r.getDouble("t_wr_ns");
-    regs_.timings.tRFCNs = r.getDouble("t_rfc_ns");
-    regs_.timings.tREFINs = r.getDouble("t_refi_ns");
-    regs_.timings.tXSRNs = r.getDouble("t_xsr_ns");
-    regs_.timings.tFAWNs = r.getDouble("t_faw_ns");
-    regs_.interfaceEfficiency = r.getDouble("interface_efficiency");
-    regs_.latencyAdderNs = r.getDouble("latency_adder_ns");
-    regs_.terminationFactor = r.getDouble("termination_factor");
-    regs_.ddrioActivityFactor = r.getDouble("ddrio_activity_factor");
-    r.pop();
-    if (regs_.appliedBin >= device_.spec().numBins())
-        throw SnapshotError("mc: applied bin out of range");
-    refreshDerived();
-    vsa_ = r.getDouble("v_sa");
-    leakage_ = leakageAt(vsa_);
-    blocked_ = r.getBool("blocked");
-    lastUtilization_ = r.getDouble("last_utilization");
-    lastDramPower_ = r.getDouble("last_dram_power");
-    ddrio_.setBin(r.getU64("ddrio_bin"));
-    ddrio_.setVio(r.getDouble("ddrio_vio"));
+    io.push("regs");
+    io.field("trained_bin", regs_.trainedBin);
+    io.field("applied_bin", regs_.appliedBin);
+    io.field("t_ck_ns", regs_.timings.tCKNs);
+    io.field("t_cl_ns", regs_.timings.tCLNs);
+    io.field("t_rcd_ns", regs_.timings.tRCDNs);
+    io.field("t_rp_ns", regs_.timings.tRPNs);
+    io.field("t_ras_ns", regs_.timings.tRASNs);
+    io.field("t_wr_ns", regs_.timings.tWRNs);
+    io.field("t_rfc_ns", regs_.timings.tRFCNs);
+    io.field("t_refi_ns", regs_.timings.tREFINs);
+    io.field("t_xsr_ns", regs_.timings.tXSRNs);
+    io.field("t_faw_ns", regs_.timings.tFAWNs);
+    io.field("interface_efficiency", regs_.interfaceEfficiency);
+    io.field("latency_adder_ns", regs_.latencyAdderNs);
+    io.field("termination_factor", regs_.terminationFactor);
+    io.field("ddrio_activity_factor", regs_.ddrioActivityFactor);
+    io.pop();
+    if (io.loading()) {
+        if (regs_.appliedBin >= device_.spec().numBins())
+            throw SnapshotError("mc: applied bin out of range");
+        refreshDerived();
+    }
+    io.field("v_sa", vsa_);
+    if (io.loading())
+        leakage_ = leakageAt(vsa_);
+    io.field("blocked", blocked_);
+    io.field("last_utilization", lastUtilization_);
+    io.field("last_dram_power", lastDramPower_);
+    std::size_t ddrio_bin = ddrio_.binIndex();
+    io.field("ddrio_bin", ddrio_bin);
+    Volt ddrio_vio = ddrio_.vio();
+    io.field("ddrio_vio", ddrio_vio);
+    if (io.loading()) {
+        ddrio_.setBin(ddrio_bin);
+        ddrio_.setVio(ddrio_vio);
+    }
 }
 
 } // namespace mem

@@ -211,10 +211,8 @@ class MemoryController : public SimObject
 
     dram::DramDevice &device() { return device_; }
 
-    /** @name Snapshot support: registers, rail, block state. @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support: registers, rail, block state. */
+    void visitState(StateIO &io) override;
 
     /** @name Model calibration constants. @{ */
 
@@ -250,7 +248,8 @@ class MemoryController : public SimObject
     /**
      * Re-derive the register-dependent constants below from regs_.
      * Every writer of regs_ (constructor, programRegisters(),
-     * loadState()) must call it; the cache is never snapshotted.
+     * a restoring visitState()) must call it; the cache is never
+     * snapshotted.
      */
     void refreshDerived();
 
@@ -260,7 +259,7 @@ class MemoryController : public SimObject
     Volt vsa_;
     /**
      * leakageAt(vsa_). Every writer of vsa_ (constructor, setVsa(),
-     * loadState()) refreshes it; never snapshotted.
+     * a restoring visitState()) refreshes it; never snapshotted.
      */
     Watt leakage_ = 0.0;
 

@@ -89,7 +89,7 @@ class Ddrio
     double leakK_;
     /**
      * Leakage at vio_, refreshed by setVio(), which the constructor
-     * and MemoryController::loadState() also go through.
+     * and a restoring MemoryController::visitState() also go through.
      */
     Watt leakage_ = 0.0;
     std::size_t binIndex_ = dram::DramSpec::kDefaultBin;

@@ -254,63 +254,58 @@ internCategory(const std::string &cat)
 } // namespace
 
 void
-TraceSink::saveState(SnapshotWriter &w) const
+TraceSink::visitState(StateIO &io)
 {
-    w.putU64("dropped", dropped_);
-    w.putU64("event_count", events_.size());
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-        const TraceEvent &ev = events_[i];
-        w.push("e" + std::to_string(i));
-        w.putU64("kind", static_cast<std::uint64_t>(ev.kind));
-        w.putString("cat", ev.cat);
-        w.putString("name", ev.name);
-        w.putU64("ts", ev.ts);
-        w.putU64("dur", ev.dur);
-        w.putDouble("value", ev.value);
-        w.putString("args", ev.args);
-        w.pop();
+    io.field("dropped", dropped_);
+    std::uint64_t count = events_.size();
+    io.field("event_count", count);
+    if (io.loading()) {
+        events_.clear();
+        events_.reserve(count);
     }
-    w.putU64("counter_series", lastCounter_.size());
-    std::size_t i = 0;
-    for (const auto &series : lastCounter_) {
-        w.push("c" + std::to_string(i++));
-        w.putString("series", series.first);
-        w.putDouble("last", series.second);
-        w.pop();
-    }
-}
-
-void
-TraceSink::loadState(SnapshotReader &r)
-{
-    dropped_ = r.getU64("dropped");
-    const std::uint64_t count = r.getU64("event_count");
-    events_.clear();
-    events_.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
-        r.push("e" + std::to_string(i));
-        TraceEvent ev;
-        const std::uint64_t kind = r.getU64("kind");
-        if (kind > static_cast<std::uint64_t>(
-                       TraceEvent::Kind::Counter))
-            throw SnapshotError("trace: bad event kind");
-        ev.kind = static_cast<TraceEvent::Kind>(kind);
-        ev.cat = internCategory(r.getString("cat"));
-        ev.name = r.getString("name");
-        ev.ts = r.getU64("ts");
-        ev.dur = r.getU64("dur");
-        ev.value = r.getDouble("value");
-        ev.args = r.getString("args");
-        events_.push_back(std::move(ev));
-        r.pop();
+        if (io.loading())
+            events_.emplace_back();
+        TraceEvent &ev = events_[i];
+        io.push("e" + std::to_string(i));
+        auto kind = static_cast<std::uint64_t>(ev.kind);
+        io.field("kind", kind);
+        if (io.loading()) {
+            if (kind > static_cast<std::uint64_t>(
+                           TraceEvent::Kind::Counter))
+                throw SnapshotError("trace: bad event kind");
+            ev.kind = static_cast<TraceEvent::Kind>(kind);
+        }
+        std::string cat = ev.cat;
+        io.field("cat", cat);
+        if (io.loading())
+            ev.cat = internCategory(cat);
+        io.field("name", ev.name);
+        io.field("ts", ev.ts);
+        io.field("dur", ev.dur);
+        io.field("value", ev.value);
+        io.field("args", ev.args);
+        io.pop();
     }
-    const std::uint64_t nseries = r.getU64("counter_series");
-    lastCounter_.clear();
+    std::uint64_t nseries = lastCounter_.size();
+    io.field("counter_series", nseries);
+    if (io.loading())
+        lastCounter_.clear();
+    auto it = lastCounter_.begin();
     for (std::uint64_t i = 0; i < nseries; ++i) {
-        r.push("c" + std::to_string(i));
-        const std::string series = r.getString("series");
-        lastCounter_[series] = r.getDouble("last");
-        r.pop();
+        std::string series;
+        double last = 0.0;
+        if (!io.loading()) {
+            series = it->first;
+            last = it->second;
+            ++it;
+        }
+        io.push("c" + std::to_string(i));
+        io.field("series", series);
+        io.field("last", last);
+        io.pop();
+        if (io.loading())
+            lastCounter_[series] = last;
     }
 }
 

@@ -135,13 +135,11 @@ class TraceSink
      */
     void writeJson(std::ostream &os) const;
 
-    /** @name Snapshot support: the buffered events, the drop count,
+    /** Snapshot support: the buffered events, the drop count,
      *  and the counter change-filter. Loading overwrites the buffer
      *  wholesale; categories are re-interned onto the kCat* registry
-     *  (an unknown category throws SnapshotError). @{ */
-    void saveState(SnapshotWriter &w) const;
-    void loadState(SnapshotReader &r);
-    /** @} */
+     *  (an unknown category throws SnapshotError). */
+    void visitState(StateIO &io);
 
   private:
     bool push(TraceEvent ev);

@@ -53,19 +53,11 @@ EnergyMeter::reset(Tick now)
 }
 
 void
-EnergyMeter::saveState(SnapshotWriter &w) const
+EnergyMeter::visitState(StateIO &io)
 {
     for (std::size_t i = 0; i < energy_.size(); ++i)
-        w.putDouble("energy" + std::to_string(i), energy_[i]);
-    w.putU64("window_start", windowStart_);
-}
-
-void
-EnergyMeter::loadState(SnapshotReader &r)
-{
-    for (std::size_t i = 0; i < energy_.size(); ++i)
-        energy_[i] = r.getDouble("energy" + std::to_string(i));
-    windowStart_ = r.getU64("window_start");
+        io.field("energy" + std::to_string(i), energy_[i]);
+    io.field("window_start", windowStart_);
 }
 
 } // namespace power

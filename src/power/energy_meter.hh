@@ -51,10 +51,8 @@ class EnergyMeter
 
     Tick windowStart() const { return windowStart_; }
 
-    /** @name Snapshot support: bit-exact rail energies + window. @{ */
-    void saveState(SnapshotWriter &w) const;
-    void loadState(SnapshotReader &r);
-    /** @} */
+    /** Snapshot support: bit-exact rail energies + window. */
+    void visitState(StateIO &io);
 
   private:
     std::array<Joule, kNumRails> energy_{};

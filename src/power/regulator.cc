@@ -62,21 +62,12 @@ Regulator::inputPower(Watt load_w) const
 }
 
 void
-Regulator::saveState(SnapshotWriter &w) const
+Regulator::visitState(StateIO &io)
 {
-    w.putDouble("from", from_);
-    w.putDouble("target", target_);
-    w.putU64("ramp_start", rampStart_);
-    w.putU64("ramp_end", rampEnd_);
-}
-
-void
-Regulator::loadState(SnapshotReader &r)
-{
-    from_ = r.getDouble("from");
-    target_ = r.getDouble("target");
-    rampStart_ = r.getU64("ramp_start");
-    rampEnd_ = r.getU64("ramp_end");
+    io.field("from", from_);
+    io.field("target", target_);
+    io.field("ramp_start", rampStart_);
+    io.field("ramp_end", rampEnd_);
 }
 
 } // namespace power

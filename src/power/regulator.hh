@@ -64,11 +64,9 @@ class Regulator
     double efficiency() const { return efficiency_; }
     double slewRate() const { return slewRate_; }
 
-    /** @name Snapshot support: the in-flight ramp (rail/slew/efficiency
-     *  are construction-fixed). @{ */
-    void saveState(SnapshotWriter &w) const;
-    void loadState(SnapshotReader &r);
-    /** @} */
+    /** Snapshot support: the in-flight ramp (rail/slew/efficiency
+     *  are construction-fixed). */
+    void visitState(StateIO &io);
 
   private:
     Rail rail_;

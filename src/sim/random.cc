@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "sim/logging.hh"
+#include "sim/snapshot.hh"
 
 namespace sysscale {
 
@@ -116,6 +117,13 @@ Rng
 Rng::fork()
 {
     return Rng(next());
+}
+
+void
+Rng::visitState(StateIO &io)
+{
+    for (std::size_t i = 0; i < 4; ++i)
+        io.field("s" + std::to_string(i), state_[i]);
 }
 
 } // namespace sysscale

@@ -11,8 +11,9 @@
 #ifndef SYSSCALE_SIM_RANDOM_HH
 #define SYSSCALE_SIM_RANDOM_HH
 
-#include <array>
 #include <cstdint>
+
+#include "sim/types.hh"
 
 namespace sysscale {
 
@@ -55,20 +56,8 @@ class Rng
     /** Derive an independent child stream (for per-object streams). */
     Rng fork();
 
-    /** @name Snapshot support: the raw xoshiro256** state. @{ */
-    std::array<std::uint64_t, 4>
-    saveState() const
-    {
-        return {state_[0], state_[1], state_[2], state_[3]};
-    }
-
-    void
-    loadState(const std::array<std::uint64_t, 4> &s)
-    {
-        for (int i = 0; i < 4; ++i)
-            state_[i] = s[i];
-    }
-    /** @} */
+    /** Snapshot support: the raw xoshiro256** state. */
+    void visitState(StateIO &io);
 
   private:
     std::uint64_t state_[4];

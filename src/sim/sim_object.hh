@@ -54,14 +54,20 @@ class Simulator
     /** Fork a deterministic per-component RNG stream. */
     Rng forkRng() { return rootRng_.fork(); }
 
-    /** The root RNG stream itself (snapshot save/restore). */
-    Rng &rootRng() { return rootRng_; }
-    const Rng &rootRng() const { return rootRng_; }
-
     Tick now() const { return eventq_.now(); }
 
     /** Call startup() on all registered objects (idempotent). */
     void startAll();
+
+    /**
+     * Walk the kernel's snapshot sections in order: the pending
+     * events, every object's visitState() scoped under its path, the
+     * stats hierarchy and the root RNG. A loading walk first starts
+     * the objects, so their startup hooks schedule the named events
+     * the saved list is rebound to, then resumes the clock at the
+     * reader's tick. Any mismatch throws SnapshotError.
+     */
+    void visitState(StateIO &io);
 
     /** Run the kernel until @p limit, calling startAll() first. */
     std::uint64_t run(Tick limit);
@@ -96,19 +102,16 @@ class SimObject : public stats::StatGroup
     /** Hook called once before simulation begins. */
     virtual void startup() {}
 
-    /** @name Snapshot support.
-     *
-     * Serialize (and restore) the object's *non-statistic* mutable
-     * state; statistics round-trip generically through the StatGroup
-     * walk and scheduled events through the EventQueue, so overrides
-     * only handle plain members. Keys are scoped under the object's
-     * path by the snapshot walk. Restores run on a freshly
+    /**
+     * Snapshot support: walk the object's *non-statistic* mutable
+     * state (statistics round-trip through the StatGroup walk and
+     * scheduled events through the EventQueue, so overrides only
+     * handle plain members). Keys are scoped under the object's path
+     * by Simulator::visitState(). Restores run on a freshly
      * constructed, started cell, so construction-derived members
      * need no encoding.
-     * @{ */
-    virtual void saveState(SnapshotWriter &w) const { (void)w; }
-    virtual void loadState(SnapshotReader &r) { (void)r; }
-    /** @} */
+     */
+    virtual void visitState(StateIO &io) { (void)io; }
 
     Simulator &sim() { return sim_; }
     const Simulator &sim() const { return sim_; }

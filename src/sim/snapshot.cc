@@ -408,6 +408,60 @@ SnapshotReader::finish() const
 }
 
 void
+StateIO::push(const std::string &scope)
+{
+    if (reader_)
+        reader_->push(scope);
+    else
+        writer_->push(scope);
+}
+
+void
+StateIO::pop()
+{
+    if (reader_)
+        reader_->pop();
+    else
+        writer_->pop();
+}
+
+void
+StateIO::field(const std::string &key, double &v)
+{
+    if (reader_)
+        v = reader_->getDouble(key);
+    else
+        writer_->putDouble(key, v);
+}
+
+void
+StateIO::field(const std::string &key, std::uint64_t &v)
+{
+    if (reader_)
+        v = reader_->getU64(key);
+    else
+        writer_->putU64(key, v);
+}
+
+void
+StateIO::field(const std::string &key, bool &v)
+{
+    if (reader_)
+        v = reader_->getBool(key);
+    else
+        writer_->putBool(key, v);
+}
+
+void
+StateIO::field(const std::string &key, std::string &v)
+{
+    if (reader_)
+        v = reader_->getString(key);
+    else
+        writer_->putString(key, v);
+}
+
+void
 writeSnapshotFile(const std::string &path, const std::string &text,
                   const std::string &stage_dir)
 {

@@ -27,6 +27,10 @@
  * checksum is fnv1a64() of the record text above it, so the checksum
  * line of a canonical spec record is that spec's key.
  *
+ * A component's snapshot state is one visitState(StateIO &) walk
+ * that both saves and restores (StateIO, below): adding a state
+ * field is one io.field() call there.
+ *
  * Doubles are encoded as the 16-hex IEEE-754 bit pattern so round
  * trips are bit-exact (NaNs, infinities and signed zeros included);
  * the spec record stores its numbers as exp::formatDouble() text
@@ -52,6 +56,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "sim/types.hh"
@@ -195,6 +200,54 @@ class SnapshotReader
     std::string prefix_;
     std::vector<std::size_t> prefixLens_;
     mutable std::string full_; //!< Scratch: prefix_ + key.
+};
+
+/**
+ * One walk over a component's state that both saves and restores.
+ * A component's visitState(StateIO &) names each of its fields once,
+ * with one field() call; over a writer the walk emits the keys in
+ * call order, over a reader it consumes them into the same members.
+ * Work that only a restore does (re-deriving caches, validating
+ * outside input) sits in `if (io.loading())` blocks of the same
+ * walk, so the save and restore halves cannot drift apart.
+ */
+class StateIO
+{
+  public:
+    explicit StateIO(SnapshotWriter &w) : writer_(&w) {}
+    explicit StateIO(SnapshotReader &r) : reader_(&r) {}
+
+    /** True when the walk restores into the visited members. */
+    bool loading() const { return reader_ != nullptr; }
+
+    /** The record a loading walk reads; for asymmetric sections. */
+    SnapshotReader &reader() { return *reader_; }
+
+    void push(const std::string &scope);
+    void pop();
+
+    void field(const std::string &key, double &v);
+    void field(const std::string &key, std::uint64_t &v);
+    void field(const std::string &key, bool &v);
+    void field(const std::string &key, std::string &v);
+
+    /** Other integers travel as a u64 (signed values two's-complement
+     *  wrapped). Enums go through a validated local instead. */
+    template <typename T>
+    void
+    field(const std::string &key, T &v)
+    {
+        static_assert(std::is_integral_v<T>,
+                      "StateIO::field: unsupported member type");
+        auto u = static_cast<std::uint64_t>(v);
+        field(key, u);
+        if (loading())
+            v = static_cast<T>(u);
+    }
+
+  private:
+    SnapshotWriter *writer_ = nullptr;
+    SnapshotReader *reader_ = nullptr;
 };
 
 /**

@@ -24,15 +24,9 @@ Scalar::dump(std::ostream &os, const std::string &prefix) const
 }
 
 void
-Scalar::saveState(SnapshotWriter &w) const
+Scalar::visitState(StateIO &io)
 {
-    w.putDouble("value", value_);
-}
-
-void
-Scalar::loadState(SnapshotReader &r)
-{
-    value_ = r.getDouble("value");
+    io.field("value", value_);
 }
 
 double
@@ -63,23 +57,13 @@ Average::dump(std::ostream &os, const std::string &prefix) const
 }
 
 void
-Average::saveState(SnapshotWriter &w) const
+Average::visitState(StateIO &io)
 {
-    w.putDouble("sum", sum_);
-    w.putDouble("weight", weight_);
-    w.putDouble("min", min_);
-    w.putDouble("max", max_);
-    w.putU64("count", count_);
-}
-
-void
-Average::loadState(SnapshotReader &r)
-{
-    sum_ = r.getDouble("sum");
-    weight_ = r.getDouble("weight");
-    min_ = r.getDouble("min");
-    max_ = r.getDouble("max");
-    count_ = r.getU64("count");
+    io.field("sum", sum_);
+    io.field("weight", weight_);
+    io.field("min", min_);
+    io.field("max", max_);
+    io.field("count", count_);
 }
 
 void
@@ -128,23 +112,13 @@ TimeAverage::dump(std::ostream &os, const std::string &prefix) const
 }
 
 void
-TimeAverage::saveState(SnapshotWriter &w) const
+TimeAverage::visitState(StateIO &io)
 {
-    w.putDouble("integral", integral_);
-    w.putU64("elapsed", elapsed_);
-    w.putDouble("current", current_);
-    w.putU64("last_set", lastSet_);
-    w.putBool("started", started_);
-}
-
-void
-TimeAverage::loadState(SnapshotReader &r)
-{
-    integral_ = r.getDouble("integral");
-    elapsed_ = r.getU64("elapsed");
-    current_ = r.getDouble("current");
-    lastSet_ = r.getU64("last_set");
-    started_ = r.getBool("started");
+    io.field("integral", integral_);
+    io.field("elapsed", elapsed_);
+    io.field("current", current_);
+    io.field("last_set", lastSet_);
+    io.field("started", started_);
 }
 
 Distribution::Distribution(StatGroup *parent, std::string name,
@@ -204,31 +178,20 @@ Distribution::dump(std::ostream &os, const std::string &prefix) const
 }
 
 void
-Distribution::saveState(SnapshotWriter &w) const
+Distribution::visitState(StateIO &io)
 {
     // lo/hi/width are construction-fixed; only the counts move.
-    w.putU64("buckets", buckets_.size());
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        w.putU64("bucket" + std::to_string(i), buckets_[i]);
-    w.putU64("underflow", underflow_);
-    w.putU64("overflow", overflow_);
-    w.putU64("samples", samples_);
-    w.putDouble("sum", sum_);
-}
-
-void
-Distribution::loadState(SnapshotReader &r)
-{
-    const std::uint64_t n = r.getU64("buckets");
-    if (n != buckets_.size())
+    std::uint64_t n = buckets_.size();
+    io.field("buckets", n);
+    if (io.loading() && n != buckets_.size())
         throw SnapshotError("Distribution '" + name() +
                             "': bucket count mismatch");
     for (std::size_t i = 0; i < buckets_.size(); ++i)
-        buckets_[i] = r.getU64("bucket" + std::to_string(i));
-    underflow_ = r.getU64("underflow");
-    overflow_ = r.getU64("overflow");
-    samples_ = r.getU64("samples");
-    sum_ = r.getDouble("sum");
+        io.field("bucket" + std::to_string(i), buckets_[i]);
+    io.field("underflow", underflow_);
+    io.field("overflow", overflow_);
+    io.field("samples", samples_);
+    io.field("sum", sum_);
 }
 
 StatGroup::StatGroup(StatGroup *parent, std::string name)
@@ -282,32 +245,17 @@ StatGroup::dumpStats(std::ostream &os) const
 }
 
 void
-StatGroup::saveStats(SnapshotWriter &w) const
-{
-    for (const auto *s : stats_) {
-        w.push(s->name());
-        s->saveState(w);
-        w.pop();
-    }
-    for (const auto *g : children_) {
-        w.push(g->name());
-        g->saveStats(w);
-        w.pop();
-    }
-}
-
-void
-StatGroup::loadStats(SnapshotReader &r)
+StatGroup::visitStats(StateIO &io)
 {
     for (auto *s : stats_) {
-        r.push(s->name());
-        s->loadState(r);
-        r.pop();
+        io.push(s->name());
+        s->visitState(io);
+        io.pop();
     }
     for (auto *g : children_) {
-        r.push(g->name());
-        g->loadStats(r);
-        r.pop();
+        io.push(g->name());
+        g->visitStats(io);
+        io.pop();
     }
 }
 

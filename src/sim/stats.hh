@@ -48,12 +48,10 @@ class StatBase
     virtual void dump(std::ostream &os,
                       const std::string &prefix) const = 0;
 
-    /** @name Snapshot support: bit-exact round trip of the
-     *  accumulator state (keys are scoped under the stat's name by
-     *  StatGroup::saveStats). @{ */
-    virtual void saveState(SnapshotWriter &w) const = 0;
-    virtual void loadState(SnapshotReader &r) = 0;
-    /** @} */
+    /** Snapshot support: bit-exact round trip of the accumulator
+     *  state (keys are scoped under the stat's name by
+     *  StatGroup::visitStats). */
+    virtual void visitState(StateIO &io) = 0;
 
   private:
     std::string name_;
@@ -75,8 +73,7 @@ class Scalar : public StatBase
     void reset() override { value_ = 0.0; }
     void dump(std::ostream &os,
               const std::string &prefix) const override;
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+    void visitState(StateIO &io) override;
 
   private:
     double value_ = 0.0;
@@ -98,8 +95,7 @@ class Average : public StatBase
     void reset() override;
     void dump(std::ostream &os,
               const std::string &prefix) const override;
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+    void visitState(StateIO &io) override;
 
   private:
     double sum_ = 0.0;
@@ -141,8 +137,7 @@ class TimeAverage : public StatBase
     void reset() override;
     void dump(std::ostream &os,
               const std::string &prefix) const override;
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+    void visitState(StateIO &io) override;
 
   private:
     double integral_ = 0.0;
@@ -171,8 +166,7 @@ class Distribution : public StatBase
     void reset() override;
     void dump(std::ostream &os,
               const std::string &prefix) const override;
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+    void visitState(StateIO &io) override;
 
   private:
     double lo_;
@@ -208,17 +202,14 @@ class StatGroup
     /** Recursively dump "path.stat value # desc" lines. */
     void dumpStats(std::ostream &os) const;
 
-    /** @name Snapshot support.
-     *
-     * Recursively round-trip every statistic in this group and its
-     * children, scoping keys by group and stat name in registration
-     * order. Because registration order is construction order (and
-     * construction is deterministic), save and load walk identical
-     * sequences.
-     * @{ */
-    void saveStats(SnapshotWriter &w) const;
-    void loadStats(SnapshotReader &r);
-    /** @} */
+    /**
+     * Snapshot support: recursively walk every statistic in this
+     * group and its children, scoping keys by group and stat name in
+     * registration order. Because registration order is construction
+     * order (and construction is deterministic), save and load walk
+     * identical sequences.
+     */
+    void visitStats(StateIO &io);
 
   private:
     friend class StatBase;

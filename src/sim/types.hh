@@ -16,10 +16,11 @@
 namespace sysscale {
 
 // Snapshot machinery (sim/snapshot.hh), forward-declared here so any
-// component header can declare saveState/loadState hooks without
-// pulling the full codec in.
+// component header can declare its visitState hook without pulling
+// the full codec in.
 class SnapshotWriter;
 class SnapshotReader;
+class StateIO;
 
 /** Simulated time in picoseconds. */
 using Tick = std::uint64_t;

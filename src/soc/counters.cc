@@ -65,25 +65,14 @@ PerfCounterBlock::clearWindow()
 }
 
 void
-PerfCounterBlock::saveState(SnapshotWriter &w) const
+PerfCounterBlock::visitState(StateIO &io)
 {
     for (std::size_t i = 0; i < kNumCounters; ++i)
-        w.putDouble("pending" + std::to_string(i), pending_[i]);
-    w.putU64("pending_ticks", pendingTicks_);
+        io.field("pending" + std::to_string(i), pending_[i]);
+    io.field("pending_ticks", pendingTicks_);
     for (std::size_t i = 0; i < kNumCounters; ++i)
-        w.putDouble("window_sum" + std::to_string(i), windowSum_[i]);
-    w.putU64("window_count", windowCount_);
-}
-
-void
-PerfCounterBlock::loadState(SnapshotReader &r)
-{
-    for (std::size_t i = 0; i < kNumCounters; ++i)
-        pending_[i] = r.getDouble("pending" + std::to_string(i));
-    pendingTicks_ = r.getU64("pending_ticks");
-    for (std::size_t i = 0; i < kNumCounters; ++i)
-        windowSum_[i] = r.getDouble("window_sum" + std::to_string(i));
-    windowCount_ = r.getU64("window_count");
+        io.field("window_sum" + std::to_string(i), windowSum_[i]);
+    io.field("window_count", windowCount_);
 }
 
 } // namespace soc

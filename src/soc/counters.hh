@@ -117,10 +117,8 @@ class PerfCounterBlock : public SimObject
     /** PMU evaluation hook: clear the window. */
     void clearWindow();
 
-    /** @name Snapshot support: pending + window accumulation. @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support: pending + window accumulation. */
+    void visitState(StateIO &io) override;
 
   private:
     // Occupancy-style observables are time-weighted within the

@@ -83,34 +83,20 @@ Pmu::startup()
 }
 
 void
-Pmu::saveState(SnapshotWriter &w) const
+Pmu::visitState(StateIO &io)
 {
     for (std::size_t i = 0; i < kNumCounters; ++i)
-        w.putDouble("run_sum" + std::to_string(i), runSum_.values[i]);
-    if (!governor_)
-        return;
-    w.push("driver");
-    driver_->saveState(w);
-    w.pop();
-    w.push("gov");
-    governor_->saveState(w);
-    w.pop();
-}
-
-void
-Pmu::loadState(SnapshotReader &r)
-{
-    for (std::size_t i = 0; i < kNumCounters; ++i)
-        runSum_.values[i] = r.getDouble("run_sum" + std::to_string(i));
+        io.field("run_sum" + std::to_string(i), runSum_.values[i]);
     if (governor_) {
-        r.push("driver");
-        driver_->loadState(r);
-        r.pop();
-        r.push("gov");
-        governor_->loadState(r);
-        r.pop();
+        io.push("driver");
+        driver_->visitState(io);
+        io.pop();
+        io.push("gov");
+        governor_->visitState(io);
+        io.pop();
     }
-    nextSample_ = (now() / sampleInterval_ + 1) * sampleInterval_;
+    if (io.loading())
+        nextSample_ = (now() / sampleInterval_ + 1) * sampleInterval_;
 }
 
 void

@@ -120,16 +120,14 @@ class Pmu : public SimObject
     static constexpr std::size_t kFirmwareBudgetBytes = 640;
 
     /**
-     * @name Snapshot support: the run sum, plus the driver and the
+     * Snapshot support: the run sum, plus the driver and the
      * governor's own state when one is installed. The next sample
      * tick is derived from the restored now(): a snapshot is taken
      * after runUntil() fired every event at its tick, so the next
      * sample is the first multiple of the sample interval above
-     * now(). @{
+     * now().
      */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    void visitState(StateIO &io) override;
 
   private:
     /** Fold the counters into the window; arm the next sample. */

@@ -839,240 +839,145 @@ Soc::metricsBetween(const RunAccumulators &before,
 }
 
 void
-Soc::saveState(SnapshotWriter &w) const
-{
-    w.putDouble("tdp", cfg_.tdp);
-
-    w.push("op");
-    w.putString("name", currentOp_.name);
-    w.putU64("dram_bin", currentOp_.dramBin);
-    w.putDouble("fabric_freq", currentOp_.fabricFreq);
-    w.putDouble("v_sa", currentOp_.vSa);
-    w.putDouble("v_io", currentOp_.vIo);
-    w.putU64("mrc_bin", currentOp_.mrcTrainedBin);
-    w.pop();
-
-    w.putDouble("compute_budget", computeBudget_);
-    w.putDouble("core_freq_cap", coreFreqCap_);
-    w.putBool("gfx_active", gfxActive_);
-
-    w.push("plan");
-    const StepPlan &p = plan_;
-    w.putBool("valid", p.valid);
-    w.putU64("demand_valid_until", p.demandValidUntil);
-    // The pointer itself cannot survive a process boundary; record
-    // whether the plan was captured against the bound workload and
-    // rebind on load.
-    w.putBool("workload_bound", p.workload != nullptr);
-    w.putDouble("transitions_seen", p.transitionsSeen);
-    w.putDouble("throttle", p.throttle);
-    w.putDouble("compute_budget", p.computeBudget);
-    w.putDouble("core_freq_cap", p.coreFreqCap);
-    w.putDouble("duty_factor", p.dutyFactor);
-    w.putDouble("tdp", p.tdp);
-    w.putDouble("latency_in_ns", p.latencyInNs);
-    w.putDouble("cpu_freq", p.cpuFreq);
-    w.putDouble("gfx_freq", p.gfxFreq);
-    w.putDouble("iso", p.iso);
-    w.putDouble("io_engine_power", p.ioEnginePower);
-    w.putDouble("dram_frac", p.dramFrac);
-    w.putDouble("exec_frac", p.execFrac);
-    w.putDouble("md_cpu_read", p.md.cpuRead);
-    w.putDouble("md_cpu_write", p.md.cpuWrite);
-    w.putDouble("md_gfx", p.md.gfx);
-    w.putDouble("md_io_iso", p.md.ioIso);
-    w.putDouble("md_io_best_effort", p.md.ioBestEffort);
-    w.putDouble("gfx_demand_c0", p.gfxDemandC0);
-    w.putDouble("miss_scale", p.missScale);
-    for (std::size_t i = 0; i < p.railWatts.size(); ++i)
-        w.putDouble("rail_w" + std::to_string(i), p.railWatts[i]);
-    w.putDouble("step_power", p.stepPower);
-    w.pop();
-
-    w.putU64("plan_miss_streak", planMissStreak_);
-    w.putU64("plan_skip_countdown", planSkipCountdown_);
-    w.putBool("plan_just_captured", planJustCaptured_);
-
-    w.putDouble("last_mem_latency_ns", lastMemLatencyNs_);
-    w.putDouble("bw_ewma", bwEwma_);
-    w.putDouble("power_ewma", powerEwma_);
-    w.putDouble("throttle", throttle_);
-    w.putU64("pending_stall", pendingStall_);
-
-    w.putDouble("mem_lat_integral", memLatIntegral_);
-    w.putDouble("mem_active_seconds", memActiveSeconds_);
-    w.putDouble("bw_integral", bwIntegral_);
-    w.putDouble("core_freq_integral", coreFreqIntegral_);
-    w.putDouble("low_point_seconds", lowPointSeconds_);
-    w.putDouble("elapsed_seconds", elapsedSeconds_);
-
-    // The demand scratch feeds commitStep() on replayed steps, so a
-    // restored plan needs the exact demand it was captured with.
-    w.push("demand");
-    const IntervalDemand &d = demandScratch_;
-    w.putU64("threads", d.threadWork.size());
-    for (std::size_t i = 0; i < d.threadWork.size(); ++i) {
-        const compute::CoreWork &cw = d.threadWork[i];
-        w.push("thread" + std::to_string(i));
-        w.putDouble("cpi_base", cw.cpiBase);
-        w.putDouble("mpki", cw.mpki);
-        w.putDouble("blocking_factor", cw.blockingFactor);
-        w.putDouble("bytes_per_instr", cw.bytesPerInstr);
-        w.putDouble("activity", cw.activity);
-        w.pop();
-    }
-    w.push("gfx");
-    w.putDouble("cycles_per_frame", d.gfxWork.cyclesPerFrame);
-    w.putDouble("bytes_per_frame", d.gfxWork.bytesPerFrame);
-    w.putDouble("target_fps", d.gfxWork.targetFps);
-    w.putDouble("activity", d.gfxWork.activity);
-    w.pop();
-    w.putDouble("io_best_effort", d.ioBestEffort);
-    for (std::size_t i = 0; i < compute::kNumCStates; ++i)
-        w.putDouble("residency" + std::to_string(i),
-                    d.residency.fraction(compute::kAllCStates[i]));
-    w.putDouble("core_freq_request", d.coreFreqRequest);
-    w.putDouble("gfx_freq_request", d.gfxFreqRequest);
-    w.pop();
-
-    w.push("meter");
-    meter_.saveState(w);
-    w.pop();
-    w.push("vsa_reg");
-    vsaReg_.saveState(w);
-    w.pop();
-    w.push("vio_reg");
-    vioReg_.saveState(w);
-    w.pop();
-
-    w.push("csr");
-    for (const std::string &n : csr_.names())
-        w.putU64(n, csr_.read(n));
-    w.pop();
-}
-
-void
-Soc::loadState(SnapshotReader &r)
+Soc::visitState(StateIO &io)
 {
     // Not setTdp(): that traces and re-derives the compute grant.
     // Apply the raw envelope; the grant is restored exactly as saved.
-    const Watt tdp = r.getDouble("tdp");
-    cfg_.tdp = tdp;
-    pbm_.setTdp(tdp);
-    hdc_ = compute::HardwareDutyCycle(tdp);
-
-    r.push("op");
-    currentOp_.name = r.getString("name");
-    currentOp_.dramBin = r.getU64("dram_bin");
-    currentOp_.fabricFreq = r.getDouble("fabric_freq");
-    currentOp_.vSa = r.getDouble("v_sa");
-    currentOp_.vIo = r.getDouble("v_io");
-    currentOp_.mrcTrainedBin = r.getU64("mrc_bin");
-    r.pop();
-
-    computeBudget_ = r.getDouble("compute_budget");
-    coreFreqCap_ = r.getDouble("core_freq_cap");
-    gfxActive_ = r.getBool("gfx_active");
-
-    r.push("plan");
-    StepPlan &p = plan_;
-    p.valid = r.getBool("valid");
-    p.demandValidUntil = r.getU64("demand_valid_until");
-    p.workload = r.getBool("workload_bound") ? workload_ : nullptr;
-    p.transitionsSeen = r.getDouble("transitions_seen");
-    p.throttle = r.getDouble("throttle");
-    p.computeBudget = r.getDouble("compute_budget");
-    p.coreFreqCap = r.getDouble("core_freq_cap");
-    p.dutyFactor = r.getDouble("duty_factor");
-    p.tdp = r.getDouble("tdp");
-    p.latencyInNs = r.getDouble("latency_in_ns");
-    p.cpuFreq = r.getDouble("cpu_freq");
-    p.gfxFreq = r.getDouble("gfx_freq");
-    p.iso = r.getDouble("iso");
-    p.ioEnginePower = r.getDouble("io_engine_power");
-    p.dramFrac = r.getDouble("dram_frac");
-    p.execFrac = r.getDouble("exec_frac");
-    p.md.cpuRead = r.getDouble("md_cpu_read");
-    p.md.cpuWrite = r.getDouble("md_cpu_write");
-    p.md.gfx = r.getDouble("md_gfx");
-    p.md.ioIso = r.getDouble("md_io_iso");
-    p.md.ioBestEffort = r.getDouble("md_io_best_effort");
-    p.gfxDemandC0 = r.getDouble("gfx_demand_c0");
-    p.missScale = r.getDouble("miss_scale");
-    for (std::size_t i = 0; i < p.railWatts.size(); ++i)
-        p.railWatts[i] = r.getDouble("rail_w" + std::to_string(i));
-    p.stepPower = r.getDouble("step_power");
-    r.pop();
-
-    planMissStreak_ =
-        static_cast<std::uint8_t>(r.getU64("plan_miss_streak"));
-    planSkipCountdown_ =
-        static_cast<std::uint16_t>(r.getU64("plan_skip_countdown"));
-    planJustCaptured_ = r.getBool("plan_just_captured");
-
-    lastMemLatencyNs_ = r.getDouble("last_mem_latency_ns");
-    bwEwma_ = r.getDouble("bw_ewma");
-    powerEwma_ = r.getDouble("power_ewma");
-    throttle_ = r.getDouble("throttle");
-    pendingStall_ = r.getU64("pending_stall");
-
-    memLatIntegral_ = r.getDouble("mem_lat_integral");
-    memActiveSeconds_ = r.getDouble("mem_active_seconds");
-    bwIntegral_ = r.getDouble("bw_integral");
-    coreFreqIntegral_ = r.getDouble("core_freq_integral");
-    lowPointSeconds_ = r.getDouble("low_point_seconds");
-    elapsedSeconds_ = r.getDouble("elapsed_seconds");
-
-    r.push("demand");
-    IntervalDemand &d = demandScratch_;
-    d.threadWork.clear();
-    const std::uint64_t threads = r.getU64("threads");
-    for (std::uint64_t i = 0; i < threads; ++i) {
-        compute::CoreWork cw;
-        r.push("thread" + std::to_string(i));
-        cw.cpiBase = r.getDouble("cpi_base");
-        cw.mpki = r.getDouble("mpki");
-        cw.blockingFactor = r.getDouble("blocking_factor");
-        cw.bytesPerInstr = r.getDouble("bytes_per_instr");
-        cw.activity = r.getDouble("activity");
-        r.pop();
-        d.threadWork.push_back(cw);
+    io.field("tdp", cfg_.tdp);
+    if (io.loading()) {
+        pbm_.setTdp(cfg_.tdp);
+        hdc_ = compute::HardwareDutyCycle(cfg_.tdp);
     }
-    r.push("gfx");
-    d.gfxWork.cyclesPerFrame = r.getDouble("cycles_per_frame");
-    d.gfxWork.bytesPerFrame = r.getDouble("bytes_per_frame");
-    d.gfxWork.targetFps = r.getDouble("target_fps");
-    d.gfxWork.activity = r.getDouble("activity");
-    r.pop();
-    d.ioBestEffort = r.getDouble("io_best_effort");
-    std::array<double, compute::kNumCStates> frac{};
-    for (std::size_t i = 0; i < compute::kNumCStates; ++i)
-        frac[i] = r.getDouble("residency" + std::to_string(i));
-    // Bit-exact doubles round-trip, so the ctor's sum==1 check holds.
-    d.residency = compute::CStateResidency(frac);
-    d.coreFreqRequest = r.getDouble("core_freq_request");
-    d.gfxFreqRequest = r.getDouble("gfx_freq_request");
-    r.pop();
 
-    r.push("meter");
-    meter_.loadState(r);
-    r.pop();
-    r.push("vsa_reg");
-    vsaReg_.loadState(r);
-    r.pop();
-    r.push("vio_reg");
-    vioReg_.loadState(r);
-    r.pop();
+    io.push("op");
+    io.field("name", currentOp_.name);
+    io.field("dram_bin", currentOp_.dramBin);
+    io.field("fabric_freq", currentOp_.fabricFreq);
+    io.field("v_sa", currentOp_.vSa);
+    io.field("v_io", currentOp_.vIo);
+    io.field("mrc_bin", currentOp_.mrcTrainedBin);
+    io.pop();
+
+    io.field("compute_budget", computeBudget_);
+    io.field("core_freq_cap", coreFreqCap_);
+    io.field("gfx_active", gfxActive_);
+
+    io.push("plan");
+    StepPlan &p = plan_;
+    io.field("valid", p.valid);
+    io.field("demand_valid_until", p.demandValidUntil);
+    // The pointer itself cannot survive a process boundary; record
+    // whether the plan was captured against the bound workload and
+    // rebind on load.
+    bool workload_bound = p.workload != nullptr;
+    io.field("workload_bound", workload_bound);
+    if (io.loading())
+        p.workload = workload_bound ? workload_ : nullptr;
+    io.field("transitions_seen", p.transitionsSeen);
+    io.field("throttle", p.throttle);
+    io.field("compute_budget", p.computeBudget);
+    io.field("core_freq_cap", p.coreFreqCap);
+    io.field("duty_factor", p.dutyFactor);
+    io.field("tdp", p.tdp);
+    io.field("latency_in_ns", p.latencyInNs);
+    io.field("cpu_freq", p.cpuFreq);
+    io.field("gfx_freq", p.gfxFreq);
+    io.field("iso", p.iso);
+    io.field("io_engine_power", p.ioEnginePower);
+    io.field("dram_frac", p.dramFrac);
+    io.field("exec_frac", p.execFrac);
+    io.field("md_cpu_read", p.md.cpuRead);
+    io.field("md_cpu_write", p.md.cpuWrite);
+    io.field("md_gfx", p.md.gfx);
+    io.field("md_io_iso", p.md.ioIso);
+    io.field("md_io_best_effort", p.md.ioBestEffort);
+    io.field("gfx_demand_c0", p.gfxDemandC0);
+    io.field("miss_scale", p.missScale);
+    for (std::size_t i = 0; i < p.railWatts.size(); ++i)
+        io.field("rail_w" + std::to_string(i), p.railWatts[i]);
+    io.field("step_power", p.stepPower);
+    io.pop();
+
+    io.field("plan_miss_streak", planMissStreak_);
+    io.field("plan_skip_countdown", planSkipCountdown_);
+    io.field("plan_just_captured", planJustCaptured_);
+
+    io.field("last_mem_latency_ns", lastMemLatencyNs_);
+    io.field("bw_ewma", bwEwma_);
+    io.field("power_ewma", powerEwma_);
+    io.field("throttle", throttle_);
+    io.field("pending_stall", pendingStall_);
+
+    io.field("mem_lat_integral", memLatIntegral_);
+    io.field("mem_active_seconds", memActiveSeconds_);
+    io.field("bw_integral", bwIntegral_);
+    io.field("core_freq_integral", coreFreqIntegral_);
+    io.field("low_point_seconds", lowPointSeconds_);
+    io.field("elapsed_seconds", elapsedSeconds_);
+
+    // The demand scratch feeds commitStep() on replayed steps, so a
+    // restored plan needs the exact demand it was captured with.
+    io.push("demand");
+    IntervalDemand &d = demandScratch_;
+    std::uint64_t threads = d.threadWork.size();
+    io.field("threads", threads);
+    if (io.loading())
+        d.threadWork.clear();
+    for (std::uint64_t i = 0; i < threads; ++i) {
+        if (io.loading())
+            d.threadWork.emplace_back();
+        compute::CoreWork &cw = d.threadWork[i];
+        io.push("thread" + std::to_string(i));
+        io.field("cpi_base", cw.cpiBase);
+        io.field("mpki", cw.mpki);
+        io.field("blocking_factor", cw.blockingFactor);
+        io.field("bytes_per_instr", cw.bytesPerInstr);
+        io.field("activity", cw.activity);
+        io.pop();
+    }
+    io.push("gfx");
+    io.field("cycles_per_frame", d.gfxWork.cyclesPerFrame);
+    io.field("bytes_per_frame", d.gfxWork.bytesPerFrame);
+    io.field("target_fps", d.gfxWork.targetFps);
+    io.field("activity", d.gfxWork.activity);
+    io.pop();
+    io.field("io_best_effort", d.ioBestEffort);
+    std::array<double, compute::kNumCStates> frac{};
+    for (std::size_t i = 0; i < compute::kNumCStates; ++i) {
+        frac[i] = d.residency.fraction(compute::kAllCStates[i]);
+        io.field("residency" + std::to_string(i), frac[i]);
+    }
+    // Bit-exact doubles round-trip, so the ctor's sum==1 check holds.
+    if (io.loading())
+        d.residency = compute::CStateResidency(frac);
+    io.field("core_freq_request", d.coreFreqRequest);
+    io.field("gfx_freq_request", d.gfxFreqRequest);
+    io.pop();
+
+    io.push("meter");
+    meter_.visitState(io);
+    io.pop();
+    io.push("vsa_reg");
+    vsaReg_.visitState(io);
+    io.pop();
+    io.push("vio_reg");
+    vioReg_.visitState(io);
+    io.pop();
 
     // The commit record is derived state. The children this Soc owns
     // restore after it, so re-deriving here would read their stale
     // state: the first replay re-derives it instead.
-    record_.stale = true;
+    if (io.loading())
+        record_.stale = true;
 
-    r.push("csr");
-    for (const std::string &n : csr_.names())
-        csr_.write(n, r.getU64(n));
-    r.pop();
+    io.push("csr");
+    for (const std::string &n : csr_.names()) {
+        std::uint64_t v = csr_.read(n);
+        io.field(n, v);
+        if (io.loading())
+            csr_.write(n, v);
+    }
+    io.pop();
 }
 
 } // namespace soc

@@ -200,10 +200,8 @@ class Soc : public SimObject
                                      double seconds);
     /** @} */
 
-    /** @name Snapshot support (see sim/snapshot.hh). @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support (see sim/snapshot.hh). */
+    void visitState(StateIO &io) override;
 
     /** Loaded memory latency of the last step (ns). */
     double lastMemLatencyNs() const { return lastMemLatencyNs_; }
@@ -410,7 +408,7 @@ class Soc : public SimObject
      * step applies them instead of re-running the fabric, memory,
      * retire and render evaluations on inputs the fingerprint already
      * proved identical. Filled only by slow steps that capture a
-     * valid plan. Derived state, never snapshotted: loadState() marks
+     * valid plan. Derived state, never snapshotted: a restore marks
      * it stale (Soc restores before its children), and the first
      * replay after a restore re-derives it from the restored plan and
      * component state.

@@ -111,16 +111,10 @@ ScenarioScript::fire()
 }
 
 void
-ScenarioScript::saveState(SnapshotWriter &w) const
+ScenarioScript::visitState(StateIO &io)
 {
-    w.putU64("next", next_);
-}
-
-void
-ScenarioScript::loadState(SnapshotReader &r)
-{
-    next_ = r.getU64("next");
-    if (next_ > actions_.size())
+    io.field("next", next_);
+    if (io.loading() && next_ > actions_.size())
         throw SnapshotError("scenario: cursor past the action list");
 }
 

@@ -140,11 +140,9 @@ class ScenarioScript : public SimObject
     /** Actions applied so far. */
     std::size_t applied() const { return next_; }
 
-    /** @name Snapshot support: the replay cursor (the action list is
-     *  construction input). @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Snapshot support: the replay cursor (the action list is
+     *  construction input). */
+    void visitState(StateIO &io) override;
 
   private:
     void fire();

@@ -191,9 +191,9 @@ TEST(Llc, RecordsCounterObservables)
 
 // ---------------------------------------------------------------------
 // Leakage is derived where a unit's voltage is written (constructor,
-// setPState(), loadState()) or, for the LLC, memoized on the bit
-// pattern of the voltage it is handed. Nothing is snapshotted, so
-// every path to a voltage must answer bit for bit like the uncached
+// setPState(), a restoring visitState()) or, for the LLC, memoized on
+// the bit pattern of the voltage it is handed. Nothing is snapshotted,
+// so every path to a voltage must answer bit for bit like the uncached
 // leakagePower() expression.
 // ---------------------------------------------------------------------
 
@@ -207,10 +207,11 @@ bits(double x)
 
 template <typename Unit>
 std::string
-saveOf(const Unit &unit)
+saveOf(Unit &unit)
 {
     SnapshotWriter w("0000000000000000", 0);
-    unit.saveState(w);
+    StateIO io(w);
+    unit.visitState(io);
     return w.str();
 }
 
@@ -219,7 +220,8 @@ void
 loadInto(Unit &unit, const std::string &text)
 {
     SnapshotReader r(text);
-    unit.loadState(r);
+    StateIO io(r);
+    unit.visitState(io);
     r.finish();
 }
 
@@ -409,7 +411,8 @@ std::string
 statBits(Simulator &sim)
 {
     SnapshotWriter w("0000000000000000", 0);
-    sim.statsRoot().saveStats(w);
+    StateIO io(w);
+    sim.statsRoot().visitStats(io);
     return w.str();
 }
 

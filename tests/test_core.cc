@@ -273,7 +273,7 @@ TEST(Governors, NamesAndFirmwareBudgets)
     MemScaleGovernor memscale(true);
     CoScaleGovernor coscale(true);
 
-    EXPECT_STREQ(fixed.name(), "baseline");
+    EXPECT_STREQ(fixed.name(), "fixed");
     EXPECT_STREQ(sysscale.name(), "sysscale");
     EXPECT_STREQ(memscale.name(), "memscale-r");
     EXPECT_STREQ(coscale.name(), "coscale-r");

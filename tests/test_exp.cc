@@ -7,14 +7,21 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/governor.hh"
 #include "exp/experiment.hh"
 #include "exp/report.hh"
 #include "exp/runner.hh"
+#include "io/display.hh"
+#include "sim/sim_object.hh"
+#include "soc/pmu.hh"
+#include "soc/soc.hh"
 #include "workloads/micro.hh"
+#include "workloads/profile.hh"
 
 using namespace sysscale;
 
@@ -165,24 +172,47 @@ TEST(SpecValidation, SubReserveTdpCellFailsWithoutKillingGrid)
     EXPECT_TRUE(results[1].ok) << results[1].error;
 }
 
+/**
+ * Every cell, with or without a governor, reports counters: a row's
+ * ctr_* columns are the run average the PMU of the same cell, driven
+ * directly, holds.
+ */
 TEST(RunCell, ProducesMetricsAndCounters)
 {
-    exp::ExperimentSpec spec;
-    spec.id = "unit";
-    spec.workload = workloads::streamMicro();
-    spec.governor = "collect";
-    spec.warmup = 10 * kTicksPerMs;
-    spec.window = 60 * kTicksPerMs;
+    for (const char *gov : {"collect", "fixed", "sysscale"}) {
+        SCOPED_TRACE(gov);
+        exp::ExperimentSpec spec;
+        spec.id = "unit";
+        spec.workload = workloads::streamMicro();
+        spec.governor = gov;
+        spec.warmup = 10 * kTicksPerMs;
+        spec.window = 60 * kTicksPerMs;
 
-    const exp::RunResult res = exp::runCell(spec);
-    ASSERT_TRUE(res.ok) << res.error;
-    EXPECT_EQ(res.id, "unit");
-    EXPECT_EQ(res.workload, "stream");
-    EXPECT_GT(res.metrics.ips, 0.0);
-    EXPECT_GT(res.metrics.avgPower, 0.0);
-    EXPECT_GT(res.hostSeconds, 0.0);
-    // The collect policy accumulated real counter traffic.
-    EXPECT_GT(res.counters[soc::Counter::LlcStalls], 0.0);
+        const exp::RunResult res = exp::runCell(spec);
+        ASSERT_TRUE(res.ok) << res.error;
+        EXPECT_EQ(res.id, "unit");
+        EXPECT_EQ(res.workload, "stream");
+        EXPECT_GT(res.metrics.ips, 0.0);
+        EXPECT_GT(res.metrics.avgPower, 0.0);
+        EXPECT_GT(res.hostSeconds, 0.0);
+
+        const std::unique_ptr<core::Governor> g =
+            exp::makeGovernor(spec.governor, spec.governorParams);
+        Simulator sim(spec.seed);
+        soc::Soc chip(sim, spec.soc);
+        chip.display().attachPanel(0, io::kDefaultHdPanel);
+        workloads::ProfileAgent agent(spec.workload);
+        chip.setWorkload(&agent);
+        chip.pmu().setGovernor(g.get());
+        chip.run(spec.warmup);
+        chip.run(spec.window);
+        const soc::CounterSnapshot avg = chip.pmu().runAverage();
+        for (std::size_t i = 0; i < soc::kNumCounters; ++i)
+            EXPECT_EQ(res.counters.values[i], avg.values[i]) << i;
+        // The stream micro makes real LLC counter traffic.
+        EXPECT_GT(res.counters[soc::Counter::LlcOccupancyTracer], 0.0);
+        EXPECT_GT(res.counters[soc::Counter::LlcStalls], 0.0);
+    }
 }
 
 TEST(RunCell, BadSpecBecomesErrorResultNotThrow)

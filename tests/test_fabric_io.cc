@@ -79,8 +79,8 @@ TEST(Fabric, PowerDropsWithVoltageAndClock)
 }
 
 // Fabric leakage is cached where V_SA is written (constructor,
-// setVsa(), loadState()); every path must answer bit for bit like the
-// uncached leakagePower() expression.
+// setVsa(), a restoring visitState()); every path must answer bit for
+// bit like the uncached leakagePower() expression.
 
 std::uint64_t
 bits(double x)
@@ -133,9 +133,11 @@ TEST(FabricLeakageCache, RestoreRefreshesLeakage)
         interconnect::IoFabric restored(sim, nullptr, 0.8 * kGHz,
                                         v + 0.1);
         SnapshotWriter w("0000000000000000", 0);
-        source.saveState(w);
+        StateIO save(w);
+        source.visitState(save);
         SnapshotReader r(w.str());
-        restored.loadState(r);
+        StateIO load(r);
+        restored.visitState(load);
         r.finish();
         expectFabricUncached(restored, "vsa " + std::to_string(v));
     }
@@ -146,7 +148,8 @@ std::string
 statBits(Simulator &sim)
 {
     SnapshotWriter w("0000000000000000", 0);
-    sim.statsRoot().saveStats(w);
+    StateIO io(w);
+    sim.statsRoot().visitStats(io);
     return w.str();
 }
 
@@ -189,8 +192,10 @@ TEST(FabricSplit, NCommitsOfOneEvaluationEqualNServiceCalls)
 
             SnapshotWriter wa("0000000000000000", 0);
             SnapshotWriter wb("0000000000000000", 0);
-            a.saveState(wa);
-            b.saveState(wb);
+            StateIO ia(wa);
+            StateIO ib(wb);
+            a.visitState(ia);
+            b.visitState(ib);
             EXPECT_EQ(wa.str(), wb.str());
         }
     }

@@ -230,7 +230,7 @@ TEST_F(ControllerTest, PowerDropsWithVoltageAndClock)
 // latency, line service time, peak bandwidth). The cache is refreshed
 // by every writer of the registers and never snapshotted, so a bin
 // reached through programRegisters() and the same bin restored by
-// loadState() must answer bit for bit alike.
+// a restoring visitState() must answer bit for bit alike.
 // ---------------------------------------------------------------------
 
 std::uint64_t
@@ -262,16 +262,23 @@ struct McRig
         mc.release();
     }
 
+    void
+    visit(StateIO &io)
+    {
+        io.push("dram");
+        dev.visitState(io);
+        io.pop();
+        io.push("mc");
+        mc.visitState(io);
+        io.pop();
+    }
+
     std::string
-    save() const
+    save()
     {
         SnapshotWriter w("0000000000000000", 0);
-        w.push("dram");
-        dev.saveState(w);
-        w.pop();
-        w.push("mc");
-        mc.saveState(w);
-        w.pop();
+        StateIO io(w);
+        visit(io);
         return w.str();
     }
 
@@ -279,12 +286,8 @@ struct McRig
     load(const std::string &text)
     {
         SnapshotReader r(text);
-        r.push("dram");
-        dev.loadState(r);
-        r.pop();
-        r.push("mc");
-        mc.loadState(r);
-        r.pop();
+        StateIO io(r);
+        visit(io);
         r.finish();
     }
 
@@ -345,9 +348,9 @@ TEST(ControllerCache, ProgramAndRestoreDeriveIdenticalConstants)
                 programmed.program(
                     programmed.mrc.crossBinSet(trained, applied));
 
-                // Reached through a saveState/loadState round trip of
-                // a controller left at that bin, loaded into one parked
-                // at another bin so a stale cache cannot pass.
+                // Reached through a visitState() save/restore round
+                // trip of a controller left at that bin, loaded into one
+                // parked at another bin so a stale cache cannot pass.
                 McRig source(spec);
                 source.program(source.mrc.crossBinSet(trained, applied));
                 McRig restored(spec);
@@ -380,15 +383,16 @@ TEST(ControllerCache, RestoreRejectsOutOfRangeBin)
     }
     w.pop();
     SnapshotReader r(w.str());
-    EXPECT_THROW(rig.mc.loadState(r), SnapshotError);
+    StateIO io(r);
+    EXPECT_THROW(rig.mc.visitState(io), SnapshotError);
 }
 
 // ---------------------------------------------------------------------
 // Leakage on the V_SA and V_IO rails is cached where the voltage is
-// written: MemoryController at its constructor, setVsa() and
-// loadState(); Ddrio at its constructor and setVio() (the controller's
-// restore goes through setVio()). Every path must answer bit for bit
-// like the uncached leakagePower() expression.
+// written: MemoryController at its constructor, setVsa() and a
+// restoring visitState(); Ddrio at its constructor and setVio() (the
+// controller's restore goes through setVio()). Every path must answer
+// bit for bit like the uncached leakagePower() expression.
 // ---------------------------------------------------------------------
 
 /** A V_SA/V_IO sweep: the Table 1 rail span plus its neighbours. */
@@ -506,7 +510,8 @@ std::string
 statBits(Simulator &sim)
 {
     SnapshotWriter w("0000000000000000", 0);
-    sim.statsRoot().saveStats(w);
+    StateIO io(w);
+    sim.statsRoot().visitStats(io);
     return w.str();
 }
 

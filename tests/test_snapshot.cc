@@ -156,6 +156,27 @@ traceFileFor(const exp::ExperimentSpec &spec, const std::string &dir)
     return dir + "/" + exp::specKey(spec) + ".trace.json";
 }
 
+/** Every registered governor, plus the governor-less "collect". */
+const std::vector<std::string> kGovernors = {
+    "fixed",    "sysscale",     "memscale", "memscale-r",
+    "coscale",  "coscale-r",    "ondemand", "conservative",
+    "adaptive", "latency-budget", "userspace", "collect",
+};
+
+/**
+ * Run @p spec under governor @p name. userspace gets an
+ * at=<ms>@<index> schedule, so a restore that lost its evaluation
+ * clock would request the wrong operating point.
+ */
+void
+useGovernor(exp::ExperimentSpec &spec, const std::string &name)
+{
+    spec.governor = name;
+    spec.governorParams.clear();
+    if (name == "userspace")
+        spec.governorParams = {{"at", "10@2"}, {"at", "20@0"}};
+}
+
 /**
  * A randomized fast cell: workload, governor, scenario, seed, and
  * measurement window all drawn from @p rng. Kept short (tens of
@@ -174,12 +195,7 @@ randomSpec(std::mt19937_64 &rng)
       default: spec.workload = workloads::webBrowsing(); break;
     }
 
-    static const std::vector<std::string> governors = {
-        "fixed",        "sysscale",     "memscale", "coscale-r",
-        "ondemand",     "conservative", "adaptive", "latency-budget",
-        "collect",
-    };
-    spec.governor = governors[rng() % governors.size()];
+    useGovernor(spec, kGovernors[rng() % kGovernors.size()]);
 
     // Scenario actions are compressed into the short run so the
     // checkpoint can land before, between, or after them.
@@ -207,6 +223,9 @@ randomSpec(std::mt19937_64 &rng)
     spec.seed = 1 + rng() % 97;
     spec.warmup = (2 + rng() % 6) * kTicksPerMs;
     spec.window = (20 + rng() % 20) * kTicksPerMs;
+    // Several evaluations per run, so cuts land between evaluations
+    // of the governor state a restore must carry.
+    spec.soc.evaluationInterval = 5 * kTicksPerMs;
     spec.id = "snap-diff";
     return spec;
 }
@@ -384,10 +403,12 @@ TEST(SnapshotDifferential, SaveRestoreMatchesRunThrough)
     // trial below and in test_skip_ahead.cc.
     const SkipAheadGuard guard(false);
 
-    const std::size_t trials = 3 * stressIters();
+    // One trial per governor.
+    const std::size_t trials = kGovernors.size() * stressIters();
     std::mt19937_64 rng(0xc0ffee);
     for (std::size_t trial = 0; trial < trials; ++trial) {
-        const exp::ExperimentSpec spec = randomSpec(rng);
+        exp::ExperimentSpec spec = randomSpec(rng);
+        useGovernor(spec, kGovernors[trial % kGovernors.size()]);
         const Tick total = spec.warmup + spec.window;
         const Tick k = 1 + rng() % (total - 1);
         const std::string what =

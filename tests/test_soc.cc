@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -168,9 +167,9 @@ struct RecordedRun
 /**
  * Run a Soc for @p total with a WindowRecorder installed, idle or
  * (with @p stream) running the stream microbenchmark. With @p cut > 0
- * the run stops at @p cut, its events, objects and stats are saved,
- * and a fresh Soc restored from them runs the rest: the restore path
- * runCellSlice() takes.
+ * the run stops at @p cut, the kernel's snapshot sections (events,
+ * objects, stats, RNG) are saved, and a fresh Soc restored from them
+ * runs the rest: the restore path runCellSlice() takes.
  */
 RecordedRun
 recordWindows(bool skip_ahead, Tick total, Tick cut,
@@ -189,15 +188,9 @@ recordWindows(bool skip_ahead, Tick total, Tick cut,
         return {rec.windows, rec.averages, chip.pmu().runAverage()};
     }
     chip.run(cut);
-    const std::vector<EventQueue::SavedEvent> events =
-        sim.eventq().saveEvents();
     SnapshotWriter w("0000000000000000", sim.now());
-    for (const SimObject *o : sim.objects()) {
-        w.push(o->path());
-        o->saveState(w);
-        w.pop();
-    }
-    sim.statsRoot().saveStats(w);
+    StateIO save(w);
+    sim.visitState(save);
 
     workloads::ProfileAgent agent2(workloads::streamMicro());
     Simulator sim2;
@@ -207,21 +200,9 @@ recordWindows(bool skip_ahead, Tick total, Tick cut,
         chip2.setWorkload(&agent2);
     WindowRecorder rec2;
     chip2.pmu().setGovernor(&rec2);
-    sim2.startAll();
-    std::map<std::string, Event *> by_name;
-    for (Event *ev : sim2.eventq().scheduledEvents())
-        by_name[ev->name()] = ev;
-    sim2.eventq().clearScheduled();
-    sim2.eventq().restoreNow(cut);
-    for (const EventQueue::SavedEvent &e : events)
-        sim2.eventq().schedule(by_name.at(e.name), e.when);
     SnapshotReader r(w.str());
-    for (SimObject *o : sim2.objects()) {
-        r.push(o->path());
-        o->loadState(r);
-        r.pop();
-    }
-    sim2.statsRoot().loadStats(r);
+    StateIO load(r);
+    sim2.visitState(load);
     r.finish();
 
     chip2.run(total - cut);

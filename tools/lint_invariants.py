@@ -406,7 +406,7 @@ def check_spec_version_guard(diff_text, findings):
 
 # The snapshot codec itself: a format change without a version bump
 # lets a stale checkpoint restore into a build that decodes its bytes
-# differently.  Component saveState() bodies are deliberately NOT
+# differently.  Component visitState() walks are deliberately NOT
 # listed — the golden fixture test (snap_inspect check) pins those,
 # field by named field.
 SNAP_SERIALIZED = (
