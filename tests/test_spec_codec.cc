@@ -14,6 +14,7 @@
 #include "exp/spec_codec.hh"
 #include "soc/op_point.hh"
 #include "tests/record_corruption.hh"
+#include "tests/spec_fixtures.hh"
 #include "workloads/battery.hh"
 #include "workloads/micro.hh"
 #include "workloads/spec.hh"
@@ -22,30 +23,7 @@ using namespace sysscale;
 
 namespace {
 
-/** A cell exercising every serialized field group. */
-exp::ExperimentSpec
-richSpec()
-{
-    exp::ExperimentSpec spec;
-    spec.id = "rich/\"cell\" with\nnewline";
-    spec.soc = soc::skylakeDdr4Config(7.5);
-    spec.workload = workloads::videoPlayback();
-    spec.governor = "ondemand";
-    spec.governorParams = {{"up", "0.70"}, {"stall-gate", "1.5e6"}};
-    spec.seed = 42;
-    spec.warmup = 12 * kTicksPerMs;
-    spec.window = 345 * kTicksPerMs;
-    spec.hdPanel = false;
-    spec.camera = true;
-    spec.pinnedCoreFreq = 1.3 * kGHz;
-    const soc::OpPointTable table(spec.soc);
-    spec.pinnedOpPoint = table.low();
-    spec.pinnedUnoptimizedMrc = true;
-    spec.scenario = workloads::scenarioByName("videoconf");
-    spec.labels = {{"workload", "video-playback"},
-                   {"note", "tab\there"}};
-    return spec;
-}
+using test::richSpec;
 
 std::vector<exp::ExperimentSpec>
 roundTripCorpus()
