@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 
 #include "sim/types.hh"
 
@@ -35,19 +34,6 @@ constexpr std::size_t kNumCStates = 5;
 constexpr std::array<CState, kNumCStates> kAllCStates = {
     CState::C0, CState::C2, CState::C6, CState::C7, CState::C8,
 };
-
-constexpr std::string_view
-cstateName(CState c)
-{
-    switch (c) {
-      case CState::C0: return "C0";
-      case CState::C2: return "C2";
-      case CState::C6: return "C6";
-      case CState::C7: return "C7";
-      case CState::C8: return "C8";
-    }
-    return "?";
-}
 
 constexpr std::size_t
 cstateIndex(CState c)

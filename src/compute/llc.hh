@@ -33,8 +33,6 @@ class Llc : public SimObject
      */
     Llc(Simulator &sim, SimObject *parent, std::size_t capacity_bytes);
 
-    std::size_t capacityBytes() const { return capacityBytes_; }
-
     /**
      * Miss-rate multiplier for a profile characterized at
      * @p reference_bytes, using the square-root capacity rule.

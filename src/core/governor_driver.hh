@@ -57,7 +57,6 @@ class GovernorDriver
      * constraint.
      * @{ */
     void setTransitionLatencyLimit(Tick limit) { latencyLimit_ = limit; }
-    Tick transitionLatencyLimit() const { return latencyLimit_; }
     Tick estimateTransitionLatency(
         const soc::OperatingPoint &target) const;
     /** @} */
@@ -68,7 +67,6 @@ class GovernorDriver
     /** @name Transition accounting (diagnostics). @{ */
     std::uint64_t flowRuns() const { return flowRuns_; }
     Tick lastFlowLatency() const { return lastFlowLatency_; }
-    Tick totalFlowLatency() const { return totalFlowLatency_; }
     std::uint64_t deniedRequests() const { return denied_; }
     /** @} */
 

@@ -145,9 +145,6 @@ class LatencyBudgetGovernor : public PolicyBase
     static constexpr double kDefaultBudgetUs = 20.0;
     static constexpr double kDefaultBurstWindows = 4.0;
 
-    /** Accrued, unspent transition-latency budget (diagnostics). */
-    Tick accruedBudget() const { return accrued_; }
-
     /** Snapshot support: the accrued budget. */
     void visitState(StateIO &io) override;
 

@@ -107,7 +107,6 @@ class SysScaleGovernor : public PolicyBase
     std::size_t firmwareBytes() const override { return 600; }
 
     const DemandPredictor &predictor() const { return predictor_; }
-    const StaticDemandTable &staticTable() const { return table_; }
 
     /** Conditions fired at the last evaluation (introspection). */
     const ConditionVector &lastConditions() const { return lastCond_; }

@@ -106,19 +106,19 @@ runDistributed(const std::vector<exp::ExperimentSpec> &specs,
     // Resolve a failed cell from its failure marker as error rows.
     auto resolveFromMarker = [&](const std::string &key,
                                  const Cell &cell) {
-        std::string governor, error;
-        double hostSeconds = 0.0;
-        if (!queue.failedResult(key, governor, error, hostSeconds))
+        const std::optional<FailureMarker> marker =
+            queue.failedResult(key);
+        if (!marker)
             return false;
         for (const std::size_t i : cell.rows) {
             exp::RunResult &res = out.results[i];
             res.id = specs[i].id;
-            res.governor = governor;
+            res.governor = marker->governor;
             res.workload = specs[i].workload.name();
             res.labels = specs[i].labels;
             res.ok = false;
-            res.error = error;
-            res.hostSeconds = hostSeconds;
+            res.error = marker->error;
+            res.hostSeconds = marker->hostSeconds;
             ++out.failedCells;
             resolved[i] = 1;
         }

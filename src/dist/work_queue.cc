@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "exp/report.hh"
 #include "exp/spec_codec.hh"
 #include "sim/snapshot.hh"
 
@@ -59,37 +58,75 @@ splitClaimName(const std::string &name, std::string &key,
     return isHexKey(key) && !worker.empty();
 }
 
-/** Encode link @p index of @p spec's chain as a queue entry. */
-std::string
-encodeEntry(const std::string &baseKey, Tick step, std::uint64_t index,
-            const exp::ExperimentSpec &spec)
+/**
+ * A queue entry: link @ref Claim::index of the chain of the cell
+ * under @ref Claim::baseKey, sliced every @ref Claim::step, with the
+ * cell's own full spec record. A loading walk also derives the
+ * link's window; the claim's key and worker are not stored.
+ */
+void
+visit(StateIO &io, Claim &c)
 {
-    SnapshotWriter w(kSliceHeader);
-    w.putString("base", baseKey);
-    w.putU64("step", step);
-    w.putU64("index", index);
-    w.putString("spec", exp::serializeSpec(spec));
+    io.field("base", c.baseKey);
+    io.field("step", c.step);
+    io.field("index", c.index);
+    std::string spec =
+        io.loading() ? std::string() : exp::serializeSpec(c.spec);
+    io.field("spec", spec);
+    if (!io.loading())
+        return;
+    c.spec = exp::parseSpec(spec);
+    c.total = c.spec.warmup + c.spec.window;
+    c.t0 = c.index * c.step;
+    c.t1 = c.step == 0 ? c.total : std::min(c.t0 + c.step, c.total);
+}
+
+void
+visit(StateIO &io, FailureMarker &m)
+{
+    io.field("key", m.key);
+    io.field("governor", m.governor);
+    io.field("host_seconds", m.hostSeconds);
+    io.field("error", m.error);
+}
+
+/** WorkerMetrics::ageSeconds is the reader's and is not stored. */
+void
+visit(StateIO &io, WorkerMetrics &m)
+{
+    io.field("worker", m.workerId);
+    io.field("claimed", m.claimed);
+    io.field("simulated", m.simulated);
+    io.field("cache_hits", m.cacheHits);
+    io.field("failures", m.failures);
+    io.field("sim_seconds", m.simSeconds);
+    io.field("wall_seconds", m.wallSeconds);
+}
+
+/** @p record as a @p header record: one saving walk. */
+template <typename T>
+std::string
+recordText(const char *header, const T &record)
+{
+    SnapshotWriter w(header);
+    StateIO io(w);
+    visit(io, const_cast<T &>(record));
     return w.str();
 }
 
 /**
- * Decode a queue entry into @p out's spec and link fields. Throws on
- * anything that does not decode, a bare spec from an older build
- * included.
+ * Fill @p record from the @p header record @p text: one loading
+ * walk. Throws on anything that does not decode, a record of another
+ * type or version included.
  */
+template <typename T>
 void
-decodeEntry(const std::string &text, Claim &out)
+readRecord(std::string text, const char *header, T &record)
 {
-    SnapshotReader r(text, kSliceHeader);
-    out.baseKey = r.getString("base");
-    out.step = r.getU64("step");
-    out.index = r.getU64("index");
-    out.spec = exp::parseSpec(r.getString("spec"));
+    SnapshotReader r(std::move(text), header);
+    StateIO io(r);
+    visit(io, record);
     r.finish();
-    out.total = out.spec.warmup + out.spec.window;
-    out.t0 = out.index * out.step;
-    out.t1 = out.step == 0 ? out.total
-                           : std::min(out.t0 + out.step, out.total);
 }
 
 /** @p ref minus @p path's mtime, in (possibly negative) seconds. */
@@ -248,8 +285,12 @@ WorkQueue::enqueue(const exp::ExperimentSpec &spec, Tick step,
         ++counters_.skipped;
         return key;
     }
-    writeSnapshotFile(pendingPath(key),
-                      encodeEntry(baseKey, step, index, spec),
+    Claim link;
+    link.spec = spec;
+    link.baseKey = baseKey;
+    link.step = step;
+    link.index = index;
+    writeSnapshotFile(pendingPath(key), recordText(kSliceHeader, link),
                       dir_ + "/tmp");
     ++counters_.enqueued;
     return key;
@@ -292,7 +333,7 @@ WorkQueue::tryClaim(const std::string &workerId, Claim &out)
         claim.workerId = workerId;
         std::string reason;
         try {
-            decodeEntry(readSnapshotFile(claimed), claim);
+            readRecord(readSnapshotFile(claimed), kSliceHeader, claim);
             if (exp::specKey(claim.spec) != claim.baseKey) {
                 reason = "base key mismatch";
             } else if (sliceKeyFor(claim.baseKey, claim.step,
@@ -354,8 +395,11 @@ WorkQueue::fail(const Claim &claim, const exp::RunResult &res)
     // needing a dispatcher's copy of the grid. Written first, so a
     // retry that sees the marker also finds the link.
     try {
+        Claim whole = claim;
+        whole.step = 0;
+        whole.index = 0;
         writeSnapshotFile(failedPath(claim.baseKey) + ".spec",
-                          encodeEntry(claim.baseKey, 0, 0, claim.spec),
+                          recordText(kSliceHeader, whole),
                           dir_ + "/tmp");
     } catch (const SnapshotError &) {
         // A retry then waits for the next dispatch instead.
@@ -364,18 +408,15 @@ WorkQueue::fail(const Claim &claim, const exp::RunResult &res)
     // A failed link fails its *cell*: the marker carries the base
     // key the dispatcher is watching, and the rest of the chain is
     // simply never enqueued.
-    std::string error = res.error;
-    for (char &c : error) {
+    FailureMarker marker{claim.baseKey, res.governor, res.hostSeconds,
+                         res.error};
+    for (char &c : marker.error) {
         if (c == '\n' || c == '\r')
             c = ' ';
     }
-    SnapshotWriter w(kFailureHeader);
-    w.putString("key", claim.baseKey);
-    w.putString("governor", res.governor);
-    w.putDouble("host_seconds", res.hostSeconds);
-    w.putString("error", error);
     try {
-        writeSnapshotFile(failedPath(claim.baseKey), w.str(),
+        writeSnapshotFile(failedPath(claim.baseKey),
+                          recordText(kFailureHeader, marker),
                           dir_ + "/tmp");
         ++counters_.failures;
     } catch (const SnapshotError &) {
@@ -397,26 +438,21 @@ WorkQueue::requeue(const Claim &claim)
     fs::remove(leasePath(claim.key, claim.workerId), ec);
 }
 
-bool
-WorkQueue::failedResult(const std::string &key, std::string &governor,
-                        std::string &error,
-                        double &hostSeconds) const
+std::optional<FailureMarker>
+WorkQueue::failedResult(const std::string &key) const
 {
     // Absent, torn, stale or foreign markers are treated as absent;
     // the cell re-runs.
+    FailureMarker marker;
     try {
-        SnapshotReader r(readSnapshotFile(failedPath(key)),
-                         kFailureHeader);
-        if (r.getString("key") != key)
-            return false;
-        governor = r.getString("governor");
-        hostSeconds = r.getDouble("host_seconds");
-        error = r.getString("error");
-        r.finish();
-        return true;
+        readRecord(readSnapshotFile(failedPath(key)), kFailureHeader,
+                   marker);
     } catch (const SnapshotError &) {
-        return false;
+        return std::nullopt;
     }
+    if (marker.key != key)
+        return std::nullopt;
+    return marker;
 }
 
 void
@@ -634,7 +670,7 @@ WorkQueue::listCells() const
         }
         try {
             Claim entry;
-            decodeEntry(text, entry);
+            readRecord(text, kSliceHeader, entry);
             if (entry.step != 0)
                 return entry.spec.id + " [slice " +
                        std::to_string(entry.index) + "]";
@@ -696,10 +732,10 @@ WorkQueue::listCells() const
         CellInfo cell;
         cell.state = "failed";
         cell.key = name;
-        std::string governor;
-        double hostSeconds = 0.0;
-        if (!failedResult(name, governor, cell.error, hostSeconds))
+        const std::optional<FailureMarker> marker = failedResult(name);
+        if (!marker)
             continue; // Marker vanished (cleared) mid-scan.
+        cell.error = marker->error;
         const std::string id =
             decodeId(entry.path().string() + ".spec");
         cell.specId = id.empty() ? "(spec not retained)" : id;
@@ -717,17 +753,9 @@ WorkQueue::listCells() const
 void
 WorkQueue::publishMetrics(const WorkerMetrics &m)
 {
-    SnapshotWriter w(kMetricsHeader);
-    w.putString("worker", m.workerId);
-    w.putU64("claimed", m.claimed);
-    w.putU64("simulated", m.simulated);
-    w.putU64("cache_hits", m.cacheHits);
-    w.putU64("failures", m.failures);
-    w.putDouble("sim_seconds", m.simSeconds);
-    w.putDouble("wall_seconds", m.wallSeconds);
     try {
-        writeSnapshotFile(metricsPath(m.workerId), w.str(),
-                          dir_ + "/tmp");
+        writeSnapshotFile(metricsPath(m.workerId),
+                          recordText(kMetricsHeader, m), dir_ + "/tmp");
     } catch (const SnapshotError &) {
         // Telemetry never fails a cell.
     }
@@ -746,23 +774,14 @@ WorkQueue::workerMetrics() const
             continue;
         WorkerMetrics m;
         try {
-            SnapshotReader r(readSnapshotFile(p.string()),
-                             kMetricsHeader);
-            // The file name is the identity publishMetrics gave it;
-            // a record filed under another worker's name is garbage.
-            m.workerId = r.getString("worker");
-            if (m.workerId != p.stem().string())
-                continue;
-            m.claimed = r.getU64("claimed");
-            m.simulated = r.getU64("simulated");
-            m.cacheHits = r.getU64("cache_hits");
-            m.failures = r.getU64("failures");
-            m.simSeconds = r.getDouble("sim_seconds");
-            m.wallSeconds = r.getDouble("wall_seconds");
-            r.finish();
+            readRecord(readSnapshotFile(p.string()), kMetricsHeader, m);
         } catch (const SnapshotError &) {
             continue; // Vanished mid-scan, torn, stale or garbage.
         }
+        // The file name is the identity publishMetrics gave it; a
+        // record filed under another worker's name is garbage.
+        if (m.workerId != p.stem().string())
+            continue;
         std::error_code age_ec;
         m.ageSeconds = ageAgainst(ref, p, age_ec);
         if (age_ec)

@@ -52,6 +52,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <functional>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -142,6 +143,19 @@ struct QueueStatus
 
     /** Every live lease, sorted by key then worker. */
     std::vector<LeaseInfo> leases;
+};
+
+/**
+ * The error row a failed cell leaves behind (failed/<key>, a
+ * `sysscale-dist-failure v2` record): what a dispatcher reports for
+ * every row of the cell instead of simulating it again.
+ */
+struct FailureMarker
+{
+    std::string key;      //!< Base key (exp::specKey) of the cell.
+    std::string governor; //!< The failed row's governor column.
+    double hostSeconds = 0.0;
+    std::string error;    //!< One line: newlines become spaces.
 };
 
 /**
@@ -295,14 +309,12 @@ class WorkQueue
     void requeue(const Claim &claim);
 
     /**
-     * Read the error row published for @p key, if any. Fills
-     * @p governor / @p error / @p hostSeconds and returns true when
-     * a valid failure marker for @p key exists; a torn, stale or
-     * foreign marker reads as absent (the outputs are then
-     * unspecified).
+     * Read the error row published for @p key, if any: the marker
+     * when a valid failure marker for @p key exists, nothing when it
+     * is absent, torn, stale or foreign.
      */
-    bool failedResult(const std::string &key, std::string &governor,
-                      std::string &error, double &hostSeconds) const;
+    std::optional<FailureMarker>
+    failedResult(const std::string &key) const;
 
     /** Remove the failure marker of @p key (fresh dispatch attempt). */
     void clearFailed(const std::string &key);

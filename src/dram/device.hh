@@ -37,7 +37,6 @@ class DramDevice : public SimObject
                Volt vddq = 1.2);
 
     const DramSpec &spec() const { return spec_; }
-    const DramPowerModel &powerModel() const { return powerModel_; }
 
     /** @name Frequency bin. @{ */
     std::size_t binIndex() const { return binIndex_; }
@@ -97,17 +96,6 @@ class DramDevice : public SimObject
     BytesPerSec peakBandwidth() const
     {
         return spec_.peakBandwidth(binIndex_);
-    }
-
-    /** Total bytes transferred since construction. */
-    double totalBytes() const
-    {
-        return readBytes_.value() + writeBytes_.value();
-    }
-
-    std::uint64_t selfRefreshEntries() const
-    {
-        return static_cast<std::uint64_t>(srEntries_.value());
     }
 
     /** Snapshot support: bin + mode (timings re-derived). */

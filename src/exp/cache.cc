@@ -3,10 +3,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 
-#include "exp/report.hh"
 #include "exp/spec_codec.hh"
 #include "power/dvfs_types.hh"
 #include "sim/snapshot.hh"
@@ -28,32 +26,63 @@ namespace {
 constexpr const char *kEntryHeader = "sysscale-cache v2";
 
 /**
- * Every stored RunMetrics field under its entry key, so store() and
- * lookup() cannot drift apart. @p f takes (key, field&).
+ * One cache entry: the key and canonical text of the spec it answers,
+ * and the result stored for it. A loading walk fills @ref res.
  */
-template <typename Metrics, typename Visit>
-void
-forEachMetric(Metrics &m, Visit &&f)
+struct Entry
 {
-    f("seconds", m.seconds);
-    f("instructions", m.instructions);
-    f("ips", m.ips);
-    f("frames", m.frames);
-    f("fps", m.fps);
-    f("avg_power_w", m.avgPower);
-    f("energy_j", m.energy);
-    f("edp", m.edp);
-    f("avg_mem_latency_ns", m.avgMemLatencyNs);
-    f("avg_mem_bandwidth", m.avgMemBandwidth);
-    f("avg_core_freq_hz", m.avgCoreFreq);
-    f("qos_violations", m.qosViolations);
-    f("transitions", m.transitions);
-    f("stall_ticks", m.stallTicks);
-    f("low_point_residency", m.lowPointResidency);
+    const std::string &key;
+    const std::string &spec;
+    RunResult &res;
+};
+
+void
+visit(StateIO &io, Entry &e)
+{
+    // Guard against FNV collisions and stale entries whose key
+    // happens to match: the stored canonical text must be this
+    // simulation's, byte for byte.
+    std::string key = e.key;
+    std::string spec = e.spec;
+    io.field("key", key);
+    io.field("spec", spec);
+    if (io.loading() && (key != e.key || spec != e.spec))
+        throw SnapshotError("entry is for another spec");
+
+    RunResult &res = e.res;
+    io.field("governor", res.governor);
+    // host_seconds keeps its decimal text (the one field whose
+    // length is host timing).
+    io.field("host_seconds", Decimal{res.hostSeconds});
+    soc::RunMetrics &m = res.metrics;
+    io.push("metrics");
+    io.field("seconds", m.seconds);
+    io.field("instructions", m.instructions);
+    io.field("ips", m.ips);
+    io.field("frames", m.frames);
+    io.field("fps", m.fps);
+    io.field("avg_power_w", m.avgPower);
+    io.field("energy_j", m.energy);
+    io.field("edp", m.edp);
+    io.field("avg_mem_latency_ns", m.avgMemLatencyNs);
+    io.field("avg_mem_bandwidth", m.avgMemBandwidth);
+    io.field("avg_core_freq_hz", m.avgCoreFreq);
+    io.field("qos_violations", m.qosViolations);
+    io.field("transitions", m.transitions);
+    io.field("stall_ticks", m.stallTicks);
+    io.field("low_point_residency", m.lowPointResidency);
     for (const auto rail : power::kAllRails) {
-        f("rail." + std::string(power::railName(rail)),
-          m.railEnergy[power::railIndex(rail)]);
+        io.field("rail." + std::string(power::railName(rail)),
+                 m.railEnergy[power::railIndex(rail)]);
     }
+    io.pop();
+    io.push("counter");
+    for (const auto counter : soc::kAllCounters) {
+        io.field(std::string(soc::counterName(counter)),
+                 res.counters.values[soc::counterIndex(counter)]);
+    }
+    io.pop();
+    io.field("stats", res.statsDump);
 }
 
 } // anonymous namespace
@@ -90,13 +119,6 @@ ResultCache::lookup(const ExperimentSpec &spec, RunResult &out)
     }
 
     try {
-        SnapshotReader r(std::move(text), kEntryHeader);
-        // Guard against FNV collisions and stale entries whose key
-        // happens to match: the stored canonical text must be this
-        // simulation's, byte for byte.
-        if (r.getString("key") != key || r.getString("spec") != canonical)
-            throw SnapshotError("entry is for another spec");
-
         // Presentation fields belong to the querying spec; only ok
         // rows are ever stored.
         RunResult res;
@@ -104,24 +126,10 @@ ResultCache::lookup(const ExperimentSpec &spec, RunResult &out)
         res.workload = spec.workload.name();
         res.labels = spec.labels;
         res.ok = true;
-        res.governor = r.getString("governor");
-        res.hostSeconds = parseDouble(r.getString("host_seconds"));
-        r.push("metrics");
-        forEachMetric(res.metrics, [&r](const std::string &k, auto &v) {
-            if constexpr (std::is_floating_point_v<
-                              std::decay_t<decltype(v)>>)
-                v = r.getDouble(k);
-            else
-                v = r.getU64(k);
-        });
-        r.pop();
-        r.push("counter");
-        for (const auto counter : soc::kAllCounters) {
-            res.counters.values[soc::counterIndex(counter)] =
-                r.getDouble(std::string(soc::counterName(counter)));
-        }
-        r.pop();
-        res.statsDump = r.getString("stats");
+        Entry entry{key, canonical, res};
+        SnapshotReader r(std::move(text), kEntryHeader);
+        StateIO io(r);
+        visit(io, entry);
         r.finish();
         out = std::move(res);
     } catch (const SnapshotError &) {
@@ -140,30 +148,12 @@ ResultCache::store(const ExperimentSpec &spec, const RunResult &res)
     if (!res.ok)
         return;
 
-    // Exactly what lookup() reads back. host_seconds keeps its
-    // decimal text (the one field whose length is host timing).
     const std::string canonical = canonicalSpec(spec);
     const std::string key = specKeyForCanonical(canonical);
+    Entry entry{key, canonical, const_cast<RunResult &>(res)};
     SnapshotWriter w(kEntryHeader);
-    w.putString("key", key);
-    w.putString("spec", canonical);
-    w.putString("governor", res.governor);
-    w.putString("host_seconds", formatDouble(res.hostSeconds));
-    w.push("metrics");
-    forEachMetric(res.metrics, [&w](const std::string &k, auto v) {
-        if constexpr (std::is_floating_point_v<decltype(v)>)
-            w.putDouble(k, v);
-        else
-            w.putU64(k, v);
-    });
-    w.pop();
-    w.push("counter");
-    for (const auto counter : soc::kAllCounters) {
-        w.putDouble(std::string(soc::counterName(counter)),
-                    res.counters.values[soc::counterIndex(counter)]);
-    }
-    w.pop();
-    w.putString("stats", res.statsDump);
+    StateIO io(w);
+    visit(io, entry);
 
     // Concurrent sweeps may share one cache directory; the publish
     // helper's temp names are unique across processes.

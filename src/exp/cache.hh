@@ -3,12 +3,14 @@
  * Content-addressed on-disk result cache.
  *
  * One file per cell, named <cache_dir>/<specKey(spec)>.entry: a
- * `sysscale-cache v1` record (sim/snapshot.hh codec) holding the
+ * `sysscale-cache v2` record (sim/snapshot.hh codec) holding the
  * key, the spec's canonical text, and the RunResult fields a hit
  * needs — governor, host_seconds, metrics, rail energies, counters
- * and the stats dump. Doubles are stored bit-exact, so replaying a
- * hit is byte-identical to rerunning the cell — including the
- * recorded hostSeconds of the original execution.
+ * and the stats dump. store() and lookup() share one walk over
+ * those fields (visit() in cache.cc), so adding a field is one
+ * io.field(...) call there. Doubles are stored bit-exact, so
+ * replaying a hit is byte-identical to rerunning the cell —
+ * including the recorded hostSeconds of the original execution.
  *
  * Rules:
  *  - only ok results are stored; error rows are never cached,

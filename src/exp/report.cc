@@ -1,32 +1,12 @@
 #include "exp/report.hh"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "power/dvfs_types.hh"
-#include "sim/snapshot.hh"
 #include "soc/counters.hh"
 
 namespace sysscale {
 namespace exp {
-
-std::string
-formatDouble(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-double
-parseDouble(const std::string &text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (text.empty() || end != text.c_str() + text.size())
-        throw SnapshotError("malformed number \"" + text + "\"");
-    return v;
-}
 
 std::string
 jsonQuote(const std::string &s)

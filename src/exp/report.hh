@@ -18,22 +18,17 @@
 #include <vector>
 
 #include "exp/experiment.hh"
+#include "sim/snapshot.hh"
 
 namespace sysscale {
 namespace exp {
 
 /**
- * Round-trip double formatting ("%.17g", locale-free) — the one
- * number format shared by the reporters, the spec codec, and the
- * result cache, so writer and reader can never drift apart.
+ * Round-trip double formatting ("%.17g", sim/snapshot.hh) — the one
+ * number format shared by the reporters and the records' Decimal
+ * fields, so writer and reader can never drift apart.
  */
-std::string formatDouble(double v);
-
-/**
- * Invert formatDouble(): all of @p text must be one number. Throws
- * SnapshotError otherwise, since its callers read records.
- */
-double parseDouble(const std::string &text);
+using sysscale::formatDouble;
 
 /** JSON string literal for @p s, surrounding quotes included. */
 std::string jsonQuote(const std::string &s);

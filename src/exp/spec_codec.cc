@@ -9,7 +9,6 @@
 
 #include "compute/cstates.hh"
 #include "dram/spec.hh"
-#include "exp/report.hh"
 #include "sim/snapshot.hh"
 
 namespace sysscale {
@@ -23,163 +22,65 @@ specHeader()
     return "sysscale-spec v" + std::to_string(kSpecFormatVersion);
 }
 
-/** Numbers are formatDouble() text (report.hh), not bit patterns. */
+/**
+ * Walk @p wl: name, class, scalability and phase count under
+ * @p pre, each phase under @p phase_pre. WorkloadProfile is
+ * immutable, so the walk visits locals, and a loading walk builds
+ * the profile once at the end. A loading walk accepts a zero-phase
+ * profile only as the default-constructed placeholder (empty name).
+ */
 void
-putNum(SnapshotWriter &w, const std::string &key, double v)
-{
-    w.putString(key, formatDouble(v));
-}
-
-double
-getNum(SnapshotReader &r, const std::string &key)
-{
-    return parseDouble(r.getString(key));
-}
-
-/** The space-separated formatDouble() text of @p values. */
-std::string
-numList(const std::vector<double> &values)
-{
-    std::string out;
-    for (const double v : values) {
-        if (!out.empty())
-            out += ' ';
-        out += formatDouble(v);
-    }
-    return out;
-}
-
-/** @p text split at single spaces; "" has no fields. */
-std::vector<std::string>
-splitFields(const std::string &text)
-{
-    std::vector<std::string> out;
-    for (std::size_t i = 0; i < text.size();) {
-        const std::size_t j = std::min(text.find(' ', i), text.size());
-        out.push_back(text.substr(i, j - i));
-        i = j + 1;
-    }
-    return out;
-}
-
-/** Invert numList(); @p arity 0 accepts any length. */
-std::vector<double>
-getNumList(SnapshotReader &r, const std::string &key, std::size_t arity)
-{
-    std::vector<double> out;
-    for (const std::string &field : splitFields(r.getString(key)))
-        out.push_back(parseDouble(field));
-    if (arity != 0 && out.size() != arity)
-        throw std::invalid_argument("spec codec: wrong arity for \"" +
-                                    key + "\"");
-    return out;
-}
-
-workloads::WorkloadClass
-workloadClassFromToken(const std::string &token)
+visit(StateIO &io, workloads::WorkloadProfile &wl, const std::string &pre,
+      const std::string &phase_pre)
 {
     using workloads::WorkloadClass;
-    for (const WorkloadClass c :
-         {WorkloadClass::CpuSingleThread, WorkloadClass::CpuMultiThread,
-          WorkloadClass::Graphics, WorkloadClass::BatteryLife,
-          WorkloadClass::Micro}) {
-        if (token == workloads::workloadClassName(c))
-            return c;
-    }
-    throw std::invalid_argument(
-        "spec codec: unknown workload class \"" + token + "\"");
-}
+    std::string name = wl.name();
+    WorkloadClass klass = wl.klass();
+    double scal = wl.perfScalability();
+    std::uint64_t n_phases = wl.numPhases();
+    io.field(pre + "name", name);
+    io.field(pre + "class", klass,
+             {WorkloadClass::CpuSingleThread, WorkloadClass::CpuMultiThread,
+              WorkloadClass::Graphics, WorkloadClass::BatteryLife,
+              WorkloadClass::Micro},
+             workloads::workloadClassName);
+    io.field(pre + "perf_scalability", Decimal{scal});
+    io.field(pre + "phases", n_phases);
+    // Negated comparison so NaN (which fails every <=) also throws.
+    if (io.loading() && !(scal >= 0.0 && scal <= 1.0))
+        throw std::invalid_argument(
+            "spec codec: perf scalability out of [0,1]");
 
-dram::DramType
-dramTypeFromToken(const std::string &token)
-{
-    for (const dram::DramType t :
-         {dram::DramType::LPDDR3, dram::DramType::DDR4}) {
-        if (token == dram::dramTypeName(t))
-            return t;
-    }
-    throw std::invalid_argument(
-        "spec codec: unknown DRAM type \"" + token + "\"");
-}
-
-/** Emit @p wl under @p key_prefix, its phases under @p phase_prefix. */
-void
-writeProfile(SnapshotWriter &w, const std::string &key_prefix,
-             const std::string &phase_prefix,
-             const workloads::WorkloadProfile &wl)
-{
-    w.putString(key_prefix + "name", wl.name());
-    w.putString(key_prefix + "class",
-                workloads::workloadClassName(wl.klass()));
-    putNum(w, key_prefix + "perf_scalability", wl.perfScalability());
-    w.putU64(key_prefix + "phases", wl.numPhases());
-    for (std::size_t i = 0; i < wl.numPhases(); ++i) {
-        const workloads::Phase &p = wl.phase(i);
-        const std::string pre = phase_prefix + std::to_string(i) + ".";
-        w.putU64(pre + "duration", p.duration);
-        w.putU64(pre + "active_threads", p.activeThreads);
-        putNum(w, pre + "io_best_effort", p.ioBestEffort);
-        putNum(w, pre + "core_freq_request", p.coreFreqRequest);
-        putNum(w, pre + "gfx_freq_request", p.gfxFreqRequest);
-        w.putString(pre + "work",
-                    numList({p.work.cpiBase, p.work.mpki,
-                             p.work.blockingFactor, p.work.bytesPerInstr,
-                             p.work.activity}));
-        w.putString(pre + "gfx",
-                    numList({p.gfxWork.cyclesPerFrame,
-                             p.gfxWork.bytesPerFrame,
-                             p.gfxWork.targetFps, p.gfxWork.activity}));
+    std::vector<workloads::Phase> phases;
+    for (std::size_t i = 0; i < n_phases; ++i) {
+        const std::string ppre = phase_pre + std::to_string(i) + ".";
+        workloads::Phase p = io.loading() ? workloads::Phase{} : wl.phase(i);
+        io.field(ppre + "duration", p.duration);
+        // WorkloadProfile's zero-length-phase check is fatal; throw.
+        if (io.loading() && p.duration == 0)
+            throw std::invalid_argument("spec codec: zero-length phase");
+        io.field(ppre + "active_threads", p.activeThreads);
+        io.field(ppre + "io_best_effort", Decimal{p.ioBestEffort});
+        io.field(ppre + "core_freq_request", Decimal{p.coreFreqRequest});
+        io.field(ppre + "gfx_freq_request", Decimal{p.gfxFreqRequest});
+        // The work lists hold the members in declaration order.
+        compute::CoreWork &w = p.work;
+        std::vector<double> work{w.cpiBase, w.mpki, w.blockingFactor,
+                                 w.bytesPerInstr, w.activity};
+        io.field(ppre + "work", work, 5);
+        compute::GfxWork &g = p.gfxWork;
+        std::vector<double> gfx{g.cyclesPerFrame, g.bytesPerFrame,
+                                g.targetFps, g.activity};
+        io.field(ppre + "gfx", gfx, 4);
         std::vector<double> res;
         for (const compute::CState c : compute::kAllCStates)
             res.push_back(p.residency.fraction(c));
-        w.putString(pre + "residency", numList(res));
-    }
-}
+        io.field(ppre + "residency", res, compute::kNumCStates);
+        if (!io.loading())
+            continue;
 
-/**
- * Invert writeProfile(). @p allow_empty permits the zero-phase
- * default-constructed placeholder (legal only for the base
- * workload); scenario layers must always carry a real profile.
- */
-workloads::WorkloadProfile
-readProfile(SnapshotReader &r, const std::string &key_prefix,
-            const std::string &phase_prefix, bool allow_empty)
-{
-    const std::string name = r.getString(key_prefix + "name");
-    const workloads::WorkloadClass klass =
-        workloadClassFromToken(r.getString(key_prefix + "class"));
-    const double scal = getNum(r, key_prefix + "perf_scalability");
-    const std::size_t n_phases = r.getU64(key_prefix + "phases");
-    // Negated comparison so NaN (which fails every <=) also throws.
-    if (!(scal >= 0.0 && scal <= 1.0))
-        throw std::invalid_argument(
-            "spec codec: perf scalability out of [0,1]");
-    std::vector<workloads::Phase> phases;
-    for (std::size_t i = 0; i < n_phases; ++i) {
-        const std::string pre = phase_prefix + std::to_string(i) + ".";
-        workloads::Phase p;
-        p.duration = r.getU64(pre + "duration");
-        // WorkloadProfile's zero-length-phase check is fatal; throw.
-        if (p.duration == 0)
-            throw std::invalid_argument(
-                "spec codec: zero-length phase");
-        p.activeThreads = r.getU64(pre + "active_threads");
-        p.ioBestEffort = getNum(r, pre + "io_best_effort");
-        p.coreFreqRequest = getNum(r, pre + "core_freq_request");
-        p.gfxFreqRequest = getNum(r, pre + "gfx_freq_request");
-        const std::vector<double> work = getNumList(r, pre + "work", 5);
-        p.work.cpiBase = work[0];
-        p.work.mpki = work[1];
-        p.work.blockingFactor = work[2];
-        p.work.bytesPerInstr = work[3];
-        p.work.activity = work[4];
-        const std::vector<double> gfx = getNumList(r, pre + "gfx", 4);
-        p.gfxWork.cyclesPerFrame = gfx[0];
-        p.gfxWork.bytesPerFrame = gfx[1];
-        p.gfxWork.targetFps = gfx[2];
-        p.gfxWork.activity = gfx[3];
-        const std::vector<double> res =
-            getNumList(r, pre + "residency", compute::kNumCStates);
+        w = compute::CoreWork{work[0], work[1], work[2], work[3], work[4]};
+        g = compute::GfxWork{gfx[0], gfx[1], gfx[2], gfx[3]};
         std::array<double, compute::kNumCStates> fractions{};
         double sum = 0.0;
         for (std::size_t c = 0; c < compute::kNumCStates; ++c) {
@@ -196,157 +97,49 @@ readProfile(SnapshotReader &r, const std::string &key_prefix,
             throw std::invalid_argument(
                 "spec codec: residency fractions do not sum to 1");
         p.residency = compute::CStateResidency(fractions);
-        phases.push_back(std::move(p));
+        phases.push_back(p);
     }
+    if (!io.loading())
+        return;
+
     if (n_phases > 0) {
-        return workloads::WorkloadProfile(name, klass,
-                                          std::move(phases), scal);
-    }
-    if (!name.empty() || !allow_empty) {
+        wl = workloads::WorkloadProfile(name, klass, std::move(phases),
+                                        scal);
+    } else if (name.empty()) {
+        wl = workloads::WorkloadProfile();
+    } else {
         // A named profile cannot have zero phases (the constructor
-        // would be fatal); only the default-constructed placeholder
-        // base workload round-trips through this branch.
+        // would be fatal).
         throw std::invalid_argument(
             "spec codec: workload with zero phases");
     }
-    return workloads::WorkloadProfile();
 }
 
-workloads::ScenarioActionKind
-scenarioActionFromToken(const std::string &token)
+/**
+ * Walk @p spec. The canonical walk skips the presentation-only
+ * fields (id, labels, pinned-op-point name), which spec equality
+ * ignores too; a loading walk is never canonical and fills a
+ * default-constructed spec.
+ */
+void
+visit(StateIO &io, ExperimentSpec &spec, bool canonical)
 {
-    for (const auto k : workloads::kAllScenarioActionKinds) {
-        if (token == workloads::scenarioActionName(k))
-            return k;
-    }
-    throw std::invalid_argument(
-        "spec codec: unknown scenario action \"" + token + "\"");
-}
-
-std::string
-serializeImpl(const ExperimentSpec &spec, bool canonical)
-{
-    // The header is part of the checksummed text, so the version
-    // participates in the key.
-    SnapshotWriter w(specHeader());
     if (!canonical)
-        w.putString("id", spec.id);
-    w.putString("governor", spec.governor);
+        io.field("id", spec.id);
+    io.field("governor", spec.governor);
     // Parameters feed the governor's constructor, so they are part
     // of the canonical (hashed) form, order included.
-    w.putU64("governor_params", spec.governorParams.size());
-    for (std::size_t i = 0; i < spec.governorParams.size(); ++i) {
-        const auto &kv = spec.governorParams[i];
-        w.putString("governor_param." + std::to_string(i),
-                    kv.first + "=" + kv.second);
-    }
-    w.putU64("seed", spec.seed);
-    w.putU64("warmup", spec.warmup);
-    w.putU64("window", spec.window);
-    w.putBool("hd_panel", spec.hdPanel);
-    w.putBool("camera", spec.camera);
-    putNum(w, "pinned_core_freq", spec.pinnedCoreFreq);
-    w.putBool("pinned_unoptimized_mrc", spec.pinnedUnoptimizedMrc);
-    w.putBool("pinned_op_point", spec.pinnedOpPoint.has_value());
-    if (spec.pinnedOpPoint) {
-        const soc::OperatingPoint &op = *spec.pinnedOpPoint;
-        // The point's name is presentation, like the cell id:
-        // OperatingPoint::operator== ignores it, so the canonical
-        // (hashed) form must too or equal specs would get
-        // different cache keys.
-        if (!canonical)
-            w.putString("pinned_op.name", op.name);
-        w.putU64("pinned_op.dram_bin", op.dramBin);
-        putNum(w, "pinned_op.fabric_freq", op.fabricFreq);
-        putNum(w, "pinned_op.v_sa", op.vSa);
-        putNum(w, "pinned_op.v_io", op.vIo);
-        w.putU64("pinned_op.mrc_trained_bin", op.mrcTrainedBin);
-    }
-
-    const soc::SocConfig &cfg = spec.soc;
-    w.putString("soc.name", cfg.name);
-    w.putU64("soc.cores", cfg.cores);
-    w.putU64("soc.threads_per_core", cfg.threadsPerCore);
-    putNum(w, "soc.core_base_freq", cfg.coreBaseFreq);
-    putNum(w, "soc.gfx_base_freq", cfg.gfxBaseFreq);
-    w.putU64("soc.llc_bytes", cfg.llcBytes);
-    putNum(w, "soc.tdp", cfg.tdp);
-    putNum(w, "soc.pbm_reserve", cfg.pbmReserve);
-    putNum(w, "soc.budget_utilization", cfg.budgetUtilization);
-    putNum(w, "soc.v_sa_boot", cfg.vSaBoot);
-    putNum(w, "soc.v_io_boot", cfg.vIoBoot);
-    putNum(w, "soc.vddq", cfg.vddq);
-    putNum(w, "soc.vr_slew_rate", cfg.vrSlewRate);
-    putNum(w, "soc.platform_floor", cfg.platformFloor);
-    putNum(w, "soc.core_cdyn", cfg.coreCdyn);
-    putNum(w, "soc.core_leak_k", cfg.coreLeakK);
-    putNum(w, "soc.gfx_cdyn", cfg.gfxCdyn);
-    putNum(w, "soc.gfx_leak_k", cfg.gfxLeakK);
-    putNum(w, "soc.temperature", cfg.temperature);
-    w.putU64("soc.pstate_steps", cfg.pstateSteps);
-    putNum(w, "soc.fabric_freq_high", cfg.fabricFreqHigh);
-    putNum(w, "soc.fabric_freq_low", cfg.fabricFreqLow);
-    w.putU64("soc.evaluation_interval", cfg.evaluationInterval);
-    w.putU64("soc.sample_interval", cfg.sampleInterval);
-    w.putU64("soc.step_interval", cfg.stepInterval);
-
-    const dram::DramSpec &dspec = cfg.dramSpec;
-    w.putString("soc.dram.type", dram::dramTypeName(dspec.type()));
-    std::vector<double> bins;
-    for (std::size_t i = 0; i < dspec.numBins(); ++i)
-        bins.push_back(dspec.bin(i).dataRateMTs);
-    w.putString("soc.dram.bins", numList(bins));
-    w.putU64("soc.dram.channels", dspec.channels());
-    w.putU64("soc.dram.bytes_per_channel", dspec.bytesPerChannel());
-    w.putU64("soc.dram.ranks_per_channel", dspec.ranksPerChannel());
-    w.putU64("soc.dram.devices_per_rank", dspec.devicesPerRank());
-    w.putU64("soc.dram.banks", dspec.banks());
-
-    writeProfile(w, "workload.", "phase.", spec.workload);
-
-    const workloads::Scenario &sc = spec.scenario;
-    w.putU64("scenario.layers", sc.layers.size());
-    for (std::size_t i = 0; i < sc.layers.size(); ++i) {
-        const workloads::ScenarioLayer &layer = sc.layers[i];
-        const std::string pre =
-            "scenario.layer." + std::to_string(i) + ".";
-        w.putU64(pre + "start", layer.start);
-        w.putU64(pre + "stop", layer.stop);
-        writeProfile(w, pre, pre + "phase.", layer.profile);
-    }
-    w.putU64("scenario.actions", sc.actions.size());
-    for (std::size_t i = 0; i < sc.actions.size(); ++i) {
-        const workloads::ScenarioAction &a = sc.actions[i];
-        w.putString("scenario.action." + std::to_string(i),
-                    std::to_string(a.at) + " " +
-                        workloads::scenarioActionName(a.kind) + " " +
-                        formatDouble(a.value));
-    }
-
-    if (!canonical) {
-        w.putU64("labels", spec.labels.size());
-        for (std::size_t i = 0; i < spec.labels.size(); ++i) {
-            const std::string pre = "label." + std::to_string(i) + ".";
-            w.putString(pre + "key", spec.labels[i].first);
-            w.putString(pre + "value", spec.labels[i].second);
-        }
-    }
-
-    return w.str();
-}
-
-/** Invert serializeImpl(); the caller owns the reader's finish(). */
-ExperimentSpec
-readSpec(SnapshotReader &r)
-{
-    ExperimentSpec spec;
-
-    spec.id = r.getString("id");
-    spec.governor = r.getString("governor");
-    const std::size_t n_params = r.getU64("governor_params");
+    std::uint64_t n_params = spec.governorParams.size();
+    io.field("governor_params", n_params);
     for (std::size_t i = 0; i < n_params; ++i) {
-        const std::string kv =
-            r.getString("governor_param." + std::to_string(i));
+        std::string kv;
+        if (!io.loading()) {
+            const auto &param = spec.governorParams[i];
+            kv = param.first + "=" + param.second;
+        }
+        io.field("governor_param." + std::to_string(i), kv);
+        if (!io.loading())
+            continue;
         const std::size_t eq = kv.find('=');
         if (eq == std::string::npos || eq == 0)
             throw std::invalid_argument(
@@ -355,121 +148,187 @@ readSpec(SnapshotReader &r)
         spec.governorParams.emplace_back(kv.substr(0, eq),
                                          kv.substr(eq + 1));
     }
-    spec.seed = r.getU64("seed");
-    spec.warmup = r.getU64("warmup");
-    spec.window = r.getU64("window");
-    spec.hdPanel = r.getBool("hd_panel");
-    spec.camera = r.getBool("camera");
-    spec.pinnedCoreFreq = getNum(r, "pinned_core_freq");
-    spec.pinnedUnoptimizedMrc = r.getBool("pinned_unoptimized_mrc");
-    if (r.getBool("pinned_op_point")) {
-        soc::OperatingPoint op;
-        op.name = r.getString("pinned_op.name");
-        op.dramBin = r.getU64("pinned_op.dram_bin");
-        op.fabricFreq = getNum(r, "pinned_op.fabric_freq");
-        op.vSa = getNum(r, "pinned_op.v_sa");
-        op.vIo = getNum(r, "pinned_op.v_io");
-        op.mrcTrainedBin = r.getU64("pinned_op.mrc_trained_bin");
-        spec.pinnedOpPoint = op;
+    io.field("seed", spec.seed);
+    io.field("warmup", spec.warmup);
+    io.field("window", spec.window);
+    io.field("hd_panel", spec.hdPanel);
+    io.field("camera", spec.camera);
+    io.field("pinned_core_freq", Decimal{spec.pinnedCoreFreq});
+    io.field("pinned_unoptimized_mrc", spec.pinnedUnoptimizedMrc);
+    bool pinned = spec.pinnedOpPoint.has_value();
+    io.field("pinned_op_point", pinned);
+    if (pinned) {
+        if (io.loading())
+            spec.pinnedOpPoint.emplace();
+        soc::OperatingPoint &op = *spec.pinnedOpPoint;
+        // The point's name is presentation, like the cell id:
+        // OperatingPoint::operator== ignores it, so the canonical
+        // (hashed) form must too or equal specs would get
+        // different cache keys.
+        if (!canonical)
+            io.field("pinned_op.name", op.name);
+        io.field("pinned_op.dram_bin", op.dramBin);
+        io.field("pinned_op.fabric_freq", Decimal{op.fabricFreq});
+        io.field("pinned_op.v_sa", Decimal{op.vSa});
+        io.field("pinned_op.v_io", Decimal{op.vIo});
+        io.field("pinned_op.mrc_trained_bin", op.mrcTrainedBin);
     }
 
     soc::SocConfig &cfg = spec.soc;
-    cfg.name = r.getString("soc.name");
-    cfg.cores = r.getU64("soc.cores");
-    cfg.threadsPerCore = r.getU64("soc.threads_per_core");
-    cfg.coreBaseFreq = getNum(r, "soc.core_base_freq");
-    cfg.gfxBaseFreq = getNum(r, "soc.gfx_base_freq");
-    cfg.llcBytes = r.getU64("soc.llc_bytes");
-    cfg.tdp = getNum(r, "soc.tdp");
-    cfg.pbmReserve = getNum(r, "soc.pbm_reserve");
-    cfg.budgetUtilization = getNum(r, "soc.budget_utilization");
-    cfg.vSaBoot = getNum(r, "soc.v_sa_boot");
-    cfg.vIoBoot = getNum(r, "soc.v_io_boot");
-    cfg.vddq = getNum(r, "soc.vddq");
-    cfg.vrSlewRate = getNum(r, "soc.vr_slew_rate");
-    cfg.platformFloor = getNum(r, "soc.platform_floor");
-    cfg.coreCdyn = getNum(r, "soc.core_cdyn");
-    cfg.coreLeakK = getNum(r, "soc.core_leak_k");
-    cfg.gfxCdyn = getNum(r, "soc.gfx_cdyn");
-    cfg.gfxLeakK = getNum(r, "soc.gfx_leak_k");
-    cfg.temperature = getNum(r, "soc.temperature");
-    cfg.pstateSteps = r.getU64("soc.pstate_steps");
-    cfg.fabricFreqHigh = getNum(r, "soc.fabric_freq_high");
-    cfg.fabricFreqLow = getNum(r, "soc.fabric_freq_low");
-    cfg.evaluationInterval = r.getU64("soc.evaluation_interval");
-    cfg.sampleInterval = r.getU64("soc.sample_interval");
-    cfg.stepInterval = r.getU64("soc.step_interval");
+    io.field("soc.name", cfg.name);
+    io.field("soc.cores", cfg.cores);
+    io.field("soc.threads_per_core", cfg.threadsPerCore);
+    io.field("soc.core_base_freq", Decimal{cfg.coreBaseFreq});
+    io.field("soc.gfx_base_freq", Decimal{cfg.gfxBaseFreq});
+    io.field("soc.llc_bytes", cfg.llcBytes);
+    io.field("soc.tdp", Decimal{cfg.tdp});
+    io.field("soc.pbm_reserve", Decimal{cfg.pbmReserve});
+    io.field("soc.budget_utilization", Decimal{cfg.budgetUtilization});
+    io.field("soc.v_sa_boot", Decimal{cfg.vSaBoot});
+    io.field("soc.v_io_boot", Decimal{cfg.vIoBoot});
+    io.field("soc.vddq", Decimal{cfg.vddq});
+    io.field("soc.vr_slew_rate", Decimal{cfg.vrSlewRate});
+    io.field("soc.platform_floor", Decimal{cfg.platformFloor});
+    io.field("soc.core_cdyn", Decimal{cfg.coreCdyn});
+    io.field("soc.core_leak_k", Decimal{cfg.coreLeakK});
+    io.field("soc.gfx_cdyn", Decimal{cfg.gfxCdyn});
+    io.field("soc.gfx_leak_k", Decimal{cfg.gfxLeakK});
+    io.field("soc.temperature", Decimal{cfg.temperature});
+    io.field("soc.pstate_steps", cfg.pstateSteps);
+    io.field("soc.fabric_freq_high", Decimal{cfg.fabricFreqHigh});
+    io.field("soc.fabric_freq_low", Decimal{cfg.fabricFreqLow});
+    io.field("soc.evaluation_interval", cfg.evaluationInterval);
+    io.field("soc.sample_interval", cfg.sampleInterval);
+    io.field("soc.step_interval", cfg.stepInterval);
 
-    const dram::DramType dtype =
-        dramTypeFromToken(r.getString("soc.dram.type"));
-    const std::vector<double> rates =
-        getNumList(r, "soc.dram.bins", 0);
-    const std::size_t channels = r.getU64("soc.dram.channels");
-    const std::size_t bytes_per_channel =
-        r.getU64("soc.dram.bytes_per_channel");
-    const std::size_t ranks = r.getU64("soc.dram.ranks_per_channel");
-    const std::size_t devices = r.getU64("soc.dram.devices_per_rank");
-    const std::size_t banks = r.getU64("soc.dram.banks");
-    // DramSpec's own checks are fatal (process exit); mirror them as
-    // throws so a corrupt document cannot take the process down.
-    if (rates.empty() || channels == 0 || bytes_per_channel == 0 ||
-        ranks == 0 || devices == 0 || banks == 0) {
-        throw std::invalid_argument(
-            "spec codec: degenerate DRAM geometry");
+    // DramSpec is immutable: the walk visits locals, and a loading
+    // walk builds the spec once they are all read.
+    const dram::DramSpec &dspec = cfg.dramSpec;
+    dram::DramType type = dspec.type();
+    std::vector<double> rates;
+    for (std::size_t i = 0; i < dspec.numBins(); ++i)
+        rates.push_back(dspec.bin(i).dataRateMTs);
+    std::uint64_t channels = dspec.channels();
+    std::uint64_t bytes_per_channel = dspec.bytesPerChannel();
+    std::uint64_t ranks = dspec.ranksPerChannel();
+    std::uint64_t devices = dspec.devicesPerRank();
+    std::uint64_t banks = dspec.banks();
+    io.field("soc.dram.type", type,
+             {dram::DramType::LPDDR3, dram::DramType::DDR4},
+             dram::dramTypeName);
+    io.field("soc.dram.bins", rates, 0);
+    io.field("soc.dram.channels", channels);
+    io.field("soc.dram.bytes_per_channel", bytes_per_channel);
+    io.field("soc.dram.ranks_per_channel", ranks);
+    io.field("soc.dram.devices_per_rank", devices);
+    io.field("soc.dram.banks", banks);
+    if (io.loading()) {
+        // DramSpec's own checks are fatal (process exit); mirror
+        // them as throws so a corrupt document cannot take the
+        // process down.
+        if (rates.empty() || channels == 0 || bytes_per_channel == 0 ||
+            ranks == 0 || devices == 0 || banks == 0) {
+            throw std::invalid_argument(
+                "spec codec: degenerate DRAM geometry");
+        }
+        std::vector<dram::FreqBin> bins;
+        for (const double rate : rates)
+            bins.push_back(dram::FreqBin{rate});
+        cfg.dramSpec = dram::DramSpec(type, std::move(bins), channels,
+                                      bytes_per_channel, ranks, devices,
+                                      banks);
     }
-    std::vector<dram::FreqBin> bins;
-    for (const double rate : rates)
-        bins.push_back(dram::FreqBin{rate});
-    cfg.dramSpec = dram::DramSpec(dtype, std::move(bins), channels,
-                                  bytes_per_channel, ranks, devices,
-                                  banks);
 
-    spec.workload =
-        readProfile(r, "workload.", "phase.", /*allow_empty=*/true);
+    visit(io, spec.workload, "workload.", "phase.");
 
-    const std::size_t n_layers = r.getU64("scenario.layers");
+    workloads::Scenario &sc = spec.scenario;
+    std::uint64_t n_layers = sc.layers.size();
+    io.field("scenario.layers", n_layers);
     for (std::size_t i = 0; i < n_layers; ++i) {
         const std::string pre =
             "scenario.layer." + std::to_string(i) + ".";
-        workloads::ScenarioLayer layer;
-        layer.start = r.getU64(pre + "start");
-        layer.stop = r.getU64(pre + "stop");
-        layer.profile =
-            readProfile(r, pre, pre + "phase.", /*allow_empty=*/false);
-        spec.scenario.layers.push_back(std::move(layer));
+        if (io.loading())
+            sc.layers.emplace_back();
+        workloads::ScenarioLayer &layer = sc.layers[i];
+        io.field(pre + "start", layer.start);
+        io.field(pre + "stop", layer.stop);
+        visit(io, layer.profile, pre, pre + "phase.");
+        // Only the base workload may be the phase-less placeholder.
+        if (io.loading() && layer.profile.numPhases() == 0)
+            throw std::invalid_argument(
+                "spec codec: workload with zero phases");
     }
-    const std::size_t n_actions = r.getU64("scenario.actions");
+    std::uint64_t n_actions = sc.actions.size();
+    io.field("scenario.actions", n_actions);
     for (std::size_t i = 0; i < n_actions; ++i) {
-        const std::vector<std::string> f = splitFields(
-            r.getString("scenario.action." + std::to_string(i)));
-        if (f.size() != 3)
+        // One line: "<at> <kind> <value>".
+        std::string text;
+        if (!io.loading()) {
+            const workloads::ScenarioAction &a = sc.actions[i];
+            text = std::to_string(a.at) + " " +
+                   workloads::scenarioActionName(a.kind) + " " +
+                   formatDouble(a.value);
+        }
+        io.field("scenario.action." + std::to_string(i), text);
+        if (!io.loading())
+            continue;
+        const std::size_t sp1 = text.find(' ');
+        const std::size_t sp2 = sp1 == std::string::npos
+                                    ? sp1
+                                    : text.find(' ', sp1 + 1);
+        if (sp2 == std::string::npos ||
+            text.find(' ', sp2 + 1) != std::string::npos)
             throw std::invalid_argument(
                 "spec codec: malformed scenario action");
         workloads::ScenarioAction a;
+        const std::string at = text.substr(0, sp1);
         char *end = nullptr;
-        a.at = std::strtoull(f[0].c_str(), &end, 10);
-        if (f[0][0] < '0' || f[0][0] > '9' ||
-            end != f[0].c_str() + f[0].size())
+        a.at = std::strtoull(at.c_str(), &end, 10);
+        if (at.empty() || at[0] < '0' || at[0] > '9' ||
+            end != at.c_str() + at.size())
             throw std::invalid_argument(
                 "spec codec: bad scenario action time");
-        a.kind = scenarioActionFromToken(f[1]);
-        a.value = parseDouble(f[2]);
-        spec.scenario.actions.push_back(a);
+        const std::string kind = text.substr(sp1 + 1, sp2 - sp1 - 1);
+        const auto &kinds = workloads::kAllScenarioActionKinds;
+        const auto k = std::find_if(
+            kinds.begin(), kinds.end(), [&kind](const auto c) {
+                return kind == workloads::scenarioActionName(c);
+            });
+        if (k == kinds.end())
+            throw std::invalid_argument(
+                "spec codec: unknown scenario action \"" + kind + "\"");
+        a.kind = *k;
+        a.value = parseDouble(text.substr(sp2 + 1));
+        sc.actions.push_back(a);
     }
     // validateScenario throws on the values the runtime would treat
     // as fatal (unsorted actions, non-positive TDP steps, inverted
     // layer windows), so a corrupt cache entry misses instead of
     // taking the process down.
-    workloads::validateScenario(spec.scenario);
+    if (io.loading())
+        workloads::validateScenario(sc);
 
-    const std::size_t n_labels = r.getU64("labels");
+    if (canonical)
+        return;
+    std::uint64_t n_labels = spec.labels.size();
+    io.field("labels", n_labels);
     for (std::size_t i = 0; i < n_labels; ++i) {
         const std::string pre = "label." + std::to_string(i) + ".";
-        spec.labels.emplace_back(r.getString(pre + "key"),
-                                 r.getString(pre + "value"));
+        if (io.loading())
+            spec.labels.emplace_back();
+        io.field(pre + "key", spec.labels[i].first);
+        io.field(pre + "value", spec.labels[i].second);
     }
+}
 
-    return spec;
+/** One saving walk; the header (and so the version) is hashed. */
+std::string
+serializeImpl(const ExperimentSpec &spec, bool canonical)
+{
+    SnapshotWriter w(specHeader());
+    StateIO io(w);
+    visit(io, const_cast<ExperimentSpec &>(spec), canonical);
+    return w.str();
 }
 
 } // anonymous namespace
@@ -505,7 +364,9 @@ parseSpec(const std::string &text)
 {
     try {
         SnapshotReader r(text, specHeader());
-        ExperimentSpec spec = readSpec(r);
+        StateIO io(r);
+        ExperimentSpec spec;
+        visit(io, spec, /*canonical=*/false);
         r.finish();
         return spec;
     } catch (const SnapshotError &e) {

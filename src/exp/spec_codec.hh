@@ -15,8 +15,12 @@
  * is a hard invariant for every spec: a spec has no runtime-only
  * fields, so every one is content-addressable.
  *
- * Numbers are exp::formatDouble() text, not bit patterns, so the
- * record reads like the document it has always been. specKey() is
+ * The record is one walk, visit(StateIO &, ExperimentSpec &) in
+ * spec_codec.cc, that both writes and reads it: adding a spec field
+ * is one io.field(...) call there (plus a kSpecFormatVersion bump).
+ * Numbers are Decimal fields (formatDouble() text), not bit
+ * patterns, so the record reads like the document it has always
+ * been. specKey() is
  * the checksum line of the *canonical* record — the same encoding
  * with the id and label lines dropped, so renaming or relabeling a
  * cell does not change its identity: fnv1a64() of the text above the

@@ -30,18 +30,6 @@ panelHeight(PanelResolution r)
     SYSSCALE_PANIC("bad PanelResolution %d", static_cast<int>(r));
 }
 
-const char *
-panelResolutionName(PanelResolution r)
-{
-    switch (r) {
-      case PanelResolution::HD: return "HD";
-      case PanelResolution::FHD: return "FHD";
-      case PanelResolution::QHD: return "QHD";
-      case PanelResolution::UHD4K: return "4K";
-    }
-    SYSSCALE_PANIC("bad PanelResolution %d", static_cast<int>(r));
-}
-
 std::string
 DisplayEngine::csrResolution(std::size_t index)
 {

@@ -26,9 +26,6 @@ class DmaDevice : public SimObject
     DmaDevice(Simulator &sim, SimObject *parent, std::string name,
               BytesPerSec offered_rate = 0.0);
 
-    /** Current offered transfer rate. */
-    BytesPerSec offeredRate() const { return offeredRate_; }
-
     /** Retarget the offered rate (e.g. a file copy starting). */
     void setOfferedRate(BytesPerSec rate);
 

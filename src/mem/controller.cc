@@ -174,15 +174,6 @@ MemoryController::evaluate(const MemDemand &demand, Tick interval) const
 }
 
 Watt
-MemoryController::idleSelfRefresh(Tick interval)
-{
-    SYSSCALE_ASSERT(interval > 0, "zero-length idle interval");
-    lastUtilization_ = 0.0;
-    lastDramPower_ = device_.selfRefreshPower();
-    return lastDramPower_;
-}
-
-Watt
 MemoryController::controllerPower(double utilization) const
 {
     return dynamicAt(vsa_, clock(), utilization) + leakage_;

@@ -167,13 +167,6 @@ class MemoryController : public SimObject
      */
     void commit(const MemServiceCommit &c);
 
-    /**
-     * Idle-interval bookkeeping: DRAM sits in self-refresh (deep SoC
-     * idle states park memory, Sec. 7.3). Returns the average power of
-     * the parked devices.
-     */
-    Watt idleSelfRefresh(Tick interval);
-
     /** Sustainable interface bandwidth at the current registers. */
     BytesPerSec capacity() const { return capacity_; }
 

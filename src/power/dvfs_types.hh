@@ -27,17 +27,6 @@ constexpr std::array<Domain, 3> kAllDomains = {
     Domain::Compute, Domain::Io, Domain::Memory,
 };
 
-constexpr std::string_view
-domainName(Domain d)
-{
-    switch (d) {
-      case Domain::Compute: return "compute";
-      case Domain::Io: return "io";
-      case Domain::Memory: return "memory";
-    }
-    return "?";
-}
-
 /** Physical voltage rails with dedicated regulators. */
 enum class Rail : std::uint8_t
 {

@@ -30,14 +30,6 @@ EnergyMeter::totalEnergy() const
 }
 
 Watt
-EnergyMeter::railAveragePower(Rail rail, Tick now) const
-{
-    if (now <= windowStart_)
-        return 0.0;
-    return railEnergy(rail) / secondsFromTicks(now - windowStart_);
-}
-
-Watt
 EnergyMeter::averagePower(Tick now) const
 {
     if (now <= windowStart_)

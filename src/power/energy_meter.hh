@@ -40,16 +40,11 @@ class EnergyMeter
     /** Total energy across all rails since reset. */
     Joule totalEnergy() const;
 
-    /** Average power on one rail over [resetTick, now]. */
-    Watt railAveragePower(Rail rail, Tick now) const;
-
     /** Average SoC power over [resetTick, now]. */
     Watt averagePower(Tick now) const;
 
     /** Clear all accumulators and set the window start to @p now. */
     void reset(Tick now);
-
-    Tick windowStart() const { return windowStart_; }
 
     /** Snapshot support: bit-exact rail energies + window. */
     void visitState(StateIO &io);

@@ -40,9 +40,6 @@ class Regulator
     /** Current output voltage at time @p now. */
     Volt voltage(Tick now) const;
 
-    /** Final voltage once any in-flight ramp completes. */
-    Volt targetVoltage() const { return target_; }
-
     /** True if a ramp is still in flight at @p now. */
     bool ramping(Tick now) const { return now < rampEnd_; }
 
@@ -62,7 +59,6 @@ class Regulator
     Watt inputPower(Watt load_w) const;
 
     double efficiency() const { return efficiency_; }
-    double slewRate() const { return slewRate_; }
 
     /** Snapshot support: the in-flight ramp (rail/slew/efficiency
      *  are construction-fixed). */

@@ -122,9 +122,6 @@ class EventQueue
      */
     void schedule(Event *ev, Tick when);
 
-    /** Schedule @p ev at now() + @p delta. */
-    void scheduleIn(Event *ev, Tick delta) { schedule(ev, now_ + delta); }
-
     /** Remove a scheduled event (no-op panic if not scheduled). */
     void deschedule(Event *ev);
 

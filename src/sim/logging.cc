@@ -9,7 +9,6 @@ namespace sysscale {
 namespace {
 
 LogLevel gLevel = LogLevel::Inform;
-std::uint64_t gWarnCount = 0;
 
 void
 vreport(const char *tag, const char *fmt, std::va_list args)
@@ -60,7 +59,6 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    ++gWarnCount;
     if (gLevel < LogLevel::Warn)
         return;
     std::va_list args;
@@ -89,12 +87,6 @@ debugLog(const char *fmt, ...)
     va_start(args, fmt);
     vreport("debug", fmt, args);
     va_end(args);
-}
-
-std::uint64_t
-warnCount()
-{
-    return gWarnCount;
 }
 
 } // namespace sysscale

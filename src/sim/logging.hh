@@ -54,9 +54,6 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Emit a debug message (suppressed when logLevel() < Debug). */
 void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Number of warnings emitted so far (for tests). */
-std::uint64_t warnCount();
-
 } // namespace sysscale
 
 #define SYSSCALE_PANIC(...) \

@@ -51,9 +51,6 @@ class Simulator
     obs::TraceSink *traceSink() const { return traceSink_; }
     void setTraceSink(obs::TraceSink *sink) { traceSink_ = sink; }
 
-    /** Fork a deterministic per-component RNG stream. */
-    Rng forkRng() { return rootRng_.fork(); }
-
     Tick now() const { return eventq_.now(); }
 
     /** Call startup() on all registered objects (idempotent). */

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -139,6 +140,24 @@ decodeDouble(std::string_view text)
     const std::uint64_t bits = parseHex16(text, "double");
     double v = 0.0;
     std::memcpy(&v, &bits, sizeof(v));
+    return v;
+}
+
+std::string
+formatDouble(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+double
+parseDouble(const std::string &text)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || end != text.c_str() + text.size())
+        throw SnapshotError("malformed number \"" + text + "\"");
     return v;
 }
 
@@ -459,6 +478,41 @@ StateIO::field(const std::string &key, std::string &v)
         v = reader_->getString(key);
     else
         writer_->putString(key, v);
+}
+
+void
+StateIO::field(const std::string &key, Decimal v)
+{
+    if (reader_)
+        v.value = parseDouble(reader_->getString(key));
+    else
+        writer_->putString(key, formatDouble(v.value));
+}
+
+void
+StateIO::field(const std::string &key, std::vector<double> &values,
+               std::size_t arity)
+{
+    if (!reader_) {
+        std::string text;
+        for (const double v : values) {
+            if (!text.empty())
+                text += ' ';
+            text += formatDouble(v);
+        }
+        writer_->putString(key, text);
+        return;
+    }
+    // Fields split at single spaces; "" has none.
+    const std::string text = reader_->getString(key);
+    values.clear();
+    for (std::size_t i = 0; i < text.size();) {
+        const std::size_t j = std::min(text.find(' ', i), text.size());
+        values.push_back(parseDouble(text.substr(i, j - i)));
+        i = j + 1;
+    }
+    if (arity != 0 && values.size() != arity)
+        throw SnapshotError("wrong arity for key \"" + key + "\"");
 }
 
 void

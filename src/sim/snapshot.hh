@@ -27,19 +27,20 @@
  * checksum is fnv1a64() of the record text above it, so the checksum
  * line of a canonical spec record is that spec's key.
  *
- * A component's snapshot state is one visitState(StateIO &) walk
- * that both saves and restores (StateIO, below): adding a state
- * field is one io.field() call there.
+ * Every record is one walk that both writes and reads it (StateIO,
+ * below): a component's visitState(StateIO &) for snapshots, and one
+ * visit(StateIO &, T &) per record type for the others. Adding a
+ * field to any record is one io.field(...) call in its walk.
  *
  * Doubles are encoded as the 16-hex IEEE-754 bit pattern so round
  * trips are bit-exact (NaNs, infinities and signed zeros included);
- * the spec record stores its numbers as exp::formatDouble() text
- * through putString() instead. The trailing checksum catches
- * truncation and bit flips; the header line is rejected loudly on
- * mismatch. Writers are strict about duplicate keys and readers are
- * strict about *unconsumed* keys, so a divergence bisects to a named
- * field instead of silently misaligning (`tools/snap_inspect` dumps
- * the decoded view).
+ * a field that should read as a number (the spec's, host_seconds)
+ * is a Decimal, formatDouble() text instead. The trailing checksum
+ * catches truncation and bit flips; the header line is rejected
+ * loudly on mismatch. Writers are strict about duplicate keys and
+ * readers are strict about *unconsumed* keys, so a divergence
+ * bisects to a named field instead of silently misaligning
+ * (`tools/snap_inspect` dumps the decoded view).
  *
  * Bump kSnapFormatVersion whenever the serialized field set changes
  * shape OR the meaning of any serialized field changes in the model;
@@ -52,6 +53,7 @@
 #define SYSSCALE_SIM_SNAPSHOT_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -100,6 +102,14 @@ std::string encodeDouble(double v);
 
 /** Invert encodeDouble(). Throws SnapshotError on malformed input. */
 double decodeDouble(std::string_view text);
+
+/** Decimal double text: "%.17g", which round-trips every finite
+ *  double and reads as the number it is. */
+std::string formatDouble(double v);
+
+/** Invert formatDouble(): all of @p text must be one number. Throws
+ *  SnapshotError otherwise. */
+double parseDouble(const std::string &text);
 
 /** Header line of a simulator snapshot: "sysscale-snap v<N>". */
 std::string snapshotHeader();
@@ -202,14 +212,21 @@ class SnapshotReader
     mutable std::string full_; //!< Scratch: prefix_ + key.
 };
 
+/** A double field stored as formatDouble() text, not bit patterns. */
+struct Decimal
+{
+    double &value;
+};
+
 /**
- * One walk over a component's state that both saves and restores.
- * A component's visitState(StateIO &) names each of its fields once,
- * with one field() call; over a writer the walk emits the keys in
- * call order, over a reader it consumes them into the same members.
- * Work that only a restore does (re-deriving caches, validating
- * outside input) sits in `if (io.loading())` blocks of the same
- * walk, so the save and restore halves cannot drift apart.
+ * One walk over a record that both saves and restores. A walk names
+ * each field once, with one field() call; over a writer it emits the
+ * keys in call order, over a reader it consumes them into the same
+ * members. Work that only a restore does (re-deriving caches,
+ * validating outside input, building immutable values) sits in
+ * `if (io.loading())` blocks of the same walk, so the save and
+ * restore halves cannot drift apart. A saving walk only reads what
+ * it visits, so a writer may walk a const record via const_cast.
  */
 class StateIO
 {
@@ -243,6 +260,40 @@ class StateIO
         field(key, u);
         if (loading())
             v = static_cast<T>(u);
+    }
+
+    /** A decimal double (formatDouble() text). */
+    void field(const std::string &key, Decimal v);
+
+    /**
+     * Numbers as one line of space-separated formatDouble() text. A
+     * loading walk requires exactly @p arity of them; arity 0 accepts
+     * any count, none included.
+     */
+    void field(const std::string &key, std::vector<double> &values,
+               std::size_t arity);
+
+    /**
+     * An enum as the token @p name(v) gives it. A loading walk
+     * accepts only the tokens of @p all.
+     */
+    template <typename E, typename Name>
+    void
+    field(const std::string &key, E &v, std::initializer_list<E> all,
+          Name name)
+    {
+        std::string token = loading() ? std::string() : name(v);
+        field(key, token);
+        if (!loading())
+            return;
+        for (const E e : all) {
+            if (token == name(e)) {
+                v = e;
+                return;
+            }
+        }
+        throw SnapshotError("unknown token \"" + token +
+                            "\" for key \"" + key + "\"");
     }
 
   private:

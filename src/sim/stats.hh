@@ -157,7 +157,6 @@ class Distribution : public StatBase
     void sample(double v, std::uint64_t count = 1);
 
     std::uint64_t bucketCount(std::size_t i) const { return buckets_[i]; }
-    std::size_t numBuckets() const { return buckets_.size(); }
     std::uint64_t underflow() const { return underflow_; }
     std::uint64_t overflow() const { return overflow_; }
     std::uint64_t samples() const { return samples_; }

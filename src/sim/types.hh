@@ -47,12 +47,6 @@ ticksFromNs(double ns)
 }
 
 constexpr Tick
-ticksFromUs(double us)
-{
-    return static_cast<Tick>(us * static_cast<double>(kTicksPerUs) + 0.5);
-}
-
-constexpr Tick
 ticksFromMs(double ms)
 {
     return static_cast<Tick>(ms * static_cast<double>(kTicksPerMs) + 0.5);
@@ -97,14 +91,6 @@ using Hertz = double;
 constexpr Hertz kKHz = 1e3;
 constexpr Hertz kMHz = 1e6;
 constexpr Hertz kGHz = 1e9;
-
-/** Period of a clock in ticks (rounded to nearest picosecond). */
-constexpr Tick
-periodFromFreq(Hertz f)
-{
-    return static_cast<Tick>(
-        static_cast<double>(kTicksPerSec) / f + 0.5);
-}
 
 /** Voltage in volts. */
 using Volt = double;

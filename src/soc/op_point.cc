@@ -67,17 +67,6 @@ OpPointTable::low() const
     return points_.size() > 1 ? points_[1] : points_[0];
 }
 
-std::size_t
-OpPointTable::indexOf(const OperatingPoint &op) const
-{
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-        if (points_[i] == op)
-            return i;
-    }
-    SYSSCALE_FATAL("operating point '%s' not in table",
-                   op.name.c_str());
-}
-
 Watt
 ioMemBudgetDemand(const SocConfig &cfg, const OperatingPoint &op,
                   bool optimized_mrc)

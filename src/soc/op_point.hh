@@ -85,9 +85,6 @@ class OpPointTable
      */
     const OperatingPoint &low() const;
 
-    /** Index of @p op in the table (fatal if absent). */
-    std::size_t indexOf(const OperatingPoint &op) const;
-
     const std::vector<OperatingPoint> &points() const
     {
         return points_;

@@ -153,9 +153,6 @@ class Soc : public SimObject
     /** Bind the running workload (not owned; may be null = idle). */
     void setWorkload(WorkloadAgent *agent) { workload_ = agent; }
 
-    /** Whether graphics rendered in the last step. */
-    bool gfxActive() const { return gfxActive_; }
-
     /** Static isochronous demand from the IO engines (CSR-derived). */
     BytesPerSec isoBandwidthDemand() const;
 
@@ -203,9 +200,6 @@ class Soc : public SimObject
     /** Snapshot support (see sim/snapshot.hh). */
     void visitState(StateIO &io) override;
 
-    /** Loaded memory latency of the last step (ns). */
-    double lastMemLatencyNs() const { return lastMemLatencyNs_; }
-
     /**
      * Exponentially-weighted recent memory bandwidth (time constant
      * of a few milliseconds) — the utilization signal epoch-based
@@ -216,11 +210,6 @@ class Soc : public SimObject
     std::uint64_t transitionCount() const
     {
         return static_cast<std::uint64_t>(transitions_.value());
-    }
-
-    std::uint64_t qosViolationCount() const
-    {
-        return static_cast<std::uint64_t>(qosViolations_.value());
     }
     /** @} */
 
@@ -301,8 +290,6 @@ class Soc : public SimObject
         skipAhead_ = on;
         plan_.valid = false;
     }
-
-    bool skipAheadEnabled() const { return skipAhead_; }
 
     /**
      * Process-wide default for new Soc instances. Initialized from

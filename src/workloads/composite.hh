@@ -57,8 +57,6 @@ class CompositeAgent : public soc::WorkloadAgent
     void addMember(soc::WorkloadAgent &agent, Tick start = 0,
                    Tick stop = 0);
 
-    std::size_t numMembers() const { return members_.size(); }
-
     /** Whether member @p i contributes demand at @p now. */
     bool memberActive(std::size_t i, Tick now) const;
 

@@ -128,15 +128,5 @@ specBenchmark(const std::string &name)
     SYSSCALE_FATAL("unknown SPEC benchmark '%s'", name.c_str());
 }
 
-std::vector<std::string>
-specNames()
-{
-    std::vector<std::string> names;
-    names.reserve(kSuiteSize);
-    for (const SpecRow &row : kSuite)
-        names.emplace_back(row.name);
-    return names;
-}
-
 } // namespace workloads
 } // namespace sysscale

@@ -1442,12 +1442,13 @@ TEST(WorkQueue, FailureMarkerCorruptionBatteryReadsAsAbsent)
     res.hostSeconds = 0.125;
     queue.fail(claim, res);
 
-    std::string governor, error;
-    double hostSeconds = 0.0;
-    ASSERT_TRUE(queue.failedResult(key, governor, error, hostSeconds));
-    EXPECT_EQ(governor, "fixed");
-    EXPECT_EQ(error, "line one line two");
-    EXPECT_EQ(hostSeconds, 0.125);
+    const std::optional<dist::FailureMarker> marker =
+        queue.failedResult(key);
+    ASSERT_TRUE(marker);
+    EXPECT_EQ(marker->key, key);
+    EXPECT_EQ(marker->governor, "fixed");
+    EXPECT_EQ(marker->error, "line one line two");
+    EXPECT_EQ(marker->hostSeconds, 0.125);
 
     const std::string good = test::readText(queue.failedPath(key));
     auto cases = test::recordCorruptions(good, "error");
@@ -1456,13 +1457,11 @@ TEST(WorkQueue, FailureMarkerCorruptionBatteryReadsAsAbsent)
                        test::replaceValue(good, "key", other));
     for (const auto &c : cases) {
         test::writeText(queue.failedPath(key), c.second);
-        EXPECT_FALSE(queue.failedResult(key, governor, error,
-                                        hostSeconds))
-            << c.first;
+        EXPECT_FALSE(queue.failedResult(key)) << c.first;
     }
     // A valid marker copied to another cell's slot is foreign too.
     test::writeText(queue.failedPath(other), good);
-    EXPECT_FALSE(queue.failedResult(other, governor, error, hostSeconds));
+    EXPECT_FALSE(queue.failedResult(other));
 }
 
 /**

@@ -59,6 +59,14 @@ one-hash
     record checksums, spec keys and slice keys.  Two private copies
     once drifted to different offset bases with no test noticing.
 
+record-walk
+    In src/, the typed record accessors put{U64,Bool,Double,String}()
+    and get{U64,Bool,Double,String}() are called only inside
+    src/sim/snapshot.{cc,hh}.  Every record is one visit(StateIO &, T &)
+    walk that both writes and reads it; a hand-written writer/reader
+    pair names each field twice, and a field added to one side only
+    reads back as a permanent corrupt miss.
+
 spec-version-guard
     Diff mode only (--diff-base/--diff-file): a diff that touches
     src/exp/spec_codec.* or any spec-serialized header must also
@@ -512,9 +520,34 @@ def check_one_hash(path, lines, findings):
             "hash"))
 
 
+RECORD_ACCESSOR_RE = re.compile(
+    r"\b(?:put|get)(?:U64|Bool|Double|String)\s*\(")
+RECORD_CODEC_HOME = ("src/sim/snapshot.cc", "src/sim/snapshot.hh")
+
+
+@check("record-walk",
+       "put/get{U64,Bool,Double,String}() record accessors are called "
+       "in src/ only inside src/sim/snapshot.{cc,hh}: every record is "
+       "one StateIO walk")
+def check_record_walk(path, lines, findings):
+    if not path.startswith("src/") or path in RECORD_CODEC_HOME:
+        return
+    code = strip_comments(lines)
+    for i, line in enumerate(code):
+        if not RECORD_ACCESSOR_RE.search(line):
+            continue
+        if waived("record-walk", lines, i, findings, path):
+            continue
+        findings.append(Finding(
+            "record-walk", path, i + 1,
+            "typed record accessor outside the codec — name the field "
+            "once, with io.field(...) in the record's visit(StateIO &, "
+            "T &), so its writer and reader cannot drift apart"))
+
+
 SOURCE_CHECKS = ("nondeterminism", "raw-queue-write", "unit-suffix",
                  "governor-soc-mutation", "trace-side-effect",
-                 "one-hash")
+                 "one-hash", "record-walk")
 
 
 def iter_source_files(root):
@@ -564,6 +597,9 @@ FIXTURES = (
     ("trace_side_effect.cc", "src/soc/trace_side_effect.cc",
      "trace-side-effect", 3),
     ("one_hash.cc", "src/exp/one_hash.cc", "one-hash", 1),
+    ("record_walk.cc", "src/dist/record_walk.cc", "record-walk", 4),
+    # The codec itself is the one home of the typed accessors.
+    ("record_walk.cc", "src/sim/snapshot.cc", None, 0),
     ("clean.cc", "src/dist/clean.cc", None, 0),
     ("clean.hh", "src/soc/clean.hh", None, 0),
     ("governor_clean.cc", "src/core/governor_zoo.cc", None, 0),
