@@ -179,16 +179,6 @@ governorNames()
     return names;
 }
 
-bool
-isRegisteredGovernor(const std::string &name)
-{
-    for (const GovernorEntry &e : governorRegistry()) {
-        if (e.name == name)
-            return true;
-    }
-    return false;
-}
-
 std::unique_ptr<Governor>
 makeGovernor(const std::string &name, const GovernorParams &params)
 {

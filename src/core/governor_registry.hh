@@ -39,9 +39,6 @@ const std::vector<GovernorEntry> &governorRegistry();
 /** Registered names, in registration order. */
 std::vector<std::string> governorNames();
 
-/** True when @p name is registered. */
-bool isRegisteredGovernor(const std::string &name);
-
 /**
  * Construct governor @p name with @p params.
  *

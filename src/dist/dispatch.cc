@@ -145,42 +145,41 @@ runDistributed(const std::vector<exp::ExperimentSpec> &specs,
         " already cached) on queue " + queue.dir());
     streamReady();
 
-    // Phase 2: local workers, if requested — the same loop the
-    // sweep_worker daemon runs, one thread each. They serve (not
-    // drain): a drain worker could observe the queue momentarily
+    // Phase 2: local workers, if requested — the sweep_worker
+    // daemon's loop as one capacity-N pool on one thread. They serve
+    // (not drain): a drain worker could observe the queue momentarily
     // empty while the dispatcher is re-enqueueing a corrupt-
     // recovered cell and exit with work left, so the dispatcher
     // stops them explicitly once every cell has resolved.
     std::atomic<bool> stopWorkers{false};
-    std::vector<std::thread> workers;
-    std::vector<WorkerStats> workerStats(opts.spawnWorkers);
-    for (std::size_t w = 0; w < opts.spawnWorkers; ++w) {
-        workers.emplace_back([&, w] {
+    std::thread localPool;
+    if (opts.spawnWorkers > 0) {
+        localPool = std::thread([&] {
             // A throw escaping a std::thread is terminate(): treat
             // a dying local worker like a dying remote one — report
-            // and let lease reclamation reroute its cells.
+            // and let lease reclamation reroute its cells. The pool
+            // rethrows its first error once every loop has joined.
             try {
                 WorkerOptions wo;
                 wo.poll = opts.poll;
                 wo.heartbeat = opts.heartbeat;
                 wo.leaseTimeout = opts.leaseTimeout;
+                wo.capacity = opts.spawnWorkers;
                 wo.onEvent = opts.onEvent;
                 wo.shouldStop = [&] {
                     return stopWorkers.load(
                         std::memory_order_relaxed);
                 };
-                workerStats[w] = runWorker(queueDir, cache, wo);
+                out.localWork = runWorker(queueDir, cache, wo);
             } catch (const std::exception &e) {
-                if (opts.onEvent)
-                    opts.onEvent(std::string("local worker died: ") +
-                                 e.what());
+                log(std::string("local worker died: ") + e.what());
             }
         });
     }
     auto joinWorkers = [&] {
         stopWorkers.store(true, std::memory_order_relaxed);
-        for (auto &t : workers)
-            t.join();
+        if (localPool.joinable())
+            localPool.join();
     };
 
     // Phase 3: watch until every key resolves. The cache entry is
@@ -264,8 +263,6 @@ runDistributed(const std::vector<exp::ExperimentSpec> &specs,
     }
 
     joinWorkers();
-    for (const WorkerStats &ws : workerStats)
-        out.localWork += ws;
     return out;
 }
 

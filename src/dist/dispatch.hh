@@ -51,9 +51,10 @@ namespace dist {
 struct DispatchOptions
 {
     /**
-     * Local worker threads to spawn for the duration of the
-     * dispatch (each runs the exact runWorker() loop in drain mode).
-     * 0 = rely entirely on external sweep_worker processes.
+     * Local worker loops to run for the duration of the dispatch:
+     * one runWorker() pool of this capacity, on one thread, stopped
+     * once every cell has resolved. 0 = rely entirely on external
+     * sweep_worker processes.
      */
     std::size_t spawnWorkers = 0;
 

@@ -427,17 +427,6 @@ WorkQueue::fail(const Claim &claim, const exp::RunResult &res)
     fs::remove(leasePath(claim.key, claim.workerId), ec);
 }
 
-void
-WorkQueue::requeue(const Claim &claim)
-{
-    std::error_code ec;
-    fs::rename(claimedPath(claim.key, claim.workerId),
-               pendingPath(claim.key), ec);
-    if (!ec)
-        ++counters_.requeues;
-    fs::remove(leasePath(claim.key, claim.workerId), ec);
-}
-
 std::optional<FailureMarker>
 WorkQueue::failedResult(const std::string &key) const
 {

@@ -196,7 +196,6 @@ struct QueueCounters
     std::size_t claims = 0;    //!< Successful tryClaim calls.
     std::size_t releases = 0;  //!< Claims completed.
     std::size_t failures = 0;  //!< Error rows published.
-    std::size_t requeues = 0;  //!< Claims returned via requeue().
     std::size_t reclaims = 0;  //!< Stale claims recovered.
     std::size_t corrupt = 0;   //!< Files quarantined to corrupt/.
 };
@@ -232,7 +231,7 @@ class WorkQueue
      * (re-simulate from tick 0), so a damaged chain heals itself
      * instead of wedging; the final link publishes the cell's
      * RunResult through the shared cache, byte-identical to the
-     * unsliced run (tests/test_snapshot.cc pins the equivalence,
+     * unsliced run (tests/test_contracts.cc pins the equivalence,
      * test_dist.cc the queue protocol).
      * @{
      */
@@ -304,9 +303,6 @@ class WorkQueue
      * on the queue without a dispatcher.
      */
     void fail(const Claim &claim, const exp::RunResult &res);
-
-    /** Return an unfinished claim to pending/ (graceful shutdown). */
-    void requeue(const Claim &claim);
 
     /**
      * Read the error row published for @p key, if any: the marker

@@ -26,8 +26,8 @@
  * dispatcher involvement needed.
  *
  * tools/sweep_worker.cc is the CLI daemon around this function;
- * sweep_grid --distributed --spawn-workers N runs it on local
- * threads. Both share every line of the loop.
+ * sweep_grid --distributed --spawn-workers N runs it as a local
+ * capacity-N pool. Both share every line of the loop.
  */
 
 #ifndef SYSSCALE_DIST_WORKER_HH

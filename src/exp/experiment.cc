@@ -113,25 +113,6 @@ visitCellState(StateIO &io, Simulator &sim, obs::TraceSink *sink,
 
 } // anonymous namespace
 
-const std::vector<std::string> &
-governorNames()
-{
-    // The core registry, plus the governor-less "collect" sentinel.
-    static const std::vector<std::string> names = [] {
-        std::vector<std::string> n = core::governorNames();
-        n.push_back("collect");
-        return n;
-    }();
-    return names;
-}
-
-bool
-isGovernorName(const std::string &name)
-{
-    return name.empty() || name == "collect" ||
-           core::isRegisteredGovernor(name);
-}
-
 std::unique_ptr<core::Governor>
 makeGovernor(const std::string &name, const GovernorParams &params)
 {
@@ -430,15 +411,7 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
 RunResult
 runCell(const ExperimentSpec &spec)
 {
-    return runCell(spec, RunCellOptions{});
-}
-
-RunResult
-runCell(const ExperimentSpec &spec, const RunCellOptions &opts)
-{
-    SliceOptions sopts;
-    sopts.traceDir = opts.traceDir;
-    return runCellSlice(spec, sopts);
+    return runCellSlice(spec, SliceOptions{});
 }
 
 RunResult

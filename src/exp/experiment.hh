@@ -152,12 +152,6 @@ struct RunResult
 
 /** @name Governor registry. @{ */
 
-/** Registered governor names, in presentation order. */
-const std::vector<std::string> &governorNames();
-
-/** Whether @p name resolves (including "collect"/""). */
-bool isGovernorName(const std::string &name);
-
 /**
  * A fresh governor for registered name @p name constructed with
  * @p params; nullptr for "collect"/"", which runs the PMU with no
@@ -183,8 +177,7 @@ struct GovernorToken
 /**
  * Split a governor token into name + parameters. Throws
  * std::invalid_argument on malformed segments (missing '=' or empty
- * key); the *name* is not checked here — pair with isGovernorName()
- * or makeGovernor() for that.
+ * key); the *name* is not checked here — makeGovernor() does that.
  */
 GovernorToken parseGovernorToken(const std::string &token);
 /** @} */
@@ -196,29 +189,12 @@ GovernorToken parseGovernorToken(const std::string &token);
  */
 void validateSpec(const ExperimentSpec &spec);
 
-/** Per-call execution options for @ref runCell. */
-struct RunCellOptions
-{
-    /**
-     * When non-empty, the cell runs with an obs::TraceSink installed
-     * and its Chrome trace-event JSON is written to
-     * `<traceDir>/<specKey>.trace.json`. Traces contain only
-     * sim-clock timestamps, so the same cell produces byte-identical
-     * trace files regardless of --jobs or skip-ahead.
-     */
-    std::string traceDir;
-};
-
 /**
  * Execute one cell on the calling thread. Never throws: failures
  * (bad spec, exceptions out of the model) come back as ok=false
  * results so one cell cannot poison its siblings.
  */
 RunResult runCell(const ExperimentSpec &spec);
-
-/** As above, with tracing/export options. */
-RunResult runCell(const ExperimentSpec &spec,
-                  const RunCellOptions &opts);
 
 /**
  * One time-slice of a cell: simulate [t0, t1] of the cell's
@@ -227,7 +203,7 @@ RunResult runCell(const ExperimentSpec &spec,
  * degenerate full slice; a chain of slices over the same spec whose
  * snapshots hand off at the cut ticks produces final metrics, stats
  * dump, and trace byte-identical to the unsliced run
- * (tests/test_snapshot.cc pins this differentially).
+ * (the restore and chain modes of tests/test_contracts.cc pin this).
  */
 struct SliceOptions
 {
@@ -253,8 +229,14 @@ struct SliceOptions
      */
     std::string outSnap;
 
-    /** As RunCellOptions::traceDir; the trace file is written only
-     *  by the slice that reaches the end of the cell. */
+    /**
+     * When non-empty, the cell runs with an obs::TraceSink installed
+     * and its Chrome trace-event JSON is written to
+     * `<traceDir>/<specKey>.trace.json` by the slice that reaches
+     * the end of the cell. Traces contain only sim-clock timestamps,
+     * so the same cell produces byte-identical trace files
+     * regardless of --jobs.
+     */
     std::string traceDir;
 };
 

@@ -65,7 +65,9 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs) const
                 return;
             const std::size_t i = pending[slot];
 
-            results[i] = runCell(specs[i], opts_.cell);
+            SliceOptions so;
+            so.traceDir = opts_.traceDir;
+            results[i] = runCellSlice(specs[i], so);
             if (opts_.cache)
                 opts_.cache->store(specs[i], results[i]);
 

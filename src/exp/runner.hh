@@ -3,12 +3,13 @@
  * Parallel experiment-grid execution.
  *
  * ExperimentRunner fans a vector of ExperimentSpec cells out across
- * a pool of worker threads. Each cell runs through exp::runCell(),
- * which owns an isolated Simulator + Soc, so cells share no mutable
- * state and the result vector is bit-identical to a serial sweep of
- * the same specs regardless of the job count or scheduling order —
- * results land at the index of their spec, never in completion
- * order. A cell that fails (bad spec, model exception) produces an
+ * a pool of worker threads. Each cell runs through
+ * exp::runCellSlice() as one whole-cell slice, which owns an
+ * isolated Simulator + Soc, so cells share no mutable state and the
+ * result vector is bit-identical to a serial sweep of the same specs
+ * regardless of the job count or scheduling order — results land at
+ * the index of their spec, never in completion order. A cell that
+ * fails (bad spec, model exception) produces an
  * ok=false RunResult and leaves its siblings untouched.
  */
 
@@ -53,11 +54,11 @@ struct RunnerOptions
     ResultCache *cache = nullptr;
 
     /**
-     * Forwarded to runCell() for every simulated cell. Cache hits
+     * SliceOptions::traceDir of every simulated cell. Cache hits
      * never touch the simulator, so they write no trace file — use
      * --no-cache (or a cold cache) for a full-grid trace capture.
      */
-    RunCellOptions cell;
+    std::string traceDir;
 };
 
 class ExperimentRunner

@@ -9,8 +9,8 @@
  * `(tick, priority, seq)` order, the RNG stream, the installed PMU
  * policy, and (optionally) the trace buffer. Restoring a snapshot
  * into a freshly constructed cell and resuming is byte-identical to
- * never having stopped; `tests/test_snapshot.cc` pins that with a
- * randomized differential battery.
+ * never having stopped; the restore and chain modes of
+ * `tests/test_contracts.cc` pin that over a corpus.
  *
  * Record format (all text, one `key = value` pair per line):
  *

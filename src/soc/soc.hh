@@ -282,7 +282,7 @@ class Soc : public SimObject
      * inside it (Pmu::afterStep()). Every replay applies the exact
      * floating-point operation sequence of the slow path, so all
      * reported metrics are byte-identical either way (pinned by
-     * tests/test_skip_ahead.cc).
+     * the skip-ahead-off mode of tests/test_contracts.cc).
      */
     void
     setSkipAhead(bool on)
@@ -292,9 +292,8 @@ class Soc : public SimObject
     }
 
     /**
-     * Process-wide default for new Soc instances. Initialized from
-     * the environment (SYSSCALE_NO_SKIP_AHEAD disables) and
-     * overridable by tools (sweep_grid --no-skip-ahead).
+     * Process-wide default for new Soc instances: on, unless a tool
+     * turns it off (sweep_grid --no-skip-ahead).
      */
     static bool skipAheadDefault();
     static void setSkipAheadDefault(bool on);

@@ -109,8 +109,7 @@ ProfileAgent::currentPhase(Tick offset)
 void
 ProfileAgent::demandAt(Tick now, soc::IntervalDemand &demand)
 {
-    const Tick offset = now >= start_ ? now - start_ : 0;
-    const Phase &p = currentPhase(offset);
+    const Phase &p = currentPhase(now);
 
     demand.threadWork.assign(p.activeThreads, p.work);
     demand.gfxWork = p.gfxWork;
@@ -125,29 +124,21 @@ ProfileAgent::finished(Tick now) const
 {
     if (repeats_ == 0)
         return false;
-    const Tick offset = now >= start_ ? now - start_ : 0;
-    return offset >= profile_.period() * repeats_;
+    return now >= profile_.period() * repeats_;
 }
 
 Tick
 ProfileAgent::demandHorizon(Tick now)
 {
-    // Before the phase clock starts, demandAt() pins the offset at 0;
-    // conservatively promise constancy only up to the start.
-    if (now < start_)
-        return start_;
-
     const Tick period = profile_.period();
-    const Tick offset = now - start_;
 
     // A finished profile never produces demand again, and finished()
     // is monotone — the horizon is unbounded.
     Tick finish = kMaxTick;
     if (repeats_ != 0) {
-        const Tick finish_offset = period * repeats_;
-        if (offset >= finish_offset)
+        finish = period * repeats_;
+        if (now >= finish)
             return kMaxTick;
-        finish = start_ + finish_offset;
     }
 
     // A single-phase profile presents the same demand every tick of
@@ -156,11 +147,11 @@ ProfileAgent::demandHorizon(Tick now)
         return finish;
 
     // The demand next changes at the current phase's end boundary.
-    const Tick t = offset % period;
-    (void)currentPhase(offset); // position the cursor
+    const Tick t = now % period;
+    (void)currentPhase(now); // position the cursor
     const Tick boundary =
-        offset - t + cursorBegin_ + profile_.phase(cursorIndex_).duration;
-    return std::min(start_ + boundary, finish);
+        now - t + cursorBegin_ + profile_.phase(cursorIndex_).duration;
+    return std::min(boundary, finish);
 }
 
 } // namespace workloads

@@ -141,15 +141,11 @@ class ProfileAgent : public soc::WorkloadAgent
 
     const WorkloadProfile &profile() const { return profile_; }
 
-    /** Re-base the phase clock so the profile starts at @p now. */
-    void rebase(Tick now) { start_ = now; }
-
   private:
     const Phase &currentPhase(Tick offset);
 
     WorkloadProfile profile_;
     std::size_t repeats_;
-    Tick start_ = 0;
 
     /**
      * Cursor over the cyclic phase list. Simulation offsets advance

@@ -5,9 +5,9 @@
  * truncated files quarantined instead of simulated, dead workers
  * losing no cells), two workers draining one queue with zero
  * duplicate simulations, failed cells publishing loud error rows,
- * and the headline acceptance property — a distributed drain
- * assembling output byte-identical to a single-process
- * ExperimentRunner run of the same grid.
+ * and checkpoint-chained slices. That a sliced two-worker drain
+ * assembles output byte-identical to a serial run is pinned over a
+ * whole corpus by the distributed mode of tests/test_contracts.cc.
  *
  * Campaign operations on top: the read-only inspection APIs behind
  * `sweep_queue` (counts, probe-aged leases, decoded cells —
@@ -18,8 +18,6 @@
  */
 
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -36,41 +34,15 @@
 #include "dist/worker.hh"
 #include "exp/cache.hh"
 #include "exp/report.hh"
-#include "exp/runner.hh"
 #include "exp/spec_codec.hh"
 #include "tests/record_corruption.hh"
+#include "tests/test_util.hh"
 #include "workloads/micro.hh"
 
 using namespace sysscale;
+using test::TempDir;
 
 namespace {
-
-/** Fresh per-test directory, removed on destruction. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-        : path_((std::filesystem::temp_directory_path() /
-                 ("sysscale-dist-test-" + tag + "-" +
-                  std::to_string(::getpid())))
-                    .string())
-    {
-        std::filesystem::remove_all(path_);
-    }
-
-    ~TempDir() { std::filesystem::remove_all(path_); }
-
-    const std::string &path() const { return path_; }
-
-    std::string
-    sub(const std::string &name) const
-    {
-        return (std::filesystem::path(path_) / name).string();
-    }
-
-  private:
-    std::string path_;
-};
 
 exp::ExperimentSpec
 fastSpec(const std::string &id, std::uint64_t seed = 1)
@@ -477,53 +449,6 @@ TEST(Dispatch, RecoversACorruptedQueueEntry)
     EXPECT_GE(outcome.reenqueued, 1u)
         << "the lost cell must be re-enqueued from the dispatcher's "
            "own spec";
-}
-
-/**
- * The acceptance property: a grid drained by two concurrent workers
- * sharing a queue and cache produces output byte-identical to a
- * single-process ExperimentRunner run of the same grid — and every
- * cell is simulated exactly once across the whole fleet.
- */
-TEST(Dispatch, DistributedDrainMatchesSingleProcessByteForByte)
-{
-    const TempDir dir("identity");
-    exp::ResultCache cache(dir.sub("cache"));
-
-    const auto specs = smallGrid();
-    dist::DispatchOptions opts;
-    opts.spawnWorkers = 2;
-    opts.poll = std::chrono::milliseconds(10);
-    const dist::DispatchOutcome outcome =
-        dist::runDistributed(specs, dir.sub("q"), cache, opts);
-    EXPECT_EQ(outcome.localWork.simulated, specs.size())
-        << "each cell simulated exactly once across both workers";
-
-    // Single-process runner over the same shared cache: every cell
-    // is a hit, and the assembled outputs are byte-identical. (The
-    // dispatcher's own poll lookups also count misses, so compare
-    // the delta across the serial pass.)
-    const std::size_t missesBefore = cache.stats().misses;
-    exp::RunnerOptions ropts;
-    ropts.jobs = 1;
-    ropts.cache = &cache;
-    const auto serial = exp::ExperimentRunner(ropts).run(specs);
-    EXPECT_EQ(cache.stats().misses, missesBefore)
-        << "the serial pass must re-simulate nothing";
-    EXPECT_EQ(toCsv(outcome.results), toCsv(serial));
-
-    // And against an independent simulation (fresh cache), every
-    // field but the host wall-clock matches bit for bit.
-    exp::RunnerOptions iopts;
-    iopts.jobs = 1;
-    const auto independent = exp::ExperimentRunner(iopts).run(specs);
-    ASSERT_EQ(independent.size(), outcome.results.size());
-    for (std::size_t i = 0; i < independent.size(); ++i) {
-        exp::RunResult a = outcome.results[i];
-        exp::RunResult b = independent[i];
-        a.hostSeconds = b.hostSeconds = 0.0;
-        EXPECT_EQ(exp::csvRow(a), exp::csvRow(b)) << specs[i].id;
-    }
 }
 
 TEST(Dispatch, ResumesFromAWarmCacheWithoutEnqueueing)
@@ -1228,41 +1153,6 @@ TEST(Slice, TamperedEntriesAreQuarantinedNeverSimulated)
     EXPECT_FALSE(queue.tryClaim("w1", claim));
     EXPECT_EQ(queue.counters().corrupt, 2u);
     EXPECT_TRUE(queue.scan().drained());
-}
-
-TEST(Slice, SlicedDispatchMatchesUnslicedByteForByte)
-{
-    const TempDir dir("slice-identity");
-    exp::ResultCache cache(dir.sub("cache"));
-
-    // Two workers drain a grid whose 12 ms cells each split into
-    // three checkpoint-chained slices.
-    const auto specs = smallGrid();
-    dist::DispatchOptions opts;
-    opts.spawnWorkers = 2;
-    opts.poll = std::chrono::milliseconds(10);
-    opts.sliceTicks = 5 * kTicksPerMs;
-    const dist::DispatchOutcome outcome =
-        dist::runDistributed(specs, dir.sub("q"), cache, opts);
-    EXPECT_EQ(outcome.localWork.simulated, 3 * specs.size())
-        << "each slice simulated exactly once across both workers";
-    for (const auto &res : outcome.results)
-        EXPECT_TRUE(res.ok) << res.id << ": " << res.error;
-
-    // Against an independent unsliced simulation, every field but
-    // the host wall-clock matches bit for bit — slicing is invisible
-    // in the output.
-    exp::RunnerOptions iopts;
-    iopts.jobs = 1;
-    const auto independent = exp::ExperimentRunner(iopts).run(specs);
-    ASSERT_EQ(independent.size(), outcome.results.size());
-    for (std::size_t i = 0; i < independent.size(); ++i) {
-        exp::RunResult a = outcome.results[i];
-        exp::RunResult b = independent[i];
-        a.hostSeconds = b.hostSeconds = 0.0;
-        EXPECT_EQ(exp::csvRow(a), exp::csvRow(b)) << specs[i].id;
-        EXPECT_EQ(a.statsDump, b.statsDump) << specs[i].id;
-    }
 }
 
 TEST(Slice, ChainCrashResumesWithZeroDuplicateSimulation)

@@ -24,20 +24,12 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "tests/test_util.hh"
 
 namespace sysscale {
 namespace {
 
-/** Trial multiplier for nightly-style stress runs (default 1x). */
-std::size_t
-stressIters()
-{
-    const char *env = std::getenv("SYSSCALE_STRESS_ITERS");
-    if (!env)
-        return 1;
-    const long v = std::atol(env);
-    return v > 0 ? static_cast<std::size_t>(v) : 1;
-}
+using test::stressIters;
 
 TEST(EventQueue, StartsEmptyAtTickZero)
 {

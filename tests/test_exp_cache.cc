@@ -1,14 +1,13 @@
 /**
  * @file
  * ResultCache tests: hit/miss/corrupt-file behavior, the
- * never-cache-error-rows rule, runner integration (a second
- * identical sweep reruns zero simulator cells and reproduces the
- * first run byte for byte).
+ * never-cache-error-rows rule, and runner integration (an
+ * interrupted sweep resumes incrementally). That a warm sweep reruns
+ * zero cells and replays the cold one byte for byte is pinned over a
+ * whole corpus by the warm_cache mode of tests/test_contracts.cc.
  */
 
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -20,32 +19,13 @@
 #include "exp/runner.hh"
 #include "exp/spec_codec.hh"
 #include "tests/record_corruption.hh"
+#include "tests/test_util.hh"
 #include "workloads/micro.hh"
 
 using namespace sysscale;
+using test::TempDir;
 
 namespace {
-
-/** Fresh per-test cache directory under the build tree's tmp. */
-class CacheDir
-{
-  public:
-    explicit CacheDir(const std::string &tag)
-        : path_((std::filesystem::temp_directory_path() /
-                 ("sysscale-cache-test-" + tag + "-" +
-                  std::to_string(::getpid())))
-                    .string())
-    {
-        std::filesystem::remove_all(path_);
-    }
-
-    ~CacheDir() { std::filesystem::remove_all(path_); }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 exp::ExperimentSpec
 fastSpec(const std::string &id, std::uint64_t seed = 1)
@@ -93,7 +73,7 @@ smallGrid()
 
 TEST(ResultCache, MissThenHitRoundTripsResult)
 {
-    const CacheDir dir("roundtrip");
+    const TempDir dir("roundtrip");
     exp::ResultCache cache(dir.path());
     const exp::ExperimentSpec spec = fastSpec("unit");
 
@@ -116,7 +96,7 @@ TEST(ResultCache, MissThenHitRoundTripsResult)
 
 TEST(ResultCache, HitTakesIdAndLabelsFromQueryingSpec)
 {
-    const CacheDir dir("presentation");
+    const TempDir dir("presentation");
     exp::ResultCache cache(dir.path());
     const exp::ExperimentSpec original = fastSpec("original");
     cache.store(original, exp::runCell(original));
@@ -134,7 +114,7 @@ TEST(ResultCache, HitTakesIdAndLabelsFromQueryingSpec)
 
 TEST(ResultCache, ErrorRowsAreNeverCached)
 {
-    const CacheDir dir("errors");
+    const TempDir dir("errors");
     exp::ResultCache cache(dir.path());
     exp::ExperimentSpec broken = fastSpec("broken");
     broken.window = 0;
@@ -151,7 +131,7 @@ TEST(ResultCache, ErrorRowsAreNeverCached)
 
 TEST(ResultCache, CorruptFileIsAMissAndGetsRepaired)
 {
-    const CacheDir dir("corrupt");
+    const TempDir dir("corrupt");
     exp::ResultCache cache(dir.path());
     const exp::ExperimentSpec spec = fastSpec("corrupt");
     const exp::RunResult res = exp::runCell(spec);
@@ -176,7 +156,7 @@ TEST(ResultCache, CorruptFileIsAMissAndGetsRepaired)
 
 TEST(ResultCache, EntryWithFatalSpecFieldIsAMissNotACrash)
 {
-    const CacheDir dir("fatalfield");
+    const TempDir dir("fatalfield");
     exp::ResultCache cache(dir.path());
     const exp::ExperimentSpec spec = fastSpec("fatal");
     cache.store(spec, exp::runCell(spec));
@@ -202,7 +182,7 @@ TEST(ResultCache, EntryWithFatalSpecFieldIsAMissNotACrash)
 
 TEST(ResultCache, TruncatedNumberTokenIsAMissNotAWrongHit)
 {
-    const CacheDir dir("badnumber");
+    const TempDir dir("badnumber");
     exp::ResultCache cache(dir.path());
     const exp::ExperimentSpec spec = fastSpec("badnumber");
     cache.store(spec, exp::runCell(spec));
@@ -222,7 +202,7 @@ TEST(ResultCache, TruncatedNumberTokenIsAMissNotAWrongHit)
 
 TEST(ResultCache, StoredEntryWithForeignKeyIsRejected)
 {
-    const CacheDir dir("foreign");
+    const TempDir dir("foreign");
     exp::ResultCache cache(dir.path());
     const exp::ExperimentSpec a = fastSpec("a", 1);
     const exp::ExperimentSpec b = fastSpec("b", 2);
@@ -235,45 +215,9 @@ TEST(ResultCache, StoredEntryWithForeignKeyIsRejected)
     EXPECT_GE(cache.stats().corrupt, 1u);
 }
 
-TEST(ResultCache, SecondSweepRerunsZeroCellsByteIdentically)
-{
-    const CacheDir dir("sweep");
-    const auto specs = smallGrid();
-
-    exp::ResultCache cold(dir.path());
-    exp::RunnerOptions cold_opts;
-    cold_opts.jobs = 2;
-    cold_opts.cache = &cold;
-    const auto first =
-        exp::ExperimentRunner(cold_opts).run(specs);
-    EXPECT_EQ(cold.stats().misses, specs.size());
-    EXPECT_EQ(cold.stats().stores, specs.size());
-
-    exp::ResultCache warm(dir.path());
-    exp::RunnerOptions warm_opts;
-    warm_opts.jobs = 2;
-    warm_opts.cache = &warm;
-    std::size_t callbacks = 0;
-    warm_opts.onResult = [&](const exp::RunResult &, std::size_t,
-                             std::size_t) { ++callbacks; };
-    const auto second =
-        exp::ExperimentRunner(warm_opts).run(specs);
-
-    // Zero simulator cells ran: every lookup hit, nothing stored.
-    EXPECT_EQ(warm.stats().hits, specs.size());
-    EXPECT_EQ(warm.stats().misses, 0u);
-    EXPECT_EQ(warm.stats().stores, 0u);
-    EXPECT_EQ(callbacks, specs.size());
-
-    // And the replay is byte-identical, host timing included.
-    ASSERT_EQ(first.size(), second.size());
-    for (std::size_t i = 0; i < first.size(); ++i)
-        EXPECT_EQ(exp::csvRow(first[i]), exp::csvRow(second[i]));
-}
-
 TEST(ResultCache, InterruptedSweepResumesIncrementally)
 {
-    const CacheDir dir("resume");
+    const TempDir dir("resume");
     const auto specs = smallGrid();
 
     // "Interrupted" first sweep: only half the cells completed.
@@ -307,7 +251,7 @@ TEST(ResultCache, InterruptedSweepResumesIncrementally)
  */
 TEST(ResultCache, StaleFormatEntryDegradesToAMiss)
 {
-    const CacheDir dir("staleentry");
+    const TempDir dir("staleentry");
     exp::ResultCache cache(dir.path());
     const exp::ExperimentSpec spec = fastSpec("staleentry");
     const exp::RunResult res = exp::runCell(spec);
@@ -344,7 +288,7 @@ TEST(ResultCache, StaleFormatEntryDegradesToAMiss)
  */
 TEST(ResultCache, CorruptionBatteryIsAlwaysAMiss)
 {
-    const CacheDir dir("battery");
+    const TempDir dir("battery");
     exp::ResultCache cache(dir.path());
     const exp::ExperimentSpec spec = fastSpec("battery");
     const exp::RunResult res = exp::runCell(spec);
@@ -382,7 +326,7 @@ TEST(ResultCache, CorruptionBatteryIsAlwaysAMiss)
  */
 TEST(ResultCache, ScenarioCellsAreContentAddressed)
 {
-    const CacheDir dir("scenario");
+    const TempDir dir("scenario");
     exp::ResultCache cache(dir.path());
 
     exp::ExperimentSpec plain = fastSpec("plain");
@@ -407,7 +351,7 @@ TEST(ResultCache, ScenarioCellsAreContentAddressed)
 
 TEST(ResultCache, MixedGridCachesOnlyTheHealthyCells)
 {
-    const CacheDir dir("mixed");
+    const TempDir dir("mixed");
     auto specs = smallGrid();
     specs[1].window = 0; // validation failure -> error row
 
@@ -424,7 +368,7 @@ TEST(ResultCache, MixedGridCachesOnlyTheHealthyCells)
 
 TEST(ResultCache, StatsDumpRoundTripsThroughTheCache)
 {
-    const CacheDir dir("statsdump");
+    const TempDir dir("statsdump");
     exp::ResultCache cache(dir.path());
     const exp::ExperimentSpec spec = fastSpec("stats");
 

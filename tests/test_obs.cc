@@ -2,74 +2,36 @@
  * @file
  * Observability tests: TraceSink semantics (change-filtered
  * counters, bounded buffer, JSON shape, null-sink macro safety) and
- * the determinism contract of traced cells — the same cell writes a
- * byte-identical trace file regardless of --jobs, skip-ahead on/off
+ * the determinism contract of traced cells — skip-ahead on/off
  * differ only in the "replay" category, and tracing never perturbs
- * the simulation's results.
+ * the simulation's results. That --jobs never changes a trace byte
+ * is pinned over a whole corpus by the jobs_4 mode of
+ * tests/test_contracts.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "exp/experiment.hh"
 #include "exp/report.hh"
-#include "exp/runner.hh"
 #include "exp/spec_codec.hh"
 #include "obs/trace.hh"
 #include "soc/soc.hh"
+#include "tests/test_util.hh"
 #include "workloads/micro.hh"
 #include "workloads/scenario.hh"
 #include "workloads/spec.hh"
 
 using namespace sysscale;
+using test::readFile;
+using test::SkipAheadGuard;
+using test::TempDir;
 
 namespace {
-
-/** Fresh per-test directory under the system tmp. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-        : path_((std::filesystem::temp_directory_path() /
-                 ("sysscale-obs-test-" + tag + "-" +
-                  std::to_string(::getpid())))
-                    .string())
-    {
-        std::filesystem::remove_all(path_);
-        std::filesystem::create_directories(path_);
-    }
-
-    ~TempDir() { std::filesystem::remove_all(path_); }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-/** Pin the process-wide skip-ahead default for one test's scope. */
-class SkipAheadGuard
-{
-  public:
-    explicit SkipAheadGuard(bool on)
-        : prev_(soc::Soc::skipAheadDefault())
-    {
-        soc::Soc::setSkipAheadDefault(on);
-    }
-    ~SkipAheadGuard() { soc::Soc::setSkipAheadDefault(prev_); }
-
-  private:
-    bool prev_;
-};
 
 exp::ExperimentSpec
 fastSpec(const std::string &id, std::uint64_t seed = 1)
@@ -82,16 +44,6 @@ fastSpec(const std::string &id, std::uint64_t seed = 1)
     spec.warmup = 5 * kTicksPerMs;
     spec.window = 30 * kTicksPerMs;
     return spec;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    EXPECT_TRUE(static_cast<bool>(is)) << path;
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return buf.str();
 }
 
 std::string
@@ -232,55 +184,26 @@ TEST(TraceSink, KvHelpersEmitJsonFragments)
     EXPECT_EQ(obs::kv("u", std::uint64_t{9}), "\"u\":9");
 }
 
-TEST(TraceDeterminism, JobCountNeverChangesTraceBytes)
-{
-    std::vector<exp::ExperimentSpec> specs;
-    specs.push_back(fastSpec("cell-a", 1));
-    specs.push_back(fastSpec("cell-b", 7));
-
-    const TempDir serial("serial");
-    const TempDir threaded("threaded");
-
-    exp::RunnerOptions serial_opts;
-    serial_opts.jobs = 1;
-    serial_opts.cell.traceDir = serial.path();
-    exp::ExperimentRunner(serial_opts).run(specs);
-
-    exp::RunnerOptions threaded_opts;
-    threaded_opts.jobs = 2;
-    threaded_opts.cell.traceDir = threaded.path();
-    exp::ExperimentRunner(threaded_opts).run(specs);
-
-    for (const auto &spec : specs) {
-        const std::string a =
-            readFile(traceFileFor(spec, serial.path()));
-        const std::string b =
-            readFile(traceFileFor(spec, threaded.path()));
-        EXPECT_FALSE(a.empty());
-        EXPECT_EQ(a, b) << spec.id;
-    }
-}
-
 TEST(TraceDeterminism, SkipAheadDiffersOnlyInReplayCategory)
 {
     const exp::ExperimentSpec spec = fastSpec("skip-cell");
 
     const TempDir fast("fast");
     const TempDir slow("slow");
-    exp::RunCellOptions fast_opts;
+    exp::SliceOptions fast_opts;
     fast_opts.traceDir = fast.path();
-    exp::RunCellOptions slow_opts;
+    exp::SliceOptions slow_opts;
     slow_opts.traceDir = slow.path();
 
     std::string fast_text, slow_text;
     {
         const SkipAheadGuard guard(true);
-        ASSERT_TRUE(exp::runCell(spec, fast_opts).ok);
+        ASSERT_TRUE(exp::runCellSlice(spec, fast_opts).ok);
         fast_text = readFile(traceFileFor(spec, fast.path()));
     }
     {
         const SkipAheadGuard guard(false);
-        ASSERT_TRUE(exp::runCell(spec, slow_opts).ok);
+        ASSERT_TRUE(exp::runCellSlice(spec, slow_opts).ok);
         slow_text = readFile(traceFileFor(spec, slow.path()));
     }
 
@@ -298,11 +221,11 @@ TEST(TraceDeterminism, ReplayBatchesAreSingleSpansWithStepCounts)
 {
     const exp::ExperimentSpec spec = fastSpec("replay-cell");
     const TempDir dir("replay");
-    exp::RunCellOptions opts;
+    exp::SliceOptions opts;
     opts.traceDir = dir.path();
 
     const SkipAheadGuard guard(true);
-    const exp::RunResult res = exp::runCell(spec, opts);
+    const exp::RunResult res = exp::runCellSlice(spec, opts);
     ASSERT_TRUE(res.ok);
 
     // The replayed-step total the simulation itself recorded.
@@ -342,11 +265,11 @@ TEST(TraceDeterminism, TracingNeverPerturbsResults)
 {
     const exp::ExperimentSpec spec = fastSpec("observer-cell");
     const TempDir dir("observer");
-    exp::RunCellOptions traced_opts;
+    exp::SliceOptions traced_opts;
     traced_opts.traceDir = dir.path();
 
     const exp::RunResult plain = exp::runCell(spec);
-    const exp::RunResult traced = exp::runCell(spec, traced_opts);
+    const exp::RunResult traced = exp::runCellSlice(spec, traced_opts);
     ASSERT_TRUE(plain.ok);
     ASSERT_TRUE(traced.ok);
     EXPECT_EQ(stableRow(plain), stableRow(traced));

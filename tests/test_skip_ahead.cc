@@ -1,18 +1,12 @@
 /**
  * @file
- * Skip-ahead equivalence battery.
- *
- * The constant-step replay path (Soc skip-ahead) is a pure
- * performance optimization: every observable output — CSV/JSON
- * reports, run metrics, counter snapshots, scripted-mutation timing —
- * must be byte-identical with the optimization on and off. These
- * tests pin that contract on the paper-shaped workloads where
- * skip-ahead actually engages (the Fig. 9 battery-life suite, whose
- * profiles are 60-90% idle) plus a mid-idle ScenarioScript mutation,
- * and assert the fast path really ran (replayedStepCount() > 0) so a
- * regression that silently disables it cannot pass as "equivalent".
- * Reports round their figures, so the battery also compares the bit
- * pattern of every stat in an end-of-run snapshot.
+ * Skip-ahead tests: the constant-step replay path (Soc skip-ahead)
+ * engages on idle-heavy runs, stays frozen when disabled, fires
+ * scripted mutations at their exact tick, and survives checkpoint
+ * cuts inside a replay batch or right after a plan capture. That
+ * every output and every stat bit is identical with the fast path on
+ * and off is pinned over a whole corpus by the skip-ahead-off mode
+ * of tests/test_contracts.cc.
  */
 
 #include <gtest/gtest.h>
@@ -20,92 +14,28 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
-#include <vector>
-
-#include <unistd.h>
 
 #include "compute/cstates.hh"
 #include "exp/experiment.hh"
-#include "exp/report.hh"
 #include "exp/spec_codec.hh"
-#include "io/display.hh"
 #include "sim/sim_object.hh"
 #include "sim/snapshot.hh"
 #include "soc/soc.hh"
+#include "tests/test_util.hh"
 #include "workloads/battery.hh"
 #include "workloads/profile.hh"
 #include "workloads/scenario.hh"
-#include "workloads/spec.hh"
 
 using namespace sysscale;
+using test::SkipAheadGuard;
+using test::snapshotField;
+using test::statLines;
+using test::statValue;
+using test::TempDir;
 
 namespace {
-
-/** Scoped override of the process-wide skip-ahead default. */
-class SkipAheadGuard
-{
-  public:
-    explicit SkipAheadGuard(bool on)
-        : prev_(soc::Soc::skipAheadDefault())
-    {
-        soc::Soc::setSkipAheadDefault(on);
-    }
-
-    ~SkipAheadGuard() { soc::Soc::setSkipAheadDefault(prev_); }
-
-  private:
-    bool prev_;
-};
-
-/**
- * Run @p specs serially through exp::runCell() and render the full
- * result set exactly as sweep_grid would: CSV then JSON. Any byte of
- * divergence between two calls fails the comparison. hostSeconds is
- * host wall-clock — the one field that legitimately changes with the
- * optimization (that is the point of it) — so it is zeroed out.
- */
-std::string
-renderCells(const std::vector<exp::ExperimentSpec> &specs)
-{
-    std::vector<exp::RunResult> results;
-    for (const auto &spec : specs) {
-        results.push_back(exp::runCell(spec));
-        EXPECT_TRUE(results.back().ok) << results.back().error;
-        results.back().hostSeconds = 0.0;
-    }
-    std::ostringstream os;
-    exp::writeCsv(os, results);
-    exp::writeJson(os, results);
-    return os.str();
-}
-
-/** Fig. 9-class cells: battery suite x {fixed, sysscale}. */
-std::vector<exp::ExperimentSpec>
-fig9Cells()
-{
-    std::vector<exp::ExperimentSpec> specs;
-    for (const auto &w : workloads::batterySuite()) {
-        for (const char *gov : {"fixed", "sysscale"}) {
-            exp::ExperimentSpec spec;
-            spec.id = w.name() + "/" + gov;
-            spec.workload = w;
-            spec.governor = gov;
-            spec.camera = w.name() == "video-conferencing";
-            spec.warmup = 50 * kTicksPerMs;
-            spec.window = 250 * kTicksPerMs;
-            spec.labels = {{"workload", w.name()},
-                           {"governor", gov}};
-            specs.push_back(std::move(spec));
-        }
-    }
-    return specs;
-}
 
 /** A mostly-idle single-phase profile (standby-like). */
 workloads::WorkloadProfile
@@ -119,28 +49,6 @@ standbyProfile()
     return workloads::WorkloadProfile("standby", workloads::WorkloadClass::Micro,
                                       {p});
 }
-
-/** Fresh per-test directory under the system tmp. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-        : path_((std::filesystem::temp_directory_path() /
-                 ("sysscale-skip-test-" + tag + "-" +
-                  std::to_string(::getpid())))
-                    .string())
-    {
-        std::filesystem::remove_all(path_);
-        std::filesystem::create_directories(path_);
-    }
-
-    ~TempDir() { std::filesystem::remove_all(path_); }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 /** A standby cell long enough for replay batches to form. */
 exp::ExperimentSpec
@@ -169,47 +77,6 @@ replayedFromDump(const std::string &dump)
     return std::strtod(dump.c_str() + at + needle.size(), nullptr);
 }
 
-/**
- * The "stats.*" lines of a snapshot text, key -> 16-hex bit pattern:
- * every stat in the hierarchy, compared bit for bit.
- */
-std::map<std::string, std::string>
-statLines(const std::string &text)
-{
-    std::map<std::string, std::string> out;
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-        const std::size_t eq = line.find(" = ");
-        if (line.compare(0, 6, "stats.") == 0 && eq != std::string::npos)
-            out[line.substr(0, eq)] = line.substr(eq + 3);
-    }
-    return out;
-}
-
-/** The value of @p key in a snapshot text ("" when absent). */
-std::string
-snapshotField(const std::string &text, const std::string &key)
-{
-    const std::string needle = "\n" + key + " = ";
-    const std::size_t at = text.find(needle);
-    if (at == std::string::npos)
-        return "";
-    const std::size_t from = at + needle.size();
-    return text.substr(from, text.find('\n', from) - from);
-}
-
-/** The double a snapshot text stores as @p key's bit pattern. */
-double
-statValue(const std::string &text, const std::string &key)
-{
-    const std::uint64_t u =
-        std::strtoull(snapshotField(text, key).c_str(), nullptr, 16);
-    double d = 0.0;
-    std::memcpy(&d, &u, sizeof(d));
-    return d;
-}
-
 /** Run @p opts' slice of @p spec and return the snapshot it wrote. */
 std::string
 sliceSnapshot(const exp::ExperimentSpec &spec, exp::SliceOptions opts,
@@ -221,81 +88,7 @@ sliceSnapshot(const exp::ExperimentSpec &spec, exp::SliceOptions opts,
     return readSnapshotFile(path);
 }
 
-/** Key-by-key comparison, so a failure names the diverging stat. */
-void
-expectSameStats(const std::map<std::string, std::string> &a,
-                const std::map<std::string, std::string> &b,
-                const std::string &what)
-{
-    EXPECT_EQ(a.size(), b.size()) << what;
-    for (const auto &[key, value] : a) {
-        const auto it = b.find(key);
-        if (it == b.end()) {
-            ADD_FAILURE() << what << ": " << key << " missing";
-            continue;
-        }
-        EXPECT_EQ(value, it->second) << what << ": " << key;
-    }
-}
-
-/** One cell of @p w under @p scenario (sysscale, camera when asked). */
-exp::ExperimentSpec
-scenarioCell(const workloads::WorkloadProfile &w,
-             const std::string &scenario, Tick window)
-{
-    exp::ExperimentSpec spec;
-    spec.id = w.name() + "/" + scenario;
-    spec.workload = w;
-    spec.scenario = workloads::scenarioByName(scenario);
-    spec.governor = "sysscale";
-    spec.warmup = 50 * kTicksPerMs;
-    spec.window = window;
-    return spec;
-}
-
 } // anonymous namespace
-
-TEST(SkipAhead, Fig9BatteryCellsByteIdentical)
-{
-    std::string on, off;
-    {
-        SkipAheadGuard guard(true);
-        on = renderCells(fig9Cells());
-    }
-    {
-        SkipAheadGuard guard(false);
-        off = renderCells(fig9Cells());
-    }
-    EXPECT_EQ(on, off);
-}
-
-TEST(SkipAhead, VideoconfScenarioByteIdentical)
-{
-    // The registered "videoconf" scenario: call layer + camera/display
-    // actions on top of a base workload — exercises skip-ahead
-    // invalidation across CompositeAgent arrivals and scripted SoC
-    // mutations.
-    std::vector<exp::ExperimentSpec> specs;
-    exp::ExperimentSpec spec;
-    spec.id = "web-browsing/videoconf";
-    spec.workload = workloads::webBrowsing();
-    spec.scenario = workloads::scenarioByName("videoconf");
-    spec.governor = "sysscale";
-    spec.warmup = 50 * kTicksPerMs;
-    spec.window = 400 * kTicksPerMs;
-    specs.push_back(std::move(spec));
-
-    std::string on, off;
-    {
-        SkipAheadGuard guard(true);
-        on = renderCells(specs);
-    }
-    {
-        SkipAheadGuard guard(false);
-        off = renderCells(specs);
-    }
-    EXPECT_EQ(on, off);
-}
 
 TEST(SkipAhead, FastPathEngagesOnIdleHeavyRuns)
 {
@@ -347,35 +140,6 @@ TEST(SkipAhead, MidIdleTdpStepFiresAtExactTick)
             EXPECT_GT(chip.replayedStepCount(), 0u);
         }
     }
-}
-
-TEST(SkipAhead, MetricsBitIdenticalAcrossModes)
-{
-    // Direct-run variant of the report comparison: every RunMetrics
-    // field the reports derive from must be bitwise equal.
-    auto measure = [](bool skip) {
-        Simulator sim(1);
-        soc::Soc chip(sim, soc::skylakeConfig());
-        chip.display().attachPanel(
-            0, io::PanelConfig{io::PanelResolution::HD, 60.0, 4});
-        workloads::ProfileAgent agent(workloads::videoPlayback());
-        chip.setWorkload(&agent);
-        chip.setSkipAhead(skip);
-        chip.run(100 * kTicksPerMs);
-        return chip.run(300 * kTicksPerMs);
-    };
-
-    const soc::RunMetrics on = measure(true);
-    const soc::RunMetrics off = measure(false);
-    EXPECT_EQ(on.instructions, off.instructions);
-    EXPECT_EQ(on.frames, off.frames);
-    EXPECT_EQ(on.avgPower, off.avgPower);
-    EXPECT_EQ(on.energy, off.energy);
-    EXPECT_EQ(on.avgMemLatencyNs, off.avgMemLatencyNs);
-    EXPECT_EQ(on.avgMemBandwidth, off.avgMemBandwidth);
-    for (power::Rail r : power::kAllRails)
-        EXPECT_EQ(on.railEnergy[power::railIndex(r)],
-                  off.railEnergy[power::railIndex(r)]);
 }
 
 TEST(SkipAhead, SaveInsideReplayBatchMatchesRunThrough)
@@ -461,49 +225,6 @@ TEST(SkipAhead, RestoreThenReplayReengagesFastPath)
     EXPECT_EQ(replayedFromDump(a.statsDump), atEnd);
 }
 
-TEST(SkipAhead, EveryStatBitIdenticalAcrossModes)
-{
-    // Reports print rounded figures, so a replay that accounts DRAM
-    // traffic over the wrong interval can leave every CSV/JSON byte
-    // alone. This compares the bit pattern of every stat in an
-    // end-of-run snapshot instead: only soc.replayed_steps may
-    // differ. Fig. 9 cells, a videoconf cell (camera, a mid-run layer
-    // and two TDP steps), an app-switch cell (the demand stream
-    // handed between apps at 1 s) and a SPEC cell.
-    std::vector<exp::ExperimentSpec> cells = fig9Cells();
-    cells.push_back(scenarioCell(workloads::webBrowsing(), "videoconf",
-                                 900 * kTicksPerMs));
-    cells.push_back(scenarioCell(workloads::videoPlayback(),
-                                 "app-switch", 1150 * kTicksPerMs));
-    exp::ExperimentSpec spec_cell;
-    spec_cell.id = "416.gamess/sysscale";
-    spec_cell.workload = workloads::specBenchmark("416.gamess");
-    spec_cell.governor = "sysscale";
-    spec_cell.warmup = 50 * kTicksPerMs;
-    spec_cell.window = 300 * kTicksPerMs;
-    cells.push_back(spec_cell);
-
-    const TempDir dir("stat-bits");
-    const std::string replayed = "stats.soc.replayed_steps.value";
-    for (const exp::ExperimentSpec &spec : cells) {
-        std::map<std::string, std::string> on, off;
-        {
-            SkipAheadGuard guard(true);
-            on = statLines(sliceSnapshot(spec, {}, dir.path() + "/on"));
-        }
-        {
-            SkipAheadGuard guard(false);
-            off = statLines(sliceSnapshot(spec, {}, dir.path() + "/off"));
-        }
-        ASSERT_EQ(on.count(replayed), 1u) << spec.id;
-        // The premise: the fast path ran in every cell compared.
-        EXPECT_NE(on[replayed], off[replayed]) << spec.id;
-        on.erase(replayed);
-        off.erase(replayed);
-        expectSameStats(on, off, spec.id);
-    }
-}
-
 TEST(SkipAhead, RestoreIntoReplayRederivesTheCommitRecord)
 {
     // The commit record a replay applies is not snapshotted. Cut the
@@ -512,7 +233,11 @@ TEST(SkipAhead, RestoreIntoReplayRederivesTheCommitRecord)
     // restored plan, and compare every stat bit of the end-of-run
     // snapshot against the run-through.
     SkipAheadGuard guard(true);
-    const exp::ExperimentSpec spec = fig9Cells()[1]; // web-browsing
+    exp::ExperimentSpec spec; // The Fig. 9 web-browsing cell.
+    spec.workload = workloads::webBrowsing();
+    spec.governor = "sysscale";
+    spec.warmup = 50 * kTicksPerMs;
+    spec.window = 250 * kTicksPerMs;
     const Tick total = spec.warmup + spec.window;
     const Tick step = spec.soc.stepInterval;
     const TempDir dir("restore-record");
@@ -554,7 +279,7 @@ TEST(SkipAhead, RestoreIntoReplayRederivesTheCommitRecord)
     }
     ASSERT_NE(cut, 0u) << "no capture followed by a replay";
 
-    const std::map<std::string, std::string> through =
+    const test::Fields through =
         statLines(sliceSnapshot(spec, {}, dir.path() + "/through"));
 
     exp::SliceOptions first;
@@ -563,10 +288,11 @@ TEST(SkipAhead, RestoreIntoReplayRederivesTheCommitRecord)
     exp::SliceOptions second;
     second.t0 = cut;
     second.inSnap = dir.path() + "/cut";
-    const std::map<std::string, std::string> resumed =
+    const test::Fields resumed =
         statLines(sliceSnapshot(spec, second, dir.path() + "/resumed"));
 
-    expectSameStats(through, resumed, "restored at " + std::to_string(cut));
+    EXPECT_EQ(test::firstDifference(through, resumed), "")
+        << "restored at " << cut;
 }
 
 TEST(SkipAhead, BatchesCrossSampleTicks)
@@ -586,10 +312,10 @@ TEST(SkipAhead, BatchesCrossSampleTicks)
     spec.window = 3 * kTicksPerSec;
 
     const TempDir dir("batches");
-    exp::RunCellOptions opts;
+    exp::SliceOptions opts;
     opts.traceDir = dir.path();
     const SkipAheadGuard guard(true);
-    const exp::RunResult res = exp::runCell(spec, opts);
+    const exp::RunResult res = exp::runCellSlice(spec, opts);
     ASSERT_TRUE(res.ok) << res.error;
 
     std::ifstream is(dir.path() + "/" + exp::specKey(spec) +

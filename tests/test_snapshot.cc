@@ -1,234 +1,38 @@
 /**
  * @file
- * Snapshot layer tests: codec round trips, corruption rejection, and
- * the randomized checkpoint/restore differential battery.
- *
- * The differential suite is the layer's ground truth: for random
- * specs and random checkpoint ticks it runs each cell three ways —
- * straight through, save-at-k/restore/continue, and as a multi-slice
- * chain — and requires byte-identical RunMetrics, stats dumps, and
- * trace files. SYSSCALE_STRESS_ITERS multiplies the trial count; the
- * CI sanitizer matrix runs the same battery 100x longer than the
- * tier-1 lane. When a trial diverges, `tools/snap_inspect` diffs the
- * two snapshots down to a named field.
+ * Snapshot layer tests: codec round trips, corruption rejection,
+ * corrupt inputs degrading to a fresh simulation, traced/untraced
+ * restores, and slice argument validation. That a restore or a
+ * checkpoint chain matches the run-through bit for bit is pinned
+ * over a whole corpus by the restore and chain modes of
+ * tests/test_contracts.cc. When a cell diverges, `tools/snap_inspect`
+ * diffs the two snapshots down to a named field.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
+#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "exp/experiment.hh"
 #include "exp/spec_codec.hh"
 #include "sim/snapshot.hh"
-#include "soc/soc.hh"
-#include "workloads/battery.hh"
-#include "workloads/micro.hh"
-#include "workloads/scenario.hh"
+#include "tests/spec_fixtures.hh"
+#include "tests/test_util.hh"
 
 namespace sysscale {
 namespace {
 
-/** Trial multiplier for nightly-style stress runs (default 1x). */
-std::size_t
-stressIters()
-{
-    const char *env = std::getenv("SYSSCALE_STRESS_ITERS");
-    if (!env)
-        return 1;
-    const long v = std::atol(env);
-    return v > 0 ? static_cast<std::size_t>(v) : 1;
-}
-
-/** Fresh per-test directory under the system tmp. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-        : path_((std::filesystem::temp_directory_path() /
-                 ("sysscale-snap-test-" + tag + "-" +
-                  std::to_string(::getpid())))
-                    .string())
-    {
-        std::filesystem::remove_all(path_);
-        std::filesystem::create_directories(path_);
-    }
-
-    ~TempDir() { std::filesystem::remove_all(path_); }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-/** Pin the process-wide skip-ahead default for one test's scope. */
-class SkipAheadGuard
-{
-  public:
-    explicit SkipAheadGuard(bool on)
-        : prev_(soc::Soc::skipAheadDefault())
-    {
-        soc::Soc::setSkipAheadDefault(on);
-    }
-    ~SkipAheadGuard() { soc::Soc::setSkipAheadDefault(prev_); }
-
-  private:
-    bool prev_;
-};
-
-std::uint64_t
-bits(double v)
-{
-    std::uint64_t u = 0;
-    std::memcpy(&u, &v, sizeof(u));
-    return u;
-}
-
-/** Byte-identity over every RunMetrics field (NaN/-0.0 exact). */
-void
-expectSameMetrics(const soc::RunMetrics &a, const soc::RunMetrics &b,
-                  const std::string &what)
-{
-    EXPECT_EQ(bits(a.seconds), bits(b.seconds)) << what << ": seconds";
-    EXPECT_EQ(bits(a.instructions), bits(b.instructions))
-        << what << ": instructions";
-    EXPECT_EQ(bits(a.ips), bits(b.ips)) << what << ": ips";
-    EXPECT_EQ(bits(a.frames), bits(b.frames)) << what << ": frames";
-    EXPECT_EQ(bits(a.fps), bits(b.fps)) << what << ": fps";
-    EXPECT_EQ(bits(a.avgPower), bits(b.avgPower))
-        << what << ": avgPower";
-    EXPECT_EQ(bits(a.energy), bits(b.energy)) << what << ": energy";
-    EXPECT_EQ(bits(a.edp), bits(b.edp)) << what << ": edp";
-    for (std::size_t i = 0; i < a.railEnergy.size(); ++i) {
-        EXPECT_EQ(bits(a.railEnergy[i]), bits(b.railEnergy[i]))
-            << what << ": railEnergy[" << i << "]";
-    }
-    EXPECT_EQ(bits(a.avgMemLatencyNs), bits(b.avgMemLatencyNs))
-        << what << ": avgMemLatencyNs";
-    EXPECT_EQ(bits(a.avgMemBandwidth), bits(b.avgMemBandwidth))
-        << what << ": avgMemBandwidth";
-    EXPECT_EQ(bits(a.avgCoreFreq), bits(b.avgCoreFreq))
-        << what << ": avgCoreFreq";
-    EXPECT_EQ(a.qosViolations, b.qosViolations)
-        << what << ": qosViolations";
-    EXPECT_EQ(a.transitions, b.transitions) << what << ": transitions";
-    EXPECT_EQ(a.stallTicks, b.stallTicks) << what << ": stallTicks";
-    EXPECT_EQ(bits(a.lowPointResidency), bits(b.lowPointResidency))
-        << what << ": lowPointResidency";
-}
-
-void
-expectSameCounters(const soc::CounterSnapshot &a,
-                   const soc::CounterSnapshot &b,
-                   const std::string &what)
-{
-    for (std::size_t i = 0; i < a.values.size(); ++i) {
-        EXPECT_EQ(bits(a.values[i]), bits(b.values[i]))
-            << what << ": counter " << i;
-    }
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    EXPECT_TRUE(is.good()) << path;
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    return ss.str();
-}
-
-std::string
-traceFileFor(const exp::ExperimentSpec &spec, const std::string &dir)
-{
-    return dir + "/" + exp::specKey(spec) + ".trace.json";
-}
-
-/** Every registered governor, plus the governor-less "collect". */
-const std::vector<std::string> kGovernors = {
-    "fixed",    "sysscale",     "memscale", "memscale-r",
-    "coscale",  "coscale-r",    "ondemand", "conservative",
-    "adaptive", "latency-budget", "userspace", "collect",
-};
-
-/**
- * Run @p spec under governor @p name. userspace gets an
- * at=<ms>@<index> schedule, so a restore that lost its evaluation
- * clock would request the wrong operating point.
- */
-void
-useGovernor(exp::ExperimentSpec &spec, const std::string &name)
-{
-    spec.governor = name;
-    spec.governorParams.clear();
-    if (name == "userspace")
-        spec.governorParams = {{"at", "10@2"}, {"at", "20@0"}};
-}
-
-/**
- * A randomized fast cell: workload, governor, scenario, seed, and
- * measurement window all drawn from @p rng. Kept short (tens of
- * simulated milliseconds) so the stress battery stays cheap.
- */
-exp::ExperimentSpec
-randomSpec(std::mt19937_64 &rng)
-{
-    exp::ExperimentSpec spec;
-
-    const int w = static_cast<int>(rng() % 4);
-    switch (w) {
-      case 0: spec.workload = workloads::streamMicro(); break;
-      case 1: spec.workload = workloads::spinMicro(); break;
-      case 2: spec.workload = workloads::pointerChaseMicro(); break;
-      default: spec.workload = workloads::webBrowsing(); break;
-    }
-
-    useGovernor(spec, kGovernors[rng() % kGovernors.size()]);
-
-    // Scenario actions are compressed into the short run so the
-    // checkpoint can land before, between, or after them.
-    if (rng() % 2 == 0) {
-        workloads::Scenario s;
-        s.actions.push_back(
-            {4 * kTicksPerMs, workloads::ScenarioActionKind::SetTdp,
-             3.5});
-        s.actions.push_back(
-            {18 * kTicksPerMs, workloads::ScenarioActionKind::SetTdp,
-             4.5});
-        if (rng() % 2 == 0) {
-            s.actions.push_back(
-                {9 * kTicksPerMs,
-                 workloads::ScenarioActionKind::CameraOn, 0.0});
-            std::sort(s.actions.begin(), s.actions.end(),
-                      [](const workloads::ScenarioAction &a,
-                         const workloads::ScenarioAction &b) {
-                          return a.at < b.at;
-                      });
-        }
-        spec.scenario = s;
-    }
-
-    spec.seed = 1 + rng() % 97;
-    spec.warmup = (2 + rng() % 6) * kTicksPerMs;
-    spec.window = (20 + rng() % 20) * kTicksPerMs;
-    // Several evaluations per run, so cuts land between evaluations
-    // of the governor state a restore must carry.
-    spec.soc.evaluationInterval = 5 * kTicksPerMs;
-    spec.id = "snap-diff";
-    return spec;
-}
+using test::bits;
+using test::expectSameResult;
+using test::randomSpec;
+using test::SkipAheadGuard;
+using test::TempDir;
 
 /** Snapshot path helper. */
 std::string
@@ -394,155 +198,6 @@ TEST(SnapshotFile, TmpRenameRoundTrip)
                  SnapshotError);
 }
 
-TEST(SnapshotDifferential, SaveRestoreMatchesRunThrough)
-{
-    // Skip-ahead off: a slice cut inside a replay batch re-frames
-    // the batched "replay" trace spans (docs/OBSERVABILITY.md), so
-    // whole-file trace identity is pinned on the plain stepping
-    // path. Metrics/stats identity under skip-ahead has its own
-    // trial below and in test_skip_ahead.cc.
-    const SkipAheadGuard guard(false);
-
-    // One trial per governor.
-    const std::size_t trials = kGovernors.size() * stressIters();
-    std::mt19937_64 rng(0xc0ffee);
-    for (std::size_t trial = 0; trial < trials; ++trial) {
-        exp::ExperimentSpec spec = randomSpec(rng);
-        useGovernor(spec, kGovernors[trial % kGovernors.size()]);
-        const Tick total = spec.warmup + spec.window;
-        const Tick k = 1 + rng() % (total - 1);
-        const std::string what =
-            "trial " + std::to_string(trial) + " gov " +
-            spec.governor + " k=" + std::to_string(k);
-
-        const TempDir through("through-" + std::to_string(trial));
-        const TempDir sliced("sliced-" + std::to_string(trial));
-
-        exp::RunCellOptions copts;
-        copts.traceDir = through.path();
-        const exp::RunResult a = exp::runCell(spec, copts);
-        ASSERT_TRUE(a.ok) << what << ": " << a.error;
-
-        const std::string snap = snapPath(sliced.path(), "k");
-        exp::SliceOptions first;
-        first.t1 = k;
-        first.outSnap = snap;
-        first.traceDir = sliced.path();
-        const exp::RunResult mid = exp::runCellSlice(spec, first);
-        ASSERT_TRUE(mid.ok) << what << ": " << mid.error;
-        EXPECT_TRUE(mid.statsDump.empty()) << what;
-
-        exp::SliceOptions second;
-        second.t0 = k;
-        second.inSnap = snap;
-        second.traceDir = sliced.path();
-        const exp::RunResult b = exp::runCellSlice(spec, second);
-        ASSERT_TRUE(b.ok) << what << ": " << b.error;
-
-        expectSameMetrics(a.metrics, b.metrics, what);
-        expectSameCounters(a.counters, b.counters, what);
-        EXPECT_EQ(a.statsDump, b.statsDump) << what;
-        EXPECT_EQ(readFile(traceFileFor(spec, through.path())),
-                  readFile(traceFileFor(spec, sliced.path())))
-            << what;
-    }
-}
-
-TEST(SnapshotDifferential, MultiSliceChainMatchesRunThrough)
-{
-    const SkipAheadGuard guard(false);
-
-    const std::size_t trials = 2 * stressIters();
-    std::mt19937_64 rng(0xfeedface);
-    for (std::size_t trial = 0; trial < trials; ++trial) {
-        const exp::ExperimentSpec spec = randomSpec(rng);
-        const Tick total = spec.warmup + spec.window;
-        const std::string what = "trial " + std::to_string(trial) +
-                                 " gov " + spec.governor;
-
-        // 2-4 random interior cuts, deduplicated and sorted.
-        std::vector<Tick> cuts;
-        const std::size_t n = 2 + rng() % 3;
-        for (std::size_t i = 0; i < n; ++i)
-            cuts.push_back(1 + rng() % (total - 1));
-        std::sort(cuts.begin(), cuts.end());
-        cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-        cuts.push_back(total);
-
-        const TempDir through("mthrough-" + std::to_string(trial));
-        const TempDir sliced("msliced-" + std::to_string(trial));
-
-        exp::RunCellOptions copts;
-        copts.traceDir = through.path();
-        const exp::RunResult a = exp::runCell(spec, copts);
-        ASSERT_TRUE(a.ok) << what << ": " << a.error;
-
-        exp::RunResult b;
-        Tick t0 = 0;
-        std::string in;
-        for (std::size_t i = 0; i < cuts.size(); ++i) {
-            exp::SliceOptions sopts;
-            sopts.t0 = t0;
-            sopts.t1 = cuts[i];
-            sopts.inSnap = in;
-            sopts.outSnap =
-                snapPath(sliced.path(), "c" + std::to_string(i));
-            sopts.traceDir = sliced.path();
-            b = exp::runCellSlice(spec, sopts);
-            ASSERT_TRUE(b.ok)
-                << what << " slice " << i << ": " << b.error;
-            t0 = cuts[i];
-            in = sopts.outSnap;
-        }
-
-        expectSameMetrics(a.metrics, b.metrics, what);
-        expectSameCounters(a.counters, b.counters, what);
-        EXPECT_EQ(a.statsDump, b.statsDump) << what;
-        EXPECT_EQ(readFile(traceFileFor(spec, through.path())),
-                  readFile(traceFileFor(spec, sliced.path())))
-            << what;
-    }
-}
-
-TEST(SnapshotDifferential, SkipAheadOnMetricsAndStatsMatch)
-{
-    // With skip-ahead on, a cut can land inside a replay batch; the
-    // trace's "replay" spans re-frame around the cut but everything
-    // observable — metrics, counters, the whole stats hierarchy —
-    // must still match byte for byte.
-    const SkipAheadGuard guard(true);
-
-    const std::size_t trials = 2 * stressIters();
-    std::mt19937_64 rng(0xabad1dea);
-    for (std::size_t trial = 0; trial < trials; ++trial) {
-        const exp::ExperimentSpec spec = randomSpec(rng);
-        const Tick total = spec.warmup + spec.window;
-        const Tick k = 1 + rng() % (total - 1);
-        const std::string what =
-            "trial " + std::to_string(trial) + " gov " +
-            spec.governor + " k=" + std::to_string(k);
-
-        const exp::RunResult a = exp::runCell(spec);
-        ASSERT_TRUE(a.ok) << what << ": " << a.error;
-
-        const TempDir dir("skip-" + std::to_string(trial));
-        const std::string snap = snapPath(dir.path(), "k");
-        exp::SliceOptions first;
-        first.t1 = k;
-        first.outSnap = snap;
-        ASSERT_TRUE(exp::runCellSlice(spec, first).ok) << what;
-        exp::SliceOptions second;
-        second.t0 = k;
-        second.inSnap = snap;
-        const exp::RunResult b = exp::runCellSlice(spec, second);
-        ASSERT_TRUE(b.ok) << what << ": " << b.error;
-
-        expectSameMetrics(a.metrics, b.metrics, what);
-        expectSameCounters(a.counters, b.counters, what);
-        EXPECT_EQ(a.statsDump, b.statsDump) << what;
-    }
-}
-
 TEST(SnapshotFuzz, CorruptInputsDegradeToFreshSimulation)
 {
     const SkipAheadGuard guard(false);
@@ -610,8 +265,7 @@ TEST(SnapshotFuzz, CorruptInputsDegradeToFreshSimulation)
         sopts.inSnap = bad;
         const exp::RunResult res = exp::runCellSlice(spec, sopts);
         ASSERT_TRUE(res.ok) << c.first << ": " << res.error;
-        expectSameMetrics(reference.metrics, res.metrics, c.first);
-        EXPECT_EQ(reference.statsDump, res.statsDump) << c.first;
+        expectSameResult(reference, res, c.first);
     }
 
     // A missing file degrades the same way.
@@ -620,8 +274,7 @@ TEST(SnapshotFuzz, CorruptInputsDegradeToFreshSimulation)
     sopts.inSnap = dir.path() + "/never-written.snap";
     const exp::RunResult res = exp::runCellSlice(spec, sopts);
     ASSERT_TRUE(res.ok) << res.error;
-    expectSameMetrics(reference.metrics, res.metrics, "missing file");
-    EXPECT_EQ(reference.statsDump, res.statsDump) << "missing file";
+    expectSameResult(reference, res, "missing file");
 }
 
 TEST(SnapshotSlice, TracedSnapshotRestoresIntoUntracedCell)
@@ -649,9 +302,7 @@ TEST(SnapshotSlice, TracedSnapshotRestoresIntoUntracedCell)
     second.inSnap = traced;
     const exp::RunResult untraced = exp::runCellSlice(spec, second);
     ASSERT_TRUE(untraced.ok) << untraced.error;
-    expectSameMetrics(reference.metrics, untraced.metrics,
-                      "traced->untraced");
-    EXPECT_EQ(reference.statsDump, untraced.statsDump);
+    expectSameResult(reference, untraced, "traced->untraced");
 
     // Save untraced, restore traced: no "obs" section to load; the
     // continuation still simulates identically (its trace only has
@@ -668,9 +319,7 @@ TEST(SnapshotSlice, TracedSnapshotRestoresIntoUntracedCell)
     const exp::RunResult traced_run =
         exp::runCellSlice(spec, fourth);
     ASSERT_TRUE(traced_run.ok) << traced_run.error;
-    expectSameMetrics(reference.metrics, traced_run.metrics,
-                      "untraced->traced");
-    EXPECT_EQ(reference.statsDump, traced_run.statsDump);
+    expectSameResult(reference, traced_run, "untraced->traced");
 }
 
 TEST(SnapshotSlice, SliceArgumentValidation)

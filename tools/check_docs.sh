@@ -18,10 +18,9 @@
 #   6. every check registered in tools/lint_invariants.py (the
 #      @check("name", ...) registry) is documented in
 #      docs/ANALYSIS.md,
-#   7. the idle skip-ahead opt-outs (the --no-skip-ahead flag and the
-#      SYSSCALE_NO_SKIP_AHEAD environment variable) are documented in
-#      docs/EXPERIMENTS.md — the byte-identity escape hatch must stay
-#      discoverable,
+#   7. the idle skip-ahead opt-out (the --no-skip-ahead flag) is
+#      documented in docs/EXPERIMENTS.md — the byte-identity escape
+#      hatch must stay discoverable,
 #   8. every governor registered in src/core/governor_registry.cc
 #      (the `addEntry(reg, "<name>"` idiom) is documented in
 #      docs/EXPERIMENTS.md's governor-zoo table,
@@ -222,14 +221,12 @@ for macro in TRACE_SPAN TRACE_INSTANT TRACE_COUNTER; do
     fi
 done
 
-# --- 7. skip-ahead opt-outs are documented --------------------------
-for knob in --no-skip-ahead SYSSCALE_NO_SKIP_AHEAD; do
-    if ! grep -qF -- "$knob" docs/EXPERIMENTS.md; then
-        echo "check_docs: docs/EXPERIMENTS.md does not document the" \
-             "skip-ahead opt-out '$knob'"
-        errors=$((errors + 1))
-    fi
-done
+# --- 7. the skip-ahead opt-out is documented -----------------------
+if ! grep -qF -- --no-skip-ahead docs/EXPERIMENTS.md; then
+    echo "check_docs: docs/EXPERIMENTS.md does not document the" \
+         "skip-ahead opt-out '--no-skip-ahead'"
+    errors=$((errors + 1))
+fi
 
 if [ "$errors" -ne 0 ]; then
     echo "check_docs: $errors problem(s) found"

@@ -203,7 +203,7 @@ usage()
         "  --no-skip-ahead    disable the constant-step replay fast\n"
         "                     path (outputs are byte-identical either\n"
         "                     way; this trades speed for a slow-path\n"
-        "                     cross-check, like SYSSCALE_NO_SKIP_AHEAD)\n"
+        "                     cross-check)\n"
         "  --cache-stats      report hit/miss/store counts\n"
         "  --quiet            no per-cell progress\n"
         "  --list             list governors and workloads\n");
@@ -619,7 +619,7 @@ main(int argc, char **argv)
         exp::RunnerOptions opts;
         opts.jobs = jobs;
         opts.cache = cache.get();
-        opts.cell.traceDir = trace_dir;
+        opts.traceDir = trace_dir;
         if (!quiet) {
             opts.onResult = [](const exp::RunResult &res,
                                std::size_t done, std::size_t total) {
