@@ -16,12 +16,15 @@
 #include <sstream>
 #include <string>
 
+#include "core/governor.hh"
+#include "core/governor_registry.hh"
 #include "exp/experiment.hh"
 #include "exp/report.hh"
 #include "exp/spec_codec.hh"
 #include "obs/trace.hh"
 #include "soc/soc.hh"
 #include "tests/test_util.hh"
+#include "workloads/battery.hh"
 #include "workloads/micro.hh"
 #include "workloads/scenario.hh"
 #include "workloads/spec.hh"
@@ -65,6 +68,64 @@ stripCategory(const std::string &text, const std::string &cat)
             out += line + "\n";
     }
     return out;
+}
+
+/** Lines of @p text carrying the given trace category. */
+std::size_t
+countCategory(const std::string &text, const std::string &cat)
+{
+    const std::string needle = "\"cat\":\"" + cat + "\"";
+    std::istringstream is(text);
+    std::size_t n = 0;
+    std::string line;
+    while (std::getline(is, line))
+        n += line.find(needle) != std::string::npos;
+    return n;
+}
+
+/** @p text with the metadata's drop count blanked out. */
+std::string
+withoutDropCount(std::string text)
+{
+    const std::string key = "\"dropped\":\"";
+    const auto pos = text.find(key);
+    if (pos != std::string::npos) {
+        const auto begin = pos + key.size();
+        text.erase(begin, text.find('"', begin) - begin);
+    }
+    return text;
+}
+
+/** What a bounded sink kept and dropped of one traced cell. */
+struct BoundedTrace
+{
+    std::string json;
+    std::size_t dropped = 0;
+};
+
+/**
+ * A Fig. 9 video-playback cell under the sysscale governor, traced
+ * for 100 ms into a sink holding at most @p capacity events.
+ */
+BoundedTrace
+traceVideoPlayback(std::size_t capacity, bool skip_ahead)
+{
+    obs::TraceSink sink(capacity);
+    Simulator sim;
+    sim.setTraceSink(&sink);
+    soc::Soc chip(sim, soc::skylakeConfig());
+    chip.setSkipAhead(skip_ahead);
+    chip.display().attachPanel(0, io::PanelConfig{});
+    workloads::ProfileAgent agent(workloads::videoPlayback());
+    chip.setWorkload(&agent);
+    const std::unique_ptr<core::Governor> gov =
+        core::makeGovernor("sysscale", {});
+    chip.pmu().setGovernor(gov.get());
+    chip.run(100 * kTicksPerMs);
+
+    std::ostringstream os;
+    sink.writeJson(os);
+    return {os.str(), sink.dropped()};
 }
 
 /** Host-timing-free CSV row, for result-identity comparisons. */
@@ -215,6 +276,31 @@ TEST(TraceDeterminism, SkipAheadDiffersOnlyInReplayCategory)
               std::string::npos);
     EXPECT_EQ(stripCategory(fast_text, "replay"),
               stripCategory(slow_text, "replay"));
+}
+
+TEST(TraceDeterminism, FullBufferDropsMatchAcrossSkipAhead)
+{
+    // Once the buffer is full, every per-step rail-power counter
+    // whose value the trace never recorded is dropped again: a
+    // dropped sample leaves the change filter as it was. Replayed
+    // steps must count those drops exactly as slow steps do. The
+    // buffer fills on the cell's third step, before the first replay
+    // batch, so both runs keep the same events.
+    constexpr std::size_t kCapacity = 16;
+    const BoundedTrace fast = traceVideoPlayback(kCapacity, true);
+    const BoundedTrace slow = traceVideoPlayback(kCapacity, false);
+    const BoundedTrace whole =
+        traceVideoPlayback(obs::TraceSink::kDefaultCapacity, true);
+    ASSERT_EQ(whole.dropped, 0u);
+
+    // The fast run also drops every replay span.
+    const std::size_t replay_spans = countCategory(whole.json, "replay");
+    ASSERT_GT(replay_spans, 0u);
+    ASSERT_EQ(countCategory(fast.json, "replay"), 0u);
+    ASSERT_GT(slow.dropped, 1000u);
+    EXPECT_EQ(fast.dropped - replay_spans, slow.dropped);
+    EXPECT_EQ(withoutDropCount(stripCategory(fast.json, "replay")),
+              withoutDropCount(stripCategory(slow.json, "replay")));
 }
 
 TEST(TraceDeterminism, ReplayBatchesAreSingleSpansWithStepCounts)
