@@ -209,6 +209,40 @@ BM_Fig9IdleRun(benchmark::State &state)
 BENCHMARK(BM_Fig9IdleRun)->Arg(0)->Arg(1);
 
 /**
+ * One replay batch of the BM_Fig9IdleRun cell per iteration, the
+ * benchmark arg steps long. The PMU evaluation is pushed past the
+ * run, so the run limit is the only thing that ends a batch (the
+ * counter samples still fall every 10 steps), and a 1 s warm-up
+ * settles the EWMAs at their fixed point. A batch costs
+ * O(accumulators), not O(steps): the time per iteration should barely
+ * grow from 16 to 1024 steps.
+ */
+void
+BM_ReplayBatch(benchmark::State &state)
+{
+    soc::SocConfig cfg = soc::skylakeConfig();
+    cfg.evaluationInterval = 1000 * kTicksPerSec;
+    Simulator sim;
+    soc::Soc chip(sim, cfg);
+    chip.display().attachPanel(0, io::PanelConfig{});
+    workloads::ProfileAgent agent(workloads::videoPlayback());
+    chip.setWorkload(&agent);
+    chip.setSkipAhead(true);
+    chip.run(kTicksPerSec);
+    const Tick span =
+        static_cast<Tick>(state.range(0)) * cfg.stepInterval;
+    const std::uint64_t replayed = chip.replayedStepCount();
+    for (auto _ : state)
+        chip.run(span);
+    if (chip.replayedStepCount() - replayed !=
+        state.iterations() * static_cast<std::uint64_t>(state.range(0)))
+        state.SkipWithError("a step left the replay path");
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            state.range(0));
+}
+BENCHMARK(BM_ReplayBatch)->Arg(16)->Arg(128)->Arg(1024);
+
+/**
  * Cost of one governor evaluation interval through the
  * policy/driver stack: decide() -> driver request (running the
  * transition flow when the point moves) -> budget refresh. The

@@ -137,7 +137,15 @@ class CpuCluster : public SimObject
      * Count @p res: instructions and stall cycles. Committing one
      * evaluation N times equals N retire() calls on its inputs.
      */
-    void commitRetire(const CoreResult &res);
+    void commitRetire(const CoreResult &res) { commitRetire(&res, 1, 1); }
+
+    /**
+     * Count @p n steps that each retire @p threads results, in
+     * order: bit-identical to n rounds of commitRetire(res[i]) for
+     * every i < threads.
+     */
+    void commitRetire(const CoreResult *res, std::size_t threads,
+                      std::uint64_t n);
 
     /**
      * Cluster power with @p active_threads running at @p activity.
@@ -178,10 +186,15 @@ class CpuCluster : public SimObject
 };
 
 inline void
-CpuCluster::commitRetire(const CoreResult &res)
+CpuCluster::commitRetire(const CoreResult *res, std::size_t threads,
+                         std::uint64_t n)
 {
-    instructions_ += res.instructions;
-    stallCycles_ += res.stallCycles;
+    instructions_.add(threads, n, [res](std::size_t i) {
+        return res[i].instructions;
+    });
+    stallCycles_.add(threads, n, [res](std::size_t i) {
+        return res[i].stallCycles;
+    });
 }
 
 } // namespace compute

@@ -96,11 +96,11 @@ class GfxEngine : public SimObject
                              Tick interval) const;
 
     /**
-     * Count @p res (of non-idle work): frames and the frame-rate
-     * average. Committing one evaluation N times equals N render()
-     * calls on its inputs.
+     * Count @p n renders of @p res (of non-idle work): frames and the
+     * frame-rate average. Committing one evaluation over N renders
+     * equals N render() calls on its inputs.
      */
-    void commitRender(const GfxResult &res);
+    void commitRender(const GfxResult &res, std::uint64_t n = 1);
 
     /** Engine power while rendering @p work (leakage when idle). */
     Watt power(const GfxWork &work) const;
@@ -133,10 +133,10 @@ class GfxEngine : public SimObject
 };
 
 inline void
-GfxEngine::commitRender(const GfxResult &res)
+GfxEngine::commitRender(const GfxResult &res, std::uint64_t n)
 {
-    frames_ += res.frames;
-    fpsAvg_.sample(res.fps);
+    frames_.add(res.frames, n);
+    fpsAvg_.sample(res.fps, 1.0, n);
 }
 
 } // namespace compute

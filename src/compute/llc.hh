@@ -40,16 +40,18 @@ class Llc : public SimObject
     double missScale(std::size_t reference_bytes) const;
 
     /**
-     * Record one interval of LLC activity (feeds the counters).
+     * Record @p n like intervals of LLC activity (feeds the
+     * counters), bit-identical to n single records.
      *
-     * @param cpu_misses CPU-side misses this interval.
-     * @param gfx_misses Graphics-side misses this interval.
+     * @param cpu_misses CPU-side misses per interval.
+     * @param gfx_misses Graphics-side misses per interval.
      * @param stall_cycles Core cycles stalled on LLC misses.
      * @param pending_occupancy Average requests waiting on the MC.
+     * @param n Intervals recorded.
      */
     void recordInterval(double cpu_misses, double gfx_misses,
                         double stall_cycles,
-                        double pending_occupancy);
+                        double pending_occupancy, std::uint64_t n = 1);
 
     /** @name Last-interval observables (counter sources). @{ */
     double lastGfxMisses() const { return lastGfxMisses_; }
@@ -98,15 +100,16 @@ class Llc : public SimObject
 
 inline void
 Llc::recordInterval(double cpu_misses, double gfx_misses,
-                    double stall_cycles, double pending_occupancy)
+                    double stall_cycles, double pending_occupancy,
+                    std::uint64_t n)
 {
     lastGfxMisses_ = gfx_misses;
     lastStallCycles_ = stall_cycles;
     lastOccupancy_ = pending_occupancy;
 
-    cpuMisses_ += cpu_misses;
-    gfxMisses_ += gfx_misses;
-    stallCycles_ += stall_cycles;
+    cpuMisses_.add(cpu_misses, n);
+    gfxMisses_.add(gfx_misses, n);
+    stallCycles_.add(stall_cycles, n);
 }
 
 } // namespace compute

@@ -80,11 +80,12 @@ class DramDevice : public SimObject
                                    double termination_factor) const;
 
     /**
-     * Account an interval of serviced traffic: the bytes, and the
-     * energy of @p power (activePower().total()) over @p interval.
+     * Account @p n like intervals of serviced traffic: the bytes, and
+     * the energy of @p power (activePower().total()) over each
+     * @p interval.
      */
     void commitTraffic(double read_bytes, double write_bytes,
-                       Watt power, Tick interval);
+                       Watt power, Tick interval, std::uint64_t n = 1);
 
     /** Average power while parked in self-refresh. */
     Watt selfRefreshPower() const
@@ -128,13 +129,13 @@ DramDevice::activePower(double read_bytes, double write_bytes,
 
 inline void
 DramDevice::commitTraffic(double read_bytes, double write_bytes,
-                          Watt power, Tick interval)
+                          Watt power, Tick interval, std::uint64_t n)
 {
     SYSSCALE_ASSERT(mode_ == DramMode::Active,
                     "traffic while in self-refresh");
-    readBytes_ += read_bytes;
-    writeBytes_ += write_bytes;
-    energyJ_ += power * secondsFromTicks(interval);
+    readBytes_.add(read_bytes, n);
+    writeBytes_.add(write_bytes, n);
+    energyJ_.add(power * secondsFromTicks(interval), n);
 }
 
 } // namespace dram

@@ -114,11 +114,13 @@ class IoFabric : public SimObject
     FabricResult evaluate(const FabricDemand &demand) const;
 
     /**
-     * Account one @p interval served with @p res: utilization,
-     * transferred bytes and the QoS violation count. Committing one
-     * evaluation N times equals N service() calls on its demand.
+     * Account @p n intervals of @p interval each served with @p res:
+     * utilization, transferred bytes and the QoS violation count.
+     * Committing one evaluation over N intervals equals N service()
+     * calls on its demand.
      */
-    void commit(const FabricResult &res, Tick interval);
+    void commit(const FabricResult &res, Tick interval,
+                std::uint64_t n = 1);
 
     /** Unloaded transit latency at the current clock. */
     double baseLatencyNs() const;
@@ -181,16 +183,16 @@ class IoFabric : public SimObject
 };
 
 inline void
-IoFabric::commit(const FabricResult &res, Tick interval)
+IoFabric::commit(const FabricResult &res, Tick interval, std::uint64_t n)
 {
     SYSSCALE_ASSERT(interval > 0, "zero-length fabric interval");
     if (res.qosViolation)
-        ++qosViolations_;
+        qosViolations_ += static_cast<double>(n);
     lastUtilization_ = res.utilization;
-    transferredBytes_ +=
-        (res.achievedIso + res.achievedBestEffort) *
-        secondsFromTicks(interval);
-    utilizationAvg_.sample(res.utilization);
+    transferredBytes_.add((res.achievedIso + res.achievedBestEffort) *
+                              secondsFromTicks(interval),
+                          n);
+    utilizationAvg_.sample(res.utilization, 1.0, n);
 }
 
 } // namespace interconnect

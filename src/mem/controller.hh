@@ -161,11 +161,12 @@ class MemoryController : public SimObject
                               Tick interval) const;
 
     /**
-     * Account one serviced interval: QoS, DRAM traffic and energy,
-     * serviced bytes, utilization and latency. Committing one
-     * evaluation N times equals N service() calls on its demand.
+     * Account @p n serviced intervals alike: QoS, DRAM traffic and
+     * energy, serviced bytes, utilization and latency. Committing one
+     * evaluation over N intervals equals N service() calls on its
+     * demand.
      */
-    void commit(const MemServiceCommit &c);
+    void commit(const MemServiceCommit &c, std::uint64_t n = 1);
 
     /** Sustainable interface bandwidth at the current registers. */
     BytesPerSec capacity() const { return capacity_; }
@@ -276,19 +277,20 @@ class MemoryController : public SimObject
 };
 
 inline void
-MemoryController::commit(const MemServiceCommit &c)
+MemoryController::commit(const MemServiceCommit &c, std::uint64_t n)
 {
     const MemServiceResult &res = c.result;
     if (res.qosViolation)
-        ++qosViolations_;
+        qosViolations_ += static_cast<double>(n);
     device_.commitTraffic(c.readBytes, c.writeBytes, c.dramPower,
-                          c.interval);
+                          c.interval, n);
     lastDramPower_ = c.dramPower;
 
     lastUtilization_ = res.utilization;
-    servicedBytes_ += res.achievedTotal() * secondsFromTicks(c.interval);
-    utilizationAvg_.sample(res.utilization);
-    latencyAvg_.sample(res.loadedLatencyNs);
+    servicedBytes_.add(res.achievedTotal() * secondsFromTicks(c.interval),
+                       n);
+    utilizationAvg_.sample(res.utilization, 1.0, n);
+    latencyAvg_.sample(res.loadedLatencyNs, 1.0, n);
 }
 
 } // namespace mem

@@ -166,7 +166,7 @@ TraceSink::instant(const char *cat, const std::string &name, Tick ts,
 
 void
 TraceSink::counter(const char *cat, const std::string &name, Tick ts,
-                   double value)
+                   double value, std::uint64_t repeats)
 {
     const std::string series = std::string(cat) + "/" + name;
     const auto it = lastCounter_.find(series);
@@ -181,6 +181,8 @@ TraceSink::counter(const char *cat, const std::string &name, Tick ts,
     ev.value = value;
     if (push(std::move(ev)))
         lastCounter_[series] = value;
+    else
+        dropped_ += repeats - 1;
 }
 
 void

@@ -121,9 +121,13 @@ class TraceSink
      * steady signal emit nothing — which is also what makes traces
      * byte-identical across skip-ahead on/off (replayed steps are
      * fingerprint-identical, so their counters never change).
+     * @p repeats reports the same sample that many times, as a replay
+     * batch does once per step: after the first, each is filtered,
+     * or, when the full buffer dropped the first (leaving the filter
+     * as it was), dropped as well.
      */
     void counter(const char *cat, const std::string &name, Tick ts,
-                 double value);
+                 double value, std::uint64_t repeats = 1);
 
     std::size_t size() const { return events_.size(); }
     std::size_t dropped() const { return dropped_; }

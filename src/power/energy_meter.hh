@@ -14,6 +14,7 @@
 #include <string>
 
 #include "power/dvfs_types.hh"
+#include "sim/exact_sum.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -32,7 +33,14 @@ class EnergyMeter
     void addPower(Rail rail, Watt watts, Tick duration);
 
     /** Charge a raw energy amount on @p rail. */
-    void addEnergy(Rail rail, Joule joules);
+    void addEnergy(Rail rail, Joule joules) { addEnergy(rail, &joules, 1, 1); }
+
+    /**
+     * Charge @p n rounds of the @p m amounts @p joules on @p rail,
+     * bit-identical to that loop of single charges.
+     */
+    void addEnergy(Rail rail, const Joule *joules, std::size_t m,
+                   std::uint64_t n);
 
     /** Total energy on one rail since reset. */
     Joule railEnergy(Rail rail) const;
@@ -55,11 +63,14 @@ class EnergyMeter
 };
 
 inline void
-EnergyMeter::addEnergy(Rail rail, Joule joules)
+EnergyMeter::addEnergy(Rail rail, const Joule *joules, std::size_t m,
+                       std::uint64_t n)
 {
-    SYSSCALE_ASSERT(joules >= 0.0, "negative energy on rail %s",
-                    std::string(railName(rail)).c_str());
-    energy_[railIndex(rail)] += joules;
+    for (std::size_t i = 0; i < m; ++i) {
+        SYSSCALE_ASSERT(joules[i] >= 0.0, "negative energy on rail %s",
+                        std::string(railName(rail)).c_str());
+    }
+    addRepeated(energy_[railIndex(rail)], joules, m, n);
 }
 
 } // namespace power

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/exact_sum.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -66,6 +67,20 @@ class Scalar : public StatBase
 
     Scalar &operator+=(double v) { value_ += v; return *this; }
     Scalar &operator++() { value_ += 1.0; return *this; }
+
+    /** Add @p v @p n times, bit-identical to n `+= v`. */
+    void add(double v, std::uint64_t n) { addRepeated(value_, v, n); }
+
+    /**
+     * Add n rounds of addend(0) .. addend(m - 1), bit-identical to
+     * that loop of `+=` (see addRepeated()).
+     */
+    template <class Addend>
+    void
+    add(std::size_t m, std::uint64_t n, const Addend &addend)
+    {
+        addRepeated(value_, m, n, addend);
+    }
     void set(double v) { value_ = v; }
 
     double value() const { return value_; }
@@ -85,7 +100,8 @@ class Average : public StatBase
   public:
     using StatBase::StatBase;
 
-    void sample(double v, double weight = 1.0);
+    /** Take @p n samples of @p v, bit-identical to n sample() calls. */
+    void sample(double v, double weight = 1.0, std::uint64_t n = 1);
 
     double mean() const;
     double min() const { return count_ ? min_ : 0.0; }
@@ -106,14 +122,16 @@ class Average : public StatBase
 };
 
 inline void
-Average::sample(double v, double weight)
+Average::sample(double v, double weight, std::uint64_t n)
 {
     SYSSCALE_ASSERT(weight >= 0.0, "negative sample weight");
-    sum_ += v * weight;
-    weight_ += weight;
+    addRepeated(sum_, v * weight, n);
+    addRepeated(weight_, weight, n);
+    if (n == 0)
+        return;
     min_ = std::min(min_, v);
     max_ = std::max(max_, v);
-    ++count_;
+    count_ += n;
 }
 
 /**

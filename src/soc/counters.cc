@@ -13,35 +13,32 @@ PerfCounterBlock::PerfCounterBlock(Simulator &sim, SimObject *parent)
 }
 
 void
-PerfCounterBlock::sample()
+PerfCounterBlock::sample(std::uint64_t periods)
 {
-    if (pendingTicks_ == 0) {
-        // An idle sample period contributes zeros (the SoC slept).
-        for (std::size_t i = 0; i < kNumCounters; ++i)
-            windowSum_[i] += 0.0;
-        ++windowCount_;
-        ++samples_;
-        return;
+    // An idle sample period contributes zeros (the SoC slept).
+    std::array<double, kNumCounters> folded{};
+    if (pendingTicks_ != 0) {
+        const double ms = msFromTicks(pendingTicks_);
+        const double w = static_cast<double>(pendingTicks_);
+
+        // Counts normalize to events/ms; occupancies to time-weighted
+        // averages over the sample period.
+        folded[counterIndex(Counter::GfxLlcMisses)] =
+            pending_[counterIndex(Counter::GfxLlcMisses)] / ms;
+        folded[counterIndex(Counter::LlcOccupancyTracer)] =
+            pending_[counterIndex(Counter::LlcOccupancyTracer)] / w;
+        folded[counterIndex(Counter::LlcStalls)] =
+            pending_[counterIndex(Counter::LlcStalls)] / ms;
+        folded[counterIndex(Counter::IoRpq)] =
+            pending_[counterIndex(Counter::IoRpq)] / w;
     }
-
-    const double ms = msFromTicks(pendingTicks_);
-    const double w = static_cast<double>(pendingTicks_);
-
-    // Counts normalize to events/ms; occupancies to time-weighted
-    // averages over the sample period.
-    windowSum_[counterIndex(Counter::GfxLlcMisses)] +=
-        pending_[counterIndex(Counter::GfxLlcMisses)] / ms;
-    windowSum_[counterIndex(Counter::LlcOccupancyTracer)] +=
-        pending_[counterIndex(Counter::LlcOccupancyTracer)] / w;
-    windowSum_[counterIndex(Counter::LlcStalls)] +=
-        pending_[counterIndex(Counter::LlcStalls)] / ms;
-    windowSum_[counterIndex(Counter::IoRpq)] +=
-        pending_[counterIndex(Counter::IoRpq)] / w;
+    for (std::size_t i = 0; i < kNumCounters; ++i)
+        addRepeated(windowSum_[i], folded[i], periods);
 
     pending_.fill(0.0);
     pendingTicks_ = 0;
-    ++windowCount_;
-    ++samples_;
+    windowCount_ += periods;
+    samples_ += static_cast<double>(periods);
 }
 
 CounterSnapshot

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "sim/exact_sum.hh"
 #include "sim/logging.hh"
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
@@ -91,22 +92,28 @@ class PerfCounterBlock : public SimObject
     PerfCounterBlock(Simulator &sim, SimObject *parent);
 
     /**
-     * Accumulate one model step's raw observables.
+     * Accumulate @p n like model steps' raw observables,
+     * bit-identical to n single accumulations.
      *
-     * @param gfx_misses Graphics LLC misses this step.
+     * @param gfx_misses Graphics LLC misses per step.
      * @param cpu_occupancy Average CPU requests pending at the MC.
-     * @param stall_cycles Core cycles stalled on misses this step.
+     * @param stall_cycles Core cycles stalled on misses per step.
      * @param io_rpq Average IO reads pending in the fabric.
      * @param step Step length in ticks.
+     * @param n Steps accumulated.
      */
     void accumulate(double gfx_misses, double cpu_occupancy,
-                    double stall_cycles, double io_rpq, Tick step);
+                    double stall_cycles, double io_rpq, Tick step,
+                    std::uint64_t n = 1);
 
     /**
      * PMU 1ms sampling hook: fold the accumulation since the last
-     * sample into the evaluation window and clear it.
+     * sample into the evaluation window and clear it. With
+     * @p periods > 1 the accumulation is folded as that many
+     * identical sample periods: bit-identical to repeating, from
+     * empty counters, the same accumulation and a sample each time.
      */
-    void sample();
+    void sample(std::uint64_t periods = 1);
 
     /** Average of the samples collected in the current window. */
     CounterSnapshot windowAverage() const;
@@ -135,17 +142,19 @@ class PerfCounterBlock : public SimObject
 inline void
 PerfCounterBlock::accumulate(double gfx_misses, double cpu_occupancy,
                              double stall_cycles, double io_rpq,
-                             Tick step)
+                             Tick step, std::uint64_t n)
 {
     SYSSCALE_ASSERT(step > 0, "zero-length counter step");
 
     const double w = static_cast<double>(step);
-    pending_[counterIndex(Counter::GfxLlcMisses)] += gfx_misses;
-    pending_[counterIndex(Counter::LlcOccupancyTracer)] +=
-        cpu_occupancy * w;
-    pending_[counterIndex(Counter::LlcStalls)] += stall_cycles;
-    pending_[counterIndex(Counter::IoRpq)] += io_rpq * w;
-    pendingTicks_ += step;
+    addRepeated(pending_[counterIndex(Counter::GfxLlcMisses)],
+                gfx_misses, n);
+    addRepeated(pending_[counterIndex(Counter::LlcOccupancyTracer)],
+                cpu_occupancy * w, n);
+    addRepeated(pending_[counterIndex(Counter::LlcStalls)],
+                stall_cycles, n);
+    addRepeated(pending_[counterIndex(Counter::IoRpq)], io_rpq * w, n);
+    pendingTicks_ += step * n;
 }
 
 } // namespace soc

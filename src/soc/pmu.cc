@@ -100,10 +100,10 @@ Pmu::visitState(StateIO &io)
 }
 
 void
-Pmu::sample(Tick t)
+Pmu::sample(Tick t, std::uint64_t periods)
 {
-    counters_.sample();
-    ++samplesTaken_;
+    counters_.sample(periods);
+    samplesTaken_ += static_cast<double>(periods);
     nextSample_ = t + sampleInterval_;
 }
 

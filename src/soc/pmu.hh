@@ -13,11 +13,12 @@
  * through. With no governor installed the PMU still evaluates: it
  * averages its own counters over the run (runAverage()).
  *
- * Counter sampling is a phase of the Soc's step: the Soc calls
- * afterStep() at the end of every step, slow or replayed, and a step
- * that ends on a sample tick samples there. Sampling touches only the
- * PerfCounterBlock, which nothing else at that tick reads or writes,
- * so a replay batch runs straight across sample ticks.
+ * Counter sampling is a phase of the Soc's step: the Soc hands every
+ * step's counter observables, slow or replayed, to afterSteps(), and
+ * a step that ends on a sample tick samples there. Sampling touches
+ * only the PerfCounterBlock, which nothing else at that tick reads or
+ * writes, so a replay batch runs straight across sample ticks, and
+ * its full sample periods fold in one repeated add.
  *
  * Evaluation is the PMU's one event (`pmu.evaluate`, priority
  * kPrioStatsSample). It stays an event because a governor acts on the
@@ -82,20 +83,20 @@ class Pmu : public SimObject
     void startup() override;
 
     /**
-     * Step phase: take the counter sample due at @p t, the tick of
-     * a step (slow or replayed) that just committed. A sample tick
-     * that is also an evaluation tick is left to onEvaluate(). One
-     * compare on the common path: this runs for every replayed step.
+     * Step phase of @p n consecutive steps of @p interval, the first
+     * at @p first, each committing the same counter observables:
+     * @p accumulate(m) adds m steps of them to the counters. Takes
+     * every sample due at the steps' ticks, bit-identical to n single
+     * steps: the steps through the first sample tick, one full sample
+     * period folded into all of the full periods (each starts from
+     * empty counters), then the tail. A sample tick that is also an
+     * evaluation tick is left to onEvaluate(). One compare on a
+     * slow step's common path.
      */
-    void
-    afterStep(Tick t)
-    {
-        SYSSCALE_ASSERT(t <= nextSample_, "step skipped a PMU sample");
-        if (t == nextSample_ &&
-            !(evalEvent_.scheduled() && evalEvent_.when() == t)) {
-            sample(t);
-        }
-    }
+    template <class Accumulate>
+    [[gnu::always_inline]] void afterSteps(Tick first, Tick interval,
+                                           std::uint64_t n,
+                                           const Accumulate &accumulate);
 
     Tick sampleInterval() const { return sampleInterval_; }
     Tick evaluationInterval() const { return evalInterval_; }
@@ -130,8 +131,11 @@ class Pmu : public SimObject
     void visitState(StateIO &io) override;
 
   private:
-    /** Fold the counters into the window; arm the next sample. */
-    void sample(Tick t);
+    /**
+     * Fold the counters into the window as @p periods like sample
+     * periods, the last ending at @p t; arm the next sample.
+     */
+    void sample(Tick t, std::uint64_t periods = 1);
     void onEvaluate();
 
     Soc &soc_;
@@ -149,6 +153,36 @@ class Pmu : public SimObject
     stats::Scalar samplesTaken_;
     stats::Scalar evaluations_;
 };
+
+template <class Accumulate>
+inline void
+Pmu::afterSteps(Tick first, Tick interval, std::uint64_t n,
+                const Accumulate &accumulate)
+{
+    SYSSCALE_ASSERT(first <= nextSample_, "step skipped a PMU sample");
+    if (first + (n - 1) * interval < nextSample_) {
+        accumulate(n);
+        return;
+    }
+    const std::uint64_t head = (nextSample_ - first) / interval + 1;
+    SYSSCALE_ASSERT(first + (head - 1) * interval == nextSample_,
+                    "step grid misses a PMU sample tick");
+    accumulate(head);
+    if (evalEvent_.scheduled() && evalEvent_.when() == nextSample_) {
+        // A batch ends before the next pending event: nothing follows.
+        SYSSCALE_ASSERT(n == head, "steps ran past a PMU evaluation");
+        return;
+    }
+    sample(nextSample_);
+    n -= head;
+    const std::uint64_t per = sampleInterval_ / interval;
+    if (const std::uint64_t full = n / per) {
+        accumulate(per);
+        sample(nextSample_ + (full - 1) * sampleInterval_, full);
+    }
+    if (n % per != 0)
+        accumulate(n % per);
+}
 
 } // namespace soc
 } // namespace sysscale

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 
 #include "obs/trace.hh"
+#include "sim/exact_sum.hh"
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
 
@@ -18,6 +20,15 @@ constexpr std::size_t kProfileLlcBytes = 4ull * 1024 * 1024;
 
 /** Process-wide skip-ahead default for new Soc instances. */
 std::atomic<bool> g_skip_ahead_default{true};
+
+bool
+sameBits(double a, double b)
+{
+    std::uint64_t x, y;
+    std::memcpy(&x, &a, sizeof x);
+    std::memcpy(&y, &b, sizeof y);
+    return x == y;
+}
 
 } // namespace
 
@@ -254,56 +265,60 @@ void
 Soc::replaySteps(Tick interval)
 {
     const Tick batch_start = now();
-    std::uint64_t batch_steps = 1;
 
-    // Serve the step event that just fired from the cached plan. A
-    // restore leaves the commit record stale; the first replay after
-    // it re-derives the record from the restored plan.
+    // A restore leaves the commit record stale; the first replay
+    // after it re-derives the record from the restored plan.
     if (record_.stale)
         commitStep<CommitMode::Derive>(interval, 0, 0.0);
-    applyCommit(batch_start, interval);
-    pmu_->afterStep(batch_start);
 
-    // Idle skip-ahead: batch further grid steps while nothing can
-    // observe the difference — no event pending at or before the
-    // next virtual step, the workload's demand horizon not reached,
-    // the enclosing runUntil() window not overrun, and the replayed
-    // tail itself not drifting (the reactive throttle walk). A
-    // replay never moves the memory latency: the capture that did
-    // would have failed the fingerprint. Each virtual step applies
-    // the identical mutation sequence at the identical tick, counter
-    // sample included; the kernel just never round-trips an event
-    // per step. Nothing in the commit half or the sample reads now()
-    // or schedules events, so the clock moves once, to the batch's
-    // last step, and the pending horizon is stable across the batch.
-    Tick t = batch_start;
-    const Tick horizon = eventq().nextPendingTick();
+    // Idle skip-ahead: this step plus every grid step after it that
+    // nothing can observe apart — before the next pending event and
+    // the workload's demand horizon, within the enclosing runUntil()
+    // window. A replay never moves the memory latency: the capture
+    // that did would have failed the fingerprint. Nothing in the
+    // commit half or the counter samples reads now() or schedules
+    // events, so the pending horizon is stable across the batch and
+    // the clock moves once, to its last step.
+    const Tick horizon =
+        std::min(eventq().nextPendingTick(), plan_.demandValidUntil);
     const Tick limit = eventq().runLimit();
-    while (true) {
-        const Tick next = t + interval;
-        if (next >= horizon || next > limit ||
-            next >= plan_.demandValidUntil ||
-            throttle_ != plan_.throttle) {
-            break;
-        }
-        t = next;
-        ++batch_steps;
-        applyCommit(t, interval);
-        pmu_->afterStep(t);
+    std::uint64_t max_steps = 1;
+    if (horizon > batch_start && limit >= batch_start) {
+        max_steps += std::min((horizon - batch_start - 1) / interval,
+                              (limit - batch_start) / interval);
     }
-    eventq().advanceNow(t);
+
+    // The EWMAs and the reactive throttle walk are the one recurrence
+    // that cannot jump, so they step one by one. The batch ends after
+    // a step that moves the throttle. Once neither EWMA moves (bit for
+    // bit) and the throttle holds, every later step repeats that one.
+    const StepAccounting &a = record_.accounting;
+    std::uint64_t n = 0;
+    while (n < max_steps) {
+        const Watt power = powerEwma_;
+        const BytesPerSec bw = bwEwma_;
+        advanceEwmas(a);
+        ++n;
+        if (throttle_ != plan_.throttle)
+            break;
+        if (sameBits(power, powerEwma_) && sameBits(bw, bwEwma_))
+            n = max_steps;
+    }
+
+    applyCommit(batch_start, interval, n);
+    const Tick last = batch_start + (n - 1) * interval;
+    eventq().advanceNow(last);
     // Integer-valued doubles far below 2^53: one add of the batch
     // length is exact.
-    const double n = static_cast<double>(batch_steps);
-    steps_ += n;
-    replayedSteps_ += n;
-    eventq().schedule(&stepEvent_, t + interval);
+    steps_ += static_cast<double>(n);
+    replayedSteps_ += static_cast<double>(n);
+    eventq().schedule(&stepEvent_, last + interval);
 
     // One span per batch: the only trace category that differs
     // between skip-ahead on and off (filter "replay" lines to compare
     // the two byte-for-byte; see docs/OBSERVABILITY.md).
     TRACE_SPAN(traceSink(), obs::kCatReplay, "replay_batch",
-               batch_start, t, obs::kv("steps", batch_steps));
+               batch_start, last, obs::kv("steps", n));
 }
 
 void
@@ -472,32 +487,32 @@ Soc::step()
     else
         commitStep<CommitMode::Apply>(interval, active_threads,
                                       avg_activity);
-    pmu_->afterStep(now());
     eventq().schedule(&stepEvent_, now() + interval);
 }
 
 inline void
-Soc::traceRailPower(Tick t, Watt step_power)
+Soc::traceRailPower(Tick t, Watt step_power, std::uint64_t n)
 {
     // Change-filtered in the sink, so a steady phase emits one sample
     // per level shift — and replayed steps (identical watts by
     // construction) emit nothing, keeping traces byte-identical
-    // across skip-ahead on/off.
+    // across skip-ahead on/off. Reported once per step, so a full
+    // buffer counts every step's drop.
     obs::TraceSink *sink = traceSink();
     if (!TRACE_ACTIVE(sink))
         return;
     const StepPlan &p = plan_;
     sink->counter(obs::kCatPower, "vcore_w", t,
-                  p.railWatts[power::railIndex(power::Rail::VCore)]);
+                  p.railWatts[power::railIndex(power::Rail::VCore)], n);
     sink->counter(obs::kCatPower, "vgfx_w", t,
-                  p.railWatts[power::railIndex(power::Rail::VGfx)]);
+                  p.railWatts[power::railIndex(power::Rail::VGfx)], n);
     sink->counter(obs::kCatPower, "vsa_w", t,
-                  p.railWatts[power::railIndex(power::Rail::VSA)]);
+                  p.railWatts[power::railIndex(power::Rail::VSA)], n);
     sink->counter(obs::kCatPower, "vio_w", t,
-                  p.railWatts[power::railIndex(power::Rail::VIO)]);
+                  p.railWatts[power::railIndex(power::Rail::VIO)], n);
     sink->counter(obs::kCatPower, "vddq_w", t,
-                  p.railWatts[power::railIndex(power::Rail::VDDQ)]);
-    sink->counter(obs::kCatPower, "soc_w", t, step_power);
+                  p.railWatts[power::railIndex(power::Rail::VDDQ)], n);
+    sink->counter(obs::kCatPower, "soc_w", t, step_power, n);
 }
 
 template <Soc::CommitMode kMode>
@@ -617,11 +632,13 @@ Soc::commitStep(Tick interval, std::size_t active_threads,
         integratePower(demand, active_threads, avg_activity,
                        ms.utilization, fr.utilization, vddq_power,
                        interval);
-        traceRailPower(now(), p.stepPower);
+        traceRailPower(now(), p.stepPower, 1);
     }
     a.powerEwmaTermW = 0.02 * (p.stepPower - cfg_.platformFloor);
-    if constexpr (kApply)
-        applyAccounting(a, interval);
+    if constexpr (kApply) {
+        advanceEwmas(a);
+        applyAccounting(a, now(), interval, 1);
+    }
 
     if constexpr (kRecord) {
         rec.memActive = mem_active;
@@ -637,39 +654,38 @@ Soc::commitStep(Tick interval, std::size_t active_threads,
     }
 }
 
-inline void
-Soc::applyCommit(Tick t, Tick interval)
+void
+Soc::applyCommit(Tick t, Tick interval, std::uint64_t n)
 {
     const CommitRecord &rec = record_;
     if (rec.memActive) {
-        fabric_->commit(rec.fabric, interval);
-        mc_->commit(rec.mc);
+        fabric_->commit(rec.fabric, interval, n);
+        mc_->commit(rec.mc, n);
     }
-    for (std::size_t i = 0; i < rec.retired; ++i)
-        cpu_->commitRetire(rec.threads[i]);
+    cpu_->commitRetire(rec.threads.data(), rec.retired, n);
     if (rec.rendered)
-        gfx_->commitRender(rec.gfx);
+        gfx_->commitRender(rec.gfx, n);
 
     // The energy meter sees the identical per-rail addition sequence
-    // integratePower() produced, V_SA's platform floor last.
-    for (power::Rail r : power::kAllRails)
-        meter_.addEnergy(r, rec.railJoules[power::railIndex(r)]);
-    meter_.addEnergy(power::Rail::VSA, rec.floorJoules);
-    traceRailPower(t, plan_.stepPower);
+    // integratePower() produced: V_SA's platform floor follows its
+    // rail energy in every step.
+    for (power::Rail r : power::kAllRails) {
+        if (r != power::Rail::VSA)
+            meter_.addEnergy(r, &rec.railJoules[power::railIndex(r)], 1,
+                             n);
+    }
+    const Joule vsa[] = {
+        rec.railJoules[power::railIndex(power::Rail::VSA)],
+        rec.floorJoules};
+    meter_.addEnergy(power::Rail::VSA, vsa, 2, n);
+    traceRailPower(t, plan_.stepPower, n);
 
-    applyAccounting(rec.accounting, interval);
+    applyAccounting(rec.accounting, t, interval, n);
 }
 
 inline void
-Soc::applyAccounting(const StepAccounting &a, Tick interval)
+Soc::advanceEwmas(const StepAccounting &a)
 {
-    if (a.qosViolation)
-        ++qosViolations_;
-    llc_->recordInterval(a.cpuMisses, a.gfxMisses, a.stallCycles,
-                         a.cpuOccupancy);
-    counters_->accumulate(a.gfxMisses, a.cpuOccupancy, a.stallCycles,
-                          a.ioRpq, interval);
-
     // Reactive power capping: budget models are estimates; when the
     // measured average runs above TDP the compute grant is walked
     // down (and back up once headroom returns).
@@ -681,15 +697,29 @@ Soc::applyAccounting(const StepAccounting &a, Tick interval)
     }
 
     bwEwma_ = 0.98 * bwEwma_ + a.bwEwmaTerm;
+}
+
+inline void
+Soc::applyAccounting(const StepAccounting &a, Tick t, Tick interval,
+                     std::uint64_t n)
+{
+    if (a.qosViolation)
+        qosViolations_ += static_cast<double>(n);
+    llc_->recordInterval(a.cpuMisses, a.gfxMisses, a.stallCycles,
+                         a.cpuOccupancy, n);
+    pmu_->afterSteps(t, interval, n, [&](std::uint64_t m) {
+        counters_->accumulate(a.gfxMisses, a.cpuOccupancy,
+                              a.stallCycles, a.ioRpq, interval, m);
+    });
 
     // Run-window accumulators.
-    elapsedSeconds_ += a.secs;
-    memLatIntegral_ += a.memLatIntegral;
-    memActiveSeconds_ += a.memActiveSeconds;
-    bwIntegral_ += a.bwIntegral;
-    coreFreqIntegral_ += a.coreFreqIntegral;
+    addRepeated(elapsedSeconds_, a.secs, n);
+    addRepeated(memLatIntegral_, a.memLatIntegral, n);
+    addRepeated(memActiveSeconds_, a.memActiveSeconds, n);
+    addRepeated(bwIntegral_, a.bwIntegral, n);
+    addRepeated(coreFreqIntegral_, a.coreFreqIntegral, n);
     if (a.lowPoint)
-        lowPointSeconds_ += a.secs;
+        addRepeated(lowPointSeconds_, a.secs, n);
 }
 
 void

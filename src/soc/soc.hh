@@ -279,10 +279,14 @@ class Soc : public SimObject
      * (a PMU evaluation, a scenario action, a transition-flow step),
      * at the workload's demand horizon, at the run limit, or when
      * the reactive throttle moves; the PMU's counter samples run
-     * inside it (Pmu::afterStep()). Every replay applies the exact
-     * floating-point operation sequence of the slow path, so all
-     * reported metrics are byte-identical either way (pinned by
-     * the skip-ahead-off mode of tests/test_contracts.cc).
+     * inside it (Pmu::afterSteps()). A batch of n steps costs
+     * O(accumulators), not O(n): each accumulator takes the n
+     * identical additions of its addend in one exact repeated add
+     * (sim/exact_sum.hh), which leaves the bits n single additions
+     * would. Only the EWMA and throttle recurrence walks step by
+     * step, until both EWMAs reach a fixed point. So all reported
+     * metrics are byte-identical either way (pinned by the
+     * skip-ahead-off mode of tests/test_contracts.cc).
      */
     void
     setSkipAhead(bool on)
@@ -360,7 +364,8 @@ class Soc : public SimObject
      * count, the LLC and counter observables, the EWMA terms and the
      * run-accumulator addends of one step. Each term is associated
      * exactly as the slow step writes it, so applying a recorded
-     * value adds the identical bits.
+     * value n times, in one exact repeated add per accumulator, adds
+     * the identical bits.
      */
     struct StepAccounting
     {
@@ -455,21 +460,33 @@ class Soc : public SimObject
                                            double avg_activity);
 
     /**
-     * A replayed step's commit half: apply record_'s side effects in
-     * the slow step's order, so every accumulator sees the identical
-     * sequence of additions. @p t is the step's tick: a replay batch
-     * moves the clock only once, to its last step.
+     * The commit half of @p n replayed steps, the first at @p t:
+     * apply record_'s side effects n times, so every accumulator sees
+     * the identical sequence of additions. The EWMAs are not touched:
+     * replaySteps() walks them itself to find n.
      */
-    [[gnu::always_inline]] void applyCommit(Tick t, Tick interval);
+    void applyCommit(Tick t, Tick interval, std::uint64_t n);
 
-    /** Apply @p a to the Soc's own stats, EWMAs and accumulators. */
+    /** One step of the power and bandwidth EWMAs and the throttle. */
+    [[gnu::always_inline]] void advanceEwmas(const StepAccounting &a);
+
+    /**
+     * Apply @p a for @p n steps, the first at @p t, to the Soc's own
+     * stats and run accumulators, the LLC, and the counters with the
+     * PMU samples due at the steps' ticks. Not the EWMAs.
+     */
     [[gnu::always_inline]] void
-    applyAccounting(const StepAccounting &a, Tick interval);
+    applyAccounting(const StepAccounting &a, Tick t, Tick interval,
+                    std::uint64_t n);
 
-    /** Rail-power trace counters at @p t (change-filtered). */
-    [[gnu::always_inline]] void traceRailPower(Tick t, Watt step_power);
+    /**
+     * Rail-power trace counters at @p t (change-filtered), reported
+     * for @p n steps.
+     */
+    [[gnu::always_inline]] void traceRailPower(Tick t, Watt step_power,
+                                               std::uint64_t n);
 
-    /** Fast path: replay + batch grid steps, then reschedule. */
+    /** Fast path: replay one batch of grid steps, then reschedule. */
     void replaySteps(Tick interval);
     void applyComputePStates(const IntervalDemand &demand,
                              std::size_t active_threads,
