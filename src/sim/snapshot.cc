@@ -199,13 +199,52 @@ SnapshotWriter::pop()
 void
 SnapshotWriter::emit(const std::string &key, const std::string &value)
 {
-    const std::string full = prefix_ + key;
-    if (!seen_.insert(full).second)
+    // The full key is checked where it lands in body_, and taken back
+    // out if it is a duplicate.
+    const std::size_t at = body_.size();
+    body_ += prefix_;
+    body_ += key;
+    if (!claimKey(at, body_.size() - at)) {
+        const std::string full = body_.substr(at);
+        body_.resize(at);
         throw SnapshotError("duplicate snapshot key \"" + full + "\"");
-    body_ += full;
+    }
     body_ += " = ";
     body_ += value;
     body_ += '\n';
+}
+
+bool
+SnapshotWriter::claimKey(std::size_t at, std::size_t len)
+{
+    if (2 * (keyCount_ + 1) > keys_.size()) {
+        std::vector<KeySlot> old(
+            std::max<std::size_t>(64, 2 * keys_.size()));
+        old.swap(keys_);
+        for (const KeySlot &s : old) {
+            if (s.at == std::string::npos)
+                continue;
+            std::size_t i = s.hash & (keys_.size() - 1);
+            while (keys_[i].at != std::string::npos)
+                i = (i + 1) & (keys_.size() - 1);
+            keys_[i] = s;
+        }
+    }
+
+    const std::string_view key(body_.data() + at, len);
+    const std::uint64_t hash = fnv1a64(key);
+    const std::size_t mask = keys_.size() - 1;
+    std::size_t i = hash & mask;
+    for (; keys_[i].at != std::string::npos; i = (i + 1) & mask) {
+        const KeySlot &s = keys_[i];
+        if (s.hash == hash && s.len == len &&
+            std::string_view(body_.data() + s.at, s.len) == key) {
+            return false;
+        }
+    }
+    keys_[i] = KeySlot{at, len, hash};
+    ++keyCount_;
+    return true;
 }
 
 void

@@ -54,7 +54,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -143,11 +142,31 @@ class SnapshotWriter
   private:
     void emit(const std::string &key, const std::string &value);
 
+    /**
+     * Record the full key body_ holds at [@p at, @p at + @p len);
+     * false if an earlier line already has it.
+     */
+    bool claimKey(std::size_t at, std::size_t len);
+
+    /** One key of body_, by position, in the open-addressed set. */
+    struct KeySlot
+    {
+        std::size_t at = std::string::npos; //!< npos = empty slot.
+        std::size_t len = 0;
+        std::uint64_t hash = 0;
+    };
+
     std::string header_;
     std::string prefix_;
     std::vector<std::size_t> prefixLens_;
-    std::set<std::string> seen_;
     std::string body_;
+    /**
+     * Every emitted key, as offsets into body_: a power-of-two table,
+     * at most half full, so the duplicate check allocates no node per
+     * key.
+     */
+    std::vector<KeySlot> keys_;
+    std::size_t keyCount_ = 0;
 };
 
 /**

@@ -429,15 +429,17 @@ TEST(RetireSplit, NCommitsOfOneEvaluationEqualNRetireCalls)
 
     for (const CoreWork &w : {compute_bound, streaming}) {
         for (const double grant : {1.0, 0.37}) {
-            for (const int n : {1, 5}) {
+            for (const int n : {1, 5, 300}) {
                 SCOPED_TRACE("mpki " + std::to_string(w.mpki) +
                              " grant " + std::to_string(grant) +
                              " n " + std::to_string(n));
-                Simulator sa, sb;
+                Simulator sa, sb, sc;
                 CpuCluster a(sa, nullptr, 2, 2, coreTable());
                 CpuCluster b(sb, nullptr, 2, 2, coreTable());
+                CpuCluster c(sc, nullptr, 2, 2, coreTable());
                 a.setPState(power::PState{2.0 * kGHz, 0.87, 1.0});
                 b.setPState(power::PState{2.0 * kGHz, 0.87, 1.0});
+                c.setPState(power::PState{2.0 * kGHz, 0.87, 1.0});
                 const Tick exec = 61 * kTicksPerUs + 13;
 
                 CoreResult ra;
@@ -447,6 +449,9 @@ TEST(RetireSplit, NCommitsOfOneEvaluationEqualNRetireCalls)
                     b.evaluateRetire(w, 93.5, grant, exec);
                 for (int i = 0; i < n; ++i)
                     b.commitRetire(rb);
+                // A replay batch commits all N in one call.
+                c.commitRetire(&rb, 1, static_cast<std::uint64_t>(n));
+                EXPECT_EQ(statBits(sa), statBits(sc));
 
                 EXPECT_EQ(bits(ra.instructions), bits(rb.instructions));
                 EXPECT_EQ(bits(ra.ipc), bits(rb.ipc));
@@ -458,21 +463,46 @@ TEST(RetireSplit, NCommitsOfOneEvaluationEqualNRetireCalls)
     }
 }
 
+TEST(RetireSplit, BatchedThreadsCommitInStepOrder)
+{
+    // A replayed step retires every active thread in order; a batch
+    // of N steps must leave the bits of N such rounds.
+    CoreWork w;
+    w.cpiBase = 0.7;
+    w.mpki = 3.0;
+    Simulator sa, sb;
+    CpuCluster a(sa, nullptr, 2, 2, coreTable());
+    CpuCluster b(sb, nullptr, 2, 2, coreTable());
+    const CoreResult rs[] = {
+        a.evaluateRetire(w, 80.0, 1.0, 61 * kTicksPerUs + 13),
+        a.evaluateRetire(w, 80.0, 0.41, 7 * kTicksPerUs),
+        a.evaluateRetire(w, 95.0, 1.0, 3 * kTicksPerUs + 1),
+    };
+    for (int i = 0; i < 700; ++i) {
+        for (const CoreResult &r : rs)
+            a.commitRetire(r);
+    }
+    b.commitRetire(rs, 3, 700);
+    EXPECT_EQ(statBits(sa), statBits(sb));
+}
+
 TEST(RenderSplit, NCommitsOfOneEvaluationEqualNRenderCalls)
 {
     const GfxWork shader_bound{15e6, 100e6, 0.0, 0.8};
     const GfxWork vsync{5e6, 40e6, 60.0, 0.8};
     for (const GfxWork &w : {shader_bound, vsync}) {
         for (const BytesPerSec bw : {20e9, 3e9}) {
-            for (const int n : {1, 5}) {
+            for (const int n : {1, 5, 300}) {
                 SCOPED_TRACE("cycles " + std::to_string(w.cyclesPerFrame) +
                              " bw " + std::to_string(bw) + " n " +
                              std::to_string(n));
-                Simulator sa, sb;
+                Simulator sa, sb, sc;
                 GfxEngine a(sa, nullptr, gfxTable());
                 GfxEngine b(sb, nullptr, gfxTable());
+                GfxEngine c(sc, nullptr, gfxTable());
                 a.setPState(power::PState{0.9 * kGHz, 0.92, 1.0});
                 b.setPState(power::PState{0.9 * kGHz, 0.92, 1.0});
+                c.setPState(power::PState{0.9 * kGHz, 0.92, 1.0});
                 const Tick exec = 61 * kTicksPerUs + 13;
 
                 GfxResult ra;
@@ -481,6 +511,9 @@ TEST(RenderSplit, NCommitsOfOneEvaluationEqualNRenderCalls)
                 const GfxResult rb = b.evaluateRender(w, bw, exec);
                 for (int i = 0; i < n; ++i)
                     b.commitRender(rb);
+                // A replay batch commits all N in one call.
+                c.commitRender(rb, static_cast<std::uint64_t>(n));
+                EXPECT_EQ(statBits(sa), statBits(sc));
 
                 EXPECT_EQ(bits(ra.fps), bits(rb.fps));
                 EXPECT_EQ(bits(ra.frames), bits(rb.frames));

@@ -166,12 +166,13 @@ TEST(FabricSplit, NCommitsOfOneEvaluationEqualNServiceCalls)
         {20e9, 3e9},  // isochronous over the 12.8 GB/s link
     };
     for (const interconnect::FabricDemand &d : demands) {
-        for (const int n : {1, 5}) {
+        for (const int n : {1, 5, 300}) {
             SCOPED_TRACE("iso " + std::to_string(d.isochronous) +
                          " n " + std::to_string(n));
-            Simulator sa, sb;
+            Simulator sa, sb, sc;
             interconnect::IoFabric a(sa, nullptr, 0.4 * kGHz, 0.64);
             interconnect::IoFabric b(sb, nullptr, 0.4 * kGHz, 0.64);
+            interconnect::IoFabric c(sc, nullptr, 0.4 * kGHz, 0.64);
 
             interconnect::FabricResult ra;
             for (int i = 0; i < n; ++i)
@@ -179,6 +180,10 @@ TEST(FabricSplit, NCommitsOfOneEvaluationEqualNServiceCalls)
             const interconnect::FabricResult rb = b.evaluate(d);
             for (int i = 0; i < n; ++i)
                 b.commit(rb, 37 * kTicksPerUs + 1);
+            // A replay batch commits all N in one call.
+            c.commit(c.evaluate(d), 37 * kTicksPerUs + 1,
+                     static_cast<std::uint64_t>(n));
+            EXPECT_EQ(statBits(sa), statBits(sc));
 
             EXPECT_EQ(bits(ra.achievedIso), bits(rb.achievedIso));
             EXPECT_EQ(bits(ra.achievedBestEffort),

@@ -541,15 +541,17 @@ TEST(ControllerSplit, NCommitsOfOneEvaluationEqualNServiceCalls)
          {dram::lpddr3Spec(), dram::ddr4Spec()}) {
         for (std::size_t bin = 0; bin < spec.numBins(); ++bin) {
             for (const MemDemand &d : {MemDemand{}, light, squeezed, qos}) {
-                for (const int n : {1, 5}) {
+                for (const int n : {1, 5, 300}) {
                     SCOPED_TRACE(spec.name() + " bin " +
                                  std::to_string(bin) + " total " +
                                  std::to_string(d.total()) + " n " +
                                  std::to_string(n));
                     McRig a(spec);
                     McRig b(spec);
+                    McRig c(spec);
                     a.program(a.mrc.optimizedSet(bin));
                     b.program(b.mrc.optimizedSet(bin));
+                    c.program(c.mrc.optimizedSet(bin));
                     const Tick interval = 46 * kTicksPerUs + 237;
 
                     MemServiceResult ra;
@@ -559,6 +561,10 @@ TEST(ControllerSplit, NCommitsOfOneEvaluationEqualNServiceCalls)
                         b.mc.evaluate(d, interval);
                     for (int i = 0; i < n; ++i)
                         b.mc.commit(cb);
+                    // A replay batch commits all N in one call.
+                    c.mc.commit(c.mc.evaluate(d, interval),
+                                static_cast<std::uint64_t>(n));
+                    EXPECT_EQ(statBits(a.sim), statBits(c.sim));
                     const MemServiceResult &rb = cb.result;
 
                     EXPECT_EQ(cb.interval, interval);

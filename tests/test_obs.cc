@@ -178,6 +178,24 @@ TEST(TraceSink, DroppedCounterSampleDoesNotPoisonTheFilter)
     EXPECT_EQ(sink.dropped(), 2u);
 }
 
+TEST(TraceSink, RepeatedCounterSamplesDropLikeSingleOnes)
+{
+    obs::TraceSink one(1), many(1);
+    one.counter(obs::kCatPower, "w", 0, 1.0);
+    many.counter(obs::kCatPower, "w", 0, 1.0);
+    // Filtered: the buffered value repeats.
+    for (int i = 0; i < 5; ++i)
+        one.counter(obs::kCatPower, "w", 10, 1.0);
+    many.counter(obs::kCatPower, "w", 10, 1.0, 5);
+    // Dropped every time: the full buffer never records 2.0.
+    for (int i = 0; i < 7; ++i)
+        one.counter(obs::kCatPower, "w", 20, 2.0);
+    many.counter(obs::kCatPower, "w", 20, 2.0, 7);
+    EXPECT_EQ(one.dropped(), 7u);
+    EXPECT_EQ(many.dropped(), one.dropped());
+    EXPECT_EQ(many.size(), one.size());
+}
+
 TEST(TraceSink, SpanClampsInvertedInterval)
 {
     obs::TraceSink sink;

@@ -397,6 +397,26 @@ TEST(EnergyMeter, IntegratesPerRail)
     EXPECT_NEAR(m.averagePower(kTicksPerSec), 2.5, 1e-9);
 }
 
+TEST(EnergyMeter, RepeatedChargesMatchSingleOnes)
+{
+    // V_SA takes its rail energy, then the platform floor, every
+    // step; a replay batch charges n such rounds in one call.
+    EnergyMeter one, many;
+    const Joule joules[] = {1.3e-5, 2.1e-6};
+    one.addEnergy(Rail::VSA, 0.25);
+    many.addEnergy(Rail::VSA, 0.25);
+    for (int i = 0; i < 5000; ++i) {
+        one.addEnergy(Rail::VSA, joules[0]);
+        one.addEnergy(Rail::VSA, joules[1]);
+        one.addEnergy(Rail::VCore, joules[1]);
+    }
+    many.addEnergy(Rail::VSA, joules, 2, 5000);
+    many.addEnergy(Rail::VCore, &joules[1], 1, 5000);
+    EXPECT_EQ(one.railEnergy(Rail::VSA), many.railEnergy(Rail::VSA));
+    EXPECT_EQ(one.railEnergy(Rail::VCore),
+              many.railEnergy(Rail::VCore));
+}
+
 TEST(EnergyMeter, ResetMovesWindow)
 {
     EnergyMeter m;

@@ -114,6 +114,28 @@ TEST(SnapshotCodec, DuplicateKeyThrows)
     EXPECT_THROW(w.putU64("k", 2), SnapshotError);
 }
 
+TEST(SnapshotCodec, DuplicateKeyThrowsAmongManyAndLeavesTheRecord)
+{
+    SnapshotWriter w("0000000000000000", 0);
+    w.push("a");
+    for (std::uint64_t i = 0; i < 1000; ++i)
+        w.putU64("k" + std::to_string(i), i);
+    w.pop();
+    // The same leaf under another scope is a different key.
+    w.push("b");
+    w.putU64("k7", 7);
+    w.pop();
+    const std::string before = w.str();
+    w.push("a");
+    EXPECT_THROW(w.putDouble("k7", 1.0), SnapshotError);
+    w.pop();
+    EXPECT_THROW(w.putU64("b.k7", 2), SnapshotError);
+    EXPECT_EQ(w.str(), before);
+    w.putU64("c", 3);
+    SnapshotReader r(w.str());
+    EXPECT_EQ(r.getU64("a.k999"), 999u);
+}
+
 TEST(SnapshotCodec, MissingAndUnconsumedKeysThrow)
 {
     SnapshotWriter w("0000000000000000", 0);

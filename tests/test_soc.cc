@@ -117,6 +117,36 @@ TEST(Counters, WindowAveragesAcrossSamples)
     EXPECT_EQ(blk.windowSamples(), 0u);
 }
 
+TEST(Counters, BatchedStepsAndPeriodsMatchSingleOnes)
+{
+    // A replay batch accumulates n like steps in one call, and folds
+    // k like sample periods (each from empty counters) in one sample.
+    Simulator sa, sb;
+    PerfCounterBlock one(sa, nullptr);
+    PerfCounterBlock many(sb, nullptr);
+    const Tick step = 100 * kTicksPerUs;
+    for (int period = 0; period < 37; ++period) {
+        for (int i = 0; i < 10; ++i)
+            one.accumulate(31.7, 0.013, 977.1, 0.002, step);
+        one.sample();
+    }
+    for (int i = 0; i < 4; ++i)
+        one.accumulate(31.7, 0.013, 977.1, 0.002, step);
+    many.accumulate(31.7, 0.013, 977.1, 0.002, step, 10);
+    many.sample(37);
+    many.accumulate(31.7, 0.013, 977.1, 0.002, step, 4);
+
+    const auto saved = [](PerfCounterBlock &blk, Simulator &sim) {
+        SnapshotWriter w("0000000000000000", 0);
+        StateIO io(w);
+        blk.visitState(io);
+        sim.statsRoot().visitStats(io);
+        return w.str();
+    };
+    EXPECT_EQ(saved(one, sa), saved(many, sb));
+    EXPECT_EQ(many.windowSamples(), 37u);
+}
+
 TEST(Pmu, CadenceMatchesConfig)
 {
     Simulator sim;

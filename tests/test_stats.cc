@@ -51,6 +51,34 @@ TEST(Stats, AverageHonorsWeights)
     EXPECT_DOUBLE_EQ(a.mean(), 2.0);
 }
 
+TEST(Stats, RepeatedSamplesMatchSingleOnes)
+{
+    // A replay batch hands n like samples over in one call.
+    StatGroup root(nullptr, "root");
+    Average one(&root, "one", "n single samples");
+    Average many(&root, "many", "one call of n samples");
+    Scalar s1(&root, "s1", "n single adds");
+    Scalar sn(&root, "sn", "one call of n adds");
+    one.sample(0.3, 1.0);
+    many.sample(0.3, 1.0);
+    s1 += 0.7;
+    sn += 0.7;
+    for (int i = 0; i < 999; ++i) {
+        one.sample(0.1 + 1e-17, 1.0);
+        s1 += 1e-3;
+    }
+    many.sample(0.1 + 1e-17, 1.0, 999);
+    sn.add(1e-3, 999);
+    EXPECT_EQ(one.count(), many.count());
+    EXPECT_EQ(one.mean(), many.mean());
+    EXPECT_EQ(one.min(), many.min());
+    EXPECT_EQ(one.max(), many.max());
+    EXPECT_EQ(s1.value(), sn.value());
+    many.sample(5.0, 1.0, 0);
+    EXPECT_EQ(one.max(), many.max());
+    EXPECT_EQ(one.count(), many.count());
+}
+
 TEST(Stats, TimeAverageWeightsByDuration)
 {
     StatGroup root(nullptr, "root");
