@@ -74,13 +74,21 @@ addRepeatedJump(double &x, std::size_t m, std::uint64_t n,
         if (!jump)
             continue;
 
-        // Rounds whose partial sums all stay at or below top - d:
-        // the floor of (top - x) / d less one, and one more for the
-        // division's rounding. d is exact (one binade) and positive;
-        // top - x is exact (x >= top / 2); k * d and x + k * d are
-        // multiples of u below top, so exact too. The quotient is at
-        // most 2^52, so truncation is its floor.
+        // Every later round adds d, exact (one binade) and positive,
+        // while its partial sums stay at or below top - d. top - x is
+        // exact (x >= top / 2), and so are k * d and x + k * d,
+        // multiples of u below top. The common case needs no division:
+        // a product that fits under top - x - 2d cannot have rounded
+        // (one at or above 2^E would not fit), so all n rounds fit.
         const double d = x - start;
+        const double rest = static_cast<double>(n) * d;
+        if (rest <= (top - x) - 2 * d) {
+            x += rest;
+            return;
+        }
+        // Otherwise the floor of (top - x) / d less one, and one more
+        // for the division's rounding; the quotient is at most 2^52,
+        // so truncation is its floor.
         const std::uint64_t q =
             static_cast<std::uint64_t>((top - x) / d);
         if (q < 3)
