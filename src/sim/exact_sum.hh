@@ -9,8 +9,8 @@
  * same exact value for every s, unless s + a is a tie (round-to-even
  * then depends on s) or the sum leaves the binade. One real round
  * measures the increments; while no partial sum can reach the top of
- * the binade, every later round adds the same exact D, so k rounds
- * collapse to the single exact add x + k * D. This is time-at-level
+ * the binade, every later round adds the same exact d, so k rounds
+ * collapse to the single exact add x + k * d. This is time-at-level
  * accounting (energy = power x time) that keeps every output bit.
  */
 
@@ -106,7 +106,8 @@ addRepeatedJump(double &x, std::size_t m, std::uint64_t n,
  * Bit-identical to `for n: for i < m: x += addend(i)`. Jumps whole
  * binades when x is a positive normal and every addend a finite,
  * non-negative non-tie; any other round runs as the plain loop does.
- * @p addend is called m times per round it runs, at most m per binade.
+ * @p addend is called m times for each round run for real: one or a
+ * few per binade when the jump applies.
  */
 template <class Addend>
 inline void
