@@ -32,12 +32,9 @@ class EnergyMeter
     /** Charge @p watts drawn on @p rail for @p duration ticks. */
     void addPower(Rail rail, Watt watts, Tick duration);
 
-    /** Charge a raw energy amount on @p rail. */
-    void addEnergy(Rail rail, Joule joules) { addEnergy(rail, &joules, 1, 1); }
-
     /**
-     * Charge @p n rounds of the @p m amounts @p joules on @p rail,
-     * bit-identical to that loop of single charges.
+     * Charge @p n rounds of the @p m raw energy amounts @p joules on
+     * @p rail, bit-identical to that loop of single charges.
      */
     void addEnergy(Rail rail, const Joule *joules, std::size_t m,
                    std::uint64_t n);

@@ -403,12 +403,12 @@ TEST(EnergyMeter, RepeatedChargesMatchSingleOnes)
     // step; a replay batch charges n such rounds in one call.
     EnergyMeter one, many;
     const Joule joules[] = {1.3e-5, 2.1e-6};
-    one.addEnergy(Rail::VSA, 0.25);
-    many.addEnergy(Rail::VSA, 0.25);
+    one.addPower(Rail::VSA, 0.25, kTicksPerSec);
+    many.addPower(Rail::VSA, 0.25, kTicksPerSec);
     for (int i = 0; i < 5000; ++i) {
-        one.addEnergy(Rail::VSA, joules[0]);
-        one.addEnergy(Rail::VSA, joules[1]);
-        one.addEnergy(Rail::VCore, joules[1]);
+        one.addEnergy(Rail::VSA, &joules[0], 1, 1);
+        one.addEnergy(Rail::VSA, &joules[1], 1, 1);
+        one.addEnergy(Rail::VCore, &joules[1], 1, 1);
     }
     many.addEnergy(Rail::VSA, joules, 2, 5000);
     many.addEnergy(Rail::VCore, &joules[1], 1, 5000);
