@@ -243,6 +243,35 @@ BM_ReplayBatch(benchmark::State &state)
 BENCHMARK(BM_ReplayBatch)->Arg(16)->Arg(128)->Arg(1024);
 
 /**
+ * The TDP-bound 470.lbm/fixed cell with the replay path toggled by
+ * the benchmark arg (0 = off, 1 = on), 100 steps per iteration after
+ * a 50 ms warm-up. The reactive throttle moves on nearly every step
+ * while the P-states it grants change only every few, so the replay
+ * path engages only because it keys on the grants. Items are
+ * simulated steps.
+ */
+void
+BM_ThrottleWalkRun(benchmark::State &state)
+{
+    Simulator sim;
+    soc::Soc chip(sim, soc::skylakeConfig());
+    chip.display().attachPanel(0, io::kDefaultHdPanel);
+    workloads::ProfileAgent agent(workloads::specBenchmark("470.lbm"));
+    chip.setWorkload(&agent);
+    const std::unique_ptr<core::Governor> gov =
+        core::makeGovernor("fixed", {});
+    chip.pmu().setGovernor(gov.get());
+    chip.setSkipAhead(state.range(0) != 0);
+    chip.run(50 * kTicksPerMs);
+    const Tick span = 100 * chip.config().stepInterval;
+    for (auto _ : state)
+        chip.run(span);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            100);
+}
+BENCHMARK(BM_ThrottleWalkRun)->Arg(0)->Arg(1);
+
+/**
  * Cost of one governor evaluation interval through the
  * policy/driver stack: decide() -> driver request (running the
  * transition flow when the point moves) -> budget refresh. The

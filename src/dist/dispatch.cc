@@ -50,6 +50,7 @@ runDistributed(const std::vector<exp::ExperimentSpec> &specs,
     {
         std::vector<std::size_t> rows;
         std::vector<std::string> keys;
+        bool missedLastListing = false; //!< No key was on the queue.
     };
     std::map<std::string, Cell> cells;
     for (std::size_t i = 0; i < specs.size(); ++i)
@@ -202,13 +203,17 @@ runDistributed(const std::vector<exp::ExperimentSpec> &specs,
             bool progressed = false;
             for (std::size_t u = 0; u < unresolved.size();) {
                 const std::string key = unresolved[u];
-                const Cell &cell = cells[key];
+                Cell &cell = cells[key];
 
                 if (!resolveFromCache(cell) &&
                     !resolveFromMarker(key, cell)) {
-                    // Neither finished nor in flight? The queue file
-                    // was quarantined (corrupt) or lost — re-enqueue
-                    // from the spec we hold. enqueue() itself
+                    // Neither finished nor in flight in two listings
+                    // in a row? The queue file was quarantined
+                    // (corrupt) or lost — re-enqueue from the spec we
+                    // hold. One listing is not enough: it scans
+                    // pending/ before claimed/, so a link whose worker
+                    // enqueues its successor and releases between the
+                    // two scans is in neither. enqueue() itself
                     // re-checks pending/claimed/failed, so a link
                     // that moved between the listing and here is
                     // skipped, not duplicated.
@@ -217,7 +222,9 @@ runDistributed(const std::vector<exp::ExperimentSpec> &specs,
                         [&](const std::string &k) {
                             return onQueue.count(k) > 0;
                         });
-                    if (!inFlight && enqueueCell(key, cell)) {
+                    const bool lost = !inFlight && cell.missedLastListing;
+                    cell.missedLastListing = !inFlight && !lost;
+                    if (lost && enqueueCell(key, cell)) {
                         ++out.reenqueued;
                         log("re-enqueued " + key +
                             " (queue entry was lost or "

@@ -164,13 +164,35 @@ TraceSink::instant(const char *cat, const std::string &name, Tick ts,
     push(std::move(ev));
 }
 
+TraceSink::SeriesSlot &
+TraceSink::slotFor(const char *cat, const char *name)
+{
+    SeriesSlot *slot = nullptr;
+    for (SeriesSlot &s : slots_) {
+        if (s.cat == cat && s.name == name) {
+            slot = &s;
+            break;
+        }
+    }
+    if (!slot)
+        slot = &slots_.emplace_back(SeriesSlot{cat, name, nullptr});
+    // Until the series first records, and when another pair with the
+    // same text recorded it: find it by name.
+    if (!slot->last) {
+        const auto it =
+            lastCounter_.find(std::string(cat) + "/" + name);
+        if (it != lastCounter_.end())
+            slot->last = &it->second;
+    }
+    return *slot;
+}
+
 void
-TraceSink::counter(const char *cat, const std::string &name, Tick ts,
+TraceSink::counter(const char *cat, const char *name, Tick ts,
                    double value, std::uint64_t repeats)
 {
-    const std::string series = std::string(cat) + "/" + name;
-    const auto it = lastCounter_.find(series);
-    if (it != lastCounter_.end() && it->second == value)
+    SeriesSlot &slot = slotFor(cat, name);
+    if (slot.last && *slot.last == value)
         return;
 
     TraceEvent ev;
@@ -179,10 +201,13 @@ TraceSink::counter(const char *cat, const std::string &name, Tick ts,
     ev.name = name;
     ev.ts = ts;
     ev.value = value;
-    if (push(std::move(ev)))
-        lastCounter_[series] = value;
-    else
+    if (!push(std::move(ev))) {
         dropped_ += repeats - 1;
+        return;
+    }
+    if (!slot.last)
+        slot.last = &lastCounter_[std::string(cat) + "/" + name];
+    *slot.last = value;
 }
 
 void
@@ -291,8 +316,10 @@ TraceSink::visitState(StateIO &io)
     }
     std::uint64_t nseries = lastCounter_.size();
     io.field("counter_series", nseries);
-    if (io.loading())
+    if (io.loading()) {
         lastCounter_.clear();
+        slots_.clear();
+    }
     auto it = lastCounter_.begin();
     for (std::uint64_t i = 0; i < nseries; ++i) {
         std::string series;

@@ -124,9 +124,12 @@ class TraceSink
      * @p repeats reports the same sample that many times, as a replay
      * batch does once per step: after the first, each is filtered,
      * or, when the full buffer dropped the first (leaving the filter
-     * as it was), dropped as well.
+     * as it was), dropped as well. @p name must outlive the sink (a
+     * string literal): the filter finds a call site's series by the
+     * (@p cat, @p name) pointers, so a filtered sample builds no
+     * string and searches no map.
      */
-    void counter(const char *cat, const std::string &name, Tick ts,
+    void counter(const char *cat, const char *name, Tick ts,
                  double value, std::uint64_t repeats = 1);
 
     std::size_t size() const { return events_.size(); }
@@ -155,6 +158,20 @@ class TraceSink
 
     /** Last value per counter series ("cat/name"), for the filter. */
     std::map<std::string, double> lastCounter_;
+
+    /** One (cat, name) pointer pair counter() was called with. */
+    struct SeriesSlot
+    {
+        const char *cat;
+        const char *name;
+        double *last; //!< Its lastCounter_ value; null until one exists.
+    };
+
+    /** The slot of (@p cat, @p name), its last value looked up. */
+    SeriesSlot &slotFor(const char *cat, const char *name);
+
+    /** Every pair seen since lastCounter_ was last rebuilt. */
+    std::vector<SeriesSlot> slots_;
 };
 
 } // namespace obs

@@ -199,17 +199,32 @@ Soc::noteTransition(const OperatingPoint &target, Tick flow_latency)
     noteOpPoint(target, now());
 }
 
-void
-Soc::applyComputePStates(const IntervalDemand &demand,
-                         std::size_t active_threads,
-                         double avg_activity)
+Soc::ThreadActivity
+Soc::threadActivity(const IntervalDemand &demand)
+{
+    ThreadActivity act;
+    double sum = 0.0;
+    for (const auto &w : demand.threadWork) {
+        if (w.cpiBase > 0.0) {
+            ++act.threads;
+            sum += w.activity;
+        }
+    }
+    if (act.threads)
+        act.mean = sum / static_cast<double>(act.threads);
+    return act;
+}
+
+Soc::PStateGrants
+Soc::grantsAt(double throttle, const IntervalDemand &demand,
+              const ThreadActivity &act) const
 {
     const power::ComputeSplit split =
         pbm_.split(computeBudget_, gfxActive_);
 
     // Idle unit floors are charged from the budget before granting.
     const std::size_t active_cores = std::max<std::size_t>(
-        1, (active_threads + cfg_.threadsPerCore - 1) /
+        1, (act.threads + cfg_.threadsPerCore - 1) /
                cfg_.threadsPerCore);
 
     Hertz core_req = demand.coreFreqRequest > 0.0
@@ -218,22 +233,36 @@ Soc::applyComputePStates(const IntervalDemand &demand,
     if (coreFreqCap_ > 0.0)
         core_req = std::min(core_req, coreFreqCap_);
 
-    const Watt core_budget = throttle_ *
+    const Watt core_budget = throttle *
         (gfxActive_ ? split.coreBudget : computeBudget_) /
         static_cast<double>(active_cores);
-    cpu_->setPState(pbm_.grant(cpu_->pstates(), core_req, core_budget,
-                               avg_activity));
+    PStateGrants g;
+    g.cpu = &pbm_.grant(cpu_->pstates(), core_req, core_budget,
+                        act.mean);
 
     if (gfxActive_) {
         const Hertz gfx_req = demand.gfxFreqRequest > 0.0
                                   ? demand.gfxFreqRequest
                                   : gfx_->pstates().max().freq;
-        gfx_->setPState(pbm_.grant(gfx_->pstates(), gfx_req,
-                                   split.gfxBudget * throttle_,
-                                   demand.gfxWork.activity));
+        g.gfx = &pbm_.grant(gfx_->pstates(), gfx_req,
+                            split.gfxBudget * throttle,
+                            demand.gfxWork.activity);
     } else {
-        gfx_->setPState(gfx_->pstates().min());
+        g.gfx = &gfx_->pstates().min();
     }
+    return g;
+}
+
+bool
+Soc::holdsGrantsAt(double throttle) const
+{
+    const IntervalDemand &demand = demandScratch_;
+    const PStateGrants g =
+        grantsAt(throttle, demand, threadActivity(demand));
+    return g.cpu->freq == cpu_->frequency() &&
+           g.cpu->voltage == cpu_->voltage() &&
+           g.gfx->freq == gfx_->frequency() &&
+           g.gfx->voltage == gfx_->voltage();
 }
 
 bool
@@ -247,7 +276,6 @@ Soc::planValidAt(Tick t) const
     // Exact (bitwise) comparisons throughout: the replay path only
     // engages when its inputs are *identical*, never merely close.
     if (transitions_.value() != p.transitionsSeen ||
-        throttle_ != p.throttle ||
         computeBudget_ != p.computeBudget ||
         coreFreqCap_ != p.coreFreqCap ||
         hdc_.dutyFactor() != p.dutyFactor ||
@@ -257,8 +285,14 @@ Soc::planValidAt(Tick t) const
         gfx_->frequency() != p.gfxFreq) {
         return false;
     }
-    return isoBandwidthDemand() == p.iso &&
-           display_->power() + isp_->power() == p.ioEnginePower;
+    if (isoBandwidthDemand() != p.iso ||
+        display_->power() + isp_->power() != p.ioEnginePower)
+        return false;
+    // The throttle reaches a step only through the two P-state
+    // grants, so the plan holds under any throttle that grants the
+    // states the CPU and GFX already hold (the captured ones: their
+    // frequencies matched above); setPState() to them is a no-op.
+    return throttle_ == p.throttle || holdsGrantsAt(throttle_);
 }
 
 void
@@ -269,7 +303,7 @@ Soc::replaySteps(Tick interval)
     // A restore leaves the commit record stale; the first replay
     // after it re-derives the record from the restored plan.
     if (record_.stale)
-        commitStep<CommitMode::Derive>(interval, 0, 0.0);
+        commitStep<CommitMode::Derive>(interval, {});
 
     // Idle skip-ahead: this step plus every grid step after it that
     // nothing can observe apart — before the next pending event and
@@ -289,21 +323,35 @@ Soc::replaySteps(Tick interval)
     }
 
     // The EWMAs and the reactive throttle walk are the one recurrence
-    // that cannot jump, so they step one by one. The batch ends after
-    // a step that moves the throttle. Once neither EWMA moves (bit for
-    // bit) and the throttle holds, every later step repeats that one.
-    const StepAccounting &a = record_.accounting;
+    // that cannot jump, so they step one by one. A step that moves the
+    // throttle ends the batch if the next step's P-state grants differ
+    // under the new throttle. Once neither EWMA moves (bit for bit)
+    // over a step that holds the throttle, every later step repeats
+    // that one. The walk runs on locals, so the grant check's call
+    // does not force them through memory on every step.
+    const StepAccounting a = record_.accounting;
+    const Watt tdp = cfg_.tdp;
+    Watt power = powerEwma_;
+    BytesPerSec bw = bwEwma_;
+    double throttle = throttle_;
     std::uint64_t n = 0;
     while (n < max_steps) {
-        const Watt power = powerEwma_;
-        const BytesPerSec bw = bwEwma_;
-        advanceEwmas(a);
+        const Watt power_before = power;
+        const BytesPerSec bw_before = bw;
+        const double throttle_before = throttle;
+        advanceEwmas(a, tdp, power, bw, throttle);
         ++n;
-        if (throttle_ != plan_.throttle)
-            break;
-        if (sameBits(power, powerEwma_) && sameBits(bw, bwEwma_))
+        if (throttle != throttle_before) {
+            if (n < max_steps && !holdsGrantsAt(throttle))
+                break;
+        } else if (sameBits(power, power_before) &&
+                   sameBits(bw, bw_before)) {
             n = max_steps;
+        }
     }
+    powerEwma_ = power;
+    bwEwma_ = bw;
+    throttle_ = throttle;
 
     applyCommit(batch_start, interval, n);
     const Tick last = batch_start + (n - 1) * interval;
@@ -389,20 +437,11 @@ Soc::step()
     const double exec_frac =
         res.activeFraction() * hdc_.dutyFactor() * (1.0 - stall_frac);
 
-    std::size_t active_threads = 0;
-    double act_sum = 0.0;
-    for (const auto &w : demand.threadWork) {
-        if (w.cpiBase > 0.0) {
-            ++active_threads;
-            act_sum += w.activity;
-        }
-    }
-    const double avg_activity =
-        active_threads ? act_sum / static_cast<double>(active_threads)
-                       : kIdleActivity;
-
+    const ThreadActivity act = threadActivity(demand);
     gfxActive_ = !demand.gfxWork.idle() && exec_frac > 0.0;
-    applyComputePStates(demand, active_threads, avg_activity);
+    const PStateGrants grants = grantsAt(throttle_, demand, act);
+    cpu_->setPState(*grants.cpu);
+    gfx_->setPState(*grants.gfx);
 
     const BytesPerSec iso = isoBandwidthDemand();
 
@@ -482,11 +521,9 @@ Soc::step()
     // Record the commit half only when a replay can use it: this
     // step captured a valid plan.
     if (capture_plan && plan_.valid)
-        commitStep<CommitMode::Capture>(interval, active_threads,
-                                        avg_activity);
+        commitStep<CommitMode::Capture>(interval, act);
     else
-        commitStep<CommitMode::Apply>(interval, active_threads,
-                                      avg_activity);
+        commitStep<CommitMode::Apply>(interval, act);
     eventq().schedule(&stepEvent_, now() + interval);
 }
 
@@ -517,8 +554,7 @@ Soc::traceRailPower(Tick t, Watt step_power, std::uint64_t n)
 
 template <Soc::CommitMode kMode>
 inline void
-Soc::commitStep(Tick interval, std::size_t active_threads,
-                double avg_activity)
+Soc::commitStep(Tick interval, const ThreadActivity &act)
 {
     constexpr bool kApply = kMode != CommitMode::Derive;
     constexpr bool kRecord = kMode != CommitMode::Apply;
@@ -629,14 +665,13 @@ Soc::commitStep(Tick interval, std::size_t active_threads,
     // Rail power: integratePower() refreshes plan_.railWatts and
     // plan_.stepPower, which a Derive pass takes as restored.
     if constexpr (kApply) {
-        integratePower(demand, active_threads, avg_activity,
-                       ms.utilization, fr.utilization, vddq_power,
-                       interval);
+        integratePower(demand, act, ms.utilization, fr.utilization,
+                       vddq_power, interval);
         traceRailPower(now(), p.stepPower, 1);
     }
     a.powerEwmaTermW = 0.02 * (p.stepPower - cfg_.platformFloor);
     if constexpr (kApply) {
-        advanceEwmas(a);
+        advanceEwmas(a, cfg_.tdp, powerEwma_, bwEwma_, throttle_);
         applyAccounting(a, now(), interval, 1);
     }
 
@@ -684,19 +719,20 @@ Soc::applyCommit(Tick t, Tick interval, std::uint64_t n)
 }
 
 inline void
-Soc::advanceEwmas(const StepAccounting &a)
+Soc::advanceEwmas(const StepAccounting &a, Watt tdp, Watt &power,
+                  BytesPerSec &bw, double &throttle)
 {
     // Reactive power capping: budget models are estimates; when the
     // measured average runs above TDP the compute grant is walked
     // down (and back up once headroom returns).
-    powerEwma_ = 0.98 * powerEwma_ + a.powerEwmaTermW;
-    if (powerEwma_ > cfg_.tdp) {
-        throttle_ = std::max(kThrottleFloor, throttle_ * 0.98);
-    } else if (throttle_ < 1.0) {
-        throttle_ = std::min(1.0, throttle_ * 1.01);
+    power = 0.98 * power + a.powerEwmaTermW;
+    if (power > tdp) {
+        throttle = std::max(kThrottleFloor, throttle * 0.98);
+    } else if (throttle < 1.0) {
+        throttle = std::min(1.0, throttle * 1.01);
     }
 
-    bwEwma_ = 0.98 * bwEwma_ + a.bwEwmaTerm;
+    bw = 0.98 * bw + a.bwEwmaTerm;
 }
 
 inline void
@@ -724,9 +760,8 @@ Soc::applyAccounting(const StepAccounting &a, Tick t, Tick interval,
 
 void
 Soc::integratePower(const IntervalDemand &demand,
-                    std::size_t active_threads, double activity,
-                    double mc_util, double fabric_util, Watt vddq_power,
-                    Tick interval)
+                    const ThreadActivity &act, double mc_util,
+                    double fabric_util, Watt vddq_power, Tick interval)
 {
     const compute::CStateResidency &res = demand.residency;
     const double exec = res.activeFraction() * hdc_.dutyFactor();
@@ -735,8 +770,8 @@ Soc::integratePower(const IntervalDemand &demand,
 
     // VCore: dynamic while executing, leakage weighted by C-state,
     // LLC on the same rail.
-    const Watt cpu_total = active_threads
-                               ? cpu_->power(active_threads, activity)
+    const Watt cpu_total = act.threads
+                               ? cpu_->power(act.threads, act.mean)
                                : cpu_->leakage();
     const Watt cpu_dyn = cpu_total - cpu_->leakage();
     const Watt llc_power = llc_->power(cpu_->voltage(), mc_util);

@@ -240,8 +240,8 @@ class Soc : public SimObject
 
     /**
      * Switching activity assumed when no hardware thread is active.
-     * Both the P-state grant path (step()) and the power integration
-     * (integratePower()) fall back to this same value, so budget
+     * Both the P-state grants (grantsAt()) and the power integration
+     * (integratePower()) take it from threadActivity(), so budget
      * arithmetic and the energy meter can never disagree about what
      * an idle interval costs.
      */
@@ -275,17 +275,20 @@ class Soc : public SimObject
      * fingerprint-identical to the previous slow step are replayed
      * from a cached plan — and runs of such steps inside one run()
      * window are batched into a single event, advancing simulated
-     * time analytically. A batch ends before the next pending event
-     * (a PMU evaluation, a scenario action, a transition-flow step),
-     * at the workload's demand horizon, at the run limit, or when
-     * the reactive throttle moves; the PMU's counter samples run
-     * inside it (Pmu::afterSteps()). A batch of n steps costs
-     * O(accumulators), not O(n): each accumulator takes the n
-     * identical additions of its addend in one exact repeated add
-     * (sim/exact_sum.hh), which leaves the bits n single additions
-     * would. Only the EWMA and throttle recurrence walks step by
-     * step, until both EWMAs reach a fixed point. So all reported
-     * metrics are byte-identical either way (pinned by the
+     * time analytically. The fingerprint lists the P-states the
+     * reactive throttle grants, not the throttle's bits (it reaches a
+     * step only through grantsAt()). A batch ends before the next
+     * pending event (a PMU evaluation, a scenario action, a
+     * transition-flow step), at the workload's demand horizon, at
+     * the run limit, or when a throttle move changes the grants; the
+     * PMU's counter samples run inside it (Pmu::afterSteps()). A
+     * batch of n steps costs O(accumulators), not O(n): each
+     * accumulator takes the n identical additions of its addend in
+     * one exact repeated add (sim/exact_sum.hh), which leaves the
+     * bits n single additions would. Only the EWMA and throttle
+     * recurrence walks step by step, with one grant evaluation per
+     * throttle move, until both EWMAs reach a fixed point. So all
+     * reported metrics are byte-identical either way (pinned by the
      * skip-ahead-off mode of tests/test_contracts.cc).
      */
     void
@@ -333,7 +336,7 @@ class Soc : public SimObject
         Tick demandValidUntil = 0;  //!< Workload horizon at capture.
         WorkloadAgent *workload = nullptr;
         double transitionsSeen = 0.0;
-        double throttle = 1.0;
+        double throttle = 1.0; //!< Fast-path key; grants decide.
         Watt computeBudget = 0.0;
         Hertz coreFreqCap = 0.0;
         double dutyFactor = 0.0;
@@ -444,20 +447,50 @@ class Soc : public SimObject
     /** Whether plan_ can replay the step beginning at @p t. */
     bool planValidAt(Tick t) const;
 
+    /** Busy hardware threads of one step's demand. */
+    struct ThreadActivity
+    {
+        std::size_t threads = 0;
+        double mean = kIdleActivity; //!< Their mean activity.
+    };
+
+    static ThreadActivity threadActivity(const IntervalDemand &demand);
+
+    /** The table states the PBM grants the CPU and the GFX. */
+    struct PStateGrants
+    {
+        const power::PState *cpu = nullptr;
+        const power::PState *gfx = nullptr;
+    };
+
+    /**
+     * The P-states a step with @p demand and @p act grants under
+     * @p throttle, with the current compute budget, frequency cap and
+     * gfxActive_. The only way the throttle reaches a step.
+     */
+    PStateGrants grantsAt(double throttle, const IntervalDemand &demand,
+                          const ThreadActivity &act) const;
+
+    /**
+     * Whether the CPU and GFX already hold (frequency and voltage)
+     * the states grantsAt(@p throttle) gives for demandScratch_ —
+     * the captured demand while plan_ is inside its horizon.
+     */
+    bool holdsGrantsAt(double throttle) const;
+
     /**
      * The commit half of a step, driven from plan_: fabric and memory
      * service, retire and render, counter and power integration,
      * EWMAs, and run accumulators. Each call is evaluated, then
      * committed and/or recorded into record_ as @p kMode says. The
-     * slow step passes its @p active_threads and @p avg_activity for
+     * slow step passes its thread activity @p act for
      * integratePower(); Derive takes the plan's rail watts instead.
      * Force-inlined: the Apply and Capture instances are per-step
      * hot paths, and the compile-time mode folds the branches away.
      */
     template <CommitMode kMode>
     [[gnu::always_inline]] void commitStep(Tick interval,
-                                           std::size_t active_threads,
-                                           double avg_activity);
+                                           const ThreadActivity &act);
 
     /**
      * The commit half of @p n replayed steps, the first at @p t:
@@ -467,8 +500,14 @@ class Soc : public SimObject
      */
     void applyCommit(Tick t, Tick interval, std::uint64_t n);
 
-    /** One step of the power and bandwidth EWMAs and the throttle. */
-    [[gnu::always_inline]] void advanceEwmas(const StepAccounting &a);
+    /**
+     * One step of the power and bandwidth EWMAs (@p power, @p bw) and
+     * the reactive @p throttle, with the EWMA terms of @p a, under
+     * @p tdp.
+     */
+    [[gnu::always_inline]] static void
+    advanceEwmas(const StepAccounting &a, Watt tdp, Watt &power,
+                 BytesPerSec &bw, double &throttle);
 
     /**
      * Apply @p a for @p n steps, the first at @p t, to the Soc's own
@@ -488,20 +527,16 @@ class Soc : public SimObject
 
     /** Fast path: replay one batch of grid steps, then reschedule. */
     void replaySteps(Tick interval);
-    void applyComputePStates(const IntervalDemand &demand,
-                             std::size_t active_threads,
-                             double avg_activity);
 
     /**
      * Integrate rail power for the step into the meter, recording
-     * the watts in plan_.railWatts and plan_.stepPower.
-     * @p active_threads and @p activity are the step's busy-thread
-     * count and their mean activity, as step() computed them.
+     * the watts in plan_.railWatts and plan_.stepPower. @p act is
+     * the step's thread activity, as step() computed it.
      */
     void integratePower(const IntervalDemand &demand,
-                        std::size_t active_threads, double activity,
-                        double mc_util, double fabric_util,
-                        Watt dram_power, Tick interval);
+                        const ThreadActivity &act, double mc_util,
+                        double fabric_util, Watt dram_power,
+                        Tick interval);
 
     SocConfig cfg_;
     mem::MrcStore mrc_;

@@ -22,6 +22,7 @@
 #include "exp/report.hh"
 #include "exp/spec_codec.hh"
 #include "obs/trace.hh"
+#include "sim/snapshot.hh"
 #include "soc/soc.hh"
 #include "tests/test_util.hh"
 #include "workloads/battery.hh"
@@ -152,6 +153,41 @@ TEST(TraceSink, CountersAreChangeFiltered)
     // Distinct series filter independently, even with equal values.
     sink.counter(obs::kCatOpPoint, "w", 40, 2.0);
     EXPECT_EQ(sink.size(), 3u);
+}
+
+TEST(TraceSink, EqualNamesAtTwoAddressesShareOneSeries)
+{
+    static const char first[] = "w";
+    static const char second[] = "w";
+    ASSERT_NE(static_cast<const void *>(first),
+              static_cast<const void *>(second));
+    obs::TraceSink sink;
+    sink.counter(obs::kCatPower, first, 0, 1.0);
+    sink.counter(obs::kCatPower, second, 10, 1.0);
+    EXPECT_EQ(sink.size(), 1u);
+    sink.counter(obs::kCatPower, second, 20, 2.0);
+    sink.counter(obs::kCatPower, first, 30, 2.0);
+    EXPECT_EQ(sink.size(), 2u);
+}
+
+TEST(TraceSink, RestoredFilterReplacesTheCallSitesSeenBefore)
+{
+    obs::TraceSink saved;
+    saved.counter(obs::kCatPower, "a", 0, 5.0);
+    saved.counter(obs::kCatPower, "w", 0, 2.0);
+    SnapshotWriter w("trace-test v1");
+    StateIO out(w);
+    saved.visitState(out);
+
+    obs::TraceSink sink;
+    sink.counter(obs::kCatPower, "w", 0, 1.0);
+    SnapshotReader r(w.str(), "trace-test v1");
+    StateIO in(r);
+    sink.visitState(in);
+    sink.counter(obs::kCatPower, "w", 10, 2.0); // Filtered.
+    sink.counter(obs::kCatPower, "w", 20, 1.0);
+    ASSERT_EQ(sink.size(), 3u);
+    EXPECT_EQ(sink.events()[2].ts, 20u);
 }
 
 TEST(TraceSink, CapacityDropsNewEventsNotOldOnes)
