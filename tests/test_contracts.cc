@@ -26,8 +26,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <map>
 #include <random>
 #include <set>
 #include <string>
@@ -39,6 +42,7 @@
 #include "exp/report.hh"
 #include "exp/runner.hh"
 #include "exp/spec_codec.hh"
+#include "sim/snapshot.hh"
 #include "tests/spec_fixtures.hh"
 #include "tests/test_util.hh"
 #include "workloads/battery.hh"
@@ -413,6 +417,62 @@ TEST(ContractCorpus, SerialRunReplaysEnoughSteps)
                   cells()[i].minReplayed)
             << cells()[i].spec.id;
     }
+}
+
+/**
+ * FNV-1a/64 over the "key = bits" lines of a snapshot's stats, in key
+ * order, without soc.replayed_steps: the one stat a change that only
+ * moves the fast path may move.
+ */
+std::string
+statsDigest(const std::string &snapshot)
+{
+    std::string text;
+    for (const auto &[key, value] : test::statLines(snapshot)) {
+        if (key != "stats.soc.replayed_steps.value")
+            text += key + " = " + value + "\n";
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(text)));
+    return hex;
+}
+
+/**
+ * The serial run itself reports committed stats. Every mode above is
+ * compared with the serial run, so a side effect that each mode drops
+ * alike passes them all; tests/data/contract_stats.txt pins each
+ * fixed cell's digest. The random cells are left out.
+ */
+TEST(ContractCorpus, SerialStatsMatchCommittedDigest)
+{
+    const std::string path =
+        (std::filesystem::path(__FILE__).parent_path() / "data" /
+         "contract_stats.txt")
+            .string();
+    std::ifstream is(path);
+    ASSERT_TRUE(is) << path;
+    std::map<std::string, std::string> want;
+    std::string line;
+    while (std::getline(is, line)) {
+        const std::size_t sp = line.find(' ');
+        if (!line.empty() && line[0] != '#' && sp != std::string::npos)
+            want[line.substr(0, sp)] = line.substr(sp + 1);
+    }
+
+    const Outcomes &ref = reference(true);
+    ASSERT_EQ(ref.size(), cells().size());
+    std::size_t fixed = 0;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        const std::string &id = cells()[i].spec.id;
+        if (id.rfind("random-", 0) == 0)
+            continue;
+        ++fixed;
+        const std::string got = statsDigest(ref[i].snapshot);
+        EXPECT_EQ(want.count(id) ? want[id] : "(none)", got)
+            << id << ": fresh line: " << id << " " << got;
+    }
+    EXPECT_EQ(want.size(), fixed) << path << " names other cells";
 }
 
 INSTANTIATE_TEST_SUITE_P(
