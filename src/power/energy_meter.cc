@@ -6,14 +6,6 @@
 namespace sysscale {
 namespace power {
 
-void
-EnergyMeter::addPower(Rail rail, Watt watts, Tick duration)
-{
-    SYSSCALE_ASSERT(watts >= 0.0, "negative power on rail %s",
-                    std::string(railName(rail)).c_str());
-    energy_[railIndex(rail)] += watts * secondsFromTicks(duration);
-}
-
 Joule
 EnergyMeter::railEnergy(Rail rail) const
 {

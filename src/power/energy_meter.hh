@@ -3,8 +3,9 @@
  * Per-rail energy accounting — the simulation stand-in for the paper's
  * NI-DAQ rail instrumentation (Sec. 6, "Power Measurements").
  *
- * Components report power over intervals; the meter integrates energy
- * per rail and answers average-power queries over arbitrary windows.
+ * The Soc charges each rail's energy per step; the meter accumulates
+ * it per rail and answers average-power queries over arbitrary
+ * windows.
  */
 
 #ifndef SYSSCALE_POWER_ENERGY_METER_HH
@@ -28,9 +29,6 @@ class EnergyMeter
 {
   public:
     EnergyMeter() { reset(0); }
-
-    /** Charge @p watts drawn on @p rail for @p duration ticks. */
-    void addPower(Rail rail, Watt watts, Tick duration);
 
     /**
      * Charge @p n rounds of the @p m raw energy amounts @p joules on

@@ -72,8 +72,11 @@ namespace sysscale {
  * event list no longer holds `pmu.sample`. v4: the PMU hosts the
  * governor, so the driver and governor state move from the `policy`
  * section under the PMU's object scope, next to the PMU's run sum.
+ * v5: every slow step captures a plan and re-derives its rail watts,
+ * so the capture-backoff counters and the plan's rail watts and step
+ * power leave the Soc's section.
  */
-constexpr int kSnapFormatVersion = 4;
+constexpr int kSnapFormatVersion = 5;
 
 /**
  * Every snapshot failure mode — unreadable file, bad header, stale

@@ -303,7 +303,7 @@ Soc::replaySteps(Tick interval)
     // A restore leaves the commit record stale; the first replay
     // after it re-derives the record from the restored plan.
     if (record_.stale)
-        commitStep<CommitMode::Derive>(interval, {});
+        recordCommit(interval, threadActivity(demandScratch_));
 
     // Idle skip-ahead: this step plus every grid step after it that
     // nothing can observe apart — before the next pending event and
@@ -374,29 +374,9 @@ Soc::step()
 {
     const Tick interval = cfg_.stepInterval;
 
-    if (skipAhead_) {
-        if (planValidAt(now())) {
-            planMissStreak_ = 0;
-            planSkipCountdown_ = 0;
-            planJustCaptured_ = false;
-            replaySteps(interval);
-            return;
-        }
-        // A capture that produced no replay before the next slow step
-        // means the step dynamics are live (a latency limit cycle, a
-        // stall-consuming memory phase, a governor retuning every
-        // sample): back off capturing exponentially so non-replaying
-        // workloads stop paying the fingerprint-and-horizon cost on
-        // every step. Keyed on the capture itself, not on plan_.valid
-        // — a capture voided by consumed stall must back off too. Any
-        // successful replay resets the backoff.
-        if (planJustCaptured_) {
-            planJustCaptured_ = false;
-            plan_.valid = false;
-            if (planMissStreak_ < kPlanBackoffMax)
-                ++planMissStreak_;
-            planSkipCountdown_ = (1u << planMissStreak_) - 1;
-        }
+    if (skipAhead_ && planValidAt(now())) {
+        replaySteps(interval);
+        return;
     }
 
     ++steps_;
@@ -410,14 +390,9 @@ Soc::step()
         workload_->demandAt(now(), demand);
 
     // How long the demand just presented is guaranteed to hold —
-    // the replay plan captured below is dead beyond this tick. Both
-    // the horizon query and the capture are skipped entirely while
-    // the backoff is draining.
-    const bool capture_plan = skipAhead_ && planSkipCountdown_ == 0;
-    if (planSkipCountdown_ > 0)
-        --planSkipCountdown_;
+    // the replay plan captured below is dead beyond this tick.
     Tick demand_horizon = kMaxTick;
-    if (capture_plan && workload_)
+    if (skipAhead_ && workload_)
         demand_horizon = workload_->demandHorizon(now());
 
     const compute::CStateResidency &res = demand.residency;
@@ -500,8 +475,7 @@ Soc::step()
     // stall baked stall_frac into exec_frac and must not be replayed;
     // the fingerprint's pendingStall check handles consistency, the
     // valid flag handles this capture.
-    if (capture_plan) {
-        planJustCaptured_ = true;
+    if (skipAhead_) {
         plan_.valid = stall_consumed == 0;
         plan_.demandValidUntil = demand_horizon;
         plan_.workload = workload_;
@@ -518,17 +492,18 @@ Soc::step()
         plan_.ioEnginePower = display_->power() + isp_->power();
     }
 
-    // Record the commit half only when a replay can use it: this
-    // step captured a valid plan.
-    if (capture_plan && plan_.valid)
-        commitStep<CommitMode::Capture>(interval, act);
-    else
-        commitStep<CommitMode::Apply>(interval, act);
+    // The slow step commits through the path a replay takes: the
+    // record, then one application of it. The EWMAs go first, as in
+    // a replay batch.
+    recordCommit(interval, act);
+    advanceEwmas(record_.accounting, cfg_.tdp, powerEwma_, bwEwma_,
+                 throttle_);
+    applyCommit(now(), interval, 1);
     eventq().schedule(&stepEvent_, now() + interval);
 }
 
 inline void
-Soc::traceRailPower(Tick t, Watt step_power, std::uint64_t n)
+Soc::traceRailPower(Tick t, std::uint64_t n)
 {
     // Change-filtered in the sink, so a steady phase emits one sample
     // per level shift — and replayed steps (identical watts by
@@ -538,69 +513,62 @@ Soc::traceRailPower(Tick t, Watt step_power, std::uint64_t n)
     obs::TraceSink *sink = traceSink();
     if (!TRACE_ACTIVE(sink))
         return;
-    const StepPlan &p = plan_;
+    const CommitRecord &rec = record_;
     sink->counter(obs::kCatPower, "vcore_w", t,
-                  p.railWatts[power::railIndex(power::Rail::VCore)], n);
+                  rec.railWatts[power::railIndex(power::Rail::VCore)], n);
     sink->counter(obs::kCatPower, "vgfx_w", t,
-                  p.railWatts[power::railIndex(power::Rail::VGfx)], n);
+                  rec.railWatts[power::railIndex(power::Rail::VGfx)], n);
     sink->counter(obs::kCatPower, "vsa_w", t,
-                  p.railWatts[power::railIndex(power::Rail::VSA)], n);
+                  rec.railWatts[power::railIndex(power::Rail::VSA)], n);
     sink->counter(obs::kCatPower, "vio_w", t,
-                  p.railWatts[power::railIndex(power::Rail::VIO)], n);
+                  rec.railWatts[power::railIndex(power::Rail::VIO)], n);
     sink->counter(obs::kCatPower, "vddq_w", t,
-                  p.railWatts[power::railIndex(power::Rail::VDDQ)], n);
-    sink->counter(obs::kCatPower, "soc_w", t, step_power, n);
+                  rec.railWatts[power::railIndex(power::Rail::VDDQ)], n);
+    sink->counter(obs::kCatPower, "soc_w", t, rec.stepPower, n);
 }
 
-template <Soc::CommitMode kMode>
-inline void
-Soc::commitStep(Tick interval, const ThreadActivity &act)
+void
+Soc::recordCommit(Tick interval, const ThreadActivity &act)
 {
-    constexpr bool kApply = kMode != CommitMode::Derive;
-    constexpr bool kRecord = kMode != CommitMode::Apply;
-
     const StepPlan &p = plan_;
     const IntervalDemand &demand = demandScratch_;
     CommitRecord &rec = record_;
     const double dram_frac = p.dramFrac;
-    const bool mem_active = dram_frac > 1e-9;
+    rec.memActive = dram_frac > 1e-9;
 
     // IO traffic crosses the fabric; CPU/GFX reach the MC via LLC.
     // The MC serves only the DRAM-active share of the step.
-    interconnect::FabricResult fr;
-    mem::MemServiceCommit mc;
-    const mem::MemServiceResult &ms = mc.result;
+    rec.fabric = {};
+    rec.mc = {};
+    const interconnect::FabricResult &fr = rec.fabric;
+    const mem::MemServiceResult &ms = rec.mc.result;
     Watt vddq_power = dram_->selfRefreshPower();
-    if (mem_active) {
-        fr = fabric_->evaluate(
+    if (rec.memActive) {
+        rec.fabric = fabric_->evaluate(
             interconnect::FabricDemand{p.md.ioIso, p.md.ioBestEffort});
         const Tick active_ticks = static_cast<Tick>(
             static_cast<double>(interval) * dram_frac);
-        mc = mc_->evaluate(p.md, std::max<Tick>(1, active_ticks));
-        vddq_power = mc.dramPower * dram_frac +
+        rec.mc = mc_->evaluate(p.md, std::max<Tick>(1, active_ticks));
+        vddq_power = rec.mc.dramPower * dram_frac +
                      dram_->selfRefreshPower() * (1.0 - dram_frac);
-        if constexpr (kApply) {
-            fabric_->commit(fr, interval);
-            mc_->commit(mc);
-            // Bitwise latency stabilization: hold the previous
-            // estimate while the fresh one sits inside the fixpoint
-            // tolerance. The step's fixpoint already treats such a
-            // move as converged; snapping here keeps steady phases at
-            // one exact value instead of limit-cycling in the last
-            // float bits, which is what lets the replay fingerprint
-            // (and therefore skip-ahead) engage on active-but-steady
-            // workloads.
-            if (std::abs(ms.loadedLatencyNs - lastMemLatencyNs_) >
-                kMemLatencyTolNs) {
-                lastMemLatencyNs_ = ms.loadedLatencyNs;
-            }
+        // Bitwise latency stabilization: hold the previous estimate
+        // while the fresh one sits inside the fixpoint tolerance. The
+        // step's fixpoint already treats such a move as converged;
+        // snapping here keeps steady phases at one exact value instead
+        // of limit-cycling in the last float bits, which is what lets
+        // the replay fingerprint (and therefore skip-ahead) engage on
+        // active-but-steady workloads. A replay's record never moves
+        // it: the fingerprint holds the latency its capture saw.
+        if (std::abs(ms.loadedLatencyNs - lastMemLatencyNs_) >
+            kMemLatencyTolNs) {
+            lastMemLatencyNs_ = ms.loadedLatencyNs;
         }
     }
 
     // Retire compute progress.
     double stall_cycles = 0.0;
-    std::size_t retired = 0;
-    bool rendered = false;
+    rec.retired = 0;
+    rec.rendered = false;
     const Tick exec_ticks = static_cast<Tick>(
         static_cast<double>(interval) * p.execFrac);
     if (exec_ticks > 0) {
@@ -614,16 +582,11 @@ Soc::commitStep(Tick interval, const ThreadActivity &act)
                 continue;
             compute::CoreWork scaled = w;
             scaled.mpki *= p.missScale;
-            const compute::CoreResult r = cpu_->evaluateRetire(
-                scaled, lastMemLatencyNs_, cpu_grant, exec_ticks);
-            if constexpr (kApply)
-                cpu_->commitRetire(r);
-            if constexpr (kRecord) {
-                SYSSCALE_ASSERT(retired < rec.threads.size(),
-                                "more active threads than the cluster");
-                rec.threads[retired] = r;
-            }
-            ++retired;
+            SYSSCALE_ASSERT(rec.retired < rec.threads.size(),
+                            "more active threads than the cluster");
+            compute::CoreResult &r = rec.threads[rec.retired++];
+            r = cpu_->evaluateRetire(scaled, lastMemLatencyNs_,
+                                     cpu_grant, exec_ticks);
             stall_cycles += r.stallCycles;
         }
 
@@ -633,27 +596,28 @@ Soc::commitStep(Tick interval, const ThreadActivity &act)
                 p.md.gfx > 1e-9
                     ? std::clamp(ms.achievedGfx / p.md.gfx, 1e-3, 1.0)
                     : 1.0;
-            const compute::GfxResult g = gfx_->evaluateRender(
+            rec.gfx = gfx_->evaluateRender(
                 demand.gfxWork, p.gfxDemandC0 * gfx_grant, exec_ticks);
-            if constexpr (kApply)
-                gfx_->commitRender(g);
-            if constexpr (kRecord)
-                rec.gfx = g;
-            rendered = true;
+            rec.rendered = true;
         }
     }
 
+    const double secs = secondsFromTicks(interval);
+    railPower(demand, act, ms.utilization, fr.utilization, vddq_power);
+    for (std::size_t i = 0; i < rec.railJoules.size(); ++i)
+        rec.railJoules[i] = rec.railWatts[i] * secs;
+    rec.floorJoules = cfg_.platformFloor * secs;
+
     // The Soc's own bookkeeping: counter observables (raw per-step
     // quantities), EWMA terms, and run-accumulator addends.
-    StepAccounting local;
-    StepAccounting &a = kRecord ? rec.accounting : local;
-    const double secs = secondsFromTicks(interval);
+    StepAccounting &a = rec.accounting;
     a.qosViolation = ms.qosViolation || fr.qosViolation;
     a.cpuMisses = ms.achievedCpuRead * dram_frac * secs / 64.0;
     a.gfxMisses = ms.achievedGfx * dram_frac * secs / 64.0;
     a.stallCycles = stall_cycles;
     a.cpuOccupancy = ms.readPendingOccupancy * dram_frac;
     a.ioRpq = fr.readPendingOccupancy * dram_frac;
+    a.powerEwmaTermW = 0.02 * (rec.stepPower - cfg_.platformFloor);
     a.bwEwmaTerm = 0.02 * ms.achievedTotal() * dram_frac;
     a.secs = secs;
     a.memLatIntegral = lastMemLatencyNs_ * secs * dram_frac;
@@ -661,32 +625,7 @@ Soc::commitStep(Tick interval, const ThreadActivity &act)
     a.bwIntegral = ms.achievedTotal() * dram_frac * secs;
     a.coreFreqIntegral = cpu_->frequency() * secs;
     a.lowPoint = !(currentOp_ == opPoints_.high());
-
-    // Rail power: integratePower() refreshes plan_.railWatts and
-    // plan_.stepPower, which a Derive pass takes as restored.
-    if constexpr (kApply) {
-        integratePower(demand, act, ms.utilization, fr.utilization,
-                       vddq_power, interval);
-        traceRailPower(now(), p.stepPower, 1);
-    }
-    a.powerEwmaTermW = 0.02 * (p.stepPower - cfg_.platformFloor);
-    if constexpr (kApply) {
-        advanceEwmas(a, cfg_.tdp, powerEwma_, bwEwma_, throttle_);
-        applyAccounting(a, now(), interval, 1);
-    }
-
-    if constexpr (kRecord) {
-        rec.memActive = mem_active;
-        rec.fabric = fr;
-        rec.mc = mc;
-        rec.retired = retired;
-        rec.rendered = rendered;
-        // The product EnergyMeter::addPower() would form.
-        for (std::size_t i = 0; i < rec.railJoules.size(); ++i)
-            rec.railJoules[i] = p.railWatts[i] * secs;
-        rec.floorJoules = cfg_.platformFloor * secs;
-        rec.stale = false;
-    }
+    rec.stale = false;
 }
 
 void
@@ -701,9 +640,7 @@ Soc::applyCommit(Tick t, Tick interval, std::uint64_t n)
     if (rec.rendered)
         gfx_->commitRender(rec.gfx, n);
 
-    // The energy meter sees the identical per-rail addition sequence
-    // integratePower() produced: V_SA's platform floor follows its
-    // rail energy in every step.
+    // V_SA's platform floor follows its rail energy in every step.
     for (power::Rail r : power::kAllRails) {
         if (r != power::Rail::VSA)
             meter_.addEnergy(r, &rec.railJoules[power::railIndex(r)], 1,
@@ -713,7 +650,7 @@ Soc::applyCommit(Tick t, Tick interval, std::uint64_t n)
         rec.railJoules[power::railIndex(power::Rail::VSA)],
         rec.floorJoules};
     meter_.addEnergy(power::Rail::VSA, vsa, 2, n);
-    traceRailPower(t, plan_.stepPower, n);
+    traceRailPower(t, n);
 
     applyAccounting(rec.accounting, t, interval, n);
 }
@@ -759,14 +696,14 @@ Soc::applyAccounting(const StepAccounting &a, Tick t, Tick interval,
 }
 
 void
-Soc::integratePower(const IntervalDemand &demand,
-                    const ThreadActivity &act, double mc_util,
-                    double fabric_util, Watt vddq_power, Tick interval)
+Soc::railPower(const IntervalDemand &demand, const ThreadActivity &act,
+               double mc_util, double fabric_util, Watt vddq_power)
 {
     const compute::CStateResidency &res = demand.residency;
     const double exec = res.activeFraction() * hdc_.dutyFactor();
     const double leak_w = res.computeLeakWeight();
     const double uncore_w = res.uncoreWeight();
+    std::array<Watt, power::kNumRails> &w = record_.railWatts;
 
     // VCore: dynamic while executing, leakage weighted by C-state,
     // LLC on the same rail.
@@ -777,7 +714,7 @@ Soc::integratePower(const IntervalDemand &demand,
     const Watt llc_power = llc_->power(cpu_->voltage(), mc_util);
     const Watt v_core = cpu_dyn * exec +
                         cpu_->leakage() * leak_w + llc_power * leak_w;
-    meter_.addPower(power::Rail::VCore, v_core, interval);
+    w[power::railIndex(power::Rail::VCore)] = v_core;
 
     // VGfx: dynamic while rendering, leakage weighted by C-state.
     const Watt gfx_total = gfx_->power(demand.gfxWork);
@@ -786,7 +723,7 @@ Soc::integratePower(const IntervalDemand &demand,
                            ? (gfx_total - gfx_leak) * exec +
                                  gfx_leak * leak_w
                            : gfx_leak * leak_w;
-    meter_.addPower(power::Rail::VGfx, v_gfx, interval);
+    w[power::railIndex(power::Rail::VGfx)] = v_gfx;
 
     // V_SA: MC + fabric + IO engines (Fig. 1, circled 1).
     const Watt v_sa =
@@ -794,31 +731,21 @@ Soc::integratePower(const IntervalDemand &demand,
          display_->power() + isp_->power() +
          dma_->power(demand.ioBestEffort)) *
         uncore_w;
-    meter_.addPower(power::Rail::VSA, v_sa, interval);
+    w[power::railIndex(power::Rail::VSA)] = v_sa;
 
     // V_IO: DDRIO-digital + IO PHYs (circled 4).
     const Watt v_io = mc_->ddrioDigitalPower(mc_util) * uncore_w;
-    meter_.addPower(power::Rail::VIO, v_io, interval);
+    w[power::railIndex(power::Rail::VIO)] = v_io;
 
     // VDDQ: DRAM + DDRIO-analog (circled 2 and 3); already blended
     // between active and self-refresh by the caller.
-    meter_.addPower(power::Rail::VDDQ, vddq_power, interval);
+    w[power::railIndex(power::Rail::VDDQ)] = vddq_power;
 
-    // Always-on platform slice outside the managed domains; charged
-    // on the V_SA meter channel (same supply branch on the board).
-    meter_.addPower(power::Rail::VSA, cfg_.platformFloor, interval);
-
-    const Watt total = v_core + v_gfx + v_sa + v_io + vddq_power +
-                       cfg_.platformFloor;
-
-    // Record the per-rail watts: a capturing step's commit record
-    // turns them into the energy a replayed step adds.
-    plan_.railWatts[power::railIndex(power::Rail::VCore)] = v_core;
-    plan_.railWatts[power::railIndex(power::Rail::VGfx)] = v_gfx;
-    plan_.railWatts[power::railIndex(power::Rail::VSA)] = v_sa;
-    plan_.railWatts[power::railIndex(power::Rail::VIO)] = v_io;
-    plan_.railWatts[power::railIndex(power::Rail::VDDQ)] = vddq_power;
-    plan_.stepPower = total;
+    // The always-on platform slice outside the managed domains;
+    // applyCommit() charges it on the V_SA meter channel (same supply
+    // branch on the board).
+    record_.stepPower = v_core + v_gfx + v_sa + v_io + vddq_power +
+                        cfg_.platformFloor;
 }
 
 Soc::RunAccumulators
@@ -950,14 +877,7 @@ Soc::visitState(StateIO &io)
     io.field("md_io_best_effort", p.md.ioBestEffort);
     io.field("gfx_demand_c0", p.gfxDemandC0);
     io.field("miss_scale", p.missScale);
-    for (std::size_t i = 0; i < p.railWatts.size(); ++i)
-        io.field("rail_w" + std::to_string(i), p.railWatts[i]);
-    io.field("step_power", p.stepPower);
     io.pop();
-
-    io.field("plan_miss_streak", planMissStreak_);
-    io.field("plan_skip_countdown", planSkipCountdown_);
-    io.field("plan_just_captured", planJustCaptured_);
 
     io.field("last_mem_latency_ns", lastMemLatencyNs_);
     io.field("bw_ewma", bwEwma_);
@@ -972,7 +892,7 @@ Soc::visitState(StateIO &io)
     io.field("low_point_seconds", lowPointSeconds_);
     io.field("elapsed_seconds", elapsedSeconds_);
 
-    // The demand scratch feeds commitStep() on replayed steps, so a
+    // The demand scratch feeds recordCommit() after a restore, so a
     // restored plan needs the exact demand it was captured with.
     io.push("demand");
     IntervalDemand &d = demandScratch_;

@@ -240,8 +240,8 @@ class Soc : public SimObject
 
     /**
      * Switching activity assumed when no hardware thread is active.
-     * Both the P-state grants (grantsAt()) and the power integration
-     * (integratePower()) take it from threadActivity(), so budget
+     * Both the P-state grants (grantsAt()) and the rail power
+     * (railPower()) take it from threadActivity(), so budget
      * arithmetic and the energy meter can never disagree about what
      * an idle interval costs.
      */
@@ -271,25 +271,29 @@ class Soc : public SimObject
 
     /**
      * Enable/disable the constant-step replay fast path for this
-     * instance. When enabled (the default), steps whose inputs are
-     * fingerprint-identical to the previous slow step are replayed
-     * from a cached plan — and runs of such steps inside one run()
-     * window are batched into a single event, advancing simulated
-     * time analytically. The fingerprint lists the P-states the
-     * reactive throttle grants, not the throttle's bits (it reaches a
-     * step only through grantsAt()). A batch ends before the next
-     * pending event (a PMU evaluation, a scenario action, a
-     * transition-flow step), at the workload's demand horizon, at
-     * the run limit, or when a throttle move changes the grants; the
-     * PMU's counter samples run inside it (Pmu::afterSteps()). A
-     * batch of n steps costs O(accumulators), not O(n): each
-     * accumulator takes the n identical additions of its addend in
-     * one exact repeated add (sim/exact_sum.hh), which leaves the
-     * bits n single additions would. Only the EWMA and throttle
-     * recurrence walks step by step, with one grant evaluation per
-     * throttle move, until both EWMAs reach a fixed point. So all
-     * reported metrics are byte-identical either way (pinned by the
-     * skip-ahead-off mode of tests/test_contracts.cc).
+     * instance. When enabled (the default), every slow step captures
+     * a plan, and steps whose inputs are fingerprint-identical to the
+     * last slow step's are replayed from it — and runs of such steps
+     * inside one run() window are batched into a single event,
+     * advancing simulated time analytically. Either way a step
+     * commits through one path: the slow step records its commit
+     * half and applies it once, a replay applies the same record
+     * again (recordCommit(), applyCommit()). The fingerprint lists
+     * the P-states the reactive throttle grants, not the throttle's
+     * bits (it reaches a step only through grantsAt()). A batch ends
+     * before the next pending event (a PMU evaluation, a scenario
+     * action, a transition-flow step), at the workload's demand
+     * horizon, at the run limit, or when a throttle move changes the
+     * grants; the PMU's counter samples run inside it
+     * (Pmu::afterSteps()). A batch of n steps costs O(accumulators),
+     * not O(n): each accumulator takes the n identical additions of
+     * its addend in one exact repeated add (sim/exact_sum.hh), which
+     * leaves the bits n single additions would. Only the EWMA and
+     * throttle recurrence walks step by step, with one grant
+     * evaluation per throttle move, until both EWMAs reach a fixed
+     * point. So all reported metrics are byte-identical either way
+     * (pinned by the skip-ahead-off mode of tests/test_contracts.cc;
+     * its committed digest pins what both modes report).
      */
     void
     setSkipAhead(bool on)
@@ -355,11 +359,6 @@ class Soc : public SimObject
         double gfxDemandC0 = 0.0;
         double missScale = 1.0;
         /** @} */
-
-        /** @name Rail power recorded by integratePower(). @{ */
-        std::array<Watt, power::kNumRails> railWatts{};
-        Watt stepPower = 0.0;
-        /** @} */
     };
 
     /**
@@ -398,14 +397,15 @@ class Soc : public SimObject
     };
 
     /**
-     * Every side effect of a plan's capturing slow step, so a replayed
-     * step applies them instead of re-running the fabric, memory,
-     * retire and render evaluations on inputs the fingerprint already
-     * proved identical. Filled only by slow steps that capture a
-     * valid plan. Derived state, never snapshotted: a restore marks
-     * it stale (Soc restores before its children), and the first
-     * replay after a restore re-derives it from the restored plan and
-     * component state.
+     * Every side effect of the last slow step. The slow step commits
+     * by applying it once, and a replayed step applies it again
+     * instead of re-running the fabric, memory, retire, render and
+     * rail-power evaluations on inputs the fingerprint already proved
+     * identical: one commit path, so a side effect missing here is
+     * missing in every mode. Derived state, never snapshotted: a
+     * restore marks it stale (Soc restores before its children), and
+     * the first replay after a restore re-derives it from the
+     * restored plan and component state.
      */
     struct CommitRecord
     {
@@ -423,20 +423,17 @@ class Soc : public SimObject
         bool rendered = false;
         compute::GfxResult gfx;
 
-        /** addEnergy() operands: the captured watts times the step. @{ */
+        /** @name Rail power, as railPower() computed it. @{ */
+        std::array<Watt, power::kNumRails> railWatts{};
+        Watt stepPower = 0.0; //!< Every rail plus the platform floor.
+        /** @} */
+
+        /** addEnergy() operands: the watts times the step. @{ */
         std::array<Joule, power::kNumRails> railJoules{};
         Joule floorJoules = 0.0;
         /** @} */
 
         StepAccounting accounting;
-    };
-
-    /** What commitStep() does with the evaluations it computes. */
-    enum class CommitMode
-    {
-        Apply,   //!< Commit them (a slow step that captures nothing).
-        Capture, //!< Commit and record them (a capturing slow step).
-        Derive,  //!< Only record them (re-derivation after restore).
     };
 
     void step();
@@ -479,23 +476,20 @@ class Soc : public SimObject
     bool holdsGrantsAt(double throttle) const;
 
     /**
-     * The commit half of a step, driven from plan_: fabric and memory
-     * service, retire and render, counter and power integration,
-     * EWMAs, and run accumulators. Each call is evaluated, then
-     * committed and/or recorded into record_ as @p kMode says. The
-     * slow step passes its thread activity @p act for
-     * integratePower(); Derive takes the plan's rail watts instead.
-     * Force-inlined: the Apply and Capture instances are per-step
-     * hot paths, and the compile-time mode folds the branches away.
+     * Evaluate the commit half of a step into record_, driven from
+     * plan_ and demandScratch_: fabric and memory service, retire and
+     * render, rail power (@p act is the step's thread activity), the
+     * counter observables, EWMA terms and run-accumulator addends.
+     * Applies the latency snap and commits nothing else. A slow step
+     * calls it, and so does the first replay after a restore.
      */
-    template <CommitMode kMode>
-    [[gnu::always_inline]] void commitStep(Tick interval,
-                                           const ThreadActivity &act);
+    void recordCommit(Tick interval, const ThreadActivity &act);
 
     /**
-     * The commit half of @p n replayed steps, the first at @p t:
-     * apply record_'s side effects n times, so every accumulator sees
-     * the identical sequence of additions. The EWMAs are not touched:
+     * The commit half of @p n steps, the first at @p t: apply
+     * record_'s side effects n times, so every accumulator sees the
+     * identical sequence of additions. A slow step passes 1. The
+     * EWMAs are not touched: the slow step advances them once, and
      * replaySteps() walks them itself to find n.
      */
     void applyCommit(Tick t, Tick interval, std::uint64_t n);
@@ -519,24 +513,21 @@ class Soc : public SimObject
                     std::uint64_t n);
 
     /**
-     * Rail-power trace counters at @p t (change-filtered), reported
-     * for @p n steps.
+     * record_'s rail-power trace counters at @p t (change-filtered),
+     * reported for @p n steps.
      */
-    [[gnu::always_inline]] void traceRailPower(Tick t, Watt step_power,
-                                               std::uint64_t n);
+    [[gnu::always_inline]] void traceRailPower(Tick t, std::uint64_t n);
 
     /** Fast path: replay one batch of grid steps, then reschedule. */
     void replaySteps(Tick interval);
 
     /**
-     * Integrate rail power for the step into the meter, recording
-     * the watts in plan_.railWatts and plan_.stepPower. @p act is
-     * the step's thread activity, as step() computed it.
+     * The step's watts on each rail, into record_.railWatts and
+     * record_.stepPower; charges no meter (applyCommit() does). @p act
+     * is the step's thread activity, as step() computed it.
      */
-    void integratePower(const IntervalDemand &demand,
-                        const ThreadActivity &act, double mc_util,
-                        double fabric_util, Watt dram_power,
-                        Tick interval);
+    void railPower(const IntervalDemand &demand, const ThreadActivity &act,
+                   double mc_util, double fabric_util, Watt vddq_power);
 
     SocConfig cfg_;
     mem::MrcStore mrc_;
@@ -574,22 +565,6 @@ class Soc : public SimObject
 
     StepPlan plan_;
     CommitRecord record_;
-
-    /** Capture-backoff cap: skip at most 2^max - 1 steps. */
-    static constexpr std::uint8_t kPlanBackoffMax = 6;
-
-    /** Consecutive plans invalidated before a single replay. */
-    std::uint8_t planMissStreak_ = 0;
-
-    /** Slow steps left before the next plan capture (0 = capture). */
-    std::uint16_t planSkipCountdown_ = 0;
-
-    /**
-     * The previous slow step captured a plan (valid or not). If the
-     * next step is another slow step, that capture bought nothing and
-     * the backoff deepens; a replay clears it.
-     */
-    bool planJustCaptured_ = false;
     double lastMemLatencyNs_ = 60.0;
     BytesPerSec bwEwma_ = 0.0;
     Watt powerEwma_ = 0.0;

@@ -389,8 +389,10 @@ TEST(PStateCacheDeathTest, ActivityAboveTwoStillPanics)
 TEST(EnergyMeter, IntegratesPerRail)
 {
     EnergyMeter m;
-    m.addPower(Rail::VSA, 2.0, kTicksPerSec);      // 2 J
-    m.addPower(Rail::VDDQ, 1.0, kTicksPerSec / 2); // 0.5 J
+    const Joule vsa = 2.0;  // 2 W for 1 s
+    const Joule vddq = 0.5; // 1 W for 0.5 s
+    m.addEnergy(Rail::VSA, &vsa, 1, 1);
+    m.addEnergy(Rail::VDDQ, &vddq, 1, 1);
     EXPECT_NEAR(m.railEnergy(Rail::VSA), 2.0, 1e-9);
     EXPECT_NEAR(m.railEnergy(Rail::VDDQ), 0.5, 1e-9);
     EXPECT_NEAR(m.totalEnergy(), 2.5, 1e-9);
@@ -403,8 +405,9 @@ TEST(EnergyMeter, RepeatedChargesMatchSingleOnes)
     // step; a replay batch charges n such rounds in one call.
     EnergyMeter one, many;
     const Joule joules[] = {1.3e-5, 2.1e-6};
-    one.addPower(Rail::VSA, 0.25, kTicksPerSec);
-    many.addPower(Rail::VSA, 0.25, kTicksPerSec);
+    const Joule start = 0.25;
+    one.addEnergy(Rail::VSA, &start, 1, 1);
+    many.addEnergy(Rail::VSA, &start, 1, 1);
     for (int i = 0; i < 5000; ++i) {
         one.addEnergy(Rail::VSA, &joules[0], 1, 1);
         one.addEnergy(Rail::VSA, &joules[1], 1, 1);
@@ -420,11 +423,23 @@ TEST(EnergyMeter, RepeatedChargesMatchSingleOnes)
 TEST(EnergyMeter, ResetMovesWindow)
 {
     EnergyMeter m;
-    m.addPower(Rail::VSA, 2.0, kTicksPerSec);
+    const Joule before = 2.0, after = 1.0;
+    m.addEnergy(Rail::VSA, &before, 1, 1);
     m.reset(kTicksPerSec);
     EXPECT_DOUBLE_EQ(m.totalEnergy(), 0.0);
-    m.addPower(Rail::VSA, 1.0, kTicksPerSec);
+    m.addEnergy(Rail::VSA, &after, 1, 1);
     EXPECT_NEAR(m.averagePower(2 * kTicksPerSec), 1.0, 1e-9);
+}
+
+TEST(EnergyMeterDeathTest, NegativeEnergyPanics)
+{
+    // Any addend of a round is checked, not only the first.
+    EnergyMeter m;
+    const Joule joules[] = {1.0, -1e-9};
+    EXPECT_DEATH(m.addEnergy(Rail::VSA, &joules[1], 1, 1),
+                 "negative energy on rail");
+    EXPECT_DEATH(m.addEnergy(Rail::VDDQ, joules, 2, 3),
+                 "negative energy on rail");
 }
 
 } // namespace

@@ -242,8 +242,8 @@ TEST(SkipAhead, RestoreIntoReplayRederivesTheCommitRecord)
     const Tick step = spec.soc.stepInterval;
     const TempDir dir("restore-record");
 
-    // Find the cut: the last step before it captured a valid plan
-    // (and nothing replayed since), and the next step replays. Slow
+    // Find the cut: the last step before it was a slow step, whose
+    // capture is a valid plan, and the next step replays. Slow
     // steps are rare in this cell, so each is found by bisecting the
     // slow-step count (steps - replayed) over the step grid.
     const std::string probe_path = dir.path() + "/probe";
@@ -269,8 +269,7 @@ TEST(SkipAhead, RestoreIntoReplayRederivesTheCommitRecord)
             (slowSteps(probeAt(mid)) == slow_from ? lo : hi) = mid;
         }
         const std::string at = probeAt(hi);
-        if (snapshotField(at, "objects.soc.plan_just_captured") == "1" &&
-            snapshotField(at, "objects.soc.plan.valid") == "1" &&
+        if (snapshotField(at, "objects.soc.plan.valid") == "1" &&
             slowSteps(probeAt(hi + step)) == slowSteps(at)) {
             cut = hi;
         }
