@@ -1,6 +1,5 @@
 #include "power/energy_meter.hh"
 
-#include "sim/logging.hh"
 #include "sim/snapshot.hh"
 
 namespace sysscale {
