@@ -6,14 +6,18 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench/harness.hh"
 #include "core/governor.hh"
 #include "core/governor_driver.hh"
 #include "core/governor_registry.hh"
+#include "core/governors.hh"
 #include "core/threshold_trainer.hh"
+#include "core/transition_flow.hh"
 #include "obs/trace.hh"
 #include "sim/random.hh"
+#include "sim/sim_object.hh"
+#include "soc/soc.hh"
 #include "workloads/battery.hh"
+#include "workloads/profile.hh"
 #include "workloads/spec.hh"
 
 using namespace sysscale;

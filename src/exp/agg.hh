@@ -2,15 +2,16 @@
  * @file
  * Grid-aware aggregation over RunResult sets.
  *
- * The per-figure benches all reduce the same way: run a grid, slice
+ * The paper figures all reduce the same way: run a grid, slice
  * the rows along one label axis (workload, governor, TDP, ...),
  * collapse each slice with a statistic, and express cells relative
  * to a designated baseline cell of the same slice. These helpers
  * make that pipeline declarative — groupBy() slices on a label,
  * mean()/median()/percentile() collapse, and deltasVsBaseline()
- * computes baseline-relative percent changes — so a bench states
+ * computes baseline-relative percent changes — so a figure states
  * *what* its figure shows instead of hand-rolling loops and
- * accumulators (see bench_fig7_spec.cc for the pattern).
+ * accumulators (see fig7Reduce() in bench/figures.cc for the
+ * pattern).
  *
  * All helpers are pure functions over const rows; groups hold
  * pointers into the caller's result vector, which must outlive them.

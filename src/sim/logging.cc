@@ -20,12 +20,6 @@ vreport(const char *tag, const char *fmt, std::va_list args)
 
 } // anonymous namespace
 
-LogLevel
-logLevel()
-{
-    return gLevel;
-}
-
 void
 setLogLevel(LogLevel level)
 {
@@ -54,28 +48,6 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
     va_end(args);
     std::fprintf(stderr, "\n");
     std::exit(1);
-}
-
-void
-warn(const char *fmt, ...)
-{
-    if (gLevel < LogLevel::Warn)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    vreport("warn", fmt, args);
-    va_end(args);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (gLevel < LogLevel::Inform)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    vreport("info", fmt, args);
-    va_end(args);
 }
 
 void

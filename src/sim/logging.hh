@@ -6,8 +6,7 @@
  *            aborts so debuggers/core dumps catch it.
  * fatal()  — the user asked for something unsupportable (bad config);
  *            exits with an error code.
- * warn()   — something is approximated; simulation continues.
- * inform() — plain status output.
+ * debugLog() — narration of model decisions, shown at LogLevel::Debug.
  *
  * All helpers accept printf-style format strings.
  */
@@ -24,7 +23,6 @@ namespace sysscale {
 enum class LogLevel { Silent, Warn, Inform, Debug };
 
 /** Global verbosity control (default Inform). */
-LogLevel logLevel();
 void setLogLevel(LogLevel level);
 
 /**
@@ -45,13 +43,7 @@ void setLogLevel(LogLevel level);
                             const char *fmt, ...)
     __attribute__((format(printf, 3, 4)));
 
-/** Emit a warning (suppressed when logLevel() < Warn). */
-void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit a status message (suppressed when logLevel() < Inform). */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit a debug message (suppressed when logLevel() < Debug). */
+/** Emit a debug message (suppressed below LogLevel::Debug). */
 void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 } // namespace sysscale

@@ -79,25 +79,6 @@ Rng::uniformInt(std::int64_t lo, std::int64_t hi)
 }
 
 double
-Rng::gaussian()
-{
-    // Box-Muller; draw both uniforms every call so the consumption
-    // pattern is independent of call history.
-    double u1 = uniform();
-    double u2 = uniform();
-    if (u1 < 1e-300)
-        u1 = 1e-300;
-    return std::sqrt(-2.0 * std::log(u1)) *
-           std::cos(2.0 * M_PI * u2);
-}
-
-double
-Rng::gaussian(double mean, double sigma)
-{
-    return mean + sigma * gaussian();
-}
-
-double
 Rng::exponential(double lambda)
 {
     SYSSCALE_ASSERT(lambda > 0.0, "exponential rate must be positive");

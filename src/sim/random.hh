@@ -41,12 +41,6 @@ class Rng
     /** Uniform integer in [lo, hi] (inclusive). */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
-    /** Standard normal via Box-Muller (deterministic, no cached spare). */
-    double gaussian();
-
-    /** Normal with given mean and standard deviation. */
-    double gaussian(double mean, double sigma);
-
     /** Exponential with given rate lambda. */
     double exponential(double lambda);
 

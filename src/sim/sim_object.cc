@@ -111,16 +111,6 @@ Simulator::visitState(StateIO &io)
     io.pop();
 }
 
-SimObject *
-Simulator::find(const std::string &name) const
-{
-    for (auto *obj : objects_) {
-        if (obj->path() == name || obj->name() == name)
-            return obj;
-    }
-    return nullptr;
-}
-
 SimObject::SimObject(Simulator &sim, SimObject *parent, std::string name)
     : stats::StatGroup(parent ? static_cast<stats::StatGroup *>(parent)
                               : &sim.statsRoot(),

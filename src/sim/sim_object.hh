@@ -69,9 +69,6 @@ class Simulator
     /** Run the kernel until @p limit, calling startAll() first. */
     std::uint64_t run(Tick limit);
 
-    /** Look up a registered object by name (nullptr if absent). */
-    SimObject *find(const std::string &name) const;
-
     const std::vector<SimObject *> &objects() const { return objects_; }
 
   private:

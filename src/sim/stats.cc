@@ -36,16 +36,6 @@ Average::mean() const
 }
 
 void
-Average::reset()
-{
-    sum_ = 0.0;
-    weight_ = 0.0;
-    min_ = std::numeric_limits<double>::infinity();
-    max_ = -std::numeric_limits<double>::infinity();
-    count_ = 0;
-}
-
-void
 Average::dump(std::ostream &os, const std::string &prefix) const
 {
     os << prefix << name() << "::mean " << mean()
@@ -95,16 +85,6 @@ TimeAverage::mean() const
 }
 
 void
-TimeAverage::reset()
-{
-    integral_ = 0.0;
-    elapsed_ = 0;
-    current_ = 0.0;
-    lastSet_ = 0;
-    started_ = false;
-}
-
-void
 TimeAverage::dump(std::ostream &os, const std::string &prefix) const
 {
     os << prefix << name() << "::tmean " << mean()
@@ -149,14 +129,6 @@ Distribution::sample(double v, std::uint64_t count)
             idx = buckets_.size() - 1; // fp rounding at the top edge
         buckets_[idx] += count;
     }
-}
-
-void
-Distribution::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = overflow_ = samples_ = 0;
-    sum_ = 0.0;
 }
 
 void
@@ -222,15 +194,6 @@ StatGroup::path() const
         return name_;
     const std::string parent_path = parent_->path();
     return parent_path.empty() ? name_ : parent_path + "." + name_;
-}
-
-void
-StatGroup::resetStats()
-{
-    for (auto *s : stats_)
-        s->reset();
-    for (auto *g : children_)
-        g->resetStats();
 }
 
 void

@@ -29,7 +29,7 @@ namespace stats {
 
 class StatGroup;
 
-/** Base class for all statistics: name, description, reset/dump. */
+/** Base class for all statistics: name, description, dump. */
 class StatBase
 {
   public:
@@ -41,9 +41,6 @@ class StatBase
 
     const std::string &name() const { return name_; }
     const std::string &desc() const { return desc_; }
-
-    /** Zero out the statistic. */
-    virtual void reset() = 0;
 
     /** Print one or more "name value # desc" lines. */
     virtual void dump(std::ostream &os,
@@ -85,7 +82,6 @@ class Scalar : public StatBase
 
     double value() const { return value_; }
 
-    void reset() override { value_ = 0.0; }
     void dump(std::ostream &os,
               const std::string &prefix) const override;
     void visitState(StateIO &io) override;
@@ -108,7 +104,6 @@ class Average : public StatBase
     double max() const { return count_ ? max_ : 0.0; }
     std::uint64_t count() const { return count_; }
 
-    void reset() override;
     void dump(std::ostream &os,
               const std::string &prefix) const override;
     void visitState(StateIO &io) override;
@@ -152,7 +147,6 @@ class TimeAverage : public StatBase
     double mean() const;
     double current() const { return current_; }
 
-    void reset() override;
     void dump(std::ostream &os,
               const std::string &prefix) const override;
     void visitState(StateIO &io) override;
@@ -180,7 +174,6 @@ class Distribution : public StatBase
     std::uint64_t samples() const { return samples_; }
     double mean() const { return samples_ ? sum_ / samples_ : 0.0; }
 
-    void reset() override;
     void dump(std::ostream &os,
               const std::string &prefix) const override;
     void visitState(StateIO &io) override;
@@ -212,9 +205,6 @@ class StatGroup
 
     /** Fully qualified dotted path (root excluded). */
     std::string path() const;
-
-    /** Recursively reset all stats in this group and children. */
-    void resetStats();
 
     /** Recursively dump "path.stat value # desc" lines. */
     void dumpStats(std::ostream &os) const;

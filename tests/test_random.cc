@@ -63,22 +63,6 @@ TEST(Random, UniformIntInclusiveBounds)
     EXPECT_TRUE(saw_hi);
 }
 
-TEST(Random, GaussianMoments)
-{
-    Rng rng(13);
-    double sum = 0.0, sumsq = 0.0;
-    const int n = 200000;
-    for (int i = 0; i < n; ++i) {
-        const double v = rng.gaussian();
-        sum += v;
-        sumsq += v * v;
-    }
-    const double mean = sum / n;
-    const double var = sumsq / n - mean * mean;
-    EXPECT_NEAR(mean, 0.0, 0.02);
-    EXPECT_NEAR(var, 1.0, 0.03);
-}
-
 TEST(Random, ExponentialMean)
 {
     Rng rng(17);

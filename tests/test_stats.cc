@@ -25,8 +25,6 @@ TEST(Stats, ScalarAccumulates)
     s += 2.5;
     ++s;
     EXPECT_DOUBLE_EQ(s.value(), 3.5);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
 }
 
 TEST(Stats, AverageTracksMeanAndExtrema)
@@ -118,19 +116,6 @@ TEST(Stats, GroupPathAndHierarchicalDump)
     const std::string text = os.str();
     EXPECT_NE(text.find("mc.bytes"), std::string::npos);
     EXPECT_NE(text.find("42"), std::string::npos);
-}
-
-TEST(Stats, RecursiveReset)
-{
-    StatGroup root(nullptr, "soc");
-    StatGroup child(&root, "mc");
-    Scalar a(&root, "a", "");
-    Scalar b(&child, "b", "");
-    a += 1.0;
-    b += 2.0;
-    root.resetStats();
-    EXPECT_DOUBLE_EQ(a.value(), 0.0);
-    EXPECT_DOUBLE_EQ(b.value(), 0.0);
 }
 
 TEST(Stats, EmptyAverageIsZero)

@@ -4,7 +4,8 @@
 #
 #   1. every intra-repo markdown link resolves to an existing file
 #      (external http(s)/mailto links and pure #anchors are skipped),
-#   2. every bench/bench_*.cc binary is mentioned in the README's
+#   2. every figure registered in bench/figures.cc (the
+#      `Figure{"<name>"` idiom) has a row in the README's
 #      "Reproducing paper figures" table,
 #   3. every scenario registered in src/workloads/scenario.cc is
 #      documented in docs/EXPERIMENTS.md,
@@ -75,11 +76,17 @@ for f in $md_files; do
     IFS=$old_ifs
 done
 
-# --- 2. README covers every bench binary ----------------------------
-for b in bench/bench_*.cc; do
-    name=$(basename "$b" .cc)
-    if ! grep -q "$name" README.md; then
-        echo "check_docs: README.md does not mention $name" \
+# --- 2. README covers every registered figure ----------------------
+fig_src=bench/figures.cc
+figures=$(grep -o 'Figure{"[a-z0-9-]*"' "$fig_src" |
+          sed 's/.*"\([a-z0-9-]*\)"/\1/')
+if [ -z "$figures" ]; then
+    echo "check_docs: could not extract figure names from $fig_src"
+    errors=$((errors + 1))
+fi
+for f in $figures; do
+    if ! grep -q "^| \`$f\` |" README.md; then
+        echo "check_docs: README.md has no row for figure '$f'" \
              "(add it to the 'Reproducing paper figures' table)"
         errors=$((errors + 1))
     fi
