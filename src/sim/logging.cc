@@ -8,7 +8,7 @@ namespace sysscale {
 
 namespace {
 
-LogLevel gLevel = LogLevel::Inform;
+bool gDebug = false;
 
 void
 vreport(const char *tag, const char *fmt, std::va_list args)
@@ -21,9 +21,9 @@ vreport(const char *tag, const char *fmt, std::va_list args)
 } // anonymous namespace
 
 void
-setLogLevel(LogLevel level)
+setDebugLog(bool on)
 {
-    gLevel = level;
+    gDebug = on;
 }
 
 void
@@ -53,7 +53,7 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
 void
 debugLog(const char *fmt, ...)
 {
-    if (gLevel < LogLevel::Debug)
+    if (!gDebug)
         return;
     std::va_list args;
     va_start(args, fmt);

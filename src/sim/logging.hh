@@ -6,7 +6,7 @@
  *            aborts so debuggers/core dumps catch it.
  * fatal()  — the user asked for something unsupportable (bad config);
  *            exits with an error code.
- * debugLog() — narration of model decisions, shown at LogLevel::Debug.
+ * debugLog() — narration of model decisions, shown once setDebugLog(true).
  *
  * All helpers accept printf-style format strings.
  */
@@ -19,11 +19,8 @@
 
 namespace sysscale {
 
-/** Verbosity levels for status messages. */
-enum class LogLevel { Silent, Warn, Inform, Debug };
-
-/** Global verbosity control (default Inform). */
-void setLogLevel(LogLevel level);
+/** Global switch for debugLog() output (default off). */
+void setDebugLog(bool on);
 
 /**
  * Abort the simulation due to an internal error. Never returns.
@@ -43,7 +40,7 @@ void setLogLevel(LogLevel level);
                             const char *fmt, ...)
     __attribute__((format(printf, 3, 4)));
 
-/** Emit a debug message (suppressed below LogLevel::Debug). */
+/** Emit a debug message (suppressed unless setDebugLog(true)). */
 void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 } // namespace sysscale

@@ -2,7 +2,7 @@
 """Coverage gate: every function in src/ runs, or is allowlisted.
 
 Usage:
-    python3 tools/coverage_gate.py BUILD_DIR [--allowlist FILE]
+    python3 tools/coverage_gate.py BUILD_DIR
 
 BUILD_DIR is a build configured with `--coverage` (docs/ANALYSIS.md)
 whose binaries have already run, so every object has its .gcda
@@ -12,8 +12,7 @@ sum spans every object: a header-inline function is compiled into
 many objects, so a zero in one of them says nothing.
 
 It fails (exit 1) when a src/ function never ran and is missing from
-the allowlist (default tools/coverage_allowlist.txt). Allowlist
-lines read
+tools/coverage_allowlist.txt. Allowlist lines read
 
     src/sim/logging.cc sysscale::panicImpl(char const*, int, ...)  # abort path
 
@@ -31,6 +30,7 @@ import subprocess
 import sys
 
 REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+ALLOWLIST = os.path.join(REPO, "tools", "coverage_allowlist.txt")
 
 
 def gcov_records(build_dir):
@@ -87,12 +87,10 @@ def read_allowlist(path):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("build_dir")
-    ap.add_argument("--allowlist", default=os.path.join(
-        REPO, "tools", "coverage_allowlist.txt"))
     args = ap.parse_args()
 
     counts = function_counts(os.path.abspath(args.build_dir))
-    allowed = read_allowlist(args.allowlist)
+    allowed = read_allowlist(ALLOWLIST)
     never = sorted(k for k, c in counts.items() if c == 0)
     missing = [k for k in never if k not in allowed]
     stale = sorted(k for k in allowed if counts.get(k, 1) != 0)

@@ -195,8 +195,9 @@ usage()
         "                     skip the simulator and write none;\n"
         "                     combine with --no-cache for full\n"
         "                     coverage). Not valid with --distributed\n"
-        "  --log-level LEVEL  stderr verbosity: silent, warn,\n"
-        "                     inform (default), debug\n"
+        "  --log-level LEVEL  debug narrates model decisions to\n"
+        "                     stderr; silent, warn and inform\n"
+        "                     (default) are all quiet\n"
         "  --cache-dir DIR    reuse finished cells from DIR\n"
         "                     (default: $SYSSCALE_CACHE_DIR)\n"
         "  --no-cache         disable the cell cache entirely\n"
@@ -396,14 +397,11 @@ main(int argc, char **argv)
             trace_dir = value();
         } else if (arg == "--log-level") {
             const std::string level = value();
-            if (level == "silent") {
-                setLogLevel(LogLevel::Silent);
-            } else if (level == "warn") {
-                setLogLevel(LogLevel::Warn);
-            } else if (level == "inform") {
-                setLogLevel(LogLevel::Inform);
+            if (level == "silent" || level == "warn" ||
+                level == "inform") {
+                setDebugLog(false);
             } else if (level == "debug") {
-                setLogLevel(LogLevel::Debug);
+                setDebugLog(true);
             } else {
                 std::fprintf(stderr,
                              "sweep_grid: unknown --log-level "
