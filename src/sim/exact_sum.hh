@@ -23,6 +23,14 @@
 
 namespace sysscale {
 
+/**
+ * Rounds up to which addRepeated() runs the plain loop: a short
+ * replay batch's rounds cost less than the jump's first round. The
+ * loop stays out of line, since inlining it at every commit call
+ * site costs more in code size than the call.
+ */
+constexpr std::uint64_t kLoopRounds = 4;
+
 namespace detail {
 
 /** addRepeated() for any n, out of line: a replay batch's path. */
@@ -32,6 +40,13 @@ addRepeatedJump(double &x, std::size_t m, std::uint64_t n,
                 const Addend &addend)
 {
     constexpr std::uint64_t kMantissaBits = 52;
+    if (n <= kLoopRounds) {
+        for (std::uint64_t k = 0; k < n; ++k) {
+            for (std::size_t i = 0; i < m; ++i)
+                x += addend(i);
+        }
+        return;
+    }
     while (n > 0) {
         std::uint64_t bits;
         std::memcpy(&bits, &x, sizeof bits);

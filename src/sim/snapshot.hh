@@ -75,8 +75,15 @@ namespace sysscale {
  * v5: every slow step captures a plan and re-derives its rail watts,
  * so the capture-backoff counters and the plan's rail watts and step
  * power leave the Soc's section.
+ * v6: the Soc's one plan becomes a ring of plans, saved most recently
+ * used first (`plan0`, `plan1`, ...; one that can no longer replay
+ * saves only `valid`).
+ * A plan's granted P-states are table indices (`cpu_state`,
+ * `gfx_state`), it keeps its thread activity, `gfx_active` and
+ * `latency_out_ns`, and it drops `workload_bound`, `iso` (the same
+ * value as `md_io_iso`) and `miss_scale` (a constant of the Soc).
  */
-constexpr int kSnapFormatVersion = 5;
+constexpr int kSnapFormatVersion = 6;
 
 /**
  * Every snapshot failure mode — unreadable file, bad header, stale

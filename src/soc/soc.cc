@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "obs/trace.hh"
 #include "sim/exact_sum.hh"
@@ -88,7 +89,10 @@ Soc::Soc(Simulator &sim, SocConfig cfg)
     cpu_ = std::make_unique<compute::CpuCluster>(
         sim, this, cfg_.cores, cfg_.threadsPerCore,
         std::move(core_table));
-    record_.threads.resize(cpu_->numThreads());
+    std::iota(mru_.begin(), mru_.end(), 0);
+    retire_.resize(kPlanRingSize * cpu_->numThreads());
+    for (std::size_t i = 0; i < kPlanRingSize; ++i)
+        ring_[i].record.threads = &retire_[i * cpu_->numThreads()];
 
     power::PStateTable gfx_table(power::skylakeGfxCurve(),
                                  cfg_.gfxCdyn, cfg_.gfxLeakK,
@@ -254,70 +258,81 @@ Soc::grantsAt(double throttle, const IntervalDemand &demand,
 }
 
 bool
-Soc::holdsGrantsAt(double throttle) const
+Soc::findPlan(Tick t)
 {
-    const IntervalDemand &demand = demandScratch_;
-    const PStateGrants g =
-        grantsAt(throttle, demand, threadActivity(demand));
-    return g.cpu->freq == cpu_->frequency() &&
-           g.cpu->voltage == cpu_->voltage() &&
-           g.gfx->freq == gfx_->frequency() &&
-           g.gfx->voltage == gfx_->voltage();
-}
-
-bool
-Soc::planValidAt(Tick t) const
-{
-    const StepPlan &p = plan_;
-    if (!p.valid || t >= p.demandValidUntil)
+    if (pendingStall_ != 0)
         return false;
-    if (pendingStall_ != 0 || workload_ != p.workload)
-        return false;
-    // Exact (bitwise) comparisons throughout: the replay path only
-    // engages when its inputs are *identical*, never merely close.
-    if (transitions_.value() != p.transitionsSeen ||
-        computeBudget_ != p.computeBudget ||
-        coreFreqCap_ != p.coreFreqCap ||
-        hdc_.dutyFactor() != p.dutyFactor ||
-        cfg_.tdp != p.tdp ||
-        lastMemLatencyNs_ != p.latencyInNs ||
-        cpu_->frequency() != p.cpuFreq ||
-        gfx_->frequency() != p.gfxFreq) {
-        return false;
+    // Every usable plan was captured from the bound workload (a new
+    // binding empties the ring), at or before the last slow step and
+    // inside its demand horizon, so demandScratch_ is its demand: they
+    // share the thread activity and gfxActive_ the grants read. The
+    // grants are computed at most once per lookup.
+    PStateGrants g;
+    for (std::size_t i = 0; i < kPlanRingSize; ++i) {
+        const StepPlan &p = ring_[mru_[i]].plan;
+        if (!live(p, t))
+            continue;
+        // Exact (bitwise) comparisons throughout: the replay path only
+        // engages when its inputs are *identical*, never merely close.
+        if (lastMemLatencyNs_ != p.latencyInNs ||
+            computeBudget_ != p.computeBudget ||
+            coreFreqCap_ != p.coreFreqCap ||
+            hdc_.dutyFactor() != p.dutyFactor ||
+            cfg_.tdp != p.tdp ||
+            isoBandwidthDemand() != p.md.ioIso ||
+            display_->power() + isp_->power() != p.ioEnginePower)
+            continue;
+        // The throttle reaches a step only through the two P-state
+        // grants, so the plan holds under any throttle that grants the
+        // captured states.
+        if (throttle_ != p.throttle) {
+            if (!g.cpu) {
+                gfxActive_ = p.gfxActive;
+                g = grantsAt(throttle_, demandScratch_, p.act);
+            }
+            if (g.cpu != p.grants.cpu || g.gfx != p.grants.gfx)
+                continue;
+        }
+        // Set what the slow step would. The current plan's states and
+        // gfxActive_ are already set: only steps set them.
+        if (i > 0) {
+            cpu_->setPState(*p.grants.cpu);
+            gfx_->setPState(*p.grants.gfx);
+            gfxActive_ = p.gfxActive;
+            promote(i);
+        }
+        return true;
     }
-    if (isoBandwidthDemand() != p.iso ||
-        display_->power() + isp_->power() != p.ioEnginePower)
-        return false;
-    // The throttle reaches a step only through the two P-state
-    // grants, so the plan holds under any throttle that grants the
-    // states the CPU and GFX already hold (the captured ones: their
-    // frequencies matched above); setPState() to them is a no-op.
-    return throttle_ == p.throttle || holdsGrantsAt(throttle_);
+    return false;
 }
 
 void
 Soc::replaySteps(Tick interval)
 {
     const Tick batch_start = now();
+    const StepPlan &p = plan();
+    CommitRecord &rec = record();
 
-    // A restore leaves the commit record stale; the first replay
-    // after it re-derives the record from the restored plan.
-    if (record_.stale)
-        recordCommit(interval, threadActivity(demandScratch_));
+    // A restore leaves the commit records stale; a plan's first
+    // replay after it re-derives the record from the restored plan.
+    if (rec.stale)
+        recordCommit(interval, p.act);
+    // The snap the capture made: a plan that moved the latency
+    // replays one step, since the next step's fingerprint differs.
+    lastMemLatencyNs_ = p.latencyOutNs;
 
     // Idle skip-ahead: this step plus every grid step after it that
     // nothing can observe apart — before the next pending event and
     // the workload's demand horizon, within the enclosing runUntil()
-    // window. A replay never moves the memory latency: the capture
-    // that did would have failed the fingerprint. Nothing in the
-    // commit half or the counter samples reads now() or schedules
-    // events, so the pending horizon is stable across the batch and
-    // the clock moves once, to its last step.
+    // window. Nothing in the commit half or the counter samples reads
+    // now() or schedules events, so the pending horizon is stable
+    // across the batch and the clock moves once, to its last step.
     const Tick horizon =
-        std::min(eventq().nextPendingTick(), plan_.demandValidUntil);
+        std::min(eventq().nextPendingTick(), p.demandValidUntil);
     const Tick limit = eventq().runLimit();
     std::uint64_t max_steps = 1;
-    if (horizon > batch_start && limit >= batch_start) {
+    if (p.latencyOutNs == p.latencyInNs && horizon > batch_start &&
+        limit >= batch_start) {
         max_steps += std::min((horizon - batch_start - 1) / interval,
                               (limit - batch_start) / interval);
     }
@@ -329,7 +344,7 @@ Soc::replaySteps(Tick interval)
     // over a step that holds the throttle, every later step repeats
     // that one. The walk runs on locals, so the grant check's call
     // does not force them through memory on every step.
-    const StepAccounting a = record_.accounting;
+    const StepAccounting a = rec.accounting;
     const Watt tdp = cfg_.tdp;
     Watt power = powerEwma_;
     BytesPerSec bw = bwEwma_;
@@ -341,8 +356,9 @@ Soc::replaySteps(Tick interval)
         const double throttle_before = throttle;
         advanceEwmas(a, tdp, power, bw, throttle);
         ++n;
-        if (throttle != throttle_before) {
-            if (n < max_steps && !holdsGrantsAt(throttle))
+        if (throttle != throttle_before && n < max_steps) {
+            const PStateGrants g = grantsAt(throttle, demandScratch_, p.act);
+            if (g.cpu != p.grants.cpu || g.gfx != p.grants.gfx)
                 break;
         } else if (sameBits(power, power_before) &&
                    sameBits(bw, bw_before)) {
@@ -374,7 +390,7 @@ Soc::step()
 {
     const Tick interval = cfg_.stepInterval;
 
-    if (skipAhead_ && planValidAt(now())) {
+    if (skipAhead_ && findPlan(now())) {
         replaySteps(interval);
         return;
     }
@@ -463,12 +479,15 @@ Soc::step()
     }
 
     // The commit half always reads this step's compute-phase outputs
-    // through the plan, replayed or not.
-    plan_.dramFrac = dram_frac;
-    plan_.execFrac = exec_frac;
-    plan_.md = md;
-    plan_.gfxDemandC0 = gfx_demand_c0;
-    plan_.missScale = missScale_;
+    // through the current plan, replayed or not. A capture takes the
+    // least recently used slot, unless the current one is not live.
+    if (skipAhead_ && live(plan(), now()))
+        promote(kPlanRingSize - 1);
+    StepPlan &p = plan();
+    p.dramFrac = dram_frac;
+    p.execFrac = exec_frac;
+    p.md = md;
+    p.gfxDemandC0 = gfx_demand_c0;
 
     // Capture the replay fingerprint before the commit half mutates
     // any of the fingerprinted state. A step that consumed transition
@@ -476,27 +495,27 @@ Soc::step()
     // the fingerprint's pendingStall check handles consistency, the
     // valid flag handles this capture.
     if (skipAhead_) {
-        plan_.valid = stall_consumed == 0;
-        plan_.demandValidUntil = demand_horizon;
-        plan_.workload = workload_;
-        plan_.transitionsSeen = transitions_.value();
-        plan_.throttle = throttle_;
-        plan_.computeBudget = computeBudget_;
-        plan_.coreFreqCap = coreFreqCap_;
-        plan_.dutyFactor = hdc_.dutyFactor();
-        plan_.tdp = cfg_.tdp;
-        plan_.latencyInNs = lastMemLatencyNs_;
-        plan_.cpuFreq = cpu_->frequency();
-        plan_.gfxFreq = gfx_->frequency();
-        plan_.iso = iso;
-        plan_.ioEnginePower = display_->power() + isp_->power();
+        p.valid = stall_consumed == 0;
+        p.demandValidUntil = demand_horizon;
+        p.transitionsSeen = transitions_.value();
+        p.throttle = throttle_;
+        p.computeBudget = computeBudget_;
+        p.coreFreqCap = coreFreqCap_;
+        p.dutyFactor = hdc_.dutyFactor();
+        p.tdp = cfg_.tdp;
+        p.latencyInNs = lastMemLatencyNs_;
+        p.grants = grants;
+        p.ioEnginePower = display_->power() + isp_->power();
+        p.act = act;
+        p.gfxActive = gfxActive_;
     }
 
     // The slow step commits through the path a replay takes: the
     // record, then one application of it. The EWMAs go first, as in
     // a replay batch.
     recordCommit(interval, act);
-    advanceEwmas(record_.accounting, cfg_.tdp, powerEwma_, bwEwma_,
+    p.latencyOutNs = lastMemLatencyNs_;
+    advanceEwmas(record().accounting, cfg_.tdp, powerEwma_, bwEwma_,
                  throttle_);
     applyCommit(now(), interval, 1);
     eventq().schedule(&stepEvent_, now() + interval);
@@ -513,7 +532,7 @@ Soc::traceRailPower(Tick t, std::uint64_t n)
     obs::TraceSink *sink = traceSink();
     if (!TRACE_ACTIVE(sink))
         return;
-    const CommitRecord &rec = record_;
+    const CommitRecord &rec = record();
     sink->counter(obs::kCatPower, "vcore_w", t,
                   rec.railWatts[power::railIndex(power::Rail::VCore)], n);
     sink->counter(obs::kCatPower, "vgfx_w", t,
@@ -530,9 +549,9 @@ Soc::traceRailPower(Tick t, std::uint64_t n)
 void
 Soc::recordCommit(Tick interval, const ThreadActivity &act)
 {
-    const StepPlan &p = plan_;
+    const StepPlan &p = plan();
     const IntervalDemand &demand = demandScratch_;
-    CommitRecord &rec = record_;
+    CommitRecord &rec = record();
     const double dram_frac = p.dramFrac;
     rec.memActive = dram_frac > 1e-9;
 
@@ -557,8 +576,8 @@ Soc::recordCommit(Tick interval, const ThreadActivity &act)
         // snapping here keeps steady phases at one exact value instead
         // of limit-cycling in the last float bits, which is what lets
         // the replay fingerprint (and therefore skip-ahead) engage on
-        // active-but-steady workloads. A replay's record never moves
-        // it: the fingerprint holds the latency its capture saw.
+        // active-but-steady workloads. The plan keeps the value the
+        // snap leaves (latencyOutNs), and a replay of it sets it.
         if (std::abs(ms.loadedLatencyNs - lastMemLatencyNs_) >
             kMemLatencyTolNs) {
             lastMemLatencyNs_ = ms.loadedLatencyNs;
@@ -581,8 +600,8 @@ Soc::recordCommit(Tick interval, const ThreadActivity &act)
             if (w.cpiBase <= 0.0)
                 continue;
             compute::CoreWork scaled = w;
-            scaled.mpki *= p.missScale;
-            SYSSCALE_ASSERT(rec.retired < rec.threads.size(),
+            scaled.mpki *= missScale_;
+            SYSSCALE_ASSERT(rec.retired < cpu_->numThreads(),
                             "more active threads than the cluster");
             compute::CoreResult &r = rec.threads[rec.retired++];
             r = cpu_->evaluateRetire(scaled, lastMemLatencyNs_,
@@ -631,12 +650,12 @@ Soc::recordCommit(Tick interval, const ThreadActivity &act)
 void
 Soc::applyCommit(Tick t, Tick interval, std::uint64_t n)
 {
-    const CommitRecord &rec = record_;
+    const CommitRecord &rec = record();
     if (rec.memActive) {
         fabric_->commit(rec.fabric, interval, n);
         mc_->commit(rec.mc, n);
     }
-    cpu_->commitRetire(rec.threads.data(), rec.retired, n);
+    cpu_->commitRetire(rec.threads, rec.retired, n);
     if (rec.rendered)
         gfx_->commitRender(rec.gfx, n);
 
@@ -703,7 +722,8 @@ Soc::railPower(const IntervalDemand &demand, const ThreadActivity &act,
     const double exec = res.activeFraction() * hdc_.dutyFactor();
     const double leak_w = res.computeLeakWeight();
     const double uncore_w = res.uncoreWeight();
-    std::array<Watt, power::kNumRails> &w = record_.railWatts;
+    CommitRecord &rec = record();
+    std::array<Watt, power::kNumRails> &w = rec.railWatts;
 
     // VCore: dynamic while executing, leakage weighted by C-state,
     // LLC on the same rail.
@@ -744,7 +764,7 @@ Soc::railPower(const IntervalDemand &demand, const ThreadActivity &act,
     // The always-on platform slice outside the managed domains;
     // applyCommit() charges it on the V_SA meter channel (same supply
     // branch on the board).
-    record_.stepPower = v_core + v_gfx + v_sa + v_io + vddq_power +
+    rec.stepPower = v_core + v_gfx + v_sa + v_io + vddq_power +
                         cfg_.platformFloor;
 }
 
@@ -846,38 +866,62 @@ Soc::visitState(StateIO &io)
     io.field("core_freq_cap", coreFreqCap_);
     io.field("gfx_active", gfxActive_);
 
-    io.push("plan");
-    StepPlan &p = plan_;
-    io.field("valid", p.valid);
-    io.field("demand_valid_until", p.demandValidUntil);
-    // The pointer itself cannot survive a process boundary; record
-    // whether the plan was captured against the bound workload and
-    // rebind on load.
-    bool workload_bound = p.workload != nullptr;
-    io.field("workload_bound", workload_bound);
+    // The replay ring, most recently used first; a restore puts the
+    // plans back in that order. A plan that is not live can never
+    // replay again and saves only a cleared flag.
     if (io.loading())
-        p.workload = workload_bound ? workload_ : nullptr;
-    io.field("transitions_seen", p.transitionsSeen);
-    io.field("throttle", p.throttle);
-    io.field("compute_budget", p.computeBudget);
-    io.field("core_freq_cap", p.coreFreqCap);
-    io.field("duty_factor", p.dutyFactor);
-    io.field("tdp", p.tdp);
-    io.field("latency_in_ns", p.latencyInNs);
-    io.field("cpu_freq", p.cpuFreq);
-    io.field("gfx_freq", p.gfxFreq);
-    io.field("iso", p.iso);
-    io.field("io_engine_power", p.ioEnginePower);
-    io.field("dram_frac", p.dramFrac);
-    io.field("exec_frac", p.execFrac);
-    io.field("md_cpu_read", p.md.cpuRead);
-    io.field("md_cpu_write", p.md.cpuWrite);
-    io.field("md_gfx", p.md.gfx);
-    io.field("md_io_iso", p.md.ioIso);
-    io.field("md_io_best_effort", p.md.ioBestEffort);
-    io.field("gfx_demand_c0", p.gfxDemandC0);
-    io.field("miss_scale", p.missScale);
-    io.pop();
+        std::iota(mru_.begin(), mru_.end(), 0);
+    const power::PState *cpu_states = cpu_->pstates().states().data();
+    const power::PState *gfx_states = gfx_->pstates().states().data();
+    for (std::size_t i = 0; i < kPlanRingSize; ++i) {
+        StepPlan &p = ring_[mru_[i]].plan;
+        io.push("plan" + std::to_string(i));
+        bool valid = live(p, now());
+        io.field("valid", valid);
+        if (io.loading())
+            p.valid = valid;
+        if (!valid) {
+            io.pop();
+            continue;
+        }
+        io.field("demand_valid_until", p.demandValidUntil);
+        io.field("transitions_seen", p.transitionsSeen);
+        io.field("throttle", p.throttle);
+        io.field("compute_budget", p.computeBudget);
+        io.field("core_freq_cap", p.coreFreqCap);
+        io.field("duty_factor", p.dutyFactor);
+        io.field("tdp", p.tdp);
+        io.field("latency_in_ns", p.latencyInNs);
+        // The granted states, as indices into the P-state tables.
+        std::uint64_t cpu_state = p.grants.cpu - cpu_states;
+        std::uint64_t gfx_state = p.grants.gfx - gfx_states;
+        io.field("cpu_state", cpu_state);
+        io.field("gfx_state", gfx_state);
+        p.grants = {cpu_states + cpu_state, gfx_states + gfx_state};
+        io.field("io_engine_power", p.ioEnginePower);
+        std::uint64_t act_threads = p.act.threads;
+        io.field("act_threads", act_threads);
+        p.act.threads = act_threads;
+        io.field("act_mean", p.act.mean);
+        io.field("gfx_active", p.gfxActive);
+        io.field("dram_frac", p.dramFrac);
+        io.field("exec_frac", p.execFrac);
+        io.field("md_cpu_read", p.md.cpuRead);
+        io.field("md_cpu_write", p.md.cpuWrite);
+        io.field("md_gfx", p.md.gfx);
+        io.field("md_io_iso", p.md.ioIso);
+        io.field("md_io_best_effort", p.md.ioBestEffort);
+        io.field("gfx_demand_c0", p.gfxDemandC0);
+        io.field("latency_out_ns", p.latencyOutNs);
+        io.pop();
+    }
+    // The commit records are derived state. The children this Soc owns
+    // restore after it, so re-deriving here would read their stale
+    // state: each plan's first replay re-derives its record instead.
+    if (io.loading()) {
+        for (PlanEntry &e : ring_)
+            e.record.stale = true;
+    }
 
     io.field("last_mem_latency_ns", lastMemLatencyNs_);
     io.field("bw_ewma", bwEwma_);
@@ -940,12 +984,6 @@ Soc::visitState(StateIO &io)
     io.push("vio_reg");
     vioReg_.visitState(io);
     io.pop();
-
-    // The commit record is derived state. The children this Soc owns
-    // restore after it, so re-deriving here would read their stale
-    // state: the first replay re-derives it instead.
-    if (io.loading())
-        record_.stale = true;
 
     io.push("csr");
     for (const std::string &n : csr_.names()) {

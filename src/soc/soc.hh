@@ -17,6 +17,7 @@
 #ifndef SYSSCALE_SOC_SOC_HH
 #define SYSSCALE_SOC_SOC_HH
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <vector>
@@ -150,8 +151,18 @@ class Soc : public SimObject
 
     /** @name Workload and execution. @{ */
 
-    /** Bind the running workload (not owned; may be null = idle). */
-    void setWorkload(WorkloadAgent *agent) { workload_ = agent; }
+    /**
+     * Bind the running workload (not owned; may be null = idle). A
+     * new binding empties the replay ring, so every plan in it was
+     * captured from the bound workload.
+     */
+    void
+    setWorkload(WorkloadAgent *agent)
+    {
+        if (agent != workload_)
+            clearPlans();
+        workload_ = agent;
+    }
 
     /** Static isochronous demand from the IO engines (CSR-derived). */
     BytesPerSec isoBandwidthDemand() const;
@@ -272,19 +283,22 @@ class Soc : public SimObject
     /**
      * Enable/disable the constant-step replay fast path for this
      * instance. When enabled (the default), every slow step captures
-     * a plan, and steps whose inputs are fingerprint-identical to the
-     * last slow step's are replayed from it — and runs of such steps
-     * inside one run() window are batched into a single event,
-     * advancing simulated time analytically. Either way a step
-     * commits through one path: the slow step records its commit
-     * half and applies it once, a replay applies the same record
-     * again (recordCommit(), applyCommit()). The fingerprint lists
-     * the P-states the reactive throttle grants, not the throttle's
-     * bits (it reaches a step only through grantsAt()). A batch ends
-     * before the next pending event (a PMU evaluation, a scenario
-     * action, a transition-flow step), at the workload's demand
-     * horizon, at the run limit, or when a throttle move changes the
-     * grants; the PMU's counter samples run inside it
+     * a plan into a ring of the kPlanRingSize most recently used
+     * (the limit cycle of a power-capped throttle), and a step whose
+     * inputs are fingerprint-identical to one of them is replayed from
+     * it — and runs of such steps inside one run() window are batched
+     * into a single event, advancing simulated time analytically.
+     * Either way a step commits through one path: the slow step
+     * records its commit half and applies it once, a replay applies
+     * the same record again (recordCommit(), applyCommit()). The
+     * fingerprint lists the P-states the reactive throttle grants, not
+     * the throttle's bits (it reaches a step only through grantsAt()),
+     * and a replay sets them as the slow step would. A plan whose
+     * capture moved the memory latency replays one step, moving it
+     * alike. A batch ends before the next pending event (a PMU
+     * evaluation, a scenario action, a transition-flow step), at the
+     * workload's demand horizon, at the run limit, or when a throttle
+     * move changes the grants; the PMU's counter samples run inside it
      * (Pmu::afterSteps()). A batch of n steps costs O(accumulators),
      * not O(n): each accumulator takes the n identical additions of
      * its addend in one exact repeated add (sim/exact_sum.hh), which
@@ -293,14 +307,18 @@ class Soc : public SimObject
      * evaluation per throttle move, until both EWMAs reach a fixed
      * point. So all reported metrics are byte-identical either way
      * (pinned by the skip-ahead-off mode of tests/test_contracts.cc;
-     * its committed digest pins what both modes report).
+     * its committed digest pins what both modes report). Either call
+     * empties the ring.
      */
     void
     setSkipAhead(bool on)
     {
         skipAhead_ = on;
-        plan_.valid = false;
+        clearPlans();
     }
+
+    /** Plans the replay ring holds (chosen by measurement). */
+    static constexpr std::size_t kPlanRingSize = 32;
 
     /**
      * Process-wide default for new Soc instances: on, unless a tool
@@ -325,6 +343,20 @@ class Soc : public SimObject
     void finalizeStats(Tick t);
 
   private:
+    /** Busy hardware threads of one step's demand. */
+    struct ThreadActivity
+    {
+        std::size_t threads = 0;
+        double mean = kIdleActivity; //!< Their mean activity.
+    };
+
+    /** The table states the PBM grants the CPU and the GFX. */
+    struct PStateGrants
+    {
+        const power::PState *cpu = nullptr;
+        const power::PState *gfx = nullptr;
+    };
+
     /**
      * Cached outcome of one slow-path step: the fingerprint of every
      * input it depended on plus the intermediate results the commit
@@ -338,7 +370,6 @@ class Soc : public SimObject
 
         /** @name Input fingerprint. @{ */
         Tick demandValidUntil = 0;  //!< Workload horizon at capture.
-        WorkloadAgent *workload = nullptr;
         double transitionsSeen = 0.0;
         double throttle = 1.0; //!< Fast-path key; grants decide.
         Watt computeBudget = 0.0;
@@ -346,18 +377,21 @@ class Soc : public SimObject
         double dutyFactor = 0.0;
         Watt tdp = 0.0;
         double latencyInNs = 0.0;     //!< lastMemLatencyNs_ at capture.
-        Hertz cpuFreq = 0.0;        //!< Granted P-states; catches
-        Hertz gfxFreq = 0.0;        //!< out-of-band overrides.
-        BytesPerSec iso = 0.0;
+        PStateGrants grants;        //!< The P-states the step set.
         Watt ioEnginePower = 0.0;   //!< Display + ISP (CSR-driven).
+        /** @} */
+
+        /** @name Derived from the demand, for grantsAt(). @{ */
+        ThreadActivity act;
+        bool gfxActive = false;
         /** @} */
 
         /** @name Cached compute-half results. @{ */
         double dramFrac = 0.0;
         double execFrac = 0.0;
-        mem::MemDemand md{};
+        mem::MemDemand md{}; //!< md.ioIso fingerprints iso demand.
         double gfxDemandC0 = 0.0;
-        double missScale = 1.0;
+        double latencyOutNs = 0.0; //!< lastMemLatencyNs_ after the snap.
         /** @} */
     };
 
@@ -397,14 +431,14 @@ class Soc : public SimObject
     };
 
     /**
-     * Every side effect of the last slow step. The slow step commits
-     * by applying it once, and a replayed step applies it again
-     * instead of re-running the fabric, memory, retire, render and
-     * rail-power evaluations on inputs the fingerprint already proved
-     * identical: one commit path, so a side effect missing here is
-     * missing in every mode. Derived state, never snapshotted: a
-     * restore marks it stale (Soc restores before its children), and
-     * the first replay after a restore re-derives it from the
+     * Every side effect of a plan's step. The slow step commits by
+     * applying it once, and a replayed step applies it again instead
+     * of re-running the fabric, memory, retire, render and rail-power
+     * evaluations on inputs the fingerprint already proved identical:
+     * one commit path, so a side effect missing here is missing in
+     * every mode. Derived state, never snapshotted: a restore marks
+     * every record stale (Soc restores before its children), and a
+     * plan's first replay after it re-derives the record from the
      * restored plan and component state.
      */
     struct CommitRecord
@@ -417,8 +451,8 @@ class Soc : public SimObject
         mem::MemServiceCommit mc; //!< Over the MC's own active ticks.
         /** @} */
 
-        /** Per-thread retire results; sized once at construction. */
-        std::vector<compute::CoreResult> threads;
+        /** Per-thread retire results: a slice of retire_. */
+        compute::CoreResult *threads = nullptr;
         std::size_t retired = 0; //!< Leading entries of threads used.
         bool rendered = false;
         compute::GfxResult gfx;
@@ -436,29 +470,57 @@ class Soc : public SimObject
         StepAccounting accounting;
     };
 
+    /** One slot of the replay ring. */
+    struct PlanEntry
+    {
+        StepPlan plan;
+        CommitRecord record;
+    };
+
+    /** The current plan: the one the last step captured or replayed. */
+    StepPlan &plan() { return ring_[mru_[0]].plan; }
+    CommitRecord &record() { return ring_[mru_[0]].record; }
+
+    /** Make the plan at recency position @p pos the current one. */
+    void
+    promote(std::size_t pos)
+    {
+        std::rotate(mru_.begin(), mru_.begin() + pos, mru_.begin() + pos + 1);
+    }
+
+    /**
+     * Whether @p p can still replay a step at @p t: captured, inside
+     * its demand horizon, and no transition since (their count only
+     * grows).
+     */
+    bool
+    live(const StepPlan &p, Tick t) const
+    {
+        return p.valid && t < p.demandValidUntil &&
+               p.transitionsSeen == transitions_.value();
+    }
+
+    /** Invalidate every plan in the ring. */
+    void
+    clearPlans()
+    {
+        for (PlanEntry &e : ring_)
+            e.plan.valid = false;
+    }
+
     void step();
 
     /** Residency-stat and trace-counter bookkeeping for @p op. */
     void noteOpPoint(const OperatingPoint &op, Tick t);
 
-    /** Whether plan_ can replay the step beginning at @p t. */
-    bool planValidAt(Tick t) const;
-
-    /** Busy hardware threads of one step's demand. */
-    struct ThreadActivity
-    {
-        std::size_t threads = 0;
-        double mean = kIdleActivity; //!< Their mean activity.
-    };
+    /**
+     * Find a plan that can replay the step beginning at @p t, most
+     * recently used first. On a hit, set the P-states the step would
+     * grant, make the plan current and return true.
+     */
+    bool findPlan(Tick t);
 
     static ThreadActivity threadActivity(const IntervalDemand &demand);
-
-    /** The table states the PBM grants the CPU and the GFX. */
-    struct PStateGrants
-    {
-        const power::PState *cpu = nullptr;
-        const power::PState *gfx = nullptr;
-    };
 
     /**
      * The P-states a step with @p demand and @p act grants under
@@ -469,15 +531,8 @@ class Soc : public SimObject
                           const ThreadActivity &act) const;
 
     /**
-     * Whether the CPU and GFX already hold (frequency and voltage)
-     * the states grantsAt(@p throttle) gives for demandScratch_ —
-     * the captured demand while plan_ is inside its horizon.
-     */
-    bool holdsGrantsAt(double throttle) const;
-
-    /**
-     * Evaluate the commit half of a step into record_, driven from
-     * plan_ and demandScratch_: fabric and memory service, retire and
+     * Evaluate the commit half of a step into record(), driven from
+     * plan() and demandScratch_: fabric and memory service, retire and
      * render, rail power (@p act is the step's thread activity), the
      * counter observables, EWMA terms and run-accumulator addends.
      * Applies the latency snap and commits nothing else. A slow step
@@ -487,7 +542,7 @@ class Soc : public SimObject
 
     /**
      * The commit half of @p n steps, the first at @p t: apply
-     * record_'s side effects n times, so every accumulator sees the
+     * record()'s side effects n times, so every accumulator sees the
      * identical sequence of additions. A slow step passes 1. The
      * EWMAs are not touched: the slow step advances them once, and
      * replaySteps() walks them itself to find n.
@@ -513,7 +568,7 @@ class Soc : public SimObject
                     std::uint64_t n);
 
     /**
-     * record_'s rail-power trace counters at @p t (change-filtered),
+     * record()'s rail-power trace counters at @p t (change-filtered),
      * reported for @p n steps.
      */
     [[gnu::always_inline]] void traceRailPower(Tick t, std::uint64_t n);
@@ -522,8 +577,8 @@ class Soc : public SimObject
     void replaySteps(Tick interval);
 
     /**
-     * The step's watts on each rail, into record_.railWatts and
-     * record_.stepPower; charges no meter (applyCommit() does). @p act
+     * The step's watts on each rail, into record().railWatts and
+     * record().stepPower; charges no meter (applyCommit() does). @p act
      * is the step's thread activity, as step() computed it.
      */
     void railPower(const IntervalDemand &demand, const ThreadActivity &act,
@@ -563,8 +618,11 @@ class Soc : public SimObject
     /** LLC miss multiplier for the profiles' 4MB reference capacity. */
     double missScale_ = 1.0;
 
-    StepPlan plan_;
-    CommitRecord record_;
+    std::array<PlanEntry, kPlanRingSize> ring_;
+    /** Every slot's retire results, allocated once at construction. */
+    std::vector<compute::CoreResult> retire_;
+    /** Ring slots, most recently used first: mru_[0] is current. */
+    std::array<std::uint8_t, kPlanRingSize> mru_{};
     double lastMemLatencyNs_ = 60.0;
     BytesPerSec bwEwma_ = 0.0;
     Watt powerEwma_ = 0.0;

@@ -119,6 +119,32 @@ TEST(ExactSum, JustUnderTheBinadeTop)
     }
 }
 
+TEST(ExactSum, ShortRunsAcrossTheLoopBound)
+{
+    // Up to kLoopRounds rounds run the plain loop, one more takes the
+    // jump. Ties and starts just under the binade top are where either
+    // path would go wrong first.
+    for (std::uint64_t n = 2; n <= kLoopRounds + 1; ++n) {
+        for (double x : {1.0, 1.5, 3.0 + 3 * ulpOf(3.0), 1e6 + 0.25}) {
+            const double u = ulpOf(x);
+            expectExact(x, {u / 2}, n);
+            expectExact(x, {3 * u + u / 2}, n);
+            expectExact(x, {u, u / 2, 0.1 * x}, n);
+        }
+        for (int e : {-3, 0, 20}) {
+            const double top = std::ldexp(1.0, e);
+            for (double back : {1.0, 2.0, 3.0}) {
+                const double x = top - back * ulpOf(top / 2);
+                const double u = ulpOf(x);
+                expectExact(x, {u}, n);
+                expectExact(x, {0.6 * u}, n);
+                expectExact(x, {u, 2 * u}, n);
+                expectExact(x, {u / 2}, n);
+            }
+        }
+    }
+}
+
 TEST(ExactSum, ZeroAndSubnormalStarts)
 {
     const double tiny = std::numeric_limits<double>::denorm_min();

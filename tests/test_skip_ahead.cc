@@ -2,8 +2,9 @@
  * @file
  * Skip-ahead tests: the constant-step replay path (Soc skip-ahead)
  * engages on idle-heavy runs, stays frozen when disabled, fires
- * scripted mutations at their exact tick, and survives checkpoint
- * cuts inside a replay batch or right after a plan capture. That
+ * scripted mutations at their exact tick, survives checkpoint cuts
+ * inside a replay batch or right after a plan capture, and replays a
+ * power-capped throttle's limit cycle from its ring of plans. That
  * every output and every stat bit is identical with the fast path on
  * and off is pinned over a whole corpus by the skip-ahead-off mode
  * of tests/test_contracts.cc.
@@ -27,6 +28,7 @@
 #include "workloads/battery.hh"
 #include "workloads/profile.hh"
 #include "workloads/scenario.hh"
+#include "workloads/spec.hh"
 
 using namespace sysscale;
 using test::SkipAheadGuard;
@@ -61,6 +63,31 @@ standbySpec()
     spec.warmup = 10 * kTicksPerMs;
     spec.window = 120 * kTicksPerMs;
     return spec;
+}
+
+/**
+ * The TDP-bound cell of BM_ThrottleWalkRun: 470.lbm under the fixed
+ * governor, 200 ms. The reactive throttle walks between a few P-state
+ * grant sets, and each switch moves the memory latency.
+ */
+exp::ExperimentSpec
+throttleWalkSpec()
+{
+    exp::ExperimentSpec spec;
+    spec.id = "470.lbm/fixed";
+    spec.workload = workloads::specBenchmark("470.lbm");
+    spec.governor = "fixed";
+    spec.warmup = 50 * kTicksPerMs;
+    spec.window = 150 * kTicksPerMs;
+    return spec;
+}
+
+/** Steps a snapshot text counts that did not replay. */
+double
+slowSteps(const std::string &snapshot)
+{
+    return statValue(snapshot, "stats.soc.steps.value") -
+           statValue(snapshot, "stats.soc.replayed_steps.value");
 }
 
 /**
@@ -252,10 +279,6 @@ TEST(SkipAhead, RestoreIntoReplayRederivesTheCommitRecord)
         probe.t1 = t;
         return sliceSnapshot(spec, probe, probe_path);
     };
-    auto slowSteps = [](const std::string &text) {
-        return statValue(text, "stats.soc.steps.value") -
-               statValue(text, "stats.soc.replayed_steps.value");
-    };
     Tick cut = 0;
     Tick from = spec.warmup + 37; // off the step grid
     double slow_from = slowSteps(probeAt(from));
@@ -269,7 +292,7 @@ TEST(SkipAhead, RestoreIntoReplayRederivesTheCommitRecord)
             (slowSteps(probeAt(mid)) == slow_from ? lo : hi) = mid;
         }
         const std::string at = probeAt(hi);
-        if (snapshotField(at, "objects.soc.plan.valid") == "1" &&
+        if (snapshotField(at, "objects.soc.plan0.valid") == "1" &&
             slowSteps(probeAt(hi + step)) == slowSteps(at)) {
             cut = hi;
         }
@@ -292,6 +315,109 @@ TEST(SkipAhead, RestoreIntoReplayRederivesTheCommitRecord)
 
     EXPECT_EQ(test::firstDifference(through, resumed), "")
         << "restored at " << cut;
+}
+
+TEST(SkipAhead, RingReplaysTheThrottleLimitCycle)
+{
+    // Under the power cap the throttle dithers between neighbouring
+    // CPU P-states, and each switch moves the memory latency. A single
+    // plan would pay slow steps at every switch (687 of these 2,000);
+    // the ring replays the switches and the steady runs between them.
+    // Each replay sets the P-states the slow step would, so every stat
+    // but the replay count equals the skip-ahead-off run.
+    const exp::ExperimentSpec spec = throttleWalkSpec();
+    const TempDir dir("limit-cycle");
+    std::string on, off;
+    {
+        const SkipAheadGuard guard(true);
+        on = sliceSnapshot(spec, {}, dir.path() + "/on");
+    }
+    {
+        const SkipAheadGuard guard(false);
+        off = sliceSnapshot(spec, {}, dir.path() + "/off");
+    }
+    EXPECT_EQ(statValue(on, "stats.soc.steps.value"), 2000.0);
+    EXPECT_EQ(slowSteps(on), 93.0);
+    EXPECT_EQ(slowSteps(off), 2000.0);
+
+    test::Fields want = statLines(off);
+    test::Fields got = statLines(on);
+    want.erase("stats.soc.replayed_steps.value");
+    got.erase("stats.soc.replayed_steps.value");
+    EXPECT_EQ(test::firstDifference(want, got), "");
+}
+
+TEST(SkipAhead, RestoreCarriesTheRing)
+{
+    // Cut the throttle-walk cell where the ring holds two or more
+    // plans, one of them a switch whose capture moved the memory
+    // latency, and resume in a fresh Soc. A restore that dropped a plan
+    // would slow a step the run-through replays, so every stat bit
+    // must match the run-through, the replay count included.
+    const SkipAheadGuard guard(true);
+    const exp::ExperimentSpec spec = throttleWalkSpec();
+    const Tick total = spec.warmup + spec.window;
+    const Tick step = spec.soc.stepInterval;
+    const TempDir dir("restore-ring");
+
+    auto latencyMoving = [](const std::string &snap) {
+        for (std::size_t i = 0; i < soc::Soc::kPlanRingSize; ++i) {
+            const std::string plan =
+                "objects.soc.plan" + std::to_string(i) + ".";
+            if (snapshotField(snap, plan + "valid") == "1" &&
+                snapshotField(snap, plan + "latency_in_ns") !=
+                    snapshotField(snap, plan + "latency_out_ns"))
+                return true;
+        }
+        return false;
+    };
+    Tick cut = 0;
+    for (Tick t = 100 * kTicksPerMs + 37; cut == 0 && t < total;
+         t += 7 * step) {
+        exp::SliceOptions probe;
+        probe.t1 = t;
+        const std::string snap =
+            sliceSnapshot(spec, probe, dir.path() + "/probe");
+        if (snapshotField(snap, "objects.soc.plan1.valid") == "1" &&
+            latencyMoving(snap))
+            cut = t;
+    }
+    ASSERT_NE(cut, 0u) << "no cut with a latency-moving plan";
+
+    const test::Fields through =
+        statLines(sliceSnapshot(spec, {}, dir.path() + "/through"));
+    exp::SliceOptions first;
+    first.t1 = cut;
+    sliceSnapshot(spec, first, dir.path() + "/cut");
+    exp::SliceOptions second;
+    second.t0 = cut;
+    second.inSnap = dir.path() + "/cut";
+    const test::Fields resumed =
+        statLines(sliceSnapshot(spec, second, dir.path() + "/resumed"));
+    EXPECT_EQ(test::firstDifference(through, resumed), "")
+        << "restored at " << cut;
+}
+
+TEST(SkipAhead, ToggleEmptiesTheRing)
+{
+    // setSkipAhead() empties the ring either way, so the first step
+    // after turning the fast path off and on again runs slow.
+    Simulator sim(1);
+    soc::Soc chip(sim, soc::skylakeConfig());
+    workloads::ProfileAgent agent(standbyProfile());
+    chip.setWorkload(&agent);
+    chip.setSkipAhead(true);
+    chip.run(50 * kTicksPerMs);
+    ASSERT_GT(chip.replayedStepCount(), 0u);
+
+    chip.setSkipAhead(false);
+    chip.setSkipAhead(true);
+    const std::uint64_t replayed = chip.replayedStepCount();
+    chip.run(chip.config().stepInterval);
+    EXPECT_EQ(chip.replayedStepCount(), replayed)
+        << "a plan outlived the toggle";
+    chip.run(20 * kTicksPerMs);
+    EXPECT_GT(chip.replayedStepCount(), replayed);
 }
 
 TEST(SkipAhead, BatchesCrossSampleTicks)
