@@ -147,6 +147,16 @@ class CpuCluster : public SimObject
     void commitRetire(const CoreResult *res, std::size_t threads,
                       std::uint64_t n);
 
+    /** Count @p n steps that each retire these sums of results. */
+    void
+    commitRetire(const stats::ExactSum::Term &instructions,
+                 const stats::ExactSum::Term &stall_cycles,
+                 std::uint64_t n)
+    {
+        instructions_.add(instructions, n);
+        stallCycles_.add(stall_cycles, n);
+    }
+
     /**
      * Cluster power with @p active_threads running at @p activity.
      * Idle cores burn leakage only.
@@ -157,7 +167,8 @@ class CpuCluster : public SimObject
     Watt leakage() const { return leakage_; }
 
     /** Instructions retired since construction. */
-    double totalInstructions() const { return instructions_.value(); }
+    const stats::ExactSum &
+    totalInstructions() const { return instructions_.sum(); }
 
     /** SMT throughput factor: 2 threads on a core yield this much. */
     static constexpr double kSmtYield = 1.45;
@@ -189,12 +200,13 @@ inline void
 CpuCluster::commitRetire(const CoreResult *res, std::size_t threads,
                          std::uint64_t n)
 {
-    instructions_.add(threads, n, [res](std::size_t i) {
-        return res[i].instructions;
-    });
-    stallCycles_.add(threads, n, [res](std::size_t i) {
-        return res[i].stallCycles;
-    });
+    stats::ExactSum::Term instructions;
+    stats::ExactSum::Term stalls;
+    for (std::size_t i = 0; i < threads; ++i) {
+        instructions += res[i].instructions;
+        stalls += res[i].stallCycles;
+    }
+    commitRetire(instructions, stalls, n);
 }
 
 } // namespace compute

@@ -109,7 +109,7 @@ class GfxEngine : public SimObject
     Watt leakage() const { return leakage_; }
 
     /** Frames rendered since construction. */
-    double totalFrames() const { return frames_.value(); }
+    const stats::ExactSum &totalFrames() const { return frames_.sum(); }
 
     /** Snapshot support: the applied P-state. */
     void visitState(StateIO &io) override;

@@ -49,8 +49,9 @@ class Llc : public SimObject
      * @param pending_occupancy Average requests waiting on the MC.
      * @param n Intervals recorded.
      */
-    void recordInterval(double cpu_misses, double gfx_misses,
-                        double stall_cycles,
+    void recordInterval(const stats::ExactSum::Term &cpu_misses,
+                        const stats::ExactSum::Term &gfx_misses,
+                        const stats::ExactSum::Term &stall_cycles,
                         double pending_occupancy, std::uint64_t n = 1);
 
     /** @name Last-interval observables (counter sources). @{ */
@@ -99,12 +100,13 @@ class Llc : public SimObject
 };
 
 inline void
-Llc::recordInterval(double cpu_misses, double gfx_misses,
-                    double stall_cycles, double pending_occupancy,
-                    std::uint64_t n)
+Llc::recordInterval(const stats::ExactSum::Term &cpu_misses,
+                    const stats::ExactSum::Term &gfx_misses,
+                    const stats::ExactSum::Term &stall_cycles,
+                    double pending_occupancy, std::uint64_t n)
 {
-    lastGfxMisses_ = gfx_misses;
-    lastStallCycles_ = stall_cycles;
+    lastGfxMisses_ = gfx_misses.value();
+    lastStallCycles_ = stall_cycles.value();
     lastOccupancy_ = pending_occupancy;
 
     cpuMisses_.add(cpu_misses, n);

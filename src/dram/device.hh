@@ -81,11 +81,12 @@ class DramDevice : public SimObject
 
     /**
      * Account @p n like intervals of serviced traffic: the bytes, and
-     * the energy of @p power (activePower().total()) over each
-     * @p interval.
+     * the energy of activePower().total() over each interval.
      */
-    void commitTraffic(double read_bytes, double write_bytes,
-                       Watt power, Tick interval, std::uint64_t n = 1);
+    void commitTraffic(const stats::ExactSum::Term &read_bytes,
+                       const stats::ExactSum::Term &write_bytes,
+                       const stats::ExactSum::Term &energy,
+                       std::uint64_t n);
 
     /** Average power while parked in self-refresh. */
     Watt selfRefreshPower() const
@@ -128,14 +129,16 @@ DramDevice::activePower(double read_bytes, double write_bytes,
 }
 
 inline void
-DramDevice::commitTraffic(double read_bytes, double write_bytes,
-                          Watt power, Tick interval, std::uint64_t n)
+DramDevice::commitTraffic(const stats::ExactSum::Term &read_bytes,
+                          const stats::ExactSum::Term &write_bytes,
+                          const stats::ExactSum::Term &energy,
+                          std::uint64_t n)
 {
     SYSSCALE_ASSERT(mode_ == DramMode::Active,
                     "traffic while in self-refresh");
     readBytes_.add(read_bytes, n);
     writeBytes_.add(write_bytes, n);
-    energyJ_.add(power * secondsFromTicks(interval), n);
+    energyJ_.add(energy, n);
 }
 
 } // namespace dram

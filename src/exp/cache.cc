@@ -22,8 +22,11 @@ namespace {
  * v2: every cell reports the PMU's run-average counters and the
  * fixed governor reports as "fixed", so v1 entries (all-zero
  * counters on governor cells, "baseline") read back as misses.
+ * v3: every accumulator sums in fixed point (stats::ExactSum), which
+ * moves result bits in their last places, so v2 entries read back as
+ * misses instead of serving the old bits.
  */
-constexpr const char *kEntryHeader = "sysscale-cache v2";
+constexpr const char *kEntryHeader = "sysscale-cache v3";
 
 /**
  * One cache entry: the key and canonical text of the spec it answers,

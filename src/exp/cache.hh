@@ -3,7 +3,7 @@
  * Content-addressed on-disk result cache.
  *
  * One file per cell, named <cache_dir>/<specKey(spec)>.entry: a
- * `sysscale-cache v2` record (sim/snapshot.hh codec) holding the
+ * `sysscale-cache v3` record (sim/snapshot.hh codec) holding the
  * key, the spec's canonical text, and the RunResult fields a hit
  * needs — governor, host_seconds, metrics, rail energies, counters
  * and the stats dump. store() and lookup() share one walk over

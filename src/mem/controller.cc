@@ -159,17 +159,24 @@ MemoryController::evaluate(const MemDemand &demand, Tick interval) const
 
     // DRAM traffic and power for the interval.
     const double secs = secondsFromTicks(interval);
-    c.readBytes =
+    const double read_bytes =
         (res.achievedCpuRead + res.achievedGfx * 0.7 +
          res.achievedIso * 0.8 + res.achievedBestEffort * 0.5) * secs;
-    c.writeBytes =
+    const double write_bytes =
         (res.achievedCpuWrite + res.achievedGfx * 0.3 +
          res.achievedIso * 0.2 + res.achievedBestEffort * 0.5) * secs;
     c.dramPower = device_
-                      .activePower(c.readBytes, c.writeBytes, interval,
+                      .activePower(read_bytes, write_bytes, interval,
                                    regs_.terminationFactor)
                       .total();
     c.interval = interval;
+
+    c.readBytes = read_bytes;
+    c.writeBytes = write_bytes;
+    c.dramEnergy = c.dramPower * secs;
+    c.servicedBytes = res.achievedTotal() * secs;
+    c.utilization = res.utilization;
+    c.latencyNs = res.loadedLatencyNs;
     return c;
 }
 

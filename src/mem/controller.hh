@@ -79,15 +79,20 @@ struct MemServiceResult
 
 /**
  * Everything one service() interval commits: the result, the DRAM
- * traffic and its average power, over the interval it was served.
+ * traffic and its average power, over the interval it was served,
+ * and the commit's addends, each rounded once.
  */
 struct MemServiceCommit
 {
     MemServiceResult result;
-    double readBytes = 0.0;  //!< DRAM bytes read.
-    double writeBytes = 0.0; //!< DRAM bytes written.
     Watt dramPower = 0.0;    //!< DRAM + DDRIO-analog average power.
     Tick interval = 0;
+    stats::ExactSum::Term readBytes;  //!< DRAM bytes read.
+    stats::ExactSum::Term writeBytes; //!< DRAM bytes written.
+    stats::ExactSum::Term dramEnergy; //!< dramPower over the interval.
+    stats::ExactSum::Term servicedBytes; //!< achievedTotal() over it.
+    stats::ExactSum::Term utilization;
+    stats::ExactSum::Term latencyNs; //!< result.loadedLatencyNs.
 };
 
 /**
@@ -282,15 +287,13 @@ MemoryController::commit(const MemServiceCommit &c, std::uint64_t n)
     const MemServiceResult &res = c.result;
     if (res.qosViolation)
         qosViolations_ += static_cast<double>(n);
-    device_.commitTraffic(c.readBytes, c.writeBytes, c.dramPower,
-                          c.interval, n);
+    device_.commitTraffic(c.readBytes, c.writeBytes, c.dramEnergy, n);
     lastDramPower_ = c.dramPower;
 
     lastUtilization_ = res.utilization;
-    servicedBytes_.add(res.achievedTotal() * secondsFromTicks(c.interval),
-                       n);
-    utilizationAvg_.sample(res.utilization, 1.0, n);
-    latencyAvg_.sample(res.loadedLatencyNs, 1.0, n);
+    servicedBytes_.add(c.servicedBytes, n);
+    utilizationAvg_.sample(c.utilization, n);
+    latencyAvg_.sample(c.latencyNs, n);
 }
 
 } // namespace mem

@@ -6,17 +6,11 @@ namespace sysscale {
 namespace power {
 
 Joule
-EnergyMeter::railEnergy(Rail rail) const
-{
-    return energy_[railIndex(rail)];
-}
-
-Joule
 EnergyMeter::totalEnergy() const
 {
     Joule sum = 0.0;
-    for (auto e : energy_)
-        sum += e;
+    for (const stats::ExactSum &e : energy_)
+        sum += e.value();
     return sum;
 }
 
@@ -31,7 +25,7 @@ EnergyMeter::averagePower(Tick now) const
 void
 EnergyMeter::reset(Tick now)
 {
-    energy_.fill(0.0);
+    energy_ = {};
     windowStart_ = now;
 }
 

@@ -15,8 +15,8 @@
 #include <string>
 
 #include "power/dvfs_types.hh"
-#include "sim/exact_sum.hh"
 #include "sim/logging.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace sysscale {
@@ -32,13 +32,22 @@ class EnergyMeter
 
     /**
      * Charge @p n rounds of the @p m raw energy amounts @p joules on
-     * @p rail, bit-identical to that loop of single charges.
+     * @p rail (one exact sum per rail: any grouping of the same
+     * charges leaves the same bits).
      */
     void addEnergy(Rail rail, const Joule *joules, std::size_t m,
                    std::uint64_t n);
 
+    /** Charge the non-negative @p joules @p n times on @p rail. */
+    void addEnergy(Rail rail, const stats::ExactSum::Term &joules,
+                   std::uint64_t n);
+
     /** Total energy on one rail since reset. */
-    Joule railEnergy(Rail rail) const;
+    Joule railEnergy(Rail rail) const { return railSum(rail).value(); }
+
+    /** The exact sum railEnergy() rounds. */
+    const stats::ExactSum &
+    railSum(Rail rail) const { return energy_[railIndex(rail)]; }
 
     /** Total energy across all rails since reset. */
     Joule totalEnergy() const;
@@ -53,7 +62,7 @@ class EnergyMeter
     void visitState(StateIO &io);
 
   private:
-    std::array<Joule, kNumRails> energy_{};
+    std::array<stats::ExactSum, kNumRails> energy_{};
     Tick windowStart_ = 0;
 };
 
@@ -61,11 +70,22 @@ inline void
 EnergyMeter::addEnergy(Rail rail, const Joule *joules, std::size_t m,
                        std::uint64_t n)
 {
+    stats::ExactSum::Term round;
     for (std::size_t i = 0; i < m; ++i) {
         SYSSCALE_ASSERT(joules[i] >= 0.0, "negative energy on rail %s",
                         std::string(railName(rail)).c_str());
+        round += joules[i];
     }
-    addRepeated(energy_[railIndex(rail)], joules, m, n);
+    addEnergy(rail, round, n);
+}
+
+inline void
+EnergyMeter::addEnergy(Rail rail, const stats::ExactSum::Term &joules,
+                       std::uint64_t n)
+{
+    SYSSCALE_ASSERT(joules.value() >= 0.0, "negative energy on rail %s",
+                    std::string(railName(rail)).c_str());
+    energy_[railIndex(rail)].add(joules, n);
 }
 
 } // namespace power

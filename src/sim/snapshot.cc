@@ -10,6 +10,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "sim/stats.hh"
+
 namespace sysscale {
 
 namespace {
@@ -112,6 +114,18 @@ parseU64(std::string_view text, const std::string &key)
     return v;
 }
 
+/** An exact sum's quanta count: 32 hex digits of the two's complement. */
+__int128
+parseQuanta(std::string_view text)
+{
+    if (text.size() != 32)
+        throw SnapshotError("exact sum is not 32 hex digits: \"" +
+                            std::string(text) + "\"");
+    const unsigned __int128 hi = parseHex16(text.substr(0, 16), "exact sum");
+    return static_cast<__int128>(hi << 64 |
+                                 parseHex16(text.substr(16), "exact sum"));
+}
+
 } // anonymous namespace
 
 std::uint64_t
@@ -141,6 +155,12 @@ decodeDouble(std::string_view text)
     double v = 0.0;
     std::memcpy(&v, &bits, sizeof(v));
     return v;
+}
+
+double
+decodeExactSum(std::string_view text)
+{
+    return static_cast<double>(parseQuanta(text)) * 0x1p-64;
 }
 
 std::string
@@ -526,6 +546,18 @@ StateIO::field(const std::string &key, Decimal v)
         v.value = parseDouble(reader_->getString(key));
     else
         writer_->putString(key, formatDouble(v.value));
+}
+
+void
+StateIO::field(const std::string &key, stats::ExactSum &v)
+{
+    if (reader_) {
+        v.quanta_ = parseQuanta(reader_->getString(key));
+        return;
+    }
+    const auto q = static_cast<unsigned __int128>(v.quanta_);
+    writer_->putString(key, hex16(static_cast<std::uint64_t>(q >> 64)) +
+                                hex16(static_cast<std::uint64_t>(q)));
 }
 
 void

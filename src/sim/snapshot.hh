@@ -64,6 +64,10 @@
 
 namespace sysscale {
 
+namespace stats {
+class ExactSum;
+}
+
 /**
  * Snapshot encoding version. Bump on any change to the serialized
  * field set, the semantics behind a serialized field, or the record
@@ -82,8 +86,11 @@ namespace sysscale {
  * `gfx_state`), it keeps its thread activity, `gfx_active` and
  * `latency_out_ns`, and it drops `workload_bound`, `iso` (the same
  * value as `md_io_iso`) and `miss_scale` (a constant of the Soc).
+ * v7: every accumulator is a stats::ExactSum, saved as its 128-bit
+ * quanta count (32 hex digits), and so is a plan's
+ * `transitions_seen`.
  */
-constexpr int kSnapFormatVersion = 6;
+constexpr int kSnapFormatVersion = 7;
 
 /**
  * Every snapshot failure mode — unreadable file, bad header, stale
@@ -111,6 +118,10 @@ std::string encodeDouble(double v);
 
 /** Invert encodeDouble(). Throws SnapshotError on malformed input. */
 double decodeDouble(std::string_view text);
+
+/** The value of an exact sum's field text, rounded; throws like
+ *  decodeDouble(). */
+double decodeExactSum(std::string_view text);
 
 /** Decimal double text: "%.17g", which round-trips every finite
  *  double and reads as the number it is. */
@@ -293,6 +304,10 @@ class StateIO
 
     /** A decimal double (formatDouble() text). */
     void field(const std::string &key, Decimal v);
+
+    /** An exact sum: its quanta count, as 32 hex digits of the
+     *  two's complement. */
+    void field(const std::string &key, stats::ExactSum &v);
 
     /**
      * Numbers as one line of space-separated formatDouble() text. A

@@ -1,7 +1,6 @@
 #include "sim/stats.hh"
 
 #include <algorithm>
-#include <iomanip>
 
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
@@ -26,13 +25,14 @@ Scalar::dump(std::ostream &os, const std::string &prefix) const
 void
 Scalar::visitState(StateIO &io)
 {
-    io.field("value", value_);
+    io.field("value", sum_);
 }
 
 double
 Average::mean() const
 {
-    return weight_ > 0.0 ? sum_ / weight_ : 0.0;
+    const double weight = weight_.value();
+    return weight > 0.0 ? sum_.value() / weight : 0.0;
 }
 
 void
@@ -99,71 +99,6 @@ TimeAverage::visitState(StateIO &io)
     io.field("current", current_);
     io.field("last_set", lastSet_);
     io.field("started", started_);
-}
-
-Distribution::Distribution(StatGroup *parent, std::string name,
-                           std::string desc, double lo, double hi,
-                           std::size_t buckets)
-    : StatBase(parent, std::move(name), std::move(desc)),
-      lo_(lo), hi_(hi),
-      width_((hi - lo) / static_cast<double>(buckets)),
-      buckets_(buckets, 0)
-{
-    SYSSCALE_ASSERT(hi > lo && buckets > 0,
-                    "Distribution '%s': bad bucket spec",
-                    this->name().c_str());
-}
-
-void
-Distribution::sample(double v, std::uint64_t count)
-{
-    samples_ += count;
-    sum_ += v * static_cast<double>(count);
-    if (v < lo_) {
-        underflow_ += count;
-    } else if (v >= hi_) {
-        overflow_ += count;
-    } else {
-        auto idx = static_cast<std::size_t>((v - lo_) / width_);
-        if (idx >= buckets_.size())
-            idx = buckets_.size() - 1; // fp rounding at the top edge
-        buckets_[idx] += count;
-    }
-}
-
-void
-Distribution::dump(std::ostream &os, const std::string &prefix) const
-{
-    os << prefix << name() << "::samples " << samples_
-       << " # " << desc() << "\n";
-    os << prefix << name() << "::mean " << mean() << " # mean sample\n";
-    os << prefix << name() << "::underflow " << underflow_
-       << " # samples < " << lo_ << "\n";
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        const double blo = lo_ + width_ * static_cast<double>(i);
-        os << prefix << name() << "::bucket[" << std::setprecision(4)
-           << blo << "," << (blo + width_) << ") " << buckets_[i]
-           << "\n";
-    }
-    os << prefix << name() << "::overflow " << overflow_
-       << " # samples >= " << hi_ << "\n";
-}
-
-void
-Distribution::visitState(StateIO &io)
-{
-    // lo/hi/width are construction-fixed; only the counts move.
-    std::uint64_t n = buckets_.size();
-    io.field("buckets", n);
-    if (io.loading() && n != buckets_.size())
-        throw SnapshotError("Distribution '" + name() +
-                            "': bucket count mismatch");
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        io.field("bucket" + std::to_string(i), buckets_[i]);
-    io.field("underflow", underflow_);
-    io.field("overflow", overflow_);
-    io.field("samples", samples_);
-    io.field("sum", sum_);
 }
 
 StatGroup::StatGroup(StatGroup *parent, std::string name)

@@ -7,20 +7,23 @@
  *  - Scalar: monotonically accumulated value (counts, joules, ...).
  *  - Average: sample-weighted mean with min/max.
  *  - TimeAverage: time-weighted mean of a piecewise-constant signal.
- *  - Distribution: fixed-bucket histogram with overflow/underflow.
+ *
+ * Scalar and Average sum through ExactSum, the fixed-point accumulator
+ * every per-step sum of the model uses.
  */
 
 #ifndef SYSSCALE_SIM_STATS_HH
 #define SYSSCALE_SIM_STATS_HH
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
 
-#include "sim/exact_sum.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -28,6 +31,141 @@ namespace sysscale {
 namespace stats {
 
 class StatGroup;
+
+/**
+ * An exact sum in fixed point: a signed 128-bit count of quanta of
+ * 2^-64, spanning +-2^63 (about 9.2e18). Each addend is rounded to
+ * the nearest quantum once, as a Term; the rest is integer arithmetic,
+ * which is associative, so n adds of a term are one multiply-add and
+ * any order or grouping of the same terms gives the same bits. One
+ * add() takes less than 2^62 in magnitude (term times count); a larger
+ * add, a non-finite term or a sum leaving the range panics.
+ */
+class ExactSum
+{
+  public:
+    /** One addend (or a sum of them), rounded to quanta once. */
+    class Term
+    {
+      public:
+        Term() = default;
+
+        /** @p value, rounded to the nearest quantum. */
+        Term(double value) // Implicit: every double is a term.
+            : value_(value)
+        {
+            checkMagnitude(std::fabs(value), 1); // Before quantize().
+            quanta_ = quantize(value);
+        }
+
+        /** The double the term was made from (for a sum, their sum). */
+        double value() const { return value_; }
+
+        /** Add @p o's quanta. */
+        Term &
+        operator+=(const Term &o)
+        {
+            value_ += o.value_;
+            checkMagnitude(std::fabs(value_), 1);
+            quanta_ += o.quanta_;
+            return *this;
+        }
+
+      private:
+        friend class ExactSum;
+        double value_ = 0.0; //!< Bounds quanta_ (checkMagnitude()).
+        __int128 quanta_ = 0;
+    };
+
+    /** Add @p term @p n times. */
+    void
+    add(const Term &term, std::uint64_t n = 1)
+    {
+        checkMagnitude(std::fabs(term.value_), n);
+        SYSSCALE_ASSERT(!__builtin_add_overflow(
+                            quanta_, n == 1 ? term.quanta_ : term.quanta_ * n,
+                            &quanta_),
+                        "ExactSum: sum out of range");
+    }
+
+    /** The sum, rounded to nearest: the count's top 64 bits with a
+     *  sticky bit (inline; the __int128 conversion is a libcall). */
+    double
+    value() const
+    {
+        const auto q = static_cast<unsigned __int128>(quanta_);
+        const unsigned __int128 mag = quanta_ < 0 ? -q : q;
+        const auto high = static_cast<std::uint64_t>(mag >> 64);
+        const int shift = high ? 64 - __builtin_clzll(high) : 0;
+        const auto low = static_cast<std::uint64_t>(mag);
+        const std::uint64_t top = static_cast<std::uint64_t>(mag >> shift) |
+                                  (shift && low << (64 - shift) != 0);
+        // Times 2^(shift - 64), exactly: a quantum is 2^-64.
+        const auto scale = static_cast<std::uint64_t>(959 + shift) << 52;
+        double v;
+        std::memcpy(&v, &scale, sizeof v);
+        return (quanta_ < 0 ? -v : v) * static_cast<double>(top);
+    }
+
+    /** The exact difference. */
+    ExactSum
+    operator-(const ExactSum &o) const
+    {
+        ExactSum d;
+        SYSSCALE_ASSERT(
+            !__builtin_sub_overflow(quanta_, o.quanta_, &d.quanta_),
+            "ExactSum: difference out of range");
+        return d;
+    }
+
+    bool operator==(const ExactSum &o) const { return quanta_ == o.quanta_; }
+
+  private:
+    friend class ::sysscale::StateIO; // Saves and restores quanta_.
+
+    /**
+     * Panic unless @p magnitude times @p n (at least 1) is below 2^62:
+     * no NaN or infinity, and quanta times n cannot overflow.
+     */
+    static void
+    checkMagnitude(double magnitude, std::uint64_t n)
+    {
+        SYSSCALE_ASSERT(
+            magnitude * static_cast<double>(std::max<std::uint64_t>(n, 1)) <
+                0x1p62,
+            "ExactSum: add of %g x %llu is not finite or out of range",
+            magnitude, static_cast<unsigned long long>(n));
+    }
+
+    /**
+     * std::nearbyint(std::ldexp(term, 64)) for |term| < 2^62, from the
+     * bits (inline, where those two are library calls).
+     */
+    static __int128
+    quantize(double term)
+    {
+        std::uint64_t bits;
+        std::memcpy(&bits, &term, sizeof bits);
+        const int exponent = static_cast<int>(bits >> 52 & 0x7ff);
+        const std::uint64_t mantissa =
+            (bits & ((std::uint64_t{1} << 52) - 1)) | std::uint64_t{1} << 52;
+        // term * 2^64 = mantissa * 2^shift.
+        const int shift = exponent - 1075 + 64;
+        __int128 q = 0;
+        if (shift >= 0) {
+            q = static_cast<__int128>(mantissa) << shift;
+        } else if (shift > -54) { // Else below half a quantum.
+            const std::uint64_t half = std::uint64_t{1} << (-shift - 1);
+            const std::uint64_t rest = mantissa & (2 * half - 1);
+            std::uint64_t whole = mantissa >> -shift;
+            whole += rest > half || (rest == half && (whole & 1));
+            q = whole;
+        }
+        return bits >> 63 ? -q : q;
+    }
+
+    __int128 quanta_ = 0;
+};
 
 /** Base class for all statistics: name, description, dump. */
 class StatBase
@@ -62,32 +200,23 @@ class Scalar : public StatBase
   public:
     using StatBase::StatBase;
 
-    Scalar &operator+=(double v) { value_ += v; return *this; }
-    Scalar &operator++() { value_ += 1.0; return *this; }
+    Scalar &operator+=(double v) { sum_.add(v); return *this; }
+    Scalar &operator++() { sum_.add(1.0); return *this; }
 
     /** Add @p v @p n times, bit-identical to n `+= v`. */
-    void add(double v, std::uint64_t n) { addRepeated(value_, v, n); }
+    void add(const ExactSum::Term &v, std::uint64_t n) { sum_.add(v, n); }
 
-    /**
-     * Add n rounds of addend(0) .. addend(m - 1), bit-identical to
-     * that loop of `+=` (see addRepeated()).
-     */
-    template <class Addend>
-    void
-    add(std::size_t m, std::uint64_t n, const Addend &addend)
-    {
-        addRepeated(value_, m, n, addend);
-    }
-    void set(double v) { value_ = v; }
+    double value() const { return sum_.value(); }
 
-    double value() const { return value_; }
+    /** The exact sum, for comparisons that must not round. */
+    const ExactSum &sum() const { return sum_; }
 
     void dump(std::ostream &os,
               const std::string &prefix) const override;
     void visitState(StateIO &io) override;
 
   private:
-    double value_ = 0.0;
+    ExactSum sum_;
 };
 
 /** Sample-weighted average with extrema. */
@@ -99,6 +228,9 @@ class Average : public StatBase
     /** Take @p n samples of @p v, bit-identical to n sample() calls. */
     void sample(double v, double weight = 1.0, std::uint64_t n = 1);
 
+    /** Take @p n samples of @p v at weight 1. */
+    void sample(const ExactSum::Term &v, std::uint64_t n);
+
     double mean() const;
     double min() const { return count_ ? min_ : 0.0; }
     double max() const { return count_ ? max_ : 0.0; }
@@ -109,8 +241,13 @@ class Average : public StatBase
     void visitState(StateIO &io) override;
 
   private:
-    double sum_ = 0.0;
-    double weight_ = 0.0;
+    /** The extrema and count of @p n samples of @p v. */
+    void note(double v, std::uint64_t n);
+
+    inline static const ExactSum::Term kUnitWeight = 1.0;
+
+    ExactSum sum_;
+    ExactSum weight_;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
     std::uint64_t count_ = 0;
@@ -120,8 +257,22 @@ inline void
 Average::sample(double v, double weight, std::uint64_t n)
 {
     SYSSCALE_ASSERT(weight >= 0.0, "negative sample weight");
-    addRepeated(sum_, v * weight, n);
-    addRepeated(weight_, weight, n);
+    sum_.add(v * weight, n);
+    weight_.add(weight == 1.0 ? kUnitWeight : ExactSum::Term(weight), n);
+    note(v, n);
+}
+
+inline void
+Average::sample(const ExactSum::Term &v, std::uint64_t n)
+{
+    sum_.add(v, n);
+    weight_.add(kUnitWeight, n);
+    note(v.value(), n);
+}
+
+inline void
+Average::note(double v, std::uint64_t n)
+{
     if (n == 0)
         return;
     min_ = std::min(min_, v);
@@ -157,36 +308,6 @@ class TimeAverage : public StatBase
     double current_ = 0.0;
     Tick lastSet_ = 0;
     bool started_ = false;
-};
-
-/** Fixed-bucket histogram. */
-class Distribution : public StatBase
-{
-  public:
-    Distribution(StatGroup *parent, std::string name, std::string desc,
-                 double lo, double hi, std::size_t buckets);
-
-    void sample(double v, std::uint64_t count = 1);
-
-    std::uint64_t bucketCount(std::size_t i) const { return buckets_[i]; }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t samples() const { return samples_; }
-    double mean() const { return samples_ ? sum_ / samples_ : 0.0; }
-
-    void dump(std::ostream &os,
-              const std::string &prefix) const override;
-    void visitState(StateIO &io) override;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t samples_ = 0;
-    double sum_ = 0.0;
 };
 
 /**

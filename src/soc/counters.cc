@@ -24,18 +24,18 @@ PerfCounterBlock::sample(std::uint64_t periods)
         // Counts normalize to events/ms; occupancies to time-weighted
         // averages over the sample period.
         folded[counterIndex(Counter::GfxLlcMisses)] =
-            pending_[counterIndex(Counter::GfxLlcMisses)] / ms;
+            pending_[counterIndex(Counter::GfxLlcMisses)].value() / ms;
         folded[counterIndex(Counter::LlcOccupancyTracer)] =
-            pending_[counterIndex(Counter::LlcOccupancyTracer)] / w;
+            pending_[counterIndex(Counter::LlcOccupancyTracer)].value() / w;
         folded[counterIndex(Counter::LlcStalls)] =
-            pending_[counterIndex(Counter::LlcStalls)] / ms;
+            pending_[counterIndex(Counter::LlcStalls)].value() / ms;
         folded[counterIndex(Counter::IoRpq)] =
-            pending_[counterIndex(Counter::IoRpq)] / w;
+            pending_[counterIndex(Counter::IoRpq)].value() / w;
     }
     for (std::size_t i = 0; i < kNumCounters; ++i)
-        addRepeated(windowSum_[i], folded[i], periods);
+        windowSum_[i].add(folded[i], periods);
 
-    pending_.fill(0.0);
+    pending_ = {};
     pendingTicks_ = 0;
     windowCount_ += periods;
     samples_ += static_cast<double>(periods);
@@ -49,7 +49,7 @@ PerfCounterBlock::windowAverage() const
         return snap;
     for (std::size_t i = 0; i < kNumCounters; ++i) {
         snap.values[i] =
-            windowSum_[i] / static_cast<double>(windowCount_);
+            windowSum_[i].value() / static_cast<double>(windowCount_);
     }
     return snap;
 }
@@ -57,7 +57,7 @@ PerfCounterBlock::windowAverage() const
 void
 PerfCounterBlock::clearWindow()
 {
-    windowSum_.fill(0.0);
+    windowSum_ = {};
     windowCount_ = 0;
 }
 

@@ -23,9 +23,9 @@
 #include <cstdint>
 #include <string_view>
 
-#include "sim/exact_sum.hh"
 #include "sim/logging.hh"
 #include "sim/sim_object.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace sysscale {
@@ -92,19 +92,33 @@ class PerfCounterBlock : public SimObject
     PerfCounterBlock(Simulator &sim, SimObject *parent);
 
     /**
-     * Accumulate @p n like model steps' raw observables,
-     * bit-identical to n single accumulations.
-     *
-     * @param gfx_misses Graphics LLC misses per step.
-     * @param cpu_occupancy Average CPU requests pending at the MC.
-     * @param stall_cycles Core cycles stalled on misses per step.
-     * @param io_rpq Average IO reads pending in the fabric.
-     * @param step Step length in ticks.
-     * @param n Steps accumulated.
+     * One @p step ticks long step's counter terms, by counter index:
+     * graphics LLC misses and stalled core cycles as they are, the CPU
+     * requests pending at the MC and the IO reads pending in the
+     * fabric (averages) times the step's ticks.
      */
-    void accumulate(double gfx_misses, double cpu_occupancy,
-                    double stall_cycles, double io_rpq, Tick step,
+    using StepTerms = std::array<stats::ExactSum::Term, kNumCounters>;
+    static StepTerms stepTerms(double gfx_misses, double cpu_occupancy,
+                               double stall_cycles, double io_rpq,
+                               Tick step);
+
+    /**
+     * Accumulate @p n like model steps of @p step ticks, each adding
+     * @p terms, bit-identical to n single accumulations.
+     */
+    void accumulate(const StepTerms &terms, Tick step,
                     std::uint64_t n = 1);
+
+    /** accumulate() of the stepTerms() of these observables. */
+    void
+    accumulate(double gfx_misses, double cpu_occupancy,
+               double stall_cycles, double io_rpq, Tick step,
+               std::uint64_t n = 1)
+    {
+        const StepTerms t = stepTerms(gfx_misses, cpu_occupancy,
+                                      stall_cycles, io_rpq, step);
+        accumulate(t, step, n);
+    }
 
     /**
      * PMU 1ms sampling hook: fold the accumulation since the last
@@ -130,30 +144,35 @@ class PerfCounterBlock : public SimObject
   private:
     // Occupancy-style observables are time-weighted within the
     // sample; count-style ones accumulate.
-    std::array<double, kNumCounters> pending_{};
+    std::array<stats::ExactSum, kNumCounters> pending_{};
     Tick pendingTicks_ = 0;
 
-    std::array<double, kNumCounters> windowSum_{};
+    std::array<stats::ExactSum, kNumCounters> windowSum_{};
     std::size_t windowCount_ = 0;
 
     stats::Scalar samples_;
 };
 
+inline PerfCounterBlock::StepTerms
+PerfCounterBlock::stepTerms(double gfx_misses, double cpu_occupancy,
+                            double stall_cycles, double io_rpq, Tick step)
+{
+    const double w = static_cast<double>(step);
+    StepTerms t;
+    t[counterIndex(Counter::GfxLlcMisses)] = gfx_misses;
+    t[counterIndex(Counter::LlcOccupancyTracer)] = cpu_occupancy * w;
+    t[counterIndex(Counter::LlcStalls)] = stall_cycles;
+    t[counterIndex(Counter::IoRpq)] = io_rpq * w;
+    return t;
+}
+
 inline void
-PerfCounterBlock::accumulate(double gfx_misses, double cpu_occupancy,
-                             double stall_cycles, double io_rpq,
-                             Tick step, std::uint64_t n)
+PerfCounterBlock::accumulate(const StepTerms &terms, Tick step,
+                             std::uint64_t n)
 {
     SYSSCALE_ASSERT(step > 0, "zero-length counter step");
-
-    const double w = static_cast<double>(step);
-    addRepeated(pending_[counterIndex(Counter::GfxLlcMisses)],
-                gfx_misses, n);
-    addRepeated(pending_[counterIndex(Counter::LlcOccupancyTracer)],
-                cpu_occupancy * w, n);
-    addRepeated(pending_[counterIndex(Counter::LlcStalls)],
-                stall_cycles, n);
-    addRepeated(pending_[counterIndex(Counter::IoRpq)], io_rpq * w, n);
+    for (std::size_t i = 0; i < kNumCounters; ++i)
+        pending_[i].add(terms[i], n);
     pendingTicks_ += step * n;
 }
 

@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "obs/trace.hh"
-#include "sim/exact_sum.hh"
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
 
@@ -90,9 +89,6 @@ Soc::Soc(Simulator &sim, SocConfig cfg)
         sim, this, cfg_.cores, cfg_.threadsPerCore,
         std::move(core_table));
     std::iota(mru_.begin(), mru_.end(), 0);
-    retire_.resize(kPlanRingSize * cpu_->numThreads());
-    for (std::size_t i = 0; i < kPlanRingSize; ++i)
-        ring_[i].record.threads = &retire_[i * cpu_->numThreads()];
 
     power::PStateTable gfx_table(power::skylakeGfxCurve(),
                                  cfg_.gfxCdyn, cfg_.gfxLeakK,
@@ -372,10 +368,8 @@ Soc::replaySteps(Tick interval)
     applyCommit(batch_start, interval, n);
     const Tick last = batch_start + (n - 1) * interval;
     eventq().advanceNow(last);
-    // Integer-valued doubles far below 2^53: one add of the batch
-    // length is exact.
-    steps_ += static_cast<double>(n);
-    replayedSteps_ += static_cast<double>(n);
+    steps_.add(1.0, n);
+    replayedSteps_.add(1.0, n);
     eventq().schedule(&stepEvent_, last + interval);
 
     // One span per batch: the only trace category that differs
@@ -497,7 +491,7 @@ Soc::step()
     if (skipAhead_) {
         p.valid = stall_consumed == 0;
         p.demandValidUntil = demand_horizon;
-        p.transitionsSeen = transitions_.value();
+        p.transitionsSeen = transitions_.sum();
         p.throttle = throttle_;
         p.computeBudget = computeBudget_;
         p.coreFreqCap = coreFreqCap_;
@@ -586,7 +580,8 @@ Soc::recordCommit(Tick interval, const ThreadActivity &act)
 
     // Retire compute progress.
     double stall_cycles = 0.0;
-    rec.retired = 0;
+    rec.instructions = {};
+    rec.stallCycles = {};
     rec.rendered = false;
     const Tick exec_ticks = static_cast<Tick>(
         static_cast<double>(interval) * p.execFrac);
@@ -601,11 +596,10 @@ Soc::recordCommit(Tick interval, const ThreadActivity &act)
                 continue;
             compute::CoreWork scaled = w;
             scaled.mpki *= missScale_;
-            SYSSCALE_ASSERT(rec.retired < cpu_->numThreads(),
-                            "more active threads than the cluster");
-            compute::CoreResult &r = rec.threads[rec.retired++];
-            r = cpu_->evaluateRetire(scaled, lastMemLatencyNs_,
-                                     cpu_grant, exec_ticks);
+            const compute::CoreResult r = cpu_->evaluateRetire(
+                scaled, lastMemLatencyNs_, cpu_grant, exec_ticks);
+            rec.instructions += r.instructions;
+            rec.stallCycles += r.stallCycles;
             stall_cycles += r.stallCycles;
         }
 
@@ -625,17 +619,22 @@ Soc::recordCommit(Tick interval, const ThreadActivity &act)
     railPower(demand, act, ms.utilization, fr.utilization, vddq_power);
     for (std::size_t i = 0; i < rec.railJoules.size(); ++i)
         rec.railJoules[i] = rec.railWatts[i] * secs;
-    rec.floorJoules = cfg_.platformFloor * secs;
+    // V_SA's platform floor follows its rail energy in every step.
+    rec.railJoules[power::railIndex(power::Rail::VSA)] +=
+        cfg_.platformFloor * secs;
 
     // The Soc's own bookkeeping: counter observables (raw per-step
     // quantities), EWMA terms, and run-accumulator addends.
     StepAccounting &a = rec.accounting;
     a.qosViolation = ms.qosViolation || fr.qosViolation;
+    const double gfx_misses = ms.achievedGfx * dram_frac * secs / 64.0;
     a.cpuMisses = ms.achievedCpuRead * dram_frac * secs / 64.0;
-    a.gfxMisses = ms.achievedGfx * dram_frac * secs / 64.0;
+    a.gfxMisses = gfx_misses;
     a.stallCycles = stall_cycles;
     a.cpuOccupancy = ms.readPendingOccupancy * dram_frac;
-    a.ioRpq = fr.readPendingOccupancy * dram_frac;
+    a.counters = PerfCounterBlock::stepTerms(
+        gfx_misses, a.cpuOccupancy, stall_cycles,
+        fr.readPendingOccupancy * dram_frac, interval);
     a.powerEwmaTermW = 0.02 * (rec.stepPower - cfg_.platformFloor);
     a.bwEwmaTerm = 0.02 * ms.achievedTotal() * dram_frac;
     a.secs = secs;
@@ -655,20 +654,12 @@ Soc::applyCommit(Tick t, Tick interval, std::uint64_t n)
         fabric_->commit(rec.fabric, interval, n);
         mc_->commit(rec.mc, n);
     }
-    cpu_->commitRetire(rec.threads, rec.retired, n);
+    cpu_->commitRetire(rec.instructions, rec.stallCycles, n);
     if (rec.rendered)
         gfx_->commitRender(rec.gfx, n);
 
-    // V_SA's platform floor follows its rail energy in every step.
-    for (power::Rail r : power::kAllRails) {
-        if (r != power::Rail::VSA)
-            meter_.addEnergy(r, &rec.railJoules[power::railIndex(r)], 1,
-                             n);
-    }
-    const Joule vsa[] = {
-        rec.railJoules[power::railIndex(power::Rail::VSA)],
-        rec.floorJoules};
-    meter_.addEnergy(power::Rail::VSA, vsa, 2, n);
+    for (power::Rail r : power::kAllRails)
+        meter_.addEnergy(r, rec.railJoules[power::railIndex(r)], n);
     traceRailPower(t, n);
 
     applyAccounting(rec.accounting, t, interval, n);
@@ -696,22 +687,21 @@ Soc::applyAccounting(const StepAccounting &a, Tick t, Tick interval,
                      std::uint64_t n)
 {
     if (a.qosViolation)
-        qosViolations_ += static_cast<double>(n);
+        qosViolations_.add(1.0, n);
     llc_->recordInterval(a.cpuMisses, a.gfxMisses, a.stallCycles,
                          a.cpuOccupancy, n);
     pmu_->afterSteps(t, interval, n, [&](std::uint64_t m) {
-        counters_->accumulate(a.gfxMisses, a.cpuOccupancy,
-                              a.stallCycles, a.ioRpq, interval, m);
+        counters_->accumulate(a.counters, interval, m);
     });
 
     // Run-window accumulators.
-    addRepeated(elapsedSeconds_, a.secs, n);
-    addRepeated(memLatIntegral_, a.memLatIntegral, n);
-    addRepeated(memActiveSeconds_, a.memActiveSeconds, n);
-    addRepeated(bwIntegral_, a.bwIntegral, n);
-    addRepeated(coreFreqIntegral_, a.coreFreqIntegral, n);
+    elapsedSeconds_.add(a.secs, n);
+    memLatIntegral_.add(a.memLatIntegral, n);
+    memActiveSeconds_.add(a.memActiveSeconds, n);
+    bwIntegral_.add(a.bwIntegral, n);
+    coreFreqIntegral_.add(a.coreFreqIntegral, n);
     if (a.lowPoint)
-        addRepeated(lowPointSeconds_, a.secs, n);
+        lowPointSeconds_.add(a.secs, n);
 }
 
 void
@@ -775,16 +765,16 @@ Soc::sampleAccumulators() const
     s.instructions = cpu_->totalInstructions();
     s.frames = gfx_->totalFrames();
     for (power::Rail r : power::kAllRails)
-        s.rail[power::railIndex(r)] = meter_.railEnergy(r);
+        s.rail[power::railIndex(r)] = meter_.railSum(r);
     s.latInt = memLatIntegral_;
     s.latSecs = memActiveSeconds_;
     s.bwInt = bwIntegral_;
     s.freqInt = coreFreqIntegral_;
     s.lowSecs = lowPointSeconds_;
     s.elapsedSeconds = elapsedSeconds_;
-    s.qos = qosViolations_.value();
-    s.trans = transitions_.value();
-    s.stall = stallTicks_.value();
+    s.qos = qosViolations_.sum();
+    s.trans = transitions_.sum();
+    s.stall = stallTicks_.sum();
     return s;
 }
 
@@ -803,42 +793,42 @@ RunMetrics
 Soc::metricsBetween(const RunAccumulators &before,
                     const RunAccumulators &after, double seconds)
 {
+    // Each window quantity is an exact difference, rounded once.
+    const auto d = [&](stats::ExactSum RunAccumulators::*a) {
+        return (after.*a - before.*a).value();
+    };
     RunMetrics m;
     m.seconds = seconds;
-    m.instructions = after.instructions - before.instructions;
+    m.instructions = d(&RunAccumulators::instructions);
     m.ips = m.instructions / m.seconds;
-    m.frames = after.frames - before.frames;
+    m.frames = d(&RunAccumulators::frames);
     m.fps = m.frames / m.seconds;
 
     Joule total = 0.0;
     for (power::Rail r : power::kAllRails) {
         const std::size_t i = power::railIndex(r);
-        m.railEnergy[i] = after.rail[i] - before.rail[i];
+        m.railEnergy[i] = (after.rail[i] - before.rail[i]).value();
         total += m.railEnergy[i];
     }
     m.energy = total;
     m.avgPower = total / m.seconds;
     m.edp = power::edp(total, m.seconds);
 
-    const double lat_secs = after.latSecs - before.latSecs;
-    m.avgMemLatencyNs =
-        lat_secs > 0.0 ? (after.latInt - before.latInt) / lat_secs
-                       : 0.0;
-    const double elapsed = after.elapsedSeconds - before.elapsedSeconds;
-    m.avgMemBandwidth =
-        elapsed > 0.0 ? (after.bwInt - before.bwInt) / elapsed : 0.0;
-    m.avgCoreFreq =
-        elapsed > 0.0 ? (after.freqInt - before.freqInt) / elapsed
-                      : 0.0;
-    m.lowPointResidency =
-        elapsed > 0.0 ? (after.lowSecs - before.lowSecs) / elapsed
-                      : 0.0;
+    const double lat_secs = d(&RunAccumulators::latSecs);
+    if (lat_secs > 0.0)
+        m.avgMemLatencyNs = d(&RunAccumulators::latInt) / lat_secs;
+    const double elapsed = d(&RunAccumulators::elapsedSeconds);
+    if (elapsed > 0.0) {
+        m.avgMemBandwidth = d(&RunAccumulators::bwInt) / elapsed;
+        m.avgCoreFreq = d(&RunAccumulators::freqInt) / elapsed;
+        m.lowPointResidency = d(&RunAccumulators::lowSecs) / elapsed;
+    }
 
     m.qosViolations =
-        static_cast<std::uint64_t>(after.qos - before.qos);
+        static_cast<std::uint64_t>(d(&RunAccumulators::qos));
     m.transitions =
-        static_cast<std::uint64_t>(after.trans - before.trans);
-    m.stallTicks = static_cast<Tick>(after.stall - before.stall);
+        static_cast<std::uint64_t>(d(&RunAccumulators::trans));
+    m.stallTicks = static_cast<Tick>(d(&RunAccumulators::stall));
     return m;
 }
 

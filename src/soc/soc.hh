@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <array>
 #include <memory>
-#include <vector>
 
 #include "compute/cpu.hh"
 #include "compute/cstates.hh"
@@ -176,27 +175,27 @@ class Soc : public SimObject
 
     /** @name Window accounting (snapshot/slicing support).
      *
-     * A RunAccumulators sample captures every monotonic accumulator
+     * A RunAccumulators sample copies every monotonic accumulator
      * a RunMetrics window is differenced from. run() itself is
      * implemented as sampleAccumulators() / metricsBetween(), so a
      * sliced run that carries a baseline sample across checkpoints
-     * computes the final window through the identical sequence of
-     * floating-point operations — byte-identical metrics.
+     * computes the final window from the same exact differences —
+     * byte-identical metrics.
      * @{ */
     struct RunAccumulators
     {
-        double instructions = 0.0;
-        double frames = 0.0;
-        std::array<Joule, power::kNumRails> rail{};
-        double latInt = 0.0;
-        double latSecs = 0.0;
-        double bwInt = 0.0;
-        double freqInt = 0.0;
-        double lowSecs = 0.0;
-        double elapsedSeconds = 0.0;
-        double qos = 0.0;
-        double trans = 0.0;
-        double stall = 0.0;
+        stats::ExactSum instructions;
+        stats::ExactSum frames;
+        std::array<stats::ExactSum, power::kNumRails> rail{};
+        stats::ExactSum latInt;
+        stats::ExactSum latSecs;
+        stats::ExactSum bwInt;
+        stats::ExactSum freqInt;
+        stats::ExactSum lowSecs;
+        stats::ExactSum elapsedSeconds;
+        stats::ExactSum qos;
+        stats::ExactSum trans;
+        stats::ExactSum stall;
     };
 
     /** Sample every run-window accumulator at the current instant. */
@@ -300,10 +299,10 @@ class Soc : public SimObject
      * workload's demand horizon, at the run limit, or when a throttle
      * move changes the grants; the PMU's counter samples run inside it
      * (Pmu::afterSteps()). A batch of n steps costs O(accumulators),
-     * not O(n): each accumulator takes the n identical additions of
-     * its addend in one exact repeated add (sim/exact_sum.hh), which
-     * leaves the bits n single additions would. Only the EWMA and
-     * throttle recurrence walks step by step, with one grant
+     * not O(n): every accumulator is a fixed-point stats::ExactSum,
+     * so the n identical additions of its addend are one integer
+     * multiply-add, equal by algebra to n single additions. Only the
+     * EWMA and throttle recurrence walks step by step, with one grant
      * evaluation per throttle move, until both EWMAs reach a fixed
      * point. So all reported metrics are byte-identical either way
      * (pinned by the skip-ahead-off mode of tests/test_contracts.cc;
@@ -370,7 +369,7 @@ class Soc : public SimObject
 
         /** @name Input fingerprint. @{ */
         Tick demandValidUntil = 0;  //!< Workload horizon at capture.
-        double transitionsSeen = 0.0;
+        stats::ExactSum transitionsSeen;
         double throttle = 1.0; //!< Fast-path key; grants decide.
         Watt computeBudget = 0.0;
         Hertz coreFreqCap = 0.0;
@@ -398,22 +397,22 @@ class Soc : public SimObject
     /**
      * The bookkeeping the commit half does on the Soc itself: the QoS
      * count, the LLC and counter observables, the EWMA terms and the
-     * run-accumulator addends of one step. Each term is associated
-     * exactly as the slow step writes it, so applying a recorded
-     * value n times, in one exact repeated add per accumulator, adds
-     * the identical bits.
+     * run-accumulator addends of one step. Each addend is a term the
+     * slow step rounds once: every accumulator it feeds is a
+     * stats::ExactSum, so applying it n times is one multiply-add
+     * per accumulator, with no rounding.
      */
     struct StepAccounting
     {
         bool qosViolation = false;
 
-        /** @name Llc::recordInterval / PerfCounterBlock::accumulate. @{ */
-        double cpuMisses = 0.0;
-        double gfxMisses = 0.0;
-        double stallCycles = 0.0;
+        /** @name Llc::recordInterval(). @{ */
+        stats::ExactSum::Term cpuMisses;
+        stats::ExactSum::Term gfxMisses;
+        stats::ExactSum::Term stallCycles;
         double cpuOccupancy = 0.0;
-        double ioRpq = 0.0;
         /** @} */
+        PerfCounterBlock::StepTerms counters;
 
         /** @name EWMA terms. @{ */
         double powerEwmaTermW = 0.0; //!< 0.02 * (stepPower - floor).
@@ -421,12 +420,12 @@ class Soc : public SimObject
         /** @} */
 
         /** @name Run-accumulator addends. @{ */
-        double secs = 0.0;
-        double memLatIntegral = 0.0;   //!< latency * secs * dramFrac.
-        double memActiveSeconds = 0.0; //!< secs * dramFrac.
-        double bwIntegral = 0.0;       //!< achievedTotal * dramFrac * secs.
-        double coreFreqIntegral = 0.0; //!< frequency * secs.
-        bool lowPoint = false;         //!< Below the top point.
+        stats::ExactSum::Term secs;
+        stats::ExactSum::Term memLatIntegral; //!< latency * secs * dramFrac.
+        stats::ExactSum::Term memActiveSeconds; //!< secs * dramFrac.
+        stats::ExactSum::Term bwIntegral; //!< achievedTotal * dramFrac * secs.
+        stats::ExactSum::Term coreFreqIntegral; //!< frequency * secs.
+        bool lowPoint = false;                  //!< Below the top point.
         /** @} */
     };
 
@@ -451,9 +450,8 @@ class Soc : public SimObject
         mem::MemServiceCommit mc; //!< Over the MC's own active ticks.
         /** @} */
 
-        /** Per-thread retire results: a slice of retire_. */
-        compute::CoreResult *threads = nullptr;
-        std::size_t retired = 0; //!< Leading entries of threads used.
+        stats::ExactSum::Term instructions; //!< Over all threads.
+        stats::ExactSum::Term stallCycles;  //!< Over all threads.
         bool rendered = false;
         compute::GfxResult gfx;
 
@@ -462,10 +460,9 @@ class Soc : public SimObject
         Watt stepPower = 0.0; //!< Every rail plus the platform floor.
         /** @} */
 
-        /** addEnergy() operands: the watts times the step. @{ */
-        std::array<Joule, power::kNumRails> railJoules{};
-        Joule floorJoules = 0.0;
-        /** @} */
+        /** addEnergy() operands: the watts times the step (V_SA's
+         *  with the platform floor's). */
+        std::array<stats::ExactSum::Term, power::kNumRails> railJoules{};
 
         StepAccounting accounting;
     };
@@ -497,7 +494,7 @@ class Soc : public SimObject
     live(const StepPlan &p, Tick t) const
     {
         return p.valid && t < p.demandValidUntil &&
-               p.transitionsSeen == transitions_.value();
+               p.transitionsSeen == transitions_.sum();
     }
 
     /** Invalidate every plan in the ring. */
@@ -619,8 +616,6 @@ class Soc : public SimObject
     double missScale_ = 1.0;
 
     std::array<PlanEntry, kPlanRingSize> ring_;
-    /** Every slot's retire results, allocated once at construction. */
-    std::vector<compute::CoreResult> retire_;
     /** Ring slots, most recently used first: mru_[0] is current. */
     std::array<std::uint8_t, kPlanRingSize> mru_{};
     double lastMemLatencyNs_ = 60.0;
@@ -632,12 +627,12 @@ class Soc : public SimObject
     EventFunctionWrapper stepEvent_;
 
     // Run-window accumulators (sampled by run()).
-    double memLatIntegral_ = 0.0;
-    double memActiveSeconds_ = 0.0;
-    double bwIntegral_ = 0.0;
-    double coreFreqIntegral_ = 0.0;
-    double lowPointSeconds_ = 0.0;
-    double elapsedSeconds_ = 0.0;
+    stats::ExactSum memLatIntegral_;
+    stats::ExactSum memActiveSeconds_;
+    stats::ExactSum bwIntegral_;
+    stats::ExactSum coreFreqIntegral_;
+    stats::ExactSum lowPointSeconds_;
+    stats::ExactSum elapsedSeconds_;
 
     stats::Scalar transitions_;
     stats::Scalar qosViolations_;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include "power/regulator.hh"
 #include "power/vf_curve.hh"
 #include "soc/config.hh"
+#include "soc/soc.hh"
 
 namespace sysscale {
 namespace power {
@@ -359,6 +361,90 @@ TEST(PStateCache, GrantMatchesUncachedBitwise)
         }
     }
     EXPECT_GT(cases, 500000u);
+}
+
+/**
+ * Every throttle the Soc's reactive walk can reach from 1.0: down in
+ * steps of 0.98 to the floor, and up in steps of 1.01 from points of
+ * that descent (Soc::advanceEwmas()), in ascending order.
+ */
+std::vector<double>
+walkThrottles()
+{
+    std::vector<double> out;
+    std::vector<double> down = {1.0};
+    while (down.back() > soc::Soc::kThrottleFloor) {
+        down.push_back(
+            std::max(soc::Soc::kThrottleFloor, down.back() * 0.98));
+    }
+    for (std::size_t i = 0; i < down.size(); ++i) {
+        out.push_back(down[i]);
+        if (i % 8 != 0 && i + 1 != down.size())
+            continue;
+        for (double t = down[i]; t < 1.0;) {
+            t = std::min(1.0, t * 1.01);
+            out.push_back(t);
+        }
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+}
+
+TEST(Pbm, GrantIsMonotoneInTheThrottle)
+{
+    // A throttle that rises never grants a slower state, bit for bit,
+    // for every shipped table, with the budget formed as grantsAt()
+    // forms it for the GFX (budget * throttle) and the CPU (throttle *
+    // budget / cores).
+    const std::vector<double> throttles = walkThrottles();
+    ASSERT_GT(throttles.size(), 500u);
+    const PowerBudgetManager pbm(4.5);
+    std::size_t cases = 0;
+    for (const soc::SocConfig &cfg :
+         {soc::skylakeConfig(), soc::broadwellConfig(),
+          soc::skylakeDdr4Config()}) {
+        const PStateTable tables[] = {
+            PStateTable(skylakeCoreCurve(), cfg.coreCdyn, cfg.coreLeakK,
+                        cfg.temperature, cfg.pstateSteps),
+            PStateTable(skylakeGfxCurve(), cfg.gfxCdyn, cfg.gfxLeakK,
+                        cfg.temperature, cfg.pstateSteps)};
+        for (const PStateTable &t : tables) {
+            std::vector<Hertz> requests = {t.max().freq * 2.0};
+            for (const auto &st : t.states())
+                requests.push_back(st.freq);
+            for (const double a : {soc::Soc::kIdleActivity, 0.3, 1.0}) {
+                // Bases whose throttled budget crosses every state.
+                std::vector<Watt> bases;
+                for (const auto &st : t.states()) {
+                    const Watt p = st.powerAt(a);
+                    bases.push_back(p / 0.65);
+                    bases.push_back(std::nextafter(p, 0.0) / 0.9);
+                }
+                for (const Hertz f : requests) {
+                    for (const Watt base : bases) {
+                        const PState *gfx = &t.min();
+                        const PState *cpu = &t.min();
+                        for (const double th : throttles) {
+                            const PState &g = pbm.grant(t, f, base * th, a);
+                            const PState &c =
+                                pbm.grant(t, f, th * base / 2.0, a);
+                            ASSERT_GE(g.freq, gfx->freq)
+                                << "request " << f << " base " << base
+                                << " activity " << a << " throttle " << th;
+                            ASSERT_GE(c.freq, cpu->freq)
+                                << "request " << f << " base " << base
+                                << " activity " << a << " throttle " << th;
+                            gfx = &g;
+                            cpu = &c;
+                            ++cases;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(cases, 1000000u);
 }
 
 TEST(PStateCache, PowerAndFrequencyNondecreasingAcrossStates)

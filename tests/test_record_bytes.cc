@@ -122,7 +122,7 @@ TEST(RecordBytes, CacheEntry)
     const exp::ExperimentSpec spec = linkSpec();
     cache.store(spec, fixedResult());
     EXPECT_EQ(checksumOf(test::readText(cache.pathFor(spec))),
-              "647254d27fa7d706");
+              "d063b0a307b27b85");
 }
 
 TEST(RecordBytes, SliceEntry)

@@ -5,15 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
+#include <vector>
 
+#include "sim/random.hh"
+#include "sim/snapshot.hh"
 #include "sim/stats.hh"
 
 namespace sysscale {
 namespace {
 
 using stats::Average;
-using stats::Distribution;
+using stats::ExactSum;
 using stats::Scalar;
 using stats::StatGroup;
 using stats::TimeAverage;
@@ -87,21 +93,151 @@ TEST(Stats, TimeAverageWeightsByDuration)
     EXPECT_DOUBLE_EQ(t.mean(), 0.75);
 }
 
-TEST(Stats, DistributionBucketsAndOverflow)
+/** A term of random sign and magnitude, 2^-70 to 2^40. */
+double
+randomTerm(Rng &rng)
 {
-    StatGroup root(nullptr, "root");
-    Distribution d(&root, "dist", "histogram", 0.0, 10.0, 5);
-    d.sample(1.0);  // bucket 0
-    d.sample(3.0);  // bucket 1
-    d.sample(9.9);  // bucket 4
-    d.sample(-1.0); // underflow
-    d.sample(11.0); // overflow
-    EXPECT_EQ(d.bucketCount(0), 1u);
-    EXPECT_EQ(d.bucketCount(1), 1u);
-    EXPECT_EQ(d.bucketCount(4), 1u);
-    EXPECT_EQ(d.underflow(), 1u);
-    EXPECT_EQ(d.overflow(), 1u);
-    EXPECT_EQ(d.samples(), 5u);
+    const double mag = std::ldexp(rng.uniform(1.0, 2.0),
+                                  static_cast<int>(rng.next() % 111) - 70);
+    return rng.next() % 4 == 0 ? -mag : mag;
+}
+
+TEST(ExactSum, RoundsEachTermToTheNearestQuantum)
+{
+    // A term is std::nearbyint(std::ldexp(term, 64)) quanta: ties to
+    // even, tiny terms to zero.
+    Rng rng(7);
+    std::vector<double> terms = {0x1p-65,   0x1.8p-64, 0x1.4p-63,
+                                 -0x1.4p-63, 0x1p-66,  0x1.0000000000001p-12,
+                                 0.1,       -1e-3,     1.7e11,
+                                 0.0,       -0.0,      std::nextafter(0x1p62, 0.0)};
+    for (int i = 0; i < 10000; ++i)
+        terms.push_back(randomTerm(rng));
+    for (const double t : terms) {
+        ExactSum s;
+        s.add(t);
+        EXPECT_EQ(s.value(), std::nearbyint(std::ldexp(t, 64)) * 0x1p-64)
+            << std::hexfloat << t;
+    }
+}
+
+TEST(ExactSum, RepeatedAddEqualsSingleAdds)
+{
+    Rng rng(11);
+    for (int trial = 0; trial < 200; ++trial) {
+        const double t = randomTerm(rng);
+        const std::uint64_t n = rng.next() % 3000;
+        ExactSum one;
+        ExactSum many;
+        one.add(randomTerm(rng));
+        many = one;
+        for (std::uint64_t i = 0; i < n; ++i)
+            one.add(t, 1);
+        many.add(t, n);
+        EXPECT_EQ(one, many) << std::hexfloat << t << " n=" << n;
+
+        // A term that sums m addends, n rounds.
+        const double addends[] = {t, randomTerm(rng), randomTerm(rng)};
+        ExactSum::Term round;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            for (const double a : addends)
+                one.add(a);
+        }
+        for (const double a : addends)
+            round += a;
+        many.add(round, n);
+        EXPECT_EQ(one, many) << std::hexfloat << t << " n=" << n;
+    }
+}
+
+TEST(ExactSum, OrderDoesNotMatter)
+{
+    Rng rng(13);
+    std::vector<double> terms;
+    for (int i = 0; i < 5000; ++i)
+        terms.push_back(randomTerm(rng));
+    ExactSum forward;
+    for (const double t : terms)
+        forward.add(t);
+    for (int trial = 0; trial < 20; ++trial) {
+        for (std::size_t i = terms.size() - 1; i > 0; --i)
+            std::swap(terms[i], terms[rng.next() % (i + 1)]);
+        ExactSum shuffled;
+        for (const double t : terms)
+            shuffled.add(t);
+        EXPECT_EQ(forward, shuffled);
+    }
+}
+
+TEST(ExactSum, NonFiniteAndOutOfRangeTermsDie)
+{
+    ExactSum s;
+    EXPECT_DEATH(s.add(std::numeric_limits<double>::quiet_NaN()), "");
+    EXPECT_DEATH(s.add(std::numeric_limits<double>::infinity()), "");
+    EXPECT_DEATH(s.add(-std::numeric_limits<double>::infinity()), "");
+    EXPECT_DEATH(s.add(std::numeric_limits<double>::quiet_NaN(), 0), "");
+    // One call takes less than 2^62 in magnitude.
+    EXPECT_DEATH(s.add(0x1p62), "");
+    EXPECT_DEATH(s.add(-0x1p62), "");
+    EXPECT_DEATH(s.add(0x1p61, 2), "");
+    ExactSum::Term two = 0x1.8p60;
+    two += 0x1.8p60;
+    EXPECT_DEATH(two += 0x1.8p60, "");
+    EXPECT_DEATH(s.add(two, 2), "");
+    // The sum stays below 2^63.
+    const double most = std::nextafter(0x1p62, 0.0);
+    s.add(most);
+    s.add(most);
+    EXPECT_DEATH(s.add(most), "");
+    EXPECT_DEATH(s.add(0x1p10, 1), "");
+}
+
+TEST(ExactSum, StateIoRoundTripIsBitExact)
+{
+    Rng rng(17);
+    std::vector<ExactSum> sums(4);
+    sums[1].add(-0x1p-64);
+    sums[2].add(-1.7e11, 1000);
+    sums[2].add(0x1p-60);
+    for (int i = 0; i < 1000; ++i)
+        sums[3].add(randomTerm(rng));
+    // A tie at double precision but for the lowest quantum.
+    sums.emplace_back();
+    sums.back().add(0x1p53);
+    sums.back().add(1.0);
+    sums.back().add(0x1p-64);
+    EXPECT_EQ(sums.back().value(), 0x1p53 + 2.0);
+    for (int i = 0; i < 200; ++i) {
+        sums.emplace_back();
+        sums.back().add(randomTerm(rng), rng.next() % 100000);
+        sums.back().add(randomTerm(rng));
+    }
+
+    SnapshotWriter w("exact-sum-test v1");
+    StateIO out(w);
+    for (std::size_t i = 0; i < sums.size(); ++i)
+        out.field("sum" + std::to_string(i), sums[i]);
+
+    // value() rounds as the library's __int128 conversion does.
+    const std::string text = w.str();
+    for (std::size_t i = 0; i < sums.size(); ++i) {
+        const std::string key = "\nsum" + std::to_string(i) + " = ";
+        const std::size_t at = text.find(key) + key.size();
+        EXPECT_EQ(decodeExactSum(text.substr(at, 32)), sums[i].value()) << i;
+    }
+
+    SnapshotReader r(text, "exact-sum-test v1");
+    StateIO in(r);
+    for (std::size_t i = 0; i < sums.size(); ++i) {
+        ExactSum back;
+        back.add(12.5);
+        in.field("sum" + std::to_string(i), back);
+        EXPECT_EQ(back, sums[i]) << i;
+        EXPECT_EQ(back.value(), sums[i].value()) << i;
+    }
+    r.finish();
+    EXPECT_LT(sums[1].value(), 0.0);
+    EXPECT_LT(sums[2].value(), 0.0);
 }
 
 TEST(Stats, GroupPathAndHierarchicalDump)

@@ -22,6 +22,7 @@
 #include <string>
 
 #include "exp/experiment.hh"
+#include "sim/snapshot.hh"
 #include "soc/soc.hh"
 
 namespace sysscale {
@@ -126,15 +127,11 @@ snapshotField(const std::string &snapshot, const std::string &key)
     return snapshot.substr(from, snapshot.find('\n', from) - from);
 }
 
-/** The double a snapshot text stores as @p key's bit pattern. */
+/** The value a snapshot text stores for the exact sum @p key. */
 inline double
 statValue(const std::string &snapshot, const std::string &key)
 {
-    const std::uint64_t u = std::strtoull(
-        snapshotField(snapshot, key).c_str(), nullptr, 16);
-    double d = 0.0;
-    std::memcpy(&d, &u, sizeof(d));
-    return d;
+    return decodeExactSum(snapshotField(snapshot, key));
 }
 
 /**

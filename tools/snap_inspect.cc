@@ -128,28 +128,29 @@ decode(const std::string &path)
     return out;
 }
 
-/** Whether @p v looks like an encoded double (16 lowercase hex). */
+/** Whether @p v is all lowercase hex digits. */
 bool
-isHex16(const std::string &v)
+isHex(const std::string &v)
 {
-    if (v.size() != 16)
-        return false;
     for (const char c : v) {
         if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')))
             return false;
     }
-    return true;
+    return !v.empty();
 }
 
-/** Render a value for humans: bit pattern plus %.17g when double. */
+/**
+ * Render a value for humans: an encoded double (16 hex) or exact sum
+ * (32 hex) gets its %.17g value appended.
+ */
 std::string
 pretty(const std::string &v)
 {
-    if (!isHex16(v))
+    if (!isHex(v) || (v.size() != 16 && v.size() != 32))
         return v;
-    char buf[64];
+    char buf[96];
     std::snprintf(buf, sizeof(buf), "%s (%.17g)", v.c_str(),
-                  decodeDouble(v));
+                  v.size() == 16 ? decodeDouble(v) : decodeExactSum(v));
     return buf;
 }
 
