@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "core/governor.hh"
 #include "core/governor_driver.hh"
 #include "core/governor_registry.hh"
@@ -37,6 +39,33 @@ BM_EventQueueScheduleFire(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EventQueueScheduleFire);
+
+void
+BM_EventQueueReplayPattern(benchmark::State &state)
+{
+    // The kernel calls of one replay batch: the SoC step event fires,
+    // reads the next pending tick, jumps the clock over a 4-step batch
+    // and schedules its next step, while a PMU evaluation waits 30 ms
+    // out and reschedules itself whenever the steps reach it.
+    constexpr Tick kStep = 100 * kTicksPerUs;
+    constexpr Tick kEval = 30 * kTicksPerMs;
+    EventQueue q;
+    EventFunctionWrapper step("step", [&] {
+        const Tick horizon = q.nextPendingTick();
+        q.advanceNow(std::min(q.now() + 3 * kStep, horizon));
+        q.schedule(&step, q.now() + kStep);
+    });
+    EventFunctionWrapper eval("eval", [&] {
+        q.schedule(&eval, q.now() + kEval);
+    }, Event::kPrioStatsSample);
+    q.schedule(&step, kStep);
+    q.schedule(&eval, kEval);
+    for (auto _ : state)
+        q.step();
+    q.deschedule(&step);
+    q.deschedule(&eval);
+}
+BENCHMARK(BM_EventQueueReplayPattern);
 
 void
 BM_RngUniform(benchmark::State &state)

@@ -21,19 +21,13 @@ Event::~Event()
 }
 
 bool
-EventQueue::entryLess(const Entry &a, const Entry &b)
+EventQueue::later(const Entry &a, const Entry &b)
 {
     if (a.when != b.when)
-        return a.when < b.when;
+        return a.when > b.when;
     if (a.priority != b.priority)
-        return a.priority < b.priority;
-    return a.seq < b.seq;
-}
-
-bool
-EventQueue::isLive(const Entry &e) const
-{
-    return e.ev->generation_ == e.generation && e.ev->scheduled_;
+        return a.priority > b.priority;
+    return a.seq > b.seq;
 }
 
 void
@@ -51,18 +45,10 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->scheduled_ = true;
     ev->when_ = when;
     ev->seq_ = nextSeq_++;
-    ++ev->generation_;
-    const std::size_t bi = dayOf(when) % kNumBuckets;
-    std::vector<Entry> &bucket = buckets_[bi];
-    bucket.push_back(
-        Entry{when, ev->priority(), ev->seq_, ev->generation_, ev});
-    ++live_;
-
-    if (minValid_ &&
-        (!min_.found() ||
-         entryLess(bucket.back(), buckets_[min_.bucket][min_.slot]))) {
-        min_ = EntryRef{bi, bucket.size() - 1};
-    }
+    const Entry e{when, ev->priority(), ev->seq_, ev};
+    entries_.insert(std::lower_bound(entries_.begin(), entries_.end(),
+                                     e, later),
+                    e);
 }
 
 void
@@ -72,22 +58,14 @@ EventQueue::deschedule(Event *ev)
     SYSSCALE_ASSERT(ev->scheduled_,
                     "event '%s' descheduled while not scheduled",
                     ev->name().c_str());
-    if (minValid_ && min_.found() &&
-        buckets_[min_.bucket][min_.slot].ev == ev)
-        minValid_ = false;
-    // Lazy deletion: bump the generation so the bucket entry is
-    // skipped (and swept) by the next scan that visits it.
+    const Entry key{ev->when_, ev->priority(), ev->seq_, ev};
+    const auto it = std::lower_bound(entries_.begin(), entries_.end(),
+                                     key, later);
+    SYSSCALE_ASSERT(it != entries_.end() && it->ev == ev,
+                    "event '%s' scheduled but missing from the queue",
+                    ev->name().c_str());
+    entries_.erase(it);
     ev->scheduled_ = false;
-    ++ev->generation_;
-    --live_;
-    ++dead_;
-
-    // Pathological churn into far-future buckets could otherwise pile
-    // up corpses faster than day-by-day scanning sweeps them.
-    if (dead_ > kNumBuckets && dead_ > 4 * live_) {
-        for (auto &bucket : buckets_)
-            pruneBucket(bucket);
-    }
 }
 
 void
@@ -99,89 +77,16 @@ EventQueue::reschedule(Event *ev, Tick when)
 }
 
 void
-EventQueue::pruneBucket(std::vector<Entry> &bucket)
+EventQueue::fireNext()
 {
-    for (std::size_t i = 0; i < bucket.size();) {
-        if (isLive(bucket[i])) {
-            ++i;
-            continue;
-        }
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-        --dead_;
-        minValid_ = false;
-    }
-}
-
-EventQueue::EntryRef
-EventQueue::findMin()
-{
-    if (!minValid_) {
-        min_ = scanMin();
-        minValid_ = true;
-    }
-    return min_;
-}
-
-EventQueue::EntryRef
-EventQueue::scanMin()
-{
-    if (live_ == 0)
-        return EntryRef{kNpos, 0};
-
-    // Walk days forward from now; all events of a day share one
-    // bucket, so the first day with a live entry yields the global
-    // minimum.
-    std::uint64_t day = dayOf(now_);
-    for (std::size_t probes = 0; probes < kNumBuckets; ++probes, ++day) {
-        const std::size_t bi = day % kNumBuckets;
-        std::vector<Entry> &bucket = buckets_[bi];
-        pruneBucket(bucket);
-        std::size_t best = kNpos;
-        for (std::size_t i = 0; i < bucket.size(); ++i) {
-            if (dayOf(bucket[i].when) != day)
-                continue; // different rotation of the calendar
-            if (best == kNpos || entryLess(bucket[i], bucket[best]))
-                best = i;
-        }
-        if (best != kNpos)
-            return EntryRef{bi, best};
-    }
-
-    // Sparse queue: nothing within one calendar rotation of now.
-    // live_ > 0, so a direct scan over the few survivors finds the
-    // minimum without day filtering.
-    EntryRef ref{kNpos, 0};
-    for (std::size_t bi = 0; bi < kNumBuckets; ++bi) {
-        std::vector<Entry> &bucket = buckets_[bi];
-        pruneBucket(bucket);
-        for (std::size_t i = 0; i < bucket.size(); ++i) {
-            if (!ref.found() ||
-                entryLess(bucket[i],
-                          buckets_[ref.bucket][ref.slot])) {
-                ref = EntryRef{bi, i};
-            }
-        }
-    }
-    SYSSCALE_ASSERT(ref.found(), "live events but none found");
-    return ref;
-}
-
-void
-EventQueue::fireAt(const EntryRef &ref)
-{
-    std::vector<Entry> &bucket = buckets_[ref.bucket];
-    const Entry top = bucket[ref.slot];
-    bucket[ref.slot] = bucket.back();
-    bucket.pop_back();
-    minValid_ = false;
+    const Entry top = entries_.back();
+    entries_.pop_back();
 
     SYSSCALE_ASSERT(top.when >= now_, "event queue went backwards");
     now_ = top.when;
 
     Event *ev = top.ev;
     ev->scheduled_ = false;
-    --live_;
     ++processed_;
     ev->process();
 }
@@ -189,18 +94,10 @@ EventQueue::fireAt(const EntryRef &ref)
 bool
 EventQueue::step()
 {
-    const EntryRef ref = findMin();
-    if (!ref.found())
+    if (entries_.empty())
         return false;
-    fireAt(ref);
+    fireNext();
     return true;
-}
-
-Tick
-EventQueue::nextPendingTick()
-{
-    const EntryRef ref = findMin();
-    return ref.found() ? buckets_[ref.bucket][ref.slot].when : kMaxTick;
 }
 
 void
@@ -213,42 +110,24 @@ EventQueue::advanceNow(Tick when)
 }
 
 std::vector<EventQueue::SavedEvent>
-EventQueue::saveEvents()
+EventQueue::saveEvents() const
 {
-    std::vector<Entry> live;
-    for (auto &bucket : buckets_) {
-        pruneBucket(bucket);
-        for (const Entry &e : bucket)
-            live.push_back(e);
-    }
-    std::sort(live.begin(), live.end(),
-              [](const Entry &a, const Entry &b) {
-                  return a.seq < b.seq;
-              });
     std::vector<SavedEvent> out;
-    out.reserve(live.size());
-    for (const Entry &e : live)
-        out.push_back(SavedEvent{e.ev->name(), e.when, e.priority});
+    for (const Event *ev : scheduledEvents())
+        out.push_back(SavedEvent{ev->name(), ev->when(), ev->priority()});
     return out;
 }
 
 std::vector<Event *>
-EventQueue::scheduledEvents()
+EventQueue::scheduledEvents() const
 {
-    std::vector<Entry> live;
-    for (auto &bucket : buckets_) {
-        pruneBucket(bucket);
-        for (const Entry &e : bucket)
-            live.push_back(e);
-    }
-    std::sort(live.begin(), live.end(),
-              [](const Entry &a, const Entry &b) {
-                  return a.seq < b.seq;
-              });
     std::vector<Event *> out;
-    out.reserve(live.size());
-    for (const Entry &e : live)
+    out.reserve(entries_.size());
+    for (const Entry &e : entries_)
         out.push_back(e.ev);
+    std::sort(out.begin(), out.end(), [](const Event *a, const Event *b) {
+        return a->seq_ < b->seq_;
+    });
     return out;
 }
 
@@ -257,17 +136,16 @@ EventQueue::clearScheduled()
 {
     for (Event *ev : scheduledEvents())
         deschedule(ev);
-    for (auto &bucket : buckets_)
-        pruneBucket(bucket);
-    SYSSCALE_ASSERT(live_ == 0 && dead_ == 0,
+    SYSSCALE_ASSERT(entries_.empty(),
                     "clearScheduled left entries behind");
 }
 
 void
 EventQueue::restoreNow(Tick when)
 {
-    SYSSCALE_ASSERT(live_ == 0,
-                    "restoreNow() with %zu events still pending", live_);
+    SYSSCALE_ASSERT(entries_.empty(),
+                    "restoreNow() with %zu events still pending",
+                    entries_.size());
     SYSSCALE_ASSERT(when >= now_, "restoreNow() into the past");
     now_ = when;
 }
@@ -279,13 +157,8 @@ EventQueue::runUntil(Tick limit)
     runLimit_ = limit;
 
     std::uint64_t fired = 0;
-    while (true) {
-        const EntryRef ref = findMin();
-        if (!ref.found())
-            break;
-        if (buckets_[ref.bucket][ref.slot].when > limit)
-            break;
-        fireAt(ref);
+    while (!entries_.empty() && entries_.back().when <= limit) {
+        fireNext();
         ++fired;
     }
     if (now_ < limit)

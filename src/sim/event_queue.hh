@@ -7,24 +7,18 @@
  * EventFunctionWrapper to run a lambda at a given time, mirroring the
  * gem5 kernel at a much smaller scale.
  *
- * Storage is a calendar queue: an array of buckets, each holding the
- * events of the "days" (fixed-width tick ranges) that alias onto it.
- * The day width is sized to the SoC step interval — the cadence that
- * dominates every simulation — so the common dequeue touches exactly
- * one bucket holding a handful of entries instead of re-heapifying a
- * binary heap. Dequeue scans the current day's bucket for the
- * (tick, priority, seq)-minimum; when no event lives within one full
- * rotation of the calendar (a sparse queue between PMU evaluations or
- * after a skip-ahead), a single global scan over the few live entries
- * finds the minimum directly. Descheduled events are invalidated
- * lazily by a generation counter, exactly as the old heap did, and
- * swept out of whichever bucket a scan next visits.
+ * Storage is one vector of the live entries, kept sorted latest-first,
+ * so the next event to fire is its back(). A simulation holds a handful
+ * of live events — in the steady state the SoC step event plus one PMU
+ * evaluation tens of milliseconds out — so peeking at the next event is
+ * O(1), firing is a pop_back(), schedule() is a binary-search insert
+ * that lands near the back, and deschedule() erases its entry at once,
+ * found by the event's own (tick, priority, seq).
  */
 
 #ifndef SYSSCALE_SIM_EVENT_QUEUE_HH
 #define SYSSCALE_SIM_EVENT_QUEUE_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -82,7 +76,6 @@ class Event
     bool scheduled_ = false;
     Tick when_ = 0;
     std::uint64_t seq_ = 0;
-    std::uint64_t generation_ = 0; //!< Invalidates stale queue entries.
 };
 
 /**
@@ -103,7 +96,7 @@ class EventFunctionWrapper : public Event
 };
 
 /**
- * The kernel: a time-ordered calendar of events plus the current tick.
+ * The kernel: a time-ordered list of events plus the current tick.
  */
 class EventQueue
 {
@@ -122,16 +115,16 @@ class EventQueue
      */
     void schedule(Event *ev, Tick when);
 
-    /** Remove a scheduled event (no-op panic if not scheduled). */
+    /** Remove a scheduled event. Panics if it is not scheduled. */
     void deschedule(Event *ev);
 
     /** Deschedule-if-needed then schedule at @p when. */
     void reschedule(Event *ev, Tick when);
 
     /** Number of pending events. */
-    std::size_t pending() const { return live_; }
+    std::size_t pending() const { return entries_.size(); }
 
-    bool empty() const { return live_ == 0; }
+    bool empty() const { return entries_.empty(); }
 
     /**
      * Run until the queue empties or @p limit is passed.
@@ -145,11 +138,12 @@ class EventQueue
     /** Run a single event if one is pending. @return true if fired. */
     bool step();
 
-    /**
-     * Tick of the earliest pending event, kMaxTick when the queue is
-     * empty. Prunes dead entries as a side effect, hence non-const.
-     */
-    Tick nextPendingTick();
+    /** Tick of the earliest pending event, kMaxTick when empty. */
+    Tick
+    nextPendingTick() const
+    {
+        return entries_.empty() ? kMaxTick : entries_.back().when;
+    }
 
     /**
      * Jump now() forward to @p when without firing anything. The
@@ -191,10 +185,10 @@ class EventQueue
     };
 
     /** All live events in ascending seq order. */
-    std::vector<SavedEvent> saveEvents();
+    std::vector<SavedEvent> saveEvents() const;
 
     /** Live Event pointers in ascending seq order (restore harvest). */
-    std::vector<Event *> scheduledEvents();
+    std::vector<Event *> scheduledEvents() const;
 
     /** Deschedule every live event. */
     void clearScheduled();
@@ -207,83 +201,27 @@ class EventQueue
     /** @} */
 
   private:
-    static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-
     struct Entry
     {
         Tick when;
         int priority;
         std::uint64_t seq;
-        std::uint64_t generation;
         Event *ev;
     };
 
-    /**
-     * Bucket and slot of a located entry; bucket kNpos means none.
-     * Two words, so it is returned in registers: a third (flag) member
-     * sent every findMin() result through a stack round trip.
-     */
-    struct EntryRef
-    {
-        std::size_t bucket;
-        std::size_t slot;
+    /** True when @p a fires after @p b in (tick, priority, seq). */
+    static bool later(const Entry &a, const Entry &b);
 
-        bool found() const { return bucket != kNpos; }
-    };
+    /** Pop the earliest entry, advance time, and fire it. */
+    void fireNext();
 
-    /**
-     * Calendar geometry. The day width (2^kDayShift ticks ≈ 134 µs)
-     * brackets the 100 µs SoC step interval, so consecutive steps
-     * land in the same or adjacent buckets; 64 buckets cover one
-     * PMU sample interval (1 ms) several times over before aliasing.
-     */
-    static constexpr int kDayShift = 27;
-    static constexpr std::size_t kNumBuckets = 64;
-
-    static std::uint64_t dayOf(Tick when) { return when >> kDayShift; }
-
-    static bool entryLess(const Entry &a, const Entry &b);
-
-    bool isLive(const Entry &e) const;
-
-    /**
-     * Swap-remove every dead (descheduled/stale) entry. Moving a slot
-     * invalidates the memoized minimum.
-     */
-    void pruneBucket(std::vector<Entry> &bucket);
-
-    /**
-     * Locate the (tick, priority, seq)-minimum live entry. The answer
-     * is memoized until the queue changes, so repeated queries between
-     * mutations (advanceNow() inside a replay batch) cost O(1).
-     */
-    EntryRef findMin();
-
-    /** The uncached search behind findMin(). */
-    EntryRef scanMin();
-
-    /** Remove the entry at @p ref, advance time, and fire it. */
-    void fireAt(const EntryRef &ref);
-
-    std::array<std::vector<Entry>, kNumBuckets> buckets_;
-
-    /**
-     * @name Memoized findMin() result.
-     * Valid until the queue changes: schedule() keeps it current in
-     * place (push_back leaves existing slots where they are), while
-     * removing the memoized event (deschedule(), fireAt()) or moving
-     * any slot (pruneBucket()) drops it. Never snapshotted.
-     * @{ */
-    EntryRef min_{kNpos, 0};
-    bool minValid_ = false;
-    /** @} */
+    /** Live entries, sorted latest-first: back() fires next. */
+    std::vector<Entry> entries_;
 
     Tick now_ = 0;
     Tick runLimit_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t processed_ = 0;
-    std::size_t live_ = 0;
-    std::size_t dead_ = 0; //!< Lazily-deleted entries still in buckets.
 };
 
 } // namespace sysscale

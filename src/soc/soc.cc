@@ -262,7 +262,11 @@ Soc::findPlan(Tick t)
     // binding empties the ring), at or before the last slow step and
     // inside its demand horizon, so demandScratch_ is its demand: they
     // share the thread activity and gfxActive_ the grants read. The
-    // grants are computed at most once per lookup.
+    // grants are computed at most once per lookup, and the fingerprint
+    // inputs no probe can change are read once.
+    const double duty = hdc_.dutyFactor();
+    const BytesPerSec io_iso = isoBandwidthDemand();
+    const Watt io_engine_power = display_->power() + isp_->power();
     PStateGrants g;
     for (std::size_t i = 0; i < kPlanRingSize; ++i) {
         const StepPlan &p = ring_[mru_[i]].plan;
@@ -273,10 +277,10 @@ Soc::findPlan(Tick t)
         if (lastMemLatencyNs_ != p.latencyInNs ||
             computeBudget_ != p.computeBudget ||
             coreFreqCap_ != p.coreFreqCap ||
-            hdc_.dutyFactor() != p.dutyFactor ||
+            duty != p.dutyFactor ||
             cfg_.tdp != p.tdp ||
-            isoBandwidthDemand() != p.md.ioIso ||
-            display_->power() + isp_->power() != p.ioEnginePower)
+            io_iso != p.md.ioIso ||
+            io_engine_power != p.ioEnginePower)
             continue;
         // The throttle reaches a step only through the two P-state
         // grants, so the plan holds under any throttle that grants the

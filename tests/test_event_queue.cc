@@ -3,7 +3,7 @@
  * Unit tests for the discrete-event kernel.
  *
  * Besides the API-level tests, this file carries the differential
- * property suite for the calendar queue: thousands of seeded random
+ * property suite for the sorted-vector queue: thousands of seeded random
  * schedule/deschedule/reschedule/run interleavings are replayed
  * against a trivially-correct reference model (a sorted vector), and
  * the firing order must match entry for entry in
@@ -209,8 +209,8 @@ TEST(EventQueue, RunLimitVisibleToHandlersAndRestored)
 
 TEST(EventQueue, FarFutureEventsBeyondOneRotationFire)
 {
-    // Events farther out than one full calendar rotation exercise
-    // the sparse-queue global scan.
+    // Events up to ~0.7 s out (thousands of SoC steps, far beyond
+    // one PMU interval) still fire in tick order.
     EventQueue q;
     std::vector<int> order;
     EventFunctionWrapper near_ev("near", [&] { order.push_back(1); });
@@ -229,8 +229,8 @@ TEST(EventQueue, FarFutureEventsBeyondOneRotationFire)
 
 TEST(EventQueue, SameBucketDifferentRotationOrdersByTick)
 {
-    // Two events exactly one calendar rotation apart alias onto the
-    // same bucket; the day filter must keep the later one pending.
+    // Two events exactly 2^33 ticks (~8.6 ms) apart: the later one
+    // stays pending after the first fires.
     EventQueue q;
     std::vector<int> order;
     EventFunctionWrapper first("first", [&] { order.push_back(1); });
@@ -359,12 +359,12 @@ class ReferenceQueue
 };
 
 /**
- * One seeded trial: drive the calendar queue and the reference model
+ * One seeded trial: drive the event queue and the reference model
  * through an identical random op sequence and require identical
  * firing logs, clocks, pending counts and earliest pending ticks
- * throughout. The ops cover every path that touches the memoized
- * minimum: schedule, deschedule, reschedule, run, advanceNow and a
- * full-calendar prune (saveEvents).
+ * throughout. The ops cover every path that changes or reads the
+ * sorted entries: schedule, deschedule, reschedule, run, advanceNow
+ * and the seq-ordered snapshot listing (saveEvents).
  */
 void
 differentialTrial(std::uint64_t seed, std::size_t num_ops)
@@ -387,9 +387,9 @@ differentialTrial(std::uint64_t seed, std::size_t num_ops)
             prio(rng)));
     }
 
-    // Delays mix the three calendar regimes: within the current day,
-    // a few days out (PMU-sample scale), and beyond one rotation
-    // (the global-scan path).
+    // Delays mix three scales: a few nanoseconds, up to ~1.3 ms
+    // (PMU-sample scale) and up to ~27 ms (about one PMU evaluation),
+    // so inserts land at the back, in the middle and at the front.
     auto random_delay = [&rng]() -> Tick {
         std::uniform_int_distribution<int> regime(0, 9);
         const int r = regime(rng);
@@ -449,8 +449,8 @@ differentialTrial(std::uint64_t seed, std::size_t num_ops)
             break;
           case 8:
             {
-                // Prunes every bucket: moves slots without changing
-                // what is live.
+                // Lists every live event without changing what is
+                // live.
                 const std::vector<EventQueue::SavedEvent> saved =
                     q.saveEvents();
                 const auto want = model.bySeq();
@@ -521,6 +521,65 @@ TEST(EventQueueDifferential, DenseSameTickTies)
         model.runUntil(1000, expected);
         ASSERT_EQ(fired, expected) << "trial " << t;
     }
+}
+
+TEST(EventQueue, ClearScheduledEmptiesTheQueue)
+{
+    EventQueue q;
+    int fired = 0;
+    EventFunctionWrapper a("a", [&] { ++fired; });
+    EventFunctionWrapper b("b", [&] { ++fired; });
+    EventFunctionWrapper c("c", [&] { ++fired; });
+    q.schedule(&a, 300);
+    q.schedule(&b, 100);
+    q.schedule(&c, 100 + (Tick(30) * kTicksPerMs));
+
+    q.clearScheduled();
+    EXPECT_EQ(q.pending(), 0u);
+    EXPECT_EQ(q.nextPendingTick(), kMaxTick);
+    for (const Event *ev : {&a, &b, &c})
+        EXPECT_FALSE(ev->scheduled()) << ev->name();
+    EXPECT_TRUE(q.scheduledEvents().empty());
+
+    // Every cleared event can be scheduled again, and fires once.
+    q.schedule(&c, 30);
+    q.schedule(&a, 10);
+    q.schedule(&b, 20);
+    EXPECT_EQ(q.pending(), 3u);
+    EXPECT_EQ(q.runUntil(1000), 3u);
+    EXPECT_EQ(fired, 3);
+}
+
+TEST(EventQueue, RescheduledTieFiresInSeqOrder)
+{
+    // Same tick, same priority: a reschedule takes a fresh seq, so
+    // the rescheduled event now fires after the one it used to lead.
+    EventQueue q;
+    std::vector<int> order;
+    EventFunctionWrapper a("a", [&] { order.push_back(1); });
+    EventFunctionWrapper b("b", [&] { order.push_back(2); });
+    EventFunctionWrapper c("c", [&] { order.push_back(3); });
+    q.schedule(&a, 100);
+    q.schedule(&b, 100);
+    q.schedule(&c, 100);
+
+    q.deschedule(&a);
+    q.schedule(&a, 100);
+    q.reschedule(&b, 100);
+    EXPECT_EQ(q.runUntil(100), 3u);
+    EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
+}
+
+TEST(EventQueueDeath, DescheduleUnscheduledPanics)
+{
+    EventQueue q;
+    EventFunctionWrapper ev("ev", [] {});
+    EXPECT_DEATH(q.deschedule(&ev), "not scheduled");
+
+    // A fired event is no longer scheduled either.
+    q.schedule(&ev, 10);
+    q.runUntil(20);
+    EXPECT_DEATH(q.deschedule(&ev), "not scheduled");
 }
 
 TEST(EventQueueDeath, AdvanceNowPastPendingEventPanics)

@@ -5,7 +5,7 @@ Compares two google-benchmark JSON dumps — the committed ledger
 baseline (bench/BENCH_pr<N>.json) against a fresh run::
 
     ./build/bench_micro --benchmark_format=json > /tmp/bench.json
-    python3 tools/check_bench.py bench/BENCH_pr29.json /tmp/bench.json
+    python3 tools/check_bench.py bench/BENCH_pr38.json /tmp/bench.json
 
 Benchmarks are matched by name and compared on per-iteration cpu_time
 (normalized across time units).  A benchmark slower than baseline by
